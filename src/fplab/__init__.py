@@ -3,7 +3,8 @@
 from .countvec import CountVector
 from .energy import (additive_energy_recip, count_vector_product, energy_J,
                      energy_Js, triple_R)
-from .errors import BudgetError, ConsistencyError, DomainError, SetFileError
+from .errors import (BudgetError, ConsistencyError, DomainError, SetFileError,
+                     ZeroInIntervalError)
 from .modfield import (PrimeContext, batch_inverse, build_dlog_table,
                        find_primitive_root, is_prime, mod_pow)
 from .prodset import ProductSetReport, product_set, ratio_set

@@ -310,8 +310,12 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, SetFileError, FileNotFoundError) as exc:
+    except (DomainError, SetFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError:  # the one text input: the sweep config or the set file
+        path = args.config if args.command == "sweep" else args.set_spec[len("file:"):]
+        print(f"error: {path}: not ASCII text", file=sys.stderr)
         return 2
 
 

@@ -1,14 +1,19 @@
-"""Exact cyclic convolution over the index group Z_p, and prime-length DFTs.
+"""Exact cyclic convolution over an index group Z_n, and prime-length DFTs.
 
-Three convolution strategies, selected by a proven bound on the output
-coefficients so that every returned count is an exact integer:
+Additive problems convolve over Z_p; product problems convolve over
+Z_{p-1} after reindexing every unit by its discrete log. Three strategies,
+each exact for the coefficient bound it is planned with:
 
-  direct  O(p^2) schoolbook in Python integers; always exact; tiny p only.
+  direct  support pairs: every product of two nonzero entries is scattered
+          to (i + j) mod n with int64 accumulation; exact below 2^63.
+          Chosen when its pair count, weighted by PAIR_COST, undercuts the
+          transform work.
   float   power-of-two real FFTs of the zero-padded factors, one inverse,
-          fold mod p, round. The worst-case rounding error for a
+          fold mod n, round. The worst-case rounding error for a
           coefficient bound B and transform length N is ~ B * eps * c*log2(N)
           with eps = 2^-53, so rounding is certified for B < 2^40 at any
-          desk-scale length (error << 0.5).
+          desk-scale length (error << 0.5); the residual is also checked
+          at run time.
   ntt     number-theoretic transforms modulo several ~31-bit primes with
           power-of-two-friendly multiplicative groups, recombined by the
           Chinese remainder theorem. No rounding at all; used whenever the
@@ -31,18 +36,22 @@ from typing import Sequence
 import numpy as np
 
 from .countvec import CountVector
-from .errors import BudgetError, ConsistencyError, check_budget
+from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, check_budget
 from .modfield import find_primitive_root
 
 log = logging.getLogger(__name__)
 
-DIRECT_THRESHOLD = 64          # p at or below: schoolbook convolution
+# Cost of one support pair in transform work units (one unit is one of the
+# N*log2(N) steps of a transform). Measured on 2 x86 vCPUs with numpy 2.4 at
+# n = 10^4..10^6: 8-16 ns per pair against 0.8-1.4 ns per unit.
+PAIR_COST = 10
 DIRECT_DFT_THRESHOLD = 128     # transform length at or below: O(n^2) table product
 FLOAT_EXACT_BOUND = 1 << 40    # float route certified below this coefficient bound
 
 # 31-bit primes q with large power-of-two factors of q-1; products of any
 # four exceed 2^120, which covers every desk-scale coefficient bound.
 _NTT_POOL = (2013265921, 1811939329, 469762049, 2113929217, 167772161, 754974721)
+_PAIR_BLOCK = 1 << 22          # support pairs scattered per block
 
 
 def _next_pow2(n: int) -> int:
@@ -53,10 +62,10 @@ def _next_pow2(n: int) -> int:
 class ConvolutionPlan:
     """How a convolution will run: strategy, certified bound, moduli."""
 
-    p: int
+    n: int                         # length of the index group Z_n
     strategy: str                  # "direct" | "float" | "ntt"
     bound: int                     # proven upper bound on any output coefficient
-    lin_length: int                # linear-convolution length k*(p-1)+1
+    lin_length: int                # linear-convolution length k*(n-1)+1
     fft_length: int                # power-of-two length used by float/ntt
     moduli: tuple[int, ...] = ()   # ntt primes (empty otherwise)
 
@@ -69,35 +78,55 @@ def _ntt_prime_info(q: int) -> tuple[int, int]:
     return adicity, find_primitive_root(q)
 
 
-def plan_convolution(p: int, masses: Sequence[int], budget: int | None = None) -> ConvolutionPlan:
-    """Select a strategy for a k-fold length-p convolution with the given factor masses.
+def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None) -> ConvolutionPlan:
+    """Select the cheapest exact strategy for a k-fold length-n convolution.
 
     The coefficient bound is the product of all masses (safe: every output
-    entry is at most the total number of tuples); it drives strategy
-    selection only. The work budget meters transform operations, roughly
-    k * N * log2(N) per modulus.
+    entry is at most the total number of tuples); it decides which routes
+    are exact. A transform route does about (k+1) * N * log2(N) work per
+    modulus; the support-pair route visits at most pair_work pairs, each
+    support being capped by its mass and by n, and is chosen when
+    PAIR_COST * pair_work is no larger. A route whose own work exceeds the
+    budget is passed over; the call is refused only when none fits.
     """
     k = len(masses)
     if k < 1:
         raise BudgetError("no factors to convolve", required=0)
-    bound = 1
-    for m in masses:
-        bound *= int(m)
-    lin_length = k * (p - 1) + 1
-    n = _next_pow2(lin_length)
-    if p <= DIRECT_THRESHOLD:
-        plan = ConvolutionPlan(p, "direct", bound, lin_length, 0)
-        check_budget((k - 1) * p * p, budget, "schoolbook convolution")
-        return plan
+    bound = prod(int(m) for m in masses)
+    lin_length = k * (n - 1) + 1
+    size = _next_pow2(lin_length)
+    transform_work = (k + 1) * size * size.bit_length()
     if bound < FLOAT_EXACT_BOUND:
-        check_budget((k + 1) * n * n.bit_length(), budget, "float transform convolution")
-        return ConvolutionPlan(p, "float", bound, lin_length, n)
-    moduli = _select_ntt_moduli(bound, n)
-    check_budget((k + 1) * n * n.bit_length() * len(moduli), budget,
-                 "multi-modulus exact convolution")
-    log.info("convolution bound %d >= 2^40: escalating to exact ntt route "
-             "(%d moduli, length %d)", bound, len(moduli), n)
-    return ConvolutionPlan(p, "ntt", bound, lin_length, n, moduli)
+        transform = ConvolutionPlan(n, "float", bound, lin_length, size)
+        what = "float transform convolution"
+    else:
+        moduli = _select_ntt_moduli(bound, size)
+        transform = ConvolutionPlan(n, "ntt", bound, lin_length, size, moduli)
+        transform_work *= len(moduli)
+        what = "multi-modulus exact convolution"
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if bound < 1 << 63:  # int64 accumulation is exact
+        pair_work = _pair_work(n, masses)
+        if pair_work <= limit and (PAIR_COST * pair_work <= transform_work
+                                   or transform_work > limit):
+            return ConvolutionPlan(n, "direct", bound, lin_length, 0)
+        if pair_work < transform_work:  # neither fits: refuse with the smaller need
+            check_budget(pair_work, budget, "support-pair convolution")
+    check_budget(transform_work, budget, what)
+    if transform.strategy == "ntt":
+        log.info("convolution bound %d >= 2^40: escalating to exact ntt route "
+                 "(%d moduli, length %d)", bound, len(transform.moduli), size)
+    return transform
+
+
+def _pair_work(n: int, masses: Sequence[int]) -> int:
+    """Upper bound on the support pairs the direct route visits, factor by factor."""
+    support, work = min(int(masses[0]), n), 0
+    for m in masses[1:]:
+        pairs = support * min(int(m), n)
+        work += pairs
+        support = min(pairs, n)
+    return work
 
 
 def _select_ntt_moduli(bound: int, n: int) -> tuple[int, ...]:
@@ -114,21 +143,19 @@ def _select_ntt_moduli(bound: int, n: int) -> tuple[int, ...]:
         f"at transform length {n}", required=bound)
 
 
-def _check_plan(plan: ConvolutionPlan, p: int, masses: Sequence[int]) -> None:
-    if plan.p != p:
-        raise BudgetError(f"plan is for length {plan.p}, vectors have length {p}",
+def _check_plan(plan: ConvolutionPlan, n: int, masses: Sequence[int]) -> None:
+    if plan.n != n:
+        raise BudgetError(f"plan is for length {plan.n}, vectors have length {n}",
                           required=0)
-    bound = 1
-    for m in masses:
-        bound *= int(m)
+    bound = prod(int(m) for m in masses)
     if bound > plan.bound:
         required = "ntt" if plan.strategy != "ntt" else "larger modulus pool"
         raise BudgetError(
             f"coefficient bound {bound} exceeds plan bound {plan.bound}; "
             f"required strategy: {required}", required=bound)
-    if plan.strategy != "direct" and len(masses) * (p - 1) + 1 > max(plan.lin_length, 1):
+    if plan.strategy != "direct" and len(masses) * (n - 1) + 1 > max(plan.lin_length, 1):
         raise BudgetError("plan sized for fewer factors than supplied",
-                          required=len(masses) * (p - 1) + 1)
+                          required=len(masses) * (n - 1) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,87 +236,93 @@ def _crt_combine(residues: list[np.ndarray], moduli: tuple[int, ...]) -> list[in
 # the three convolution routes
 
 
-def _fold(linear: np.ndarray, p: int) -> np.ndarray:
-    """Wrap a linear-convolution result onto Z_p indices."""
-    n = linear.size
-    pad = (-n) % p
-    if pad:
-        linear = np.concatenate([linear, np.zeros(pad, dtype=linear.dtype)])
-    return linear.reshape(-1, p).sum(axis=0)
-
-
-def _direct_kfold(vectors: list[list[int]], p: int) -> list[int]:
-    out = vectors[0]
-    for vec in vectors[1:]:
-        nxt = [0] * p
-        for i, ui in enumerate(out):
-            if ui:
-                for j, vj in enumerate(vec):
-                    if vj:
-                        nxt[(i + j) % p] += ui * vj
-        out = nxt
+def _fold(linear: np.ndarray, n: int) -> np.ndarray:
+    """Wrap a linear-convolution result onto Z_n indices."""
+    full = linear.size - linear.size % n
+    out = linear[:full].reshape(-1, n).sum(axis=0)
+    out[:linear.size - full] += linear[full:]
     return out
 
 
-def _float_kfold(vectors: list[np.ndarray], p: int, plan: ConvolutionPlan) -> np.ndarray:
-    n = plan.fft_length
-    spectrum = None
-    for vec in vectors:
-        f = np.fft.rfft(vec.astype(np.float64), n)
-        spectrum = f if spectrum is None else spectrum * f
-    linear = np.fft.irfft(spectrum, n)[:plan.lin_length]
-    folded = _fold(linear, p)
-    return np.rint(folded).astype(np.int64)
+def _pair_kfold(vectors: list[np.ndarray], n: int) -> np.ndarray:
+    """Scatter each product of two nonzero entries to (i + j) mod n, one factor at a time."""
+    out = vectors[0]
+    for vec in vectors[1:]:
+        i, j = np.flatnonzero(out), np.flatnonzero(vec)
+        wi, wj = out[i], vec[j]
+        if i.size > j.size:
+            i, j, wi, wj = j, i, wj, wi
+        acc = np.zeros(n, dtype=np.int64)
+        rows = max(1, _PAIR_BLOCK // max(1, j.size))
+        for start in range(0, i.size, rows):
+            idx = i[start:start + rows, None] + j
+            np.subtract(idx, n, out=idx, where=idx >= n)
+            np.add.at(acc, idx.ravel(), (wi[start:start + rows, None] * wj).ravel())
+        out = acc
+    return out
 
 
-def _ntt_kfold(vectors: list[np.ndarray], p: int, plan: ConvolutionPlan) -> list[int]:
-    n = plan.fft_length
+def _float_kfold(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan) -> np.ndarray:
+    size = plan.fft_length
+    spectrum = np.fft.rfft(vectors[0], size)
+    for vec in vectors[1:]:
+        spectrum *= np.fft.rfft(vec, size)
+    folded = _fold(np.fft.irfft(spectrum, size)[:plan.lin_length], n)
+    rounded = np.rint(folded)
+    residual = float(np.abs(folded - rounded, out=folded).max())
+    if residual > 0.25:
+        raise ConsistencyError(
+            f"float convolution rounding residual {residual:.3g} exceeds 0.25")
+    return rounded.astype(np.int64)
+
+
+def _ntt_kfold(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan) -> list[int]:
+    size = plan.fft_length
     residues = []
     for q in plan.moduli:
         qq = np.uint64(q)
         spectrum = None
         for vec in vectors:
-            padded = np.zeros(n, dtype=np.uint64)
-            padded[:p] = (vec.astype(np.uint64)) % qq
-            f = _ntt_forward(padded, q, n)
+            padded = np.zeros(size, dtype=np.uint64)
+            padded[:n] = (vec.astype(np.uint64)) % qq
+            f = _ntt_forward(padded, q, size)
             spectrum = f if spectrum is None else (spectrum * f) % qq
-        linear = _ntt_inverse(spectrum, q, n)[:plan.lin_length]
-        residues.append(_fold(linear, p) % qq)
+        linear = _ntt_inverse(spectrum, q, size)[:plan.lin_length]
+        residues.append(_fold(linear, n) % qq)
     return _crt_combine(residues, plan.moduli)
 
 
 def k_fold_count(vectors: Sequence[CountVector], plan: ConvolutionPlan | None = None,
                  budget: int | None = None) -> CountVector:
-    """The k-fold cyclic convolution of count vectors, exactly.
+    """The k-fold cyclic convolution of length-n count vectors, exactly.
 
-    Pointwise products in the transform domain, one inverse transform,
-    fold onto Z_p; strategy per plan (auto-planned when omitted).
-    Total mass is verified against the product of input masses on every
-    call.
+    Support pairs, or pointwise products in the transform domain, one
+    inverse transform and a fold onto Z_n; strategy per plan (auto-planned
+    when omitted). Total mass is verified against the product of input
+    masses on every call.
     """
     if len(vectors) < 2:
         raise BudgetError("k-fold convolution needs at least two factors", required=2)
-    p = vectors[0].p
-    if any(v.p != p for v in vectors):
+    n = vectors[0].p
+    if any(v.p != n for v in vectors):
         raise ConsistencyError("count vectors have mismatched lengths")
     masses = [v.total for v in vectors]
     if plan is None:
-        plan = plan_convolution(p, masses, budget)
+        plan = plan_convolution(n, masses, budget)
     else:
-        _check_plan(plan, p, masses)
+        _check_plan(plan, n, masses)
     expected = prod(masses)
 
-    if plan.strategy == "direct":
-        out = _direct_kfold([v.as_list() for v in vectors], p)
-        return CountVector(out, expected_total=expected)
     arrays = []
     for v in vectors:
         if not isinstance(v.counts, np.ndarray):
             raise ConsistencyError("input count vectors must be 64-bit backed")
         arrays.append(v.counts)
+    if plan.strategy == "direct":
+        return CountVector(_pair_kfold(arrays, n), expected_total=expected)
     if plan.strategy == "float":
-        return CountVector(_float_kfold(arrays, p, plan), expected_total=expected)
-    out = _ntt_kfold(arrays, p, plan)
+        return CountVector(_float_kfold(arrays, n, plan), expected_total=expected)
+    out = _ntt_kfold(arrays, n, plan)
     if plan.bound < 1 << 62:
         return CountVector(np.asarray(out, dtype=np.int64), expected_total=expected)
     return CountVector(out, expected_total=expected)
@@ -298,7 +331,7 @@ def k_fold_count(vectors: Sequence[CountVector], plan: ConvolutionPlan | None = 
 def cyclic_convolve(u: CountVector, v: CountVector,
                     plan: ConvolutionPlan | None = None,
                     budget: int | None = None) -> CountVector:
-    """w[lam] = sum_mu u[mu] * v[(lam - mu) mod p], exact integers."""
+    """w[lam] = sum_mu u[mu] * v[(lam - mu) mod n], exact integers."""
     return k_fold_count([u, v], plan, budget)
 
 

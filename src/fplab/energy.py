@@ -2,8 +2,12 @@
 additive energies.
 
 Every quantity here is an exact integer, computed as a sum of squared
-entries of a count vector (O(H*M + p)) instead of enumerating pairs of
-pairs (O((H*M)^2)).
+entries of a count vector instead of enumerating pairs of pairs
+(O((H*M)^2)). Product maps m * x^(-s) are additive over Z_{p-1} once
+every unit is replaced by its discrete log, dlog(m * x^(-s)) =
+dlog(m) - s * dlog(x), so product count vectors are convolutions of
+dlog-indexed count vectors (the identity behind
+J = (1/(p-1)) sum_chi |S_H(chi)|^2 |S_M(chi)|^2).
 """
 
 from __future__ import annotations
@@ -11,52 +15,44 @@ from __future__ import annotations
 import numpy as np
 
 from . import convolve
-from .countvec import CountVector
-from .errors import DomainError, check_budget
+from .countvec import CountVector, from_bincount
+from .errors import DomainError, ZeroInIntervalError, check_budget
 from .modfield import PrimeContext, recip_power_values
 from .sets import Interval, ResidueSet, shifted_interval
 
-_CHUNK = 1 << 22  # elements per temporary block in pairwise kernels
+
+def dlog_counts(units: np.ndarray, scale: int, ctx: PrimeContext) -> CountVector:
+    """Count vector over Z_{p-1} of scale * dlog(u): the units u^scale, dlog-indexed."""
+    n = ctx.p - 1
+    return from_bincount(ctx.dlog[units].astype(np.int64) * (scale % n) % n, n)
 
 
-def _pairwise_product_counts(a: np.ndarray, b: np.ndarray, p: int,
-                             out: np.ndarray | None = None) -> np.ndarray:
-    """counts[lam] += #{(i,j): a[i]*b[j] = lam mod p}, blockwise."""
-    if out is None:
-        out = np.zeros(p, dtype=np.int64)
-    if a.size == 0 or b.size == 0:
-        return out
-    if p >= 1 << 26:
-        # p^2 would overflow int64 products; pure-Python fallback
-        counts: dict[int, int] = {}
-        for x in a.tolist():
-            for y in b.tolist():
-                lam = x * y % p
-                counts[lam] = counts.get(lam, 0) + 1
-        for lam, c in counts.items():
-            out[lam] += c
-        return out
-    if a.size > b.size:
-        a, b = b, a
-    rows = max(1, _CHUNK // b.size)
-    for i in range(0, a.size, rows):
-        block = (a[i:i + rows, None] * b[None, :]) % p
-        out += np.bincount(block.ravel(), minlength=p)
+def residue_order(conv: CountVector, ctx: PrimeContext) -> np.ndarray | list[int]:
+    """A dlog-indexed vector gathered back to residues: entry u is conv[dlog(u)], entry 0 is 0."""
+    if isinstance(conv.counts, list):  # beyond int64: the exact route's Python ints
+        return [0] + [conv.counts[d] for d in ctx.dlog[1:].tolist()]
+    out = np.zeros(ctx.p, dtype=np.int64)
+    out[1:] = conv.counts[ctx.dlog[1:]]
     return out
 
 
 def count_vector_product(interval: Interval, mset: ResidueSet, s: int,
                          ctx: PrimeContext, budget: int | None = None) -> CountVector:
-    """counts[lam] = #{(m, x) in M x X : m * x^(-s) = lam mod p}."""
+    """counts[lam] = #{(m, x) in M x X : m * x^(-s) = lam mod p}.
+
+    Needs p <= MAX_DLOG_PRIME (2^26) for the dlog table.
+    """
     if interval.contains_zero:
-        raise DomainError("interval covers 0 mod p: x^(-s) undefined")
+        raise ZeroInIntervalError("interval covers 0 mod p: x^(-s) undefined")
     if mset.p != ctx.p or interval.p != ctx.p:
         raise DomainError("interval/set modulus does not match context")
     pairs = interval.H * mset.M
     check_budget(pairs, budget, "product count vector")
-    vals = recip_power_values(interval.elements(), s, ctx)
-    counts = _pairwise_product_counts(mset.elems, vals, ctx.p)
-    return CountVector(counts, expected_total=pairs)
+    if s == 0:
+        raise DomainError("exponent s must be nonzero")
+    conv = convolve.k_fold_count([dlog_counts(mset.elems, 1, ctx),
+                                  dlog_counts(interval.elements(), -s, ctx)], budget=budget)
+    return CountVector(residue_order(conv, ctx), expected_total=pairs)
 
 
 def energy_J(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
@@ -86,22 +82,10 @@ def triple_count_vector(j_len: int, k_len: int, mset: ResidueSet,
     check_budget(work, budget, "triple product count")
     if not (1 <= j_len <= p - 1 and 1 <= k_len <= p - 1):
         raise DomainError("interval lengths must lie in 1..p-1")
-    j_arr = np.arange(1, j_len + 1, dtype=np.int64)
-    k_arr = np.arange(1, k_len + 1, dtype=np.int64)
-    jk = _pairwise_product_counts(j_arr, k_arr, p)
-    nz = np.nonzero(jk)[0]
-    reps = jk[nz].astype(np.float64)
-    # weighted bincount over m-blocks; the weights are integers < 2^53, so
-    # float64 accumulation is exact, and the mass check below re-verifies
-    acc = np.zeros(p, dtype=np.float64)
-    rows = max(1, _CHUNK // max(1, nz.size))
-    elems = mset.elems
-    for i in range(0, elems.size, rows):
-        idx = (elems[i:i + rows, None] * nz[None, :]) % p
-        w = np.broadcast_to(reps, idx.shape)
-        acc += np.bincount(idx.ravel(), weights=w.ravel(), minlength=p)
-    counts = np.rint(acc).astype(np.int64)
-    return CountVector(counts, expected_total=work)
+    jk = convolve.k_fold_count([dlog_counts(np.arange(1, j_len + 1), 1, ctx),
+                                dlog_counts(np.arange(1, k_len + 1), 1, ctx)], budget=budget)
+    conv = convolve.k_fold_count([jk, dlog_counts(mset.elems, 1, ctx)], budget=budget)
+    return CountVector(residue_order(conv, ctx), expected_total=work)
 
 
 def triple_R(j_len: int, k_len: int, mset: ResidueSet, ctx: PrimeContext,
@@ -113,10 +97,9 @@ def triple_R(j_len: int, k_len: int, mset: ResidueSet, ctx: PrimeContext,
 def recip_power_counts(interval: Interval, s: int, ctx: PrimeContext) -> CountVector:
     """u[lam] = #{x in X : x^(-s) = lam mod p} (fiber sizes of the power map)."""
     if interval.contains_zero:
-        raise DomainError("interval covers 0 mod p: x^(-s) undefined")
+        raise ZeroInIntervalError("interval covers 0 mod p: x^(-s) undefined")
     vals = recip_power_values(interval.elements(), s, ctx)
-    counts = np.bincount(vals, minlength=ctx.p).astype(np.int64)
-    return CountVector(counts, expected_total=interval.H)
+    return from_bincount(vals, ctx.p, expected_total=interval.H)
 
 
 def additive_energy_recip(interval_x: Interval, s: int, ell: int,

@@ -5,6 +5,10 @@ class DomainError(ValueError):
     """An input is outside the mathematical domain of the operation."""
 
 
+class ZeroInIntervalError(DomainError):
+    """An interval that must avoid 0 mod p (a denominator) covers it."""
+
+
 class BudgetError(RuntimeError):
     """The requested computation exceeds the configured work budget.
 

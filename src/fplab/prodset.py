@@ -1,4 +1,9 @@
-"""Product and ratio sets: exact cardinalities plus hypothesis evaluation."""
+"""Product and ratio sets: exact cardinalities plus hypothesis evaluation.
+
+A product h*m of units is the sum dlog(h) + dlog(m) over Z_{p-1}, so the
+product set is the support of one convolution of dlog-indexed count
+vectors; a ratio m/h negates dlog(h). Both need p <= MAX_DLOG_PRIME (2^26).
+"""
 
 from __future__ import annotations
 
@@ -6,12 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import convolve
+from .energy import dlog_counts, residue_order
 from .envelopes import product_set_branch
-from .errors import DomainError, check_budget
-from .modfield import PrimeContext, batch_inverse
+from .errors import DomainError, ZeroInIntervalError, check_budget
+from .modfield import PrimeContext
 from .sets import Interval, ResidueSet
 
-_CHUNK = 1 << 22
 _MISSING_LIST_CAP = 1 << 16
 
 
@@ -33,17 +39,12 @@ class ProductSetReport:
             raise DomainError("inconsistent product-set report")
 
 
-def _occupancy(factors: np.ndarray, mset: ResidueSet, p: int) -> np.ndarray:
-    """Mark every product f*m mod p in a dense boolean table."""
-    occ = np.zeros(p, dtype=bool)
-    a, b = factors, mset.elems
-    if a.size > b.size:
-        a, b = b, a
-    rows = max(1, _CHUNK // b.size)
-    for i in range(0, a.size, rows):
-        block = (a[i:i + rows, None] * b[None, :]) % p
-        occ[block.ravel()] = True
-    return occ
+def _occupancy(units: np.ndarray, scale: int, mset: ResidueSet, ctx: PrimeContext,
+               budget: int | None) -> np.ndarray:
+    """Dense table of the residues u^scale * m, from the support of a dlog convolution."""
+    conv = convolve.k_fold_count([dlog_counts(units, scale, ctx),
+                                  dlog_counts(mset.elems, 1, ctx)], budget=budget)
+    return residue_order(conv, ctx) > 0
 
 
 def _report(occ: np.ndarray, interval: Interval, mset: ResidueSet,
@@ -64,11 +65,13 @@ def _report(occ: np.ndarray, interval: Interval, mset: ResidueSet,
 def product_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
                 epsilon: float = 0.05, budget: int | None = None,
                 list_missing: bool = False) -> ProductSetReport:
-    """Exact size of {h*m mod p} via a dense occupancy table; O(H*M) work."""
+    """Exact size of {h*m mod p}; 0 is a product exactly when the interval covers it."""
     if interval.p != ctx.p or mset.p != ctx.p:
         raise DomainError("interval/set modulus does not match context")
     check_budget(interval.H * mset.M, budget, "product-set occupancy")
-    occ = _occupancy(interval.elements(), mset, ctx.p)
+    elems = interval.elements()
+    occ = _occupancy(elems[elems != 0], 1, mset, ctx, budget)
+    occ[0] = interval.contains_zero
     return _report(occ, interval, mset, epsilon, list_missing)
 
 
@@ -79,8 +82,7 @@ def ratio_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
     if interval.p != ctx.p or mset.p != ctx.p:
         raise DomainError("interval/set modulus does not match context")
     if interval.contains_zero:
-        raise DomainError("ratio set needs a denominator-safe interval (0 not in H)")
+        raise ZeroInIntervalError("ratio set needs a denominator-safe interval (0 not in H)")
     check_budget(interval.H * mset.M, budget, "ratio-set occupancy")
-    inv = np.asarray(batch_inverse(interval.elements(), ctx), dtype=np.int64)
-    occ = _occupancy(inv, mset, ctx.p)
+    occ = _occupancy(interval.elements(), -1, mset, ctx, budget)
     return _report(occ, interval, mset, epsilon, list_missing)

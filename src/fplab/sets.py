@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SetFileError
+from .errors import DomainError, SetFileError, ZeroInIntervalError
 from .modfield import PrimeContext
 
 
@@ -111,7 +111,7 @@ def shifted_interval(L: int, H: int, ctx: PrimeContext, require_denominator_safe
     """The interval {L+1, ..., L+H} mod p, optionally required to avoid 0."""
     iv = Interval(L, H, ctx.p)
     if require_denominator_safe and iv.contains_zero:
-        raise DomainError(f"interval L={L}, H={H} covers 0 mod {ctx.p}")
+        raise ZeroInIntervalError(f"interval L={L}, H={H} covers 0 mod {ctx.p}")
     return iv
 
 

@@ -71,6 +71,16 @@ def _dev_stats(counts: CountVector, mass: int, p: int,
     return max_dev, mean_dev, dev_at
 
 
+def _factor_counts(factors: list[tuple[ResidueSet, int]], H: int, s: int,
+                   ctx: PrimeContext, budget: int | None) -> list[CountVector]:
+    """One count vector per (set, shift) factor over the interval shift + {1..H}."""
+    vectors = []
+    for mset, shift in factors:
+        x = shifted_interval(shift, H, ctx, require_denominator_safe=True)
+        vectors.append(count_vector_product(x, mset, s, ctx, budget))
+    return vectors
+
+
 def tk_experiment(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: int,
                   ctx: PrimeContext, epsilon: float = 0.05,
                   budget: int | None = None, sample_lambdas=(),
@@ -84,10 +94,7 @@ def tk_experiment(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: int,
     if not allow_unequal and len(set(sizes)) > 1:
         raise DomainError(
             f"factor sets have unequal sizes {sizes}; pass allow_unequal to override")
-    vectors = []
-    for mset, shift in factors:
-        x = shifted_interval(shift, H, ctx, require_denominator_safe=True)
-        vectors.append(count_vector_product(x, mset, s, ctx, budget))
+    vectors = _factor_counts(factors, H, s, ctx, budget)
     counts = convolve.k_fold_count(vectors, budget=budget)
     mass = 1
     for v in vectors:
@@ -112,10 +119,7 @@ def tk_spectral_check(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: 
     factor i's count vector; the exact route is the convolution.
     """
     p = ctx.p
-    vectors = []
-    for mset, shift in factors:
-        x = shifted_interval(shift, H, ctx, require_denominator_safe=True)
-        vectors.append(count_vector_product(x, mset, s, ctx, budget))
+    vectors = _factor_counts(factors, H, s, ctx, budget)
     if len(vectors) != k or k < 2:
         raise DomainError("factor list does not match k")
     exact = convolve.k_fold_count(vectors, budget=budget)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import energy, envelopes, prodset, spectra, tkcount
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, ZeroInIntervalError
 from .modfield import PrimeContext, is_prime
 from .sets import (SplitMix64, initial_interval, mix_seed, random_subset,
                    shifted_interval)
@@ -188,9 +188,10 @@ def _run_point(cfg: SweepConfig, index: int, point, ctx_cache: dict) -> ReportRo
         return _measure(cfg, base, ctx, h, m, shift, s, ell, set_seed, rng)
     except BudgetError:
         return replace(base, H=h, M=m, L=shift, skip_reason="budget_exceeded")
+    except ZeroInIntervalError:
+        return replace(base, H=h, M=m, L=shift, skip_reason="interval_covers_zero")
     except DomainError as exc:
-        reason = "interval_covers_zero" if "0 mod" in str(exc) else f"domain:{exc}"
-        return replace(base, H=h, M=m, L=shift, skip_reason=reason)
+        return replace(base, H=h, M=m, L=shift, skip_reason=f"domain:{exc}")
     except Exception as exc:  # a broken point must never abort the sweep
         return replace(base, H=h, M=m, L=shift, skip_reason=f"error:{type(exc).__name__}")
 

@@ -76,6 +76,15 @@ def triple_R(j_len, k_len, m_elems, p):
     return sum(1 for a in triples for b in triples if a == b)
 
 
+def triple_counts(j_len, k_len, m_elems, p):
+    counts = [0] * p
+    for j in range(1, j_len + 1):
+        for k in range(1, k_len + 1):
+            for m in m_elems:
+                counts[j * k * m % p] += 1
+    return counts
+
+
 def recip_energy(x_elems, s, ell, p):
     vals = recip_values(x_elems, s, p)
     sums = {}

@@ -143,3 +143,33 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "prodset", "--p", "7", "--H", "2",
                            "--set", "file:/nonexistent/path")
     assert code == 2
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    """A directory, a non-ASCII set file and a non-ASCII sweep config."""
+    (tmp_path / "set.txt").write_bytes(b"1\n\xc3\xa9\n")
+    (tmp_path / "sweep.cfg").write_bytes(b"measure = burgess\nprimes = 101\n"
+                                         b"h_exp = 0.5  # \xc3\xa9\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["prodset", "--p", "7", "--H", "2", "--set", "file:{d}"], "{d}"),
+    (["prodset", "--p", "7", "--H", "2", "--set", "file:{d}/set.txt"], "{d}/set.txt"),
+    (["sweep", "--config", "{d}"], "{d}"),
+    (["sweep", "--config", "{d}/sweep.cfg"], "{d}/sweep.cfg"),
+    (["prodset", "--p", "7", "--H", "2", "--set", "random:3", "--seed", "1",
+      "--out", "{d}"], "{d}"),
+], ids=["set-dir", "set-non-ascii", "config-dir", "config-non-ascii", "out-dir"])
+def test_unreadable_paths_are_usage_errors(capsys, bad_inputs, argv, path):
+    code, _, err = run_cli(capsys, *[a.format(d=bad_inputs) for a in argv])
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert path.format(d=bad_inputs) in err
+
+
+def test_product_problem_above_dlog_cap_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "prodset", "--p", "67108879", "--H", "3",
+                           "--set", "random:3", "--seed", "1")
+    assert code == 2 and "2^26" in err

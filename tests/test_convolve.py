@@ -9,7 +9,7 @@ from fplab.convolve import (ConvolutionPlan, cyclic_convolve, k_fold_count,
                             length_p_transform, plan_convolution,
                             _select_ntt_moduli)
 from fplab.countvec import CountVector
-from fplab.errors import BudgetError
+from fplab.errors import BudgetError, ConsistencyError
 from fplab.modfield import is_prime
 
 import oracles
@@ -87,10 +87,14 @@ def test_strategy_escalation_and_logging(caplog):
     assert plan.strategy == "ntt"
     assert len(plan.moduli) >= 2
     assert any("escalating" in r.message for r in caplog.records)
+    # few support pairs: the pair route undercuts any transform
     small = plan_convolution(1009, [4, 4])
-    assert small.strategy == "float"
+    assert small.strategy == "direct"
+    # full supports: 1922 pairs cost more than four length-128 transforms
     tiny = plan_convolution(31, [1000, 1000, 1000])
-    assert tiny.strategy == "direct"
+    assert tiny.strategy == "float"
+    dense = plan_convolution(1009, [600, 600])
+    assert dense.strategy == "float"
 
 
 def test_ntt_pool_is_sound():
@@ -108,6 +112,39 @@ def test_plan_refusals():
         plan_convolution(101, [10, 10], budget=1)
     with pytest.raises(BudgetError):
         _select_ntt_moduli(1 << 500, 1 << 20)
+
+
+def test_float_route_near_its_bound_matches_ntt():
+    # concentrated factors: two entries carry almost all of the mass, so
+    # single output coefficients reach a sixteenth of a bound just under 2^40
+    p = 1009
+    for k, big in ((2, (1 << 19) - 4), (3, 1 << 12)):
+        vecs = []
+        for f in range(k):
+            counts = np.zeros(p, dtype=np.int64)
+            counts[[3 + f, 500 + 7 * f]] = [big, big - 5 - f]
+            counts[[11, 600 + f, 1000]] += [1, 2, 3]
+            vecs.append(_cv(counts))
+        auto = plan_convolution(p, [v.total for v in vecs])
+        assert auto.strategy == "float"
+        assert auto.bound < 1 << 40 <= 4 * auto.bound
+        ntt_plan = ConvolutionPlan(p, "ntt", auto.bound, auto.lin_length,
+                                   auto.fft_length,
+                                   _select_ntt_moduli(auto.bound, auto.fft_length))
+        got = k_fold_count(vecs, auto)
+        assert got.as_list() == k_fold_count(vecs, ntt_plan).as_list()
+        assert max(got.as_list()) >= auto.bound >> 4
+
+
+def test_float_route_certificate_rejects_uncertified_plans():
+    # a float plan forged for coefficients near 2^51 must fail its residual check
+    p = 211
+    rng = np.random.default_rng(5)
+    vecs = [_cv(rng.integers(1 << 21, 1 << 22, size=p)) for _ in range(2)]
+    bound = vecs[0].total * vecs[1].total
+    forged = ConvolutionPlan(p, "float", bound, 2 * p - 1, 512)
+    with pytest.raises(ConsistencyError, match="residual"):
+        k_fold_count(vecs, forged)
 
 
 def test_exact_route_with_huge_counts():

@@ -1,0 +1,71 @@
+"""Product problems through dlogs over Z_{p-1}: the transform route and the domain cap."""
+
+import tracemalloc
+
+import pytest
+
+from fplab import convolve
+from fplab.energy import count_vector_product, energy_J, triple_R
+from fplab.errors import DomainError
+from fplab.modfield import PrimeContext
+from fplab.prodset import product_set, ratio_set
+from fplab.sets import initial_interval, random_subset
+
+import oracles
+
+
+@pytest.fixture
+def strategies(monkeypatch):
+    """Strategies of every convolution planned while the test runs."""
+    seen = []
+    plan = convolve.plan_convolution
+
+    def spy(*args, **kwargs):
+        result = plan(*args, **kwargs)
+        seen.append(result.strategy)
+        return result
+
+    monkeypatch.setattr(convolve, "plan_convolution", spy)
+    return seen
+
+
+def test_dense_products_take_the_float_route(ctx, strategies):
+    p = 1009
+    c = ctx(p)
+    mset = random_subset(600, 17, c)
+    m_elems = mset.elems.tolist()
+    iv = initial_interval(600, c)
+    h_elems = range(1, 601)
+
+    assert product_set(iv, mset, c).size == oracles.product_set_size(h_elems, m_elems, p)
+    assert strategies == ["float"]
+    assert ratio_set(iv, mset, c).size == oracles.ratio_set_size(h_elems, m_elems, p)
+    assert strategies[1:] == ["float"]
+    expect = oracles.count_vector(h_elems, m_elems, -1, p)
+    assert count_vector_product(iv, mset, -1, c).as_list() == expect
+    assert energy_J(iv, mset, c) == sum(v * v for v in expect)
+    assert strategies[2:] == ["float", "float"]
+
+    del strategies[:]
+    expect = oracles.triple_counts(25, 24, m_elems, p)
+    assert triple_R(25, 24, mset, c) == sum(v * v for v in expect)
+    assert strategies == ["direct", "float"]  # j*k first, then the set
+
+
+P_ABOVE_DLOG_CAP = 67108879  # the first prime above 2^26
+
+
+def test_products_above_the_dlog_cap_fail_at_once():
+    c = PrimeContext(P_ABOVE_DLOG_CAP)
+    mset = random_subset(3, 1, c)
+    iv = initial_interval(3, c)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="2\\^26"):
+            product_set(iv, mset, c)
+        with pytest.raises(DomainError, match="2\\^26"):
+            count_vector_product(iv, mset, 1, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # nothing of length p was allocated

@@ -3,9 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fplab.energy import (additive_energy_recip, count_vector_product,
-                          energy_J, energy_Js, triple_R)
-from fplab.errors import BudgetError, DomainError
+                          energy_J, energy_Js, recip_power_counts, triple_R)
+from fplab.errors import BudgetError, DomainError, ZeroInIntervalError
 from fplab.modfield import PrimeContext
+from fplab.prodset import ratio_set
 from fplab.sets import initial_interval, residue_set, shifted_interval
 
 import oracles
@@ -145,3 +146,24 @@ def test_budget_refusals(ctx):
         count_vector_product(initial_interval(100, c), big, 1, c, budget=10)
     with pytest.raises(BudgetError):
         triple_R(50, 50, big, c, budget=1000)
+
+
+def test_count_vector_admitted_at_exact_budget(ctx):
+    c = ctx(101)
+    iv, mset = initial_interval(10, c), residue_set(list(range(1, 11)), c)
+    assert count_vector_product(iv, mset, 1, c, budget=100).total == 100
+    with pytest.raises(BudgetError) as exc:
+        count_vector_product(iv, mset, 1, c, budget=99)
+    assert exc.value.required == 100
+
+
+def test_interval_covering_zero_is_typed(ctx):
+    c = ctx(11)
+    unsafe = shifted_interval(9, 3, c)
+    m = residue_set([1], c)
+    for call in (lambda: shifted_interval(9, 3, c, require_denominator_safe=True),
+                 lambda: count_vector_product(unsafe, m, 1, c),
+                 lambda: recip_power_counts(unsafe, 1, c),
+                 lambda: ratio_set(unsafe, m, c)):
+        with pytest.raises(ZeroInIntervalError):
+            call()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from fplab.errors import BudgetError, DomainError
 from fplab.modfield import PrimeContext
 from fplab.prodset import product_set, ratio_set
-from fplab.sets import initial_interval, random_subset, residue_set
+from fplab.sets import initial_interval, random_subset, residue_set, shifted_interval
 
 import oracles
 
@@ -115,3 +115,15 @@ def test_ratio_set_needs_safe_interval(ctx):
     unsafe = shifted_interval(9, 3, c)
     with pytest.raises(DomainError):
         ratio_set(unsafe, residue_set([1], c), c)
+
+
+def test_product_set_with_zero_in_interval(ctx):
+    c = ctx(101)
+    mset = random_subset(7, 3, c)
+    for L, H in [(95, 10), (100, 1), (100, 30), (50, 100)]:
+        iv = shifted_interval(L, H, c)
+        assert iv.contains_zero
+        rep = product_set(iv, mset, c, list_missing=True)
+        assert rep.size == oracles.product_set_size(iv.elements().tolist(),
+                                                    mset.elems.tolist(), 101)
+        assert 0 not in rep.missing_residues
