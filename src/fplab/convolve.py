@@ -16,8 +16,20 @@ each exact for the coefficient bound it is planned with:
           at run time.
   ntt     number-theoretic transforms modulo several ~31-bit primes with
           power-of-two-friendly multiplicative groups, recombined by the
-          Chinese remainder theorem. No rounding at all; used whenever the
-          bound exceeds the float route's certified capacity.
+          Chinese remainder theorem (Garner's mixed-radix digits). No
+          rounding at all; used whenever the bound exceeds the float
+          route's certified capacity. Two schedules per modulus: linear
+          (transform every factor at N = next_pow2(k(n-1)+1), multiply,
+          invert once) and cyclic (fold onto Z_n after every product, so
+          each step works at C = next_pow2(2n-1)). With d distinct factor
+          arrays among the k, linear takes d+1 transforms at N and cyclic
+          d+2k-3 at C; the planner picks the smaller transforms * length *
+          log2(length) and marks cyclic by fft_length = C < lin_length.
+          T_6 over six factors at n=10^5 runs cyclic (C = 2^18, N = 2^20),
+          the energy [u]*4 at the same n linear (N = 2^19).
+
+Transform routes transform a factor that appears several times (the
+repeated factors of an additive energy) once.
 
 The prime-length Fourier transform (for complete exponential-sum tables)
 uses the chirp factorization c*l = (c^2 + l^2 - (c-l)^2)/2 to reduce a
@@ -31,7 +43,7 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,7 +78,8 @@ class ConvolutionPlan:
     strategy: str                  # "direct" | "float" | "ntt"
     bound: int                     # proven upper bound on any output coefficient
     lin_length: int                # linear-convolution length k*(n-1)+1
-    fft_length: int                # power-of-two length used by float/ntt
+    fft_length: int                # power-of-two length used by float/ntt;
+                                   # an ntt plan below lin_length is cyclic
     moduli: tuple[int, ...] = ()   # ntt primes (empty otherwise)
 
 
@@ -78,7 +91,8 @@ def _ntt_prime_info(q: int) -> tuple[int, int]:
     return adicity, find_primitive_root(q)
 
 
-def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None) -> ConvolutionPlan:
+def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
+                     distinct: int | None = None) -> ConvolutionPlan:
     """Select the cheapest exact strategy for a k-fold length-n convolution.
 
     The coefficient bound is the product of all masses (safe: every output
@@ -87,7 +101,10 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None) -
     modulus; the support-pair route visits at most pair_work pairs, each
     support being capped by its mass and by n, and is chosen when
     PAIR_COST * pair_work is no larger. A route whose own work exceeds the
-    budget is passed over; the call is refused only when none fits.
+    budget is passed over; the call is refused only when none fits. An NTT
+    plan runs the cheaper of two schedules for `distinct` distinct factor
+    arrays (default: all k; see _ntt_schedule); its fft_length is the
+    length the schedule uses, below lin_length when the schedule is cyclic.
     """
     k = len(masses)
     if k < 1:
@@ -101,7 +118,9 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None) -
         what = "float transform convolution"
     else:
         moduli = _select_ntt_moduli(bound, size)
-        transform = ConvolutionPlan(n, "ntt", bound, lin_length, size, moduli)
+        length, per_modulus = _ntt_schedule(k, k if distinct is None else distinct,
+                                            n, size)
+        transform = ConvolutionPlan(n, "ntt", bound, lin_length, length, moduli)
         transform_work *= len(moduli)
         what = "multi-modulus exact convolution"
     limit = DEFAULT_BUDGET if budget is None else budget
@@ -115,8 +134,27 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None) -
     check_budget(transform_work, budget, what)
     if transform.strategy == "ntt":
         log.info("convolution bound %d >= 2^40: escalating to exact ntt route "
-                 "(%d moduli, length %d)", bound, len(transform.moduli), size)
+                 "(%s schedule, length %d, moduli %s, %d transforms)",
+                 bound, "cyclic" if length < lin_length else "linear", length,
+                 ",".join(map(str, moduli)), per_modulus * len(moduli))
     return transform
+
+
+def _ntt_schedule(k: int, distinct: int, n: int, size: int) -> tuple[int, int]:
+    """(transform length, transforms per modulus) of the cheaper NTT schedule.
+
+    Each of the `distinct` factor arrays is transformed once. The linear
+    schedule does so at the padded length `size` and inverts once:
+    distinct+1 transforms. The cyclic one folds onto Z_n after each
+    product, so it works at next_pow2(2n-1): distinct factor transforms,
+    k-1 inverses and k-2 transforms of the folded accumulator.
+    """
+    cyc = _next_pow2(2 * n - 1)
+    linear, cyclic = distinct + 1, distinct + 2 * k - 3
+    if cyc < size and (cyclic * cyc * (cyc.bit_length() - 1)
+                       < linear * size * (size.bit_length() - 1)):
+        return cyc, cyclic
+    return size, linear
 
 
 def _pair_work(n: int, masses: Sequence[int]) -> int:
@@ -156,6 +194,11 @@ def _check_plan(plan: ConvolutionPlan, n: int, masses: Sequence[int]) -> None:
     if plan.strategy != "direct" and len(masses) * (n - 1) + 1 > max(plan.lin_length, 1):
         raise BudgetError("plan sized for fewer factors than supplied",
                           required=len(masses) * (n - 1) + 1)
+    # a wrapped product keeps its mass, so a short transform would go unnoticed
+    shortest = 2 * n - 1 if plan.strategy == "ntt" else plan.lin_length
+    if plan.strategy != "direct" and plan.fft_length < shortest:
+        raise BudgetError(f"plan transform length {plan.fft_length} is below {shortest}",
+                          required=shortest)
 
 
 # ---------------------------------------------------------------------------
@@ -173,28 +216,37 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _ntt_tables(q: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(forward root powers, inverse root powers, n^-1 mod q) for length n."""
+def _ntt_tables(q: int, n: int) -> tuple[np.ndarray, int]:
+    """(root powers w^0..w^(n/2-1), n^-1 mod q) for length n.
+
+    The butterflies of a length-n transform read twiddles below n/2 only.
+    """
     adicity, g = _ntt_prime_info(q)
     if (1 << adicity) < n:
         raise ConsistencyError(f"modulus {q} cannot host a length-{n} transform")
     w = pow(g, (q - 1) // n, q)
-    pows = np.empty(n, dtype=np.uint64)
+    half = max(1, n >> 1)
+    pows = np.empty(half, dtype=np.uint64)
     pows[0] = 1
     size = 1
-    while size < n:
-        step = min(size, n - size)
+    while size < half:
+        step = min(size, half - size)
         wp = pow(w, size, q)
         pows[size:size + step] = (pows[:step] * np.uint64(wp)) % np.uint64(q)
         size += step
-    inv_pows = np.roll(pows[::-1], 1).copy()   # inv_pows[k] = w^(-k)
-    return pows, inv_pows, pow(n, q - 2, q)
+    return pows, pow(n, q - 2, q)
 
 
-def _ntt(vec: np.ndarray, q: int, pows: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 transform; vec is uint64 with entries < q."""
-    n = vec.size
-    a = vec[_bit_reverse_indices(n)].astype(np.uint64)
+def _ntt_forward(vec: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Iterative radix-2 length-n transform of vec (uint64, entries < q) zero-padded.
+
+    Butterfly sums and differences lie below 2q, so one conditional
+    subtraction reduces them: min(s, s - q) is s - q when s >= q, and s
+    otherwise, because s - q then wraps around to above 2^63.
+    """
+    pows = _ntt_tables(q, n)[0]
+    a = np.zeros(n, dtype=np.uint64)
+    a[_bit_reverse_indices(n)[:vec.size]] = vec  # bit reversal is an involution
     qq = np.uint64(q)
     length = 2
     while length <= n:
@@ -203,33 +255,59 @@ def _ntt(vec: np.ndarray, q: int, pows: np.ndarray) -> np.ndarray:
         tw = pows[0:step * half:step]
         b = a.reshape(-1, length)
         u = b[:, :half]
-        v = (b[:, half:] * tw) % qq
-        b[:, half:] = (u + (qq - v)) % qq
-        b[:, :half] = (u + v) % qq
+        v = b[:, half:] * tw
+        v %= qq
+        s = u + v
+        d = u + qq
+        d -= v
+        np.minimum(s, s - qq, out=u)
+        np.minimum(d, d - qq, out=b[:, half:])
         length <<= 1
     return a
 
 
-def _ntt_forward(vec: np.ndarray, q: int, n: int) -> np.ndarray:
-    pows, _, _ = _ntt_tables(q, n)
-    return _ntt(vec, q, pows)
-
-
 def _ntt_inverse(vec: np.ndarray, q: int, n: int) -> np.ndarray:
-    _, inv_pows, n_inv = _ntt_tables(q, n)
-    out = _ntt(vec, q, inv_pows)
-    return (out * np.uint64(n_inv)) % np.uint64(q)
+    """Inverse length-n transform: the forward one read at (n - j) mod n, times n^-1."""
+    out = _ntt_forward(vec, q, n)
+    out[1:] = out[:0:-1].copy()
+    out *= np.uint64(_ntt_tables(q, n)[1])
+    out %= np.uint64(q)
+    return out
 
 
-def _crt_combine(residues: list[np.ndarray], moduli: tuple[int, ...]) -> list[int]:
-    """Exact reconstruction of each entry from its residues (result < prod(moduli))."""
-    big_q = prod(moduli)
-    coeffs = []
-    for q in moduli:
-        m = big_q // q
-        coeffs.append(m * pow(m % q, q - 2, q))
-    cols = [r.tolist() for r in residues]
-    return [sum(c * r for c, r in zip(coeffs, row)) % big_q for row in zip(*cols)]
+def _crt_combine(residues: list[np.ndarray], moduli: tuple[int, ...],
+                 bound: int) -> np.ndarray | list[int]:
+    """Exact entries (each < bound <= prod(moduli)) from their residues, by Garner.
+
+    The mixed-radix digits d_i < q_i of x = d_0 + q_0*(d_1 + q_1*(d_2 + ...))
+    are computed in uint64, where every product of two residues stays below
+    2^63. Below 2^62 the Horner sum runs in wrapping uint64 arithmetic and
+    is exact, since it is exact mod 2^64; above, digits pair up into limbs
+    d_i + q_i*d_(i+1) < 2^62, joined as Python ints.
+    """
+    digits = []
+    for x, q in zip(residues, moduli):
+        qq = np.uint64(q)
+        for d, qd in zip(digits, moduli):
+            x = (x + (qq - d % qq)) * np.uint64(pow(qd, -1, q)) % qq
+        digits.append(x)
+    if bound < 1 << 62:
+        out = digits[-1]
+        for d, q in zip(digits[-2::-1], moduli[-2::-1]):
+            out = out * np.uint64(q) + d
+        return out.astype(np.int64)
+    limbs, radices = [], []
+    for i in range(0, len(digits), 2):
+        limb, radix = digits[i], moduli[i]
+        if i + 1 < len(digits):
+            limb = limb + digits[i + 1] * np.uint64(radix)
+            radix *= moduli[i + 1]
+        limbs.append(limb.tolist())
+        radices.append(radix)
+    out = limbs[-1]
+    for limb, radix in zip(limbs[-2::-1], radices[-2::-1]):
+        out = [lo + radix * hi for lo, hi in zip(limb, out)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +340,35 @@ def _pair_kfold(vectors: list[np.ndarray], n: int) -> np.ndarray:
     return out
 
 
+def _spectra(vectors: list[np.ndarray],
+             transform: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
+    """Each factor's transform in order, computing each distinct array once.
+
+    A spectrum is held only while a later position still uses its array.
+    The first one yielded is the caller's to overwrite; later ones may be
+    held for a later position and are read-only.
+    """
+    last = {id(vec): i for i, vec in enumerate(vectors)}
+    held = {}
+    for i, vec in enumerate(vectors):
+        key = id(vec)
+        spectrum = held.pop(key, None)
+        if spectrum is None:
+            spectrum = transform(vec)
+        if last[key] > i:
+            held[key] = spectrum
+            if i == 0:
+                spectrum = spectrum.copy()
+        yield spectrum
+
+
 def _float_kfold(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan) -> np.ndarray:
     size = plan.fft_length
-    spectrum = np.fft.rfft(vectors[0], size)
-    for vec in vectors[1:]:
-        spectrum *= np.fft.rfft(vec, size)
+    spectra = _spectra(vectors, lambda vec: np.fft.rfft(vec, size))
+    spectrum = next(spectra)
+    for f in spectra:
+        spectrum *= f
+    del f  # one spectrum less held through the inverse transform
     folded = _fold(np.fft.irfft(spectrum, size)[:plan.lin_length], n)
     rounded = np.rint(folded)
     residual = float(np.abs(folded - rounded, out=folded).max())
@@ -276,20 +378,34 @@ def _float_kfold(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan) -> np
     return rounded.astype(np.int64)
 
 
-def _ntt_kfold(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan) -> list[int]:
+def _ntt_kfold(vectors: list[np.ndarray], n: int,
+               plan: ConvolutionPlan) -> np.ndarray | list[int]:
+    """Per modulus: multiply spectra, invert, fold onto Z_n; then CRT.
+
+    The linear schedule inverts once, after the last product. A cyclic plan
+    (fft_length < lin_length) folds after every product, whose linear part
+    has 2n-1 entries, and transforms the folded accumulator again for the
+    next factor.
+    """
     size = plan.fft_length
+    cyclic = size < plan.lin_length
+    span = 2 * n - 1 if cyclic else plan.lin_length
+    last = len(vectors) - 1
     residues = []
     for q in plan.moduli:
         qq = np.uint64(q)
-        spectrum = None
-        for vec in vectors:
-            padded = np.zeros(size, dtype=np.uint64)
-            padded[:n] = (vec.astype(np.uint64)) % qq
-            f = _ntt_forward(padded, q, size)
-            spectrum = f if spectrum is None else (spectrum * f) % qq
-        linear = _ntt_inverse(spectrum, q, size)[:plan.lin_length]
-        residues.append(_fold(linear, n) % qq)
-    return _crt_combine(residues, plan.moduli)
+        spectra = _spectra(vectors,
+                           lambda vec: _ntt_forward(vec.astype(np.uint64) % qq, q, size))
+        spectrum = next(spectra)
+        for i, f in enumerate(spectra, 1):
+            spectrum *= f
+            spectrum %= qq
+            if cyclic or i == last:
+                acc = _fold(_ntt_inverse(spectrum, q, size)[:span], n) % qq
+                if i < last:
+                    spectrum = _ntt_forward(acc, q, size)
+        residues.append(acc)
+    return _crt_combine(residues, plan.moduli, plan.bound)
 
 
 def k_fold_count(vectors: Sequence[CountVector], plan: ConvolutionPlan | None = None,
@@ -308,7 +424,8 @@ def k_fold_count(vectors: Sequence[CountVector], plan: ConvolutionPlan | None = 
         raise ConsistencyError("count vectors have mismatched lengths")
     masses = [v.total for v in vectors]
     if plan is None:
-        plan = plan_convolution(n, masses, budget)
+        plan = plan_convolution(n, masses, budget,
+                                distinct=len({id(v.counts) for v in vectors}))
     else:
         _check_plan(plan, n, masses)
     expected = prod(masses)
@@ -322,10 +439,7 @@ def k_fold_count(vectors: Sequence[CountVector], plan: ConvolutionPlan | None = 
         return CountVector(_pair_kfold(arrays, n), expected_total=expected)
     if plan.strategy == "float":
         return CountVector(_float_kfold(arrays, n, plan), expected_total=expected)
-    out = _ntt_kfold(arrays, n, plan)
-    if plan.bound < 1 << 62:
-        return CountVector(np.asarray(out, dtype=np.int64), expected_total=expected)
-    return CountVector(out, expected_total=expected)
+    return CountVector(_ntt_kfold(arrays, n, plan), expected_total=expected)
 
 
 def cyclic_convolve(u: CountVector, v: CountVector,

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fplab import convolve
 from fplab.convolve import (ConvolutionPlan, cyclic_convolve, k_fold_count,
                             length_p_transform, plan_convolution,
-                            _select_ntt_moduli)
+                            _crt_combine, _next_pow2, _ntt_forward, _ntt_inverse,
+                            _select_ntt_moduli, _NTT_POOL)
 from fplab.countvec import CountVector
 from fplab.errors import BudgetError, ConsistencyError
 from fplab.modfield import is_prime
@@ -112,6 +114,142 @@ def test_plan_refusals():
         plan_convolution(101, [10, 10], budget=1)
     with pytest.raises(BudgetError):
         _select_ntt_moduli(1 << 500, 1 << 20)
+    # a cyclic plan must still hold one product of two factors
+    short = ConvolutionPlan(101, "ntt", 1 << 50, 301, 128, _select_ntt_moduli(1 << 50, 512))
+    with pytest.raises(BudgetError, match="transform length 128"):
+        k_fold_count([big] * 3, short)
+
+
+def _ntt_plans(n, vecs):
+    """Hand-built linear and cyclic NTT plans for the given factors."""
+    bound = 1
+    for v in vecs:
+        bound *= v.total
+    lin = len(vecs) * (n - 1) + 1
+    moduli = _select_ntt_moduli(bound, _next_pow2(lin))
+    return (ConvolutionPlan(n, "ntt", bound, lin, _next_pow2(lin), moduli),
+            ConvolutionPlan(n, "ntt", bound, lin, _next_pow2(2 * n - 1), moduli))
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+@pytest.mark.parametrize("repeated", [False, True])
+def test_cyclic_and_linear_ntt_schedules_agree(k, repeated, monkeypatch):
+    # n = 53: the cyclic length 128 is below the linear one for k >= 3;
+    # for k = 2 the two schedules coincide
+    n = 53
+    rng = np.random.default_rng(7 * k + repeated)
+    if repeated:
+        vecs = [_cv(rng.integers(0, 1000, size=n))] * k
+    else:
+        vecs = [_cv(rng.integers(0, 1000, size=n)) for _ in range(k)]
+    expect = vecs[0].as_list()
+    for v in vecs[1:]:
+        expect = oracles.cyclic_convolve(expect, v.as_list(), n)
+    linear, cyclic = _ntt_plans(n, vecs)
+    assert (cyclic.fft_length < cyclic.lin_length) == (k > 2)
+    calls = []
+    forward = convolve._ntt_forward
+    monkeypatch.setattr(convolve, "_ntt_forward", lambda *a: calls.append(1) or forward(*a))
+    for plan in (linear, cyclic):
+        calls.clear()
+        assert k_fold_count(vecs, plan).as_list() == expect
+        # inverses run the forward transform too; a repeated factor is transformed once
+        factors = 1 if repeated else k
+        steps = 1 if plan.fft_length >= plan.lin_length else 2 * k - 3
+        assert len(calls) == (factors + steps) * len(plan.moduli)
+
+
+def test_float_route_transforms_a_repeated_factor_once(monkeypatch):
+    rng = np.random.default_rng(2)
+    u = _cv(rng.integers(0, 3, size=211))
+    expect = oracles.cyclic_convolve(oracles.cyclic_convolve(u.as_list(), u.as_list(), 211),
+                                     u.as_list(), 211)
+    plan = plan_convolution(211, [u.total] * 3)
+    assert plan.strategy == "float"
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *a: calls.append(1) or rfft(*a))
+    assert k_fold_count([u] * 3, plan).as_list() == expect
+    assert len(calls) == 1
+
+
+def test_planner_picks_the_ntt_schedule(caplog):
+    n = 100003
+    with caplog.at_level(logging.INFO, logger="fplab.convolve"):
+        six = plan_convolution(n, [1000] * 6)
+        two = plan_convolution(n, [1 << 21] * 2)
+        four = plan_convolution(n, [1 << 12] * 4)
+        power = plan_convolution(n, [1 << 12] * 4, distinct=1)
+    assert six.strategy == two.strategy == four.strategy == power.strategy == "ntt"
+    assert (six.fft_length, six.lin_length) == (1 << 18, 600013)
+    assert two.fft_length == 1 << 18 >= two.lin_length
+    # four distinct factors: 9 transforms at 2^18 beat 5 at 2^19;
+    # one factor four times: 2 transforms at 2^19 beat 6 at 2^18
+    assert four.fft_length == 1 << 18 < four.lin_length
+    assert power.fft_length == 1 << 19 >= power.lin_length
+    messages = [r.message for r in caplog.records]
+    assert "cyclic schedule, length 262144" in messages[0]
+    assert f"{15 * len(six.moduli)} transforms" in messages[0]
+    assert "linear schedule, length 262144" in messages[1]
+    assert f"cyclic schedule, length 262144, moduli {four.moduli[0]}" in messages[2]
+    assert "linear schedule, length 524288" in messages[3]
+    assert f"{2 * len(power.moduli)} transforms" in messages[3]
+
+
+def test_kfold_plans_for_its_distinct_factors(caplog):
+    # n = 1009, k = 4: four distinct factors run cyclic at 2048, one factor
+    # four times linear at 4096
+    n = 1009
+    rng = np.random.default_rng(4)
+    vecs = [_cv(rng.integers(0, 50, size=n)) for _ in range(4)]
+    for factors in (vecs, [vecs[0]] * 4):
+        expect = factors[0].as_list()
+        for v in factors[1:]:
+            expect = oracles.cyclic_convolve(expect, v.as_list(), n)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fplab.convolve"):
+            assert k_fold_count(factors).as_list() == expect
+        schedule = "cyclic schedule, length 2048" if factors is vecs else \
+            "linear schedule, length 4096"
+        assert schedule in caplog.records[0].message
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_garner_matches_textbook_crt(m):
+    moduli = _NTT_POOL[:m]
+    big_q = 1
+    for q in moduli:
+        big_q *= q
+    rng = np.random.default_rng(m)
+    residues = [np.concatenate([[0, q - 1, 0, q - 1], rng.integers(0, q, size=200)])
+                .astype(np.uint64) for q in moduli]
+    residues[0][2] = moduli[0] - 1
+    residues[-1][3] = 0
+    # the textbook formula: sum of r_i * (Q/q_i) * ((Q/q_i)^-1 mod q_i), mod Q
+    coeffs = [(big_q // q) * pow(big_q // q % q, q - 2, q) for q in moduli]
+    expect = [sum(c * int(r[i]) for c, r in zip(coeffs, residues)) % big_q
+              for i in range(residues[0].size)]
+    got = _crt_combine(residues, moduli, big_q)
+    if big_q < 1 << 62:
+        assert got.dtype == np.int64
+        got = got.tolist()
+    else:
+        assert all(type(v) is int for v in got)
+    assert got == expect
+    # entries known to lie below 2^62 come back as int64 whatever the moduli
+    small = [v % (1 << 62) for v in expect]
+    got = _crt_combine([np.asarray([v % q for v in small], dtype=np.uint64) for q in moduli],
+                       moduli, max(small) + 1)
+    assert got.dtype == np.int64 and got.tolist() == small
+
+
+def test_ntt_inverse_undoes_forward():
+    rng = np.random.default_rng(9)
+    for q in (_NTT_POOL[0], _NTT_POOL[-1]):
+        for bits in range(1, 19):
+            x = rng.integers(0, q, size=1 << bits).astype(np.uint64)
+            x[0] = q - 1
+            assert np.array_equal(_ntt_inverse(_ntt_forward(x, q, x.size), q, x.size), x)
 
 
 def test_float_route_near_its_bound_matches_ntt():
