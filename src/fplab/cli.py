@@ -8,8 +8,9 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .errors import BudgetError, DomainError, SetFileError
 from .modfield import PrimeContext, batch_inverse, mod_pow
 from .sets import (ResidueSet, initial_interval, mix_seed, random_subset,
                    residue_set, set_from_file, shifted_interval)
-from .verify import fmt_number
+from .verify import Record, fmt_number
 
 _TK_VALUE_CAP = 128  # emit full T_k vectors only for p at or below this
 
@@ -94,44 +95,20 @@ def _load_set(spec: str, seed, ctx: PrimeContext, factor_index: int | None = Non
     raise DomainError(f"--set must be file:PATH or random:M, got {spec!r}")
 
 
-def _emit(records: list[dict], fmt: str, out_path: str) -> None:
-    if fmt == "csv":
-        lines = [",".join(records[0].keys())]
-        for rec in records:
-            lines.append(",".join(v if isinstance(v, str) else fmt_number(v)
-                                  for v in rec.values()))
-        text = "\n".join(lines) + "\n"
-    else:
-        chunks = []
-        for rec in records:
-            clean = {k: (float(format(v, ".12g")) if isinstance(v, float) else v)
-                     for k, v in rec.items()}
-            chunks.append(json.dumps(clean))
-        text = "\n".join(chunks) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_prodset(args) -> int:
-    ctx = PrimeContext(args.p)
+def _cmd_prodset(args) -> Record:
+    ctx = PrimeContext.of(args.p)
     mset = _load_set(args.set_spec, args.seed, ctx)
     interval = shifted_interval(args.L, args.H, ctx)
     fn = prodset.ratio_set if args.ratio else prodset.product_set
     rep = fn(interval, mset, ctx, epsilon=args.eps, budget=args.budget)
-    _emit([{
-        "command": "ratio" if args.ratio else "prodset",
-        "p": rep.p, "H": rep.H, "L": interval.L, "M": rep.M,
-        "size": rep.size, "missing": rep.missing,
-        "branch": rep.hypothesis_branch, "epsilon": rep.epsilon,
-    }], args.format, args.out)
-    return 0
+    return Record(
+        command="ratio" if args.ratio else "prodset",
+        p=rep.p, H=rep.H, L=interval.L, M=rep.M, size=rep.size, missing=rep.missing,
+        branch=rep.hypothesis_branch, epsilon=rep.epsilon)
 
 
-def _cmd_energy(args) -> int:
-    ctx = PrimeContext(args.p)
+def _cmd_energy(args) -> Record:
+    ctx = PrimeContext.of(args.p)
     mset = _load_set(args.set_spec, args.seed, ctx)
     base = initial_interval(args.H, ctx)
     if args.kind == "J":
@@ -147,71 +124,74 @@ def _cmd_energy(args) -> int:
         x = shifted_interval(args.L, args.H, ctx, require_denominator_safe=True)
         value = energy.additive_energy_recip(x, args.s, args.ell, ctx, args.budget)
         envelope = envelopes.recip_energy_envelope(args.H, args.p, args.ell)
-    _emit([{
-        "command": "energy", "kind": args.kind, "p": args.p, "H": args.H,
-        "L": args.L, "s": args.s, "ell": args.ell, "Klen": args.Klen,
-        "M": mset.M, "value": value, "envelope": envelope,
-        "ratio": value / envelope,
-    }], args.format, args.out)
-    return 0
+    return Record(
+        command="energy", kind=args.kind, p=args.p, H=args.H, L=args.L, s=args.s,
+        ell=args.ell, Klen=args.Klen, M=mset.M, value=value, envelope=envelope,
+        ratio=value / envelope)
 
 
-def _cmd_expsum(args) -> int:
-    ctx = PrimeContext(args.p)
+def _cmd_expsum(args) -> Record:
+    ctx = PrimeContext.of(args.p)
     mset = _load_set(args.set_spec, args.seed, ctx)
     x = shifted_interval(args.L, args.H, ctx, require_denominator_safe=True)
     res = spectra.kloosterman_frac_sum(args.a, mset, x, args.s, ctx, ell=args.ell)
-    _emit([{
-        "command": "expsum", "p": args.p, "H": args.H, "L": args.L,
-        "s": args.s, "a": args.a, "ell": args.ell, "M": mset.M,
-        "value": res.value, "envelope": res.envelope,
-        "trivial": res.trivial_bound, "ratio": res.value / res.envelope,
-    }], args.format, args.out)
-    return 0
+    return Record(
+        command="expsum", p=args.p, H=args.H, L=args.L, s=args.s, a=args.a,
+        ell=args.ell, M=mset.M, value=res.value, envelope=res.envelope,
+        trivial=res.trivial_bound, ratio=res.value / res.envelope)
 
 
-def _cmd_tk(args) -> int:
-    ctx = PrimeContext(args.p)
+def _cmd_tk(args) -> Record:
+    ctx = PrimeContext.of(args.p)
     factors = []
     for i in range(args.k):
         idx = i if args.set_spec.startswith("random:") else None
         factors.append((_load_set(args.set_spec, args.seed, ctx, factor_index=idx), args.L))
-    lambdas = [int(t) % args.p for t in args.lambdas.split(",") if t.strip()] if args.lambdas else []
+    try:
+        lambdas = [int(t) % args.p for t in args.lambdas.split(",") if t.strip()]
+    except ValueError:
+        raise DomainError(f"--lambdas needs comma-separated integers, "
+                          f"got {args.lambdas!r}") from None
     rep = tkcount.tk_experiment(args.k, factors, args.H, args.s, ctx,
                                 epsilon=args.eps, budget=args.budget,
                                 sample_lambdas=lambdas)
-    record = {
-        "command": "tk", "k": rep.k, "p": rep.p, "H": rep.H, "L": args.L,
-        "s": rep.s, "M": rep.set_sizes[0], "epsilon": rep.epsilon,
-        "main_term": f"{rep.main_term.numerator}/{rep.main_term.denominator}",
-        "total": rep.total, "max_abs_dev": rep.max_abs_dev,
-        "mean_abs_dev": rep.mean_abs_dev,
-        "flags": "".join("1" if f else "0" for f in rep.hyp_flags),
-        "dev_at": ";".join(f"{lam}={fmt_number(d)}" for lam, d in rep.dev_at.items()),
-        "t_values": ";".join(str(v) for v in rep.counts.as_list())
-                    if args.p <= _TK_VALUE_CAP else "",
-    }
-    _emit([record], args.format, args.out)
-    return 0
+    return Record(
+        command="tk", k=rep.k, p=rep.p, H=rep.H, L=args.L, s=rep.s,
+        M=rep.set_sizes[0], epsilon=rep.epsilon,
+        main_term=f"{rep.main_term.numerator}/{rep.main_term.denominator}",
+        total=rep.total, max_abs_dev=rep.max_abs_dev, mean_abs_dev=rep.mean_abs_dev,
+        flags="".join("1" if f else "0" for f in rep.hyp_flags),
+        dev_at=";".join(f"{lam}={fmt_number(d)}" for lam, d in rep.dev_at.items()),
+        t_values=(";".join(str(v) for v in rep.counts.as_list())
+                  if args.p <= _TK_VALUE_CAP else ""))
 
 
-def _cmd_sweep(args) -> int:
-    with open(args.config, "r", encoding="ascii") as fh:
-        cfg = verify.parse_config(fh.read())
-    if args.format:
-        cfg = verify.SweepConfig(**{**cfg.__dict__, "out_format": args.format})
-    out_path = args.out if args.out is not None else cfg.out_path
-    if out_path:
-        with open(out_path, "w", encoding="ascii", newline="") as fh:
-            verify.run_sweep(cfg, sink=fh)
+def _out(path: str):
+    """The report sink: the file at path, or stdout when path is empty."""
+    if path:
+        return open(path, "w", encoding="ascii", newline="")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _report(args) -> int:
+    """Run a report command and write its report (one record, or a sweep)."""
+    if args.command == "sweep":
+        with open(args.config, "r", encoding="ascii") as fh:
+            cfg = verify.parse_config(fh.read())
+        cfg = replace(cfg, out_format=args.format or cfg.out_format,
+                      out_path=cfg.out_path if args.out is None else args.out)
+        with _out(cfg.out_path) as sink:
+            verify.run_sweep(cfg, sink)
     else:
-        verify.run_sweep(cfg, sink=sys.stdout)
+        record = _RECORDS[args.command](args)
+        with _out(args.out) as sink:
+            verify.write_report([record], sink, args.format, tuple(record))
     return 0
 
 
 def _selftest_checks():
-    ctx7 = PrimeContext(7)
-    ctx101 = PrimeContext(101)
+    ctx7 = PrimeContext.of(7)
+    ctx101 = PrimeContext.of(101)
 
     def check_modfield():
         vals = list(range(1, 101))
@@ -256,7 +236,7 @@ def _selftest_checks():
         return "complete-sum table matches direct evaluation"
 
     def check_tkcount():
-        ctx3 = PrimeContext(3)
+        ctx3 = PrimeContext.of(3)
         ms = residue_set([1], ctx3)
         rep = tkcount.tk_experiment(6, [(ms, 0)] * 6, 2, 1, ctx3)
         assert rep.counts.as_list() == [22, 21, 21]
@@ -276,7 +256,7 @@ def _selftest_checks():
             ("tkcount", check_tkcount), ("verify", check_verify)]
 
 
-def _cmd_selftest(_args) -> int:
+def _cmd_selftest() -> int:
     failures = 0
     for name, check in _selftest_checks():
         try:
@@ -292,13 +272,11 @@ def _cmd_selftest(_args) -> int:
     return 0
 
 
-_DISPATCH = {
+_RECORDS = {
     "prodset": _cmd_prodset,
     "energy": _cmd_energy,
     "expsum": _cmd_expsum,
     "tk": _cmd_tk,
-    "sweep": _cmd_sweep,
-    "selftest": _cmd_selftest,
 }
 
 
@@ -306,7 +284,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _cmd_selftest() if args.command == "selftest" else _report(args)
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3

@@ -49,7 +49,7 @@ import numpy as np
 
 from .countvec import CountVector
 from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, check_budget
-from .modfield import find_primitive_root
+from .modfield import find_primitive_root, power_table
 
 log = logging.getLogger(__name__)
 
@@ -225,16 +225,7 @@ def _ntt_tables(q: int, n: int) -> tuple[np.ndarray, int]:
     if (1 << adicity) < n:
         raise ConsistencyError(f"modulus {q} cannot host a length-{n} transform")
     w = pow(g, (q - 1) // n, q)
-    half = max(1, n >> 1)
-    pows = np.empty(half, dtype=np.uint64)
-    pows[0] = 1
-    size = 1
-    while size < half:
-        step = min(size, half - size)
-        wp = pow(w, size, q)
-        pows[size:size + step] = (pows[:step] * np.uint64(wp)) % np.uint64(q)
-        size += step
-    return pows, pow(n, q - 2, q)
+    return power_table(w, max(1, n >> 1), q), pow(n, q - 2, q)
 
 
 def _ntt_forward(vec: np.ndarray, q: int, n: int) -> np.ndarray:

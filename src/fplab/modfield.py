@@ -8,6 +8,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +24,10 @@ MAX_PRIME = 1 << 40
 MAX_DLOG_PRIME = 1 << 26
 
 _DLOG_UNSET = np.uint32(0xFFFFFFFF)
+
+# Contexts kept by PrimeContext.of. A sweep visits its primes in order, so
+# a few suffice; each one may hold a 4p-byte dlog and a 16p-byte phase table.
+CONTEXT_CACHE_SIZE = 8
 
 
 def is_prime(n: int) -> bool:
@@ -78,6 +83,22 @@ def find_primitive_root(p: int) -> int:
     raise ConsistencyError(f"no primitive root found for p={p}")  # unreachable for prime p
 
 
+def power_table(base: int, n: int, m: int) -> np.ndarray:
+    """base^0, ..., base^(n-1) mod m as uint64, for n >= 1 and m < 2^32.
+
+    Vectorised doubling: the first `size` powers times base^size give the
+    next `size`, so the table takes log2(n) array products.
+    """
+    pows = np.empty(n, dtype=np.uint64)
+    pows[0] = 1
+    size = 1
+    while size < n:
+        step = min(size, n - size)
+        pows[size:size + step] = pows[:step] * np.uint64(pow(base, size, m)) % np.uint64(m)
+        size += step
+    return pows
+
+
 def build_dlog_table(p: int, g: int) -> np.ndarray:
     """Dense discrete-log table: table[u] = k with g^k = u (mod p), u in 1..p-1.
 
@@ -88,16 +109,8 @@ def build_dlog_table(p: int, g: int) -> np.ndarray:
     if p > MAX_DLOG_PRIME:
         raise DomainError(f"dense dlog table capped at p <= 2^26, got p={p}")
     n = p - 1
-    pows = np.empty(n, dtype=np.uint64)
-    pows[0] = 1
-    size = 1
-    while size < n:
-        step = min(size, n - size)
-        gp = pow(g, size, p)
-        pows[size:size + step] = (pows[:step] * np.uint64(gp)) % np.uint64(p)
-        size += step
     table = np.full(p, _DLOG_UNSET, dtype=np.uint32)
-    table[pows] = np.arange(n, dtype=np.uint32)
+    table[power_table(g, n, p)] = np.arange(n, dtype=np.uint32)
     if bool((table[1:] == _DLOG_UNSET).any()):
         raise ConsistencyError(f"g={g} is not a primitive root mod {p}: dlog table not bijective")
     return table
@@ -107,7 +120,8 @@ class PrimeContext:
     """The ambient prime field: p, its smallest primitive root, and lazy tables.
 
     Immutable after construction; the lazy tables are built once on first
-    use (idempotent, so concurrent first access is harmless).
+    use (idempotent, so concurrent first access is harmless). Share contexts
+    through `PrimeContext.of(p)`.
     """
 
     __slots__ = ("p", "g", "_dlog", "_phases")
@@ -140,6 +154,12 @@ class PrimeContext:
 
     def __repr__(self):
         return f"PrimeContext(p={self.p}, g={self.g})"
+
+    @staticmethod
+    @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+    def of(p: int) -> PrimeContext:
+        """The shared context for p; the most recently used ones stay cached."""
+        return PrimeContext(p)
 
 
 def mod_pow(base: int, exp: int, ctx: PrimeContext) -> int:

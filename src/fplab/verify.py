@@ -8,6 +8,7 @@ identical configs reproduce byte-identical reports.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -41,6 +42,18 @@ def fmt_number(x) -> str:
     return format(float(x), ".12g")
 
 
+def _number(kind, key: str, text: str):
+    """kind(text) for kind int or float, floats finite; else a DomainError naming key."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or kind is float and not math.isfinite(value):
+        raise DomainError(f"config key {key}: {text!r} is not "
+                          f"{'an integer' if kind is int else 'a finite number'}")
+    return value
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     measure: str
@@ -63,15 +76,41 @@ class SweepConfig:
             raise DomainError(f"unknown measure {self.measure!r}; one of {MEASURES}")
         if self.out_format not in ("csv", "jsonl"):
             raise DomainError(f"format must be csv or jsonl, got {self.out_format!r}")
-        if not (self.l_policy in ("zero", "random") or self.l_policy.startswith("explicit:")):
+        if self.l_policy.startswith("explicit:"):
+            _number(int, "l_policy", self.l_policy[len("explicit:"):])
+        elif self.l_policy not in ("zero", "random"):
             raise DomainError(f"bad L policy {self.l_policy!r}")
         for p in self.primes:
             if not is_prime(p) or p < 3:
                 raise DomainError(f"{p} is not an odd prime")
 
 
+class _Record:
+    """The one cell formatter and JSON normaliser of every report record.
+
+    A subclass supplies items(): its (column, value) pairs in column order.
+    """
+
+    def csv_cells(self) -> list[str]:
+        return [v if isinstance(v, str) else fmt_number(v) for _, v in self.items()]
+
+    def json_obj(self) -> dict:
+        obj = {}
+        for name, v in self.items():
+            if isinstance(v, float):
+                v = float(format(v, ".12g"))
+            elif isinstance(v, np.integer):
+                v = int(v)
+            obj[name] = v
+        return obj
+
+
+class Record(_Record, dict):
+    """A CLI command's report record: column -> value, in column order."""
+
+
 @dataclass(frozen=True)
-class ReportRow:
+class ReportRow(_Record):
     index: int
     measure: str
     p: int
@@ -89,23 +128,26 @@ class ReportRow:
     flags: str = ""
     skip_reason: str = ""
 
-    def csv_cells(self) -> list[str]:
-        out = []
-        for name in CSV_COLUMNS:
-            v = getattr(self, name)
-            out.append(v if isinstance(v, str) else fmt_number(v))
-        return out
+    def items(self) -> list[tuple[str, object]]:
+        return [(name, getattr(self, name)) for name in CSV_COLUMNS]
 
-    def json_obj(self) -> dict:
-        obj = {}
-        for name in CSV_COLUMNS:
-            v = getattr(self, name)
-            if isinstance(v, float):
-                v = float(format(v, ".12g"))
-            elif isinstance(v, np.integer):
-                v = int(v)
-            obj[name] = v
-        return obj
+
+def write_report(records, sink, out_format: str, columns=CSV_COLUMNS) -> None:
+    """The one report writer: records to sink as CSV or as JSON lines.
+
+    CSV starts with the header, also when there are no records, and quotes
+    only cells that hold a comma, a quote or a line break. Any other
+    out_format ("json" from the CLI, "jsonl" from sweeps) writes one JSON
+    object per line. Each record is written as soon as `records` yields it.
+    """
+    if out_format == "csv":
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(columns)
+        for rec in records:
+            writer.writerow(rec.csv_cells())
+    else:
+        for rec in records:
+            sink.write(json.dumps(rec.json_obj()) + "\n")
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -120,15 +162,13 @@ def parse_config(text: str) -> SweepConfig:
         key, val = line.split("=", 1)
         raw[key.strip().lower()] = val.strip()
 
-    def ints(key, default):
-        if key not in raw:
-            return default
-        return tuple(int(t) for t in raw[key].replace(",", " ").split())
+    def one(kind, key, default):
+        return _number(kind, key, raw[key]) if key in raw else default
 
-    def floats(key, default):
+    def many(kind, key, default):
         if key not in raw:
             return default
-        return tuple(float(t) for t in raw[key].replace(",", " ").split())
+        return tuple(_number(kind, key, t) for t in raw[key].replace(",", " ").split())
 
     known = {"measure", "primes", "h_exp", "m_exp", "s", "ell", "k", "l_policy",
              "epsilon", "seed", "budget", "workers", "format", "out"}
@@ -139,17 +179,17 @@ def parse_config(text: str) -> SweepConfig:
         raise DomainError("config requires at least: measure, primes, h_exp")
     return SweepConfig(
         measure=raw["measure"],
-        primes=ints("primes", ()),
-        h_exps=floats("h_exp", ()),
-        m_exps=floats("m_exp", (0.5,)),
-        s_list=ints("s", (1,)),
-        ell_list=ints("ell", (2,)),
-        k=int(raw.get("k", "6")),
+        primes=many(int, "primes", ()),
+        h_exps=many(float, "h_exp", ()),
+        m_exps=many(float, "m_exp", (0.5,)),
+        s_list=many(int, "s", (1,)),
+        ell_list=many(int, "ell", (2,)),
+        k=one(int, "k", 6),
         l_policy=raw.get("l_policy", "zero"),
-        epsilon=float(raw.get("epsilon", "0.05")),
-        seed=int(raw.get("seed", "1")),
-        budget=int(raw.get("budget", "1000000000")),
-        workers=int(raw.get("workers", "1")),
+        epsilon=one(float, "epsilon", 0.05),
+        seed=one(int, "seed", 1),
+        budget=one(int, "budget", 1_000_000_000),
+        workers=one(int, "workers", 1),
         out_format=raw.get("format", "csv"),
         out_path=raw.get("out", ""),
     )
@@ -167,7 +207,7 @@ def _draw_shift(policy: str, rng: SplitMix64, p: int, h: int) -> int:
     return int(policy.split(":", 1)[1])
 
 
-def _run_point(cfg: SweepConfig, index: int, point, ctx_cache: dict) -> ReportRow:
+def _run_point(cfg: SweepConfig, index: int, point) -> ReportRow:
     p, h_exp, m_exp, s, ell = point
     seed = mix_seed(cfg.seed, index)
     base = ReportRow(index=index, measure=cfg.measure, p=p, s=s, ell=ell,
@@ -178,9 +218,7 @@ def _run_point(cfg: SweepConfig, index: int, point, ctx_cache: dict) -> ReportRo
         return replace(base, H=h, skip_reason="h_exceeds_field")
     if m > p - 1:
         return replace(base, H=h, M=m, skip_reason="m_exceeds_field")
-    if p not in ctx_cache:
-        ctx_cache[p] = PrimeContext(p)
-    ctx = ctx_cache[p]
+    ctx = PrimeContext.of(p)
     rng = SplitMix64(seed)
     set_seed = rng.next_u64()
     shift = _draw_shift(cfg.l_policy, rng, p, h)
@@ -257,62 +295,36 @@ def _measure(cfg: SweepConfig, base: ReportRow, ctx: PrimeContext,
                    flags="".join("1" if f else "0" for f in rep.hyp_flags))
 
 
+def _grid_rows(cfg: SweepConfig):
+    """Every grid point's row, in grid order, computed on cfg.workers threads."""
+    grid = list(enumerate(itertools.product(cfg.primes, cfg.h_exps, cfg.m_exps,
+                                            cfg.s_list, cfg.ell_list)))
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            yield from pool.map(lambda args: _run_point(cfg, *args), grid)
+    else:
+        for index, point in grid:
+            yield _run_point(cfg, index, point)
+
+
 def run_sweep(cfg: SweepConfig, sink=None) -> list[ReportRow]:
-    """Execute every grid point; emit rows incrementally to sink if given.
+    """Execute every grid point; write each row to sink as it is done, if given.
 
     The grid is the cartesian product primes x h_exp x m_exp x s x ell,
     in that nesting order; rows are ordered by grid index regardless of
     worker scheduling.
     """
-    grid = list(itertools.product(cfg.primes, cfg.h_exps, cfg.m_exps,
-                                  cfg.s_list, cfg.ell_list))
-    ctx_cache: dict[int, PrimeContext] = {}
-    writer = _RowWriter(cfg.out_format, sink) if sink is not None else None
+    if sink is None:
+        return list(_grid_rows(cfg))
     rows: list[ReportRow] = []
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = pool.map(lambda args: _run_point(cfg, *args, ctx_cache),
-                               list(enumerate(grid)))
-            for row in results:
-                rows.append(row)
-                if writer:
-                    writer.write(row)
-    else:
-        for index, point in enumerate(grid):
-            row = _run_point(cfg, index, point, ctx_cache)
+
+    def streamed():
+        for row in _grid_rows(cfg):
             rows.append(row)
-            if writer:
-                writer.write(row)
-    if writer:
-        writer.finish()
+            yield row
+
+    write_report(streamed(), sink, cfg.out_format)
     return rows
-
-
-class _RowWriter:
-    def __init__(self, out_format: str, sink):
-        self.fmt = out_format
-        self.sink = sink
-        self.started = False
-
-    def write(self, row: ReportRow):
-        if self.fmt == "csv":
-            if not self.started:
-                self.sink.write(",".join(CSV_COLUMNS) + "\n")
-                self.started = True
-            self.sink.write(",".join(row.csv_cells()) + "\n")
-        else:
-            self.sink.write(json.dumps(row.json_obj()) + "\n")
-
-    def finish(self):
-        if self.fmt == "csv" and not self.started:
-            self.sink.write(",".join(CSV_COLUMNS) + "\n")
-
-
-def write_rows(rows: list[ReportRow], sink, out_format: str = "csv") -> None:
-    writer = _RowWriter(out_format, sink)
-    for row in rows:
-        writer.write(row)
-    writer.finish()
 
 
 def fit_exponent(rows, x_field: str, y_field: str) -> tuple[float, float, float]:
@@ -321,16 +333,12 @@ def fit_exponent(rows, x_field: str, y_field: str) -> tuple[float, float, float]
     Rows may be ReportRow instances or plain dicts; skipped rows and
     non-positive values are excluded.
     """
-    def get(row, name):
-        if isinstance(row, dict):
-            return row.get(name)
-        return getattr(row, name)
-
     xs, ys = [], []
     for row in rows:
-        if get(row, "skip_reason"):
+        row = dict(row.items())
+        if row.get("skip_reason"):
             continue
-        x, y = get(row, x_field), get(row, y_field)
+        x, y = row.get(x_field), row.get(y_field)
         if x is None or y is None or x <= 0 or y <= 0:
             continue
         xs.append(math.log(float(x)))

@@ -7,16 +7,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from fplab.modfield import PrimeContext
 
-_CTX_CACHE: dict[int, PrimeContext] = {}
-
 
 @pytest.fixture
 def ctx():
-    """Context factory with cross-test caching (contexts are immutable)."""
-
-    def get(p: int) -> PrimeContext:
-        if p not in _CTX_CACHE:
-            _CTX_CACHE[p] = PrimeContext(p)
-        return _CTX_CACHE[p]
-
-    return get
+    """Context factory: the package's shared cache, PrimeContext.of."""
+    return PrimeContext.of

@@ -37,19 +37,13 @@ KLOOSTERMAN_RATIO_BOUND = 0.5
 KLOOSTERMAN_SEED = 161803
 
 
-def _ctx(p, _cache={}):
-    if p not in _cache:
-        _cache[p] = PrimeContext(p)
-    return _cache[p]
-
-
 @pytest.fixture(scope="module")
 def tk_trend_reports():
     """The three seeded six-fold runs shared by criteria 2 and 6."""
     t0 = time.time()
     reports = []
     for p in (10007, 30011, 100003):
-        ctx = _ctx(p)
+        ctx = PrimeContext.of(p)
         h = math.ceil(p ** 0.55)
         factors = [(random_subset(h, mix_seed(TK_TREND_SEED, i), ctx), 0)
                    for i in range(6)]
@@ -62,7 +56,7 @@ def test_criterion_01_oracle_equivalence_counts():
     for instance in range(200):
         rng = SplitMix64(mix_seed(12345, instance))
         p = _SMALL_PRIMES[rng.below(len(_SMALL_PRIMES))]
-        ctx = _ctx(p)
+        ctx = PrimeContext.of(p)
         h = 1 + rng.below(min(6, p - 1))
         m = 1 + rng.below(min(6, p - 1))
         shift = rng.below(max(1, p - h))
@@ -108,7 +102,7 @@ def test_criterion_02_mass_conservation(tk_trend_reports):
             mass *= h_i * m_i
         assert rep.total == mass  # also asserted in-code on every convolution
     # a mid-size extra sample on the exact route
-    ctx = _ctx(1009)
+    ctx = PrimeContext.of(1009)
     h = math.ceil(1009 ** 0.55)
     factors = [(random_subset(h, mix_seed(777, i), ctx), 0) for i in range(6)]
     rep = tkcount.tk_experiment(6, factors, h, 2, ctx)
@@ -119,13 +113,13 @@ def test_criterion_02_mass_conservation(tk_trend_reports):
 
 def test_criterion_03_route_agreement():
     residual_cap = 0.5
-    ctx101 = _ctx(101)
+    ctx101 = PrimeContext.of(101)
     factors = [(random_subset(8, 7 + i, ctx101), 5) for i in range(6)]
     res = tkcount.tk_spectral_check(6, factors, 8, 1, ctx101,
                                     sample_lambdas=[0, 1, 2, 50, 100])
     assert all(r < residual_cap for r in res)
 
-    ctx_big = _ctx(10007)
+    ctx_big = PrimeContext.of(10007)
     factors = [(random_subset(9, 50 + i, ctx_big), 3) for i in range(6)]
     res_big = tkcount.tk_spectral_check(6, factors, 9, 1, ctx_big,
                                         sample_lambdas=[0, 1, 5003, 10006])
@@ -133,7 +127,7 @@ def test_criterion_03_route_agreement():
 
     # pair energy against the character-orthogonality identity
     for p, h, m, seed in [(101, 20, 10, 3), (1009, 60, 40, 4), (10007, 120, 80, 99)]:
-        ctx = _ctx(p)
+        ctx = PrimeContext.of(p)
         mset = random_subset(m, seed, ctx)
         iv = initial_interval(h, ctx)
         j_exact = energy.energy_J(iv, mset, ctx)
@@ -150,7 +144,7 @@ def test_criterion_04_parseval_identities():
     for instance in range(50):
         rng = SplitMix64(mix_seed(24680, instance))
         p = pool[rng.below(len(pool))]
-        ctx = _ctx(p)
+        ctx = PrimeContext.of(p)
         h = 2 + rng.below(p // 2)
         shift = rng.below(p - h)
         s = 1 + rng.below(3)
@@ -176,7 +170,7 @@ def test_criterion_05_paper_inequalities():
     for instance in range(1000):
         rng = SplitMix64(mix_seed(13579, instance))
         p = pool[rng.below(len(pool))]
-        ctx = _ctx(p)
+        ctx = PrimeContext.of(p)
         h = 1 + rng.below(min(8, p - 2))
         m = 1 + rng.below(min(8, p - 1))
         shift = rng.below(p - h)
@@ -213,7 +207,7 @@ def test_criterion_06_tk_trend(tk_trend_reports):
 def test_criterion_07_product_set_trend():
     rows = []
     for p in (10007, 30011, 100003):
-        ctx = _ctx(p)
+        ctx = PrimeContext.of(p)
         h = math.ceil(p ** (2 / 3))
         m = math.ceil(p ** 0.4)
         mset = random_subset(m, mix_seed(PRODSET_SEED, p), ctx)
@@ -230,7 +224,7 @@ def test_criterion_07_product_set_trend():
 
 def test_criterion_08_frac_sum_envelope_sanity():
     p = 10007
-    ctx = _ctx(p)
+    ctx = PrimeContext.of(p)
     ratios = []
     idx = 0
     for s in (1, 2):
@@ -256,7 +250,7 @@ def test_criterion_08_frac_sum_envelope_sanity():
 def test_criterion_09_burgess_diagnostic():
     recorded = {}
     for p in (1009, 10007):
-        ctx = _ctx(p)
+        ctx = PrimeContext.of(p)
         for k_len in (math.ceil(p ** 0.5), math.ceil(p ** (2 / 3))):
             r = spectra.burgess_ratio(k_len, ctx)
             assert math.isfinite(r) and r > 0

@@ -92,31 +92,68 @@ def test_domain_error_exit_code(capsys, singleton1):
     code, _, err = run_cli(capsys, "expsum", "--p", "7", "--H", "3", "--L", "5",
                            "--s", "1", "--a", "1", "--set", f"file:{singleton1}")
     assert code == 2 and "0 mod" in err
+    # a residue list that does not parse
+    code, _, err = run_cli(capsys, "tk", "--p", "31", "--H", "3", "--k", "3",
+                           "--set", "random:3", "--seed", "1", "--lambdas", "0,x")
+    assert code == 2 and err.count("\n") == 1 and "--lambdas" in err
 
 
-def test_reproducible_outputs(capsys, singleton1, tmp_path):
-    invocations = [
-        ["prodset", "--p", "101", "--H", "10", "--set", "random:5", "--seed", "7"],
-        ["energy", "--kind", "Js", "--p", "101", "--H", "8", "--L", "3",
-         "--s", "2", "--set", "random:6", "--seed", "8"],
-        ["expsum", "--p", "101", "--H", "10", "--L", "2", "--s", "1", "--a", "9",
-         "--set", "random:4", "--seed", "9"],
-        ["tk", "--p", "31", "--H", "3", "--s", "1", "--k", "3",
-         "--set", "random:3", "--seed", "10", "--lambdas", "0,5"],
-        ["selftest"],
-    ]
-    for argv in invocations:
-        code1, out1, _ = run_cli(capsys, *argv)
-        code2, out2, _ = run_cli(capsys, *argv)
-        assert code1 == code2 == 0
-        assert out1 == out2, argv
+# Report bytes recorded before the CLI and the sweep shared one report
+# writer; every report must stay byte-identical to them.
+SWEEP_CFG = ("measure = kloosterman\nprimes = 101\nh_exp = 0.4\nm_exp = 0.4 1.0\n"
+             "l_policy = random\nseed = 2\n")
+T_VALUES = ("21;26;25;24;19;22;18;23;26;22;26;25;24;22;27;22;28;24;25;24;18;18;22;22;29;24;25;"
+            "26;22;20;30")
+PINNED = {
+    "prodset --p 101 --H 10 --set random:5 --seed 7": (
+        "command,p,H,L,M,size,missing,branch,epsilon\nprodset,101,10,0,5,43,58,none,0.05\n",
+        '{"command": "prodset", "p": 101, "H": 10, "L": 0, "M": 5, "size": 43, "missing": 58, '
+        '"branch": "none", "epsilon": 0.05}\n'),
+    "energy --kind Js --p 101 --H 8 --L 3 --s 2 --set random:6 --seed 8": (
+        "command,kind,p,H,L,s,ell,Klen,M,value,envelope,ratio\n"
+        "energy,Js,101,8,3,2,2,1,6,68,116.858153074,0.581902059986\n",
+        '{"command": "energy", "kind": "Js", "p": 101, "H": 8, "L": 3, "s": 2, "ell": 2, '
+        '"Klen": 1, "M": 6, "value": 68, "envelope": 116.858153074, "ratio": 0.581902059986}\n'),
+    "expsum --p 101 --H 10 --L 2 --s 1 --a 9 --set random:4 --seed 9": (
+        "command,p,H,L,s,a,ell,M,value,envelope,trivial,ratio\n"
+        "expsum,101,10,2,1,9,2,4,11.1507883645,43.6802364432,40,0.25528223454\n",
+        '{"command": "expsum", "p": 101, "H": 10, "L": 2, "s": 1, "a": 9, "ell": 2, "M": 4, '
+        '"value": 11.1507883645, "envelope": 43.6802364432, "trivial": 40.0, '
+        '"ratio": 0.25528223454}\n'),
+    "tk --p 31 --H 3 --s 1 --k 3 --set random:3 --seed 10 --lambdas 0,5": (
+        "command,k,p,H,L,s,M,epsilon,main_term,total,max_abs_dev,mean_abs_dev,flags,dev_at,"
+        "t_values\ntk,3,31,3,0,1,3,0.05,729/31,729,0.275720164609,0.104871896987,000,"
+        "0=-0.106995884774;5=-0.0644718792867,"
+        f"{T_VALUES}\n",
+        '{"command": "tk", "k": 3, "p": 31, "H": 3, "L": 0, "s": 1, "M": 3, "epsilon": 0.05, '
+        '"main_term": "729/31", "total": 729, "max_abs_dev": 0.275720164609, '
+        '"mean_abs_dev": 0.104871896987, "flags": "000", '
+        f'"dev_at": "0=-0.106995884774;5=-0.0644718792867", "t_values": "{T_VALUES}"}}\n'),
+    "sweep --config {cfg}": (
+        "index,measure,p,H,M,L,s,ell,k,epsilon,seed,value,envelope,ratio,flags,skip_reason\n"
+        "0,kloosterman,101,7,7,63,1,2,6,0.05,7235116703822611636,18.6341299496,"
+        "51.5014824571,0.361817350892,,\n"
+        "1,kloosterman,101,7,101,,1,2,6,0.05,16171810823986729605,,,,,m_exceeds_field\n",
+        '{"index": 0, "measure": "kloosterman", "p": 101, "H": 7, "M": 7, "L": 63, "s": 1, '
+        '"ell": 2, "k": 6, "epsilon": 0.05, "seed": 7235116703822611636, "value": 18.6341299496, '
+        '"envelope": 51.5014824571, "ratio": 0.361817350892, "flags": "", "skip_reason": ""}\n'
+        '{"index": 1, "measure": "kloosterman", "p": 101, "H": 7, "M": 101, "L": null, "s": 1, '
+        '"ell": 2, "k": 6, "epsilon": 0.05, "seed": 16171810823986729605, "value": null, '
+        '"envelope": null, "ratio": null, "flags": "", "skip_reason": "m_exceeds_field"}\n'),
+}
 
+
+def test_reproducible_outputs(capsys, tmp_path):
+    """Every report, run twice, matches the pinned bytes; selftest repeats too."""
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("measure = kloosterman\nprimes = 101\nh_exp = 0.4 0.5\n"
-                   "m_exp = 0.4\nl_policy = random\nseed = 2\n")
-    code1, out1, _ = run_cli(capsys, "sweep", "--config", str(cfg))
-    code2, out2, _ = run_cli(capsys, "sweep", "--config", str(cfg))
-    assert code1 == code2 == 0 and out1 == out2
+    cfg.write_text(SWEEP_CFG)
+    for argv, (csv_text, json_text) in PINNED.items():
+        argv = argv.format(cfg=cfg).split()
+        json_flag = "jsonl" if argv[0] == "sweep" else "json"
+        for fmt, expected in (("csv", csv_text), (json_flag, json_text)):
+            run = argv + ["--format", fmt]
+            assert run_cli(capsys, *run) == run_cli(capsys, *run) == (0, expected, ""), run
+    assert run_cli(capsys, "selftest") == run_cli(capsys, "selftest")
 
 
 def test_sweep_to_file(capsys, tmp_path):

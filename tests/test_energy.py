@@ -12,12 +12,6 @@ from fplab.sets import initial_interval, residue_set, shifted_interval
 import oracles
 
 
-def _get(p, _cache={}):
-    if p not in _cache:
-        _cache[p] = PrimeContext(p)
-    return _cache[p]
-
-
 def test_count_vector_example(ctx):
     c = ctx(7)
     x = initial_interval(3, c)
@@ -70,7 +64,7 @@ def test_recip_energy_examples(ctx):
 @settings(max_examples=40, deadline=None)
 def test_energies_match_enumeration(data):
     p = data.draw(st.sampled_from([5, 7, 11, 13]))
-    c = _get(p)
+    c = PrimeContext.of(p)
     H = data.draw(st.integers(1, min(5, p - 1)))
     m_elems = sorted(data.draw(st.sets(st.integers(1, p - 1), min_size=1, max_size=4)))
     s = data.draw(st.sampled_from([-2, -1, 1, 2, 3]))
@@ -90,7 +84,7 @@ def test_energies_match_enumeration(data):
 @settings(max_examples=30, deadline=None)
 def test_Js_sign_symmetry_and_sliding(data):
     p = data.draw(st.sampled_from([7, 11, 13, 17]))
-    c = _get(p)
+    c = PrimeContext.of(p)
     H = data.draw(st.integers(1, min(6, p - 2)))
     m_elems = sorted(data.draw(st.sets(st.integers(1, p - 1), min_size=1, max_size=5)))
     s = data.draw(st.integers(1, 4))

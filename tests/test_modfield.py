@@ -88,16 +88,10 @@ def test_dlog_is_bijective_and_consistent(p):
 @settings(max_examples=60, deadline=None)
 def test_dlog_homomorphism(u, v):
     p = 101
-    c = _ctx101()
+    c = PrimeContext.of(101)
     lhs = int(c.dlog[u * v % p])
     rhs = (int(c.dlog[u]) + int(c.dlog[v])) % (p - 1)
     assert lhs == rhs
-
-
-def _ctx101(_cache={}):
-    if "c" not in _cache:
-        _cache["c"] = PrimeContext(101)
-    return _cache["c"]
 
 
 def test_recip_power_values_matches_oracle(ctx):
@@ -117,3 +111,4 @@ def test_context_validation():
         PrimeContext(2)
     big = PrimeContext(2013265921)  # fine: context without dlog
     assert big.g == 31
+    assert PrimeContext.of(101) is PrimeContext.of(101)

@@ -45,7 +45,7 @@ def test_missing_residue_listing(ctx):
 @settings(max_examples=50, deadline=None)
 def test_matches_hash_set_oracle(data):
     p = data.draw(st.sampled_from(_PRIMES))
-    c = _get(p)
+    c = PrimeContext.of(p)
     H = data.draw(st.integers(1, p - 1))
     m_elems = sorted(data.draw(st.sets(st.integers(1, p - 1), min_size=1, max_size=p - 1)))
     mset = residue_set(m_elems, c)
@@ -58,17 +58,11 @@ def test_matches_hash_set_oracle(data):
     assert max(H, mset.M) <= rep.size <= min(p, H * mset.M)
 
 
-def _get(p, _cache={}):
-    if p not in _cache:
-        _cache[p] = PrimeContext(p)
-    return _cache[p]
-
-
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_dilation_invariance(data):
     p = data.draw(st.sampled_from([11, 13, 17]))
-    c = _get(p)
+    c = PrimeContext.of(p)
     H = data.draw(st.integers(1, p - 1))
     m_elems = sorted(data.draw(st.sets(st.integers(1, p - 1), min_size=1, max_size=6)))
     scale = data.draw(st.integers(1, p - 1))

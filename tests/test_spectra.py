@@ -12,12 +12,6 @@ from fplab.spectra import (burgess_ratio, char_spectrum, complete_sum_table,
 import oracles
 
 
-def _get(p, _cache={}):
-    if p not in _cache:
-        _cache[p] = PrimeContext(p)
-    return _cache[p]
-
-
 def test_complete_sum_w0_is_exact(ctx):
     c = ctx(1009)
     t = complete_sum_table(initial_interval(500, c), 3, c)
@@ -46,7 +40,7 @@ def test_complete_sum_squares_structure(ctx):
 
 @pytest.mark.parametrize("p,H,L,s", [(101, 40, 7, 1), (499, 200, 0, 2), (1999, 500, 300, 3)])
 def test_complete_sum_matches_direct(p, H, L, s):
-    c = _get(p)
+    c = PrimeContext.of(p)
     x = shifted_interval(L, H, c, require_denominator_safe=True)
     t = complete_sum_table(x, s, c)
     x_elems = x.elements().tolist()
@@ -57,7 +51,7 @@ def test_complete_sum_matches_direct(p, H, L, s):
 def test_complete_sum_all_entries_vs_direct():
     # full-table comparison against an O(pH) evaluation with its own phases
     p, H, L, s = 499, 200, 61, 2
-    c = _get(p)
+    c = PrimeContext.of(p)
     x = shifted_interval(L, H, c, require_denominator_safe=True)
     t = complete_sum_table(x, s, c)
     vals = np.asarray(oracles.recip_values(x.elements().tolist(), s, p))
@@ -68,7 +62,7 @@ def test_complete_sum_all_entries_vs_direct():
 
 @pytest.mark.parametrize("p,H,L,s", [(101, 40, 7, 1), (997, 300, 100, 2)])
 def test_complete_sum_parseval(p, H, L, s):
-    c = _get(p)
+    c = PrimeContext.of(p)
     x = shifted_interval(L, H, c, require_denominator_safe=True)
     t = complete_sum_table(x, s, c)
     from fplab.energy import additive_energy_recip, recip_power_counts
@@ -178,7 +172,7 @@ def test_char_spectrum_matches_direct(ctx):
 def test_char_spectrum_all_entries_vs_direct():
     # full-spectrum comparison at a mid-size prime, independent exponent sums
     p = 499
-    c = _get(p)
+    c = PrimeContext.of(p)
     u_elems = random_subset(37, 17, c).elems.tolist()
     spec = char_spectrum(residue_set(u_elems, c), c)
     logs = np.asarray([oracles.discrete_log(u, c.g, p) for u in u_elems])

@@ -10,12 +10,6 @@ from fplab.tkcount import tk_experiment, tk_spectral_check
 import oracles
 
 
-def _get(p, _cache={}):
-    if p not in _cache:
-        _cache[p] = PrimeContext(p)
-    return _cache[p]
-
-
 def test_six_fold_tiny_example(ctx):
     c = ctx(3)
     ms = residue_set([1], c)
@@ -38,7 +32,7 @@ def test_matches_enumeration_random(ctx):
     import numpy as np
     rng = np.random.default_rng(5)
     for p in (11, 23):
-        c = _get(p)
+        c = PrimeContext.of(p)
         for k in (2, 3, 4):
             H = int(rng.integers(1, 4))
             M = int(rng.integers(1, 4))
@@ -70,7 +64,7 @@ def test_mass_conservation_and_zero_mean_dev(ctx):
 def test_shift_covariance_under_dilation(ctx):
     # scaling every factor set by c sends T(lam) to T(c^(-1) lam)
     p = 31
-    c = _get(p)
+    c = PrimeContext.of(p)
     m_lists = [sorted(random_subset(3, 40 + i, c).elems.tolist()) for i in range(3)]
     factors = [(residue_set(m, c), 2) for m in m_lists]
     base = tk_experiment(3, factors, 4, 1, c).counts.as_list()

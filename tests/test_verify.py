@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from fplab.errors import DomainError
 from fplab.modfield import PrimeContext
 from fplab.sets import SplitMix64, initial_interval, mix_seed, random_subset
-from fplab.verify import (CSV_COLUMNS, ReportRow, SweepConfig, fit_exponent,
-                          fmt_number, parse_config, run_sweep, write_rows)
+from fplab.verify import (CSV_COLUMNS, SweepConfig, fit_exponent, fmt_number,
+                          parse_config, run_sweep)
 
 BASIC = """
 # a tiny sweep
@@ -30,16 +31,21 @@ def test_parse_config_roundtrip():
 
 
 def test_parse_config_errors():
-    with pytest.raises(DomainError, match="unknown config keys"):
-        parse_config("measure = tk\nprimes = 3\nh_exp = 0.5\nbogus = 1\n")
-    with pytest.raises(DomainError, match="requires at least"):
-        parse_config("measure = tk\n")
-    with pytest.raises(DomainError, match="key = value"):
-        parse_config("measure tk\n")
-    with pytest.raises(DomainError, match="unknown measure"):
-        parse_config("measure = nope\nprimes = 3\nh_exp = 0.5\n")
-    with pytest.raises(DomainError, match="not an odd prime"):
-        parse_config("measure = tk\nprimes = 9\nh_exp = 0.5\n")
+    tk3 = "measure = tk\nprimes = 3\nh_exp = 0.5\n"
+    for text, match in [
+        (tk3 + "bogus = 1\n", "unknown config keys"),
+        ("measure = tk\n", "requires at least"),
+        ("measure tk\n", "key = value"),
+        ("measure = nope\nprimes = 3\nh_exp = 0.5\n", "unknown measure"),
+        ("measure = tk\nprimes = 9\nh_exp = 0.5\n", "not an odd prime"),
+        ("measure = tk\nprimes = 1O1\nh_exp = 0.5\n", "primes: '1O1' is not an integer"),
+        (tk3 + "k = six\n", "k: 'six' is not an integer"),
+        ("measure = tk\nprimes = 3\nh_exp = half\n", "h_exp: 'half' is not a finite number"),
+        ("measure = tk\nprimes = 3\nh_exp = nan\n", "h_exp: 'nan' is not a finite number"),
+        (tk3 + "l_policy = explicit:x\n", "l_policy: 'x' is not an integer"),
+    ]:
+        with pytest.raises(DomainError, match=match):
+            parse_config(text)
 
 
 def test_empty_grid():
@@ -136,12 +142,14 @@ def test_fmt_number_stability():
     assert fmt_number(None) == ""
 
 
-def test_write_rows_csv_shape():
-    row = ReportRow(index=0, measure="energy_j", p=11, H=3, M=2, L=0, s=1,
-                    ell=2, k=6, epsilon=0.05, seed=1, value=7, envelope=10.0,
-                    ratio=0.7)
+def test_csv_quotes_a_skip_reason_with_a_comma():
+    cfg = parse_config("measure = prodset\nprimes = 67108879 101\nh_exp = 0.1\nm_exp = 0.1\n")
     sink = io.StringIO()
-    write_rows([row], sink, "csv")
-    header, line = sink.getvalue().splitlines()
-    assert header.split(",") == list(CSV_COLUMNS)
-    assert line.split(",")[0:3] == ["0", "energy_j", "11"]
+    run_sweep(cfg, sink=sink)
+    rows = list(csv.DictReader(io.StringIO(sink.getvalue())))
+    assert [list(row) for row in rows] == [list(CSV_COLUMNS)] * 2
+    assert rows[0]["skip_reason"] == ("domain:dense dlog table capped at p <= 2^26, "
+                                      "got p=67108879")
+    # the row without a comma is byte-identical to the unquoted writer's
+    assert sink.getvalue().splitlines()[2] == (
+        "1,prodset,101,2,2,0,1,2,6,0.05,16860738450190168606,97,101,0.960396039604,none,")
