@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import convolve, energy, envelopes, prodset, spectra, tkcount, verify
-from .errors import BudgetError, DomainError, SetFileError
+from .errors import DEFAULT_BUDGET, BudgetError, DomainError, SetFileError
 from .modfield import PrimeContext, batch_inverse, mod_pow
 from .sets import (ResidueSet, initial_interval, mix_seed, random_subset,
                    residue_set, set_from_file, shifted_interval)
@@ -24,8 +25,26 @@ from .verify import Record, fmt_number
 _TK_VALUE_CAP = 128  # emit full T_k vectors only for p at or below this
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become one-line DomainErrors (exit 2), with no usage block."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
+def _epsilon(text: str) -> float:
+    """--eps: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"needs a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fplab",
         description="Counting problems and exponential sums in prime fields.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -34,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, required=True, help="odd prime modulus")
         sp.add_argument("--H", type=int, required=True, help="interval length")
         sp.add_argument("--L", type=int, default=0, help="interval shift (default 0)")
-        sp.add_argument("--eps", type=float, default=0.05, help="hypothesis epsilon")
-        sp.add_argument("--budget", type=int, default=1_000_000_000)
+        sp.add_argument("--eps", type=_epsilon, default=0.05, help="hypothesis epsilon")
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         sp.add_argument("--out", default="", help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if needs_set:
@@ -281,9 +300,8 @@ _RECORDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _cmd_selftest() if args.command == "selftest" else _report(args)
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)

@@ -23,18 +23,22 @@ each exact for the coefficient bound it is planned with:
           invert once) and cyclic (fold onto Z_n after every product, so
           each step works at C = next_pow2(2n-1)). With d distinct factor
           arrays among the k, linear takes d+1 transforms at N and cyclic
-          d+2k-3 at C; the planner picks the smaller transforms * length *
-          log2(length) and marks cyclic by fft_length = C < lin_length.
-          T_6 over six factors at n=10^5 runs cyclic (C = 2^18, N = 2^20),
-          the energy [u]*4 at the same n linear (N = 2^19).
+          d+2k-3 at C; the planner picks the cheaper and marks cyclic by
+          fft_length = C < lin_length. T_6 over six factors at n=10^5 runs
+          cyclic (C = 2^18, N = 2^20), the energy [u]*4 at the same n
+          linear (N = 2^19).
 
 Transform routes transform a factor that appears several times (the
-repeated factors of an additive energy) once.
+repeated factors of an additive energy) once. One work model prices every
+plan, and plan_convolution is the only budget gate: a transform plan costs
+the transforms it runs times length * log2(length), times the number of
+NTT moduli; the support-pair route costs its pairs. The same number picks
+the schedule, weighs the routes and meets the budget.
 
 The prime-length Fourier transform (for complete exponential-sum tables)
 uses the chirp factorization c*l = (c^2 + l^2 - (c-l)^2)/2 to reduce a
 length-p transform to one power-of-two circular convolution of length
->= 2p-1, or a direct O(p^2) table-lookup product below a small threshold.
+>= 2p-1, at every length p >= 2.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ log = logging.getLogger(__name__)
 # N*log2(N) steps of a transform). Measured on 2 x86 vCPUs with numpy 2.4 at
 # n = 10^4..10^6: 8-16 ns per pair against 0.8-1.4 ns per unit.
 PAIR_COST = 10
-DIRECT_DFT_THRESHOLD = 128     # transform length at or below: O(n^2) table product
 FLOAT_EXACT_BOUND = 1 << 40    # float route certified below this coefficient bound
 
 # 31-bit primes q with large power-of-two factors of q-1; products of any
@@ -95,34 +98,36 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
                      distinct: int | None = None) -> ConvolutionPlan:
     """Select the cheapest exact strategy for a k-fold length-n convolution.
 
-    The coefficient bound is the product of all masses (safe: every output
-    entry is at most the total number of tuples); it decides which routes
-    are exact. A transform route does about (k+1) * N * log2(N) work per
-    modulus; the support-pair route visits at most pair_work pairs, each
-    support being capped by its mass and by n, and is chosen when
-    PAIR_COST * pair_work is no larger. A route whose own work exceeds the
-    budget is passed over; the call is refused only when none fits. An NTT
-    plan runs the cheaper of two schedules for `distinct` distinct factor
-    arrays (default: all k; see _ntt_schedule); its fft_length is the
-    length the schedule uses, below lin_length when the schedule is cyclic.
+    This is the one place that prices work. The coefficient bound is the
+    product of all masses (safe: every output entry is at most the total
+    number of tuples); it decides which routes are exact. A transform
+    route costs the transforms it runs times L*log2(L) at its length L,
+    times the number of NTT moduli: d+1 transforms for the float route and
+    the linear NTT schedule, d+2k-3 for the cyclic one, where d is the
+    number of `distinct` factor arrays (default: all k; see _ntt_schedule).
+    The support-pair route costs pair_work, the pairs it visits at most,
+    each support being capped by its mass and by n; it is chosen when
+    PAIR_COST * pair_work is no larger than the transform work. A route
+    whose own work exceeds the budget is passed over; the call is refused
+    only when none fits, with `required` the smaller need. An NTT plan's
+    fft_length is below lin_length when its schedule is cyclic.
     """
     k = len(masses)
     if k < 1:
         raise BudgetError("no factors to convolve", required=0)
+    d = k if distinct is None else distinct
     bound = prod(int(m) for m in masses)
     lin_length = k * (n - 1) + 1
     size = _next_pow2(lin_length)
-    transform_work = (k + 1) * size * size.bit_length()
     if bound < FLOAT_EXACT_BOUND:
         transform = ConvolutionPlan(n, "float", bound, lin_length, size)
-        what = "float transform convolution"
+        transforms, what = d + 1, "float transform convolution"
     else:
         moduli = _select_ntt_moduli(bound, size)
-        length, per_modulus = _ntt_schedule(k, k if distinct is None else distinct,
-                                            n, size)
+        length, per_modulus = _ntt_schedule(k, d, n, size)
         transform = ConvolutionPlan(n, "ntt", bound, lin_length, length, moduli)
-        transform_work *= len(moduli)
-        what = "multi-modulus exact convolution"
+        transforms, what = per_modulus * len(moduli), "multi-modulus exact convolution"
+    transform_work = transforms * _transform_units(transform.fft_length)
     limit = DEFAULT_BUDGET if budget is None else budget
     if bound < 1 << 63:  # int64 accumulation is exact
         pair_work = _pair_work(n, masses)
@@ -136,8 +141,13 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
         log.info("convolution bound %d >= 2^40: escalating to exact ntt route "
                  "(%s schedule, length %d, moduli %s, %d transforms)",
                  bound, "cyclic" if length < lin_length else "linear", length,
-                 ",".join(map(str, moduli)), per_modulus * len(moduli))
+                 ",".join(map(str, moduli)), transforms)
     return transform
+
+
+def _transform_units(length: int) -> int:
+    """Work units of one power-of-two transform: length * log2(length)."""
+    return length * (length.bit_length() - 1)
 
 
 def _ntt_schedule(k: int, distinct: int, n: int, size: int) -> tuple[int, int]:
@@ -151,8 +161,7 @@ def _ntt_schedule(k: int, distinct: int, n: int, size: int) -> tuple[int, int]:
     """
     cyc = _next_pow2(2 * n - 1)
     linear, cyclic = distinct + 1, distinct + 2 * k - 3
-    if cyc < size and (cyclic * cyc * (cyc.bit_length() - 1)
-                       < linear * size * (size.bit_length() - 1)):
+    if cyc < size and cyclic * _transform_units(cyc) < linear * _transform_units(size):
         return cyc, cyclic
     return size, linear
 
@@ -461,17 +470,12 @@ def _chirp_tables(n: int) -> tuple[np.ndarray, np.ndarray, int]:
 def length_p_transform(u: np.ndarray) -> np.ndarray:
     """hat_u[c] = sum_lam u[lam] * exp(2*pi*i*c*lam/n) for n = len(u).
 
-    Chirp reduction to a power-of-two circular convolution; direct
-    table-lookup product below DIRECT_DFT_THRESHOLD.
+    Chirp reduction to a power-of-two circular convolution.
     """
     u = np.asarray(u, dtype=np.complex128)
     n = u.size
     if n == 1:
         return u.copy()
-    if n <= DIRECT_DFT_THRESHOLD:
-        idx = np.arange(n, dtype=np.int64)
-        table = np.exp(2j * np.pi * np.arange(n) / n)
-        return table[np.outer(idx, idx) % n] @ u
     chirp, filt_hat, m = _chirp_tables(n)
     a = np.zeros(m, dtype=np.complex128)
     a[:n] = u * chirp

@@ -53,11 +53,6 @@ class CountVector:
             return [int(v) for v in self.counts]
         return list(self.counts)
 
-    def as_float_array(self) -> np.ndarray:
-        if isinstance(self.counts, np.ndarray):
-            return self.counts.astype(np.float64)
-        return np.asarray([float(v) for v in self.counts])
-
     def sum_of_squares(self) -> int:
         """Exact sum of squared entries (arbitrary precision)."""
         if isinstance(self.counts, np.ndarray):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import convolve
 from .countvec import CountVector, from_bincount
-from .errors import DomainError, ZeroInIntervalError, check_budget
+from .errors import DomainError, ZeroInIntervalError
 from .modfield import PrimeContext, recip_power_values
 from .sets import Interval, ResidueSet, shifted_interval
 
@@ -25,6 +25,19 @@ def dlog_counts(units: np.ndarray, scale: int, ctx: PrimeContext) -> CountVector
     """Count vector over Z_{p-1} of scale * dlog(u): the units u^scale, dlog-indexed."""
     n = ctx.p - 1
     return from_bincount(ctx.dlog[units].astype(np.int64) * (scale % n) % n, n)
+
+
+def dlog_convolution(factors: list[tuple[np.ndarray, int]], ctx: PrimeContext,
+                     budget: int | None) -> CountVector:
+    """The convolution over Z_{p-1} of dlog_counts(units, scale) for each factor.
+
+    Planned from the factor sizes before the dlog table or any count vector
+    is built, so a refused call allocates nothing of length p.
+    """
+    plan = convolve.plan_convolution(ctx.p - 1, [len(units) for units, _ in factors],
+                                     budget, distinct=len(factors))
+    return convolve.k_fold_count([dlog_counts(units, scale, ctx) for units, scale in factors],
+                                 plan)
 
 
 def residue_order(conv: CountVector, ctx: PrimeContext) -> np.ndarray | list[int]:
@@ -46,13 +59,10 @@ def count_vector_product(interval: Interval, mset: ResidueSet, s: int,
         raise ZeroInIntervalError("interval covers 0 mod p: x^(-s) undefined")
     if mset.p != ctx.p or interval.p != ctx.p:
         raise DomainError("interval/set modulus does not match context")
-    pairs = interval.H * mset.M
-    check_budget(pairs, budget, "product count vector")
     if s == 0:
         raise DomainError("exponent s must be nonzero")
-    conv = convolve.k_fold_count([dlog_counts(mset.elems, 1, ctx),
-                                  dlog_counts(interval.elements(), -s, ctx)], budget=budget)
-    return CountVector(residue_order(conv, ctx), expected_total=pairs)
+    conv = dlog_convolution([(mset.elems, 1), (interval.elements(), -s)], ctx, budget)
+    return CountVector(residue_order(conv, ctx), expected_total=interval.H * mset.M)
 
 
 def energy_J(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
@@ -76,16 +86,19 @@ def energy_Js(L: int, interval: Interval, mset: ResidueSet, s: int,
 
 def triple_count_vector(j_len: int, k_len: int, mset: ResidueSet,
                         ctx: PrimeContext, budget: int | None = None) -> CountVector:
-    """counts[lam] = #{(j,k,m): j*k*m = lam mod p} over initial intervals and a set."""
-    p = ctx.p
-    work = j_len * k_len * mset.M
-    check_budget(work, budget, "triple product count")
-    if not (1 <= j_len <= p - 1 and 1 <= k_len <= p - 1):
+    """counts[lam] = #{(j,k,m): j*k*m = lam mod p} over initial intervals and a set.
+
+    Two 2-fold convolutions, j*k first and then times the set. The planner
+    prices and gates each one on its own, and j*k, with at most
+    j_len*k_len support pairs, takes the support-pair route when the
+    intervals are short.
+    """
+    if not (1 <= j_len <= ctx.p - 1 and 1 <= k_len <= ctx.p - 1):
         raise DomainError("interval lengths must lie in 1..p-1")
-    jk = convolve.k_fold_count([dlog_counts(np.arange(1, j_len + 1), 1, ctx),
-                                dlog_counts(np.arange(1, k_len + 1), 1, ctx)], budget=budget)
+    jk = dlog_convolution([(np.arange(1, j_len + 1), 1), (np.arange(1, k_len + 1), 1)],
+                          ctx, budget)
     conv = convolve.k_fold_count([jk, dlog_counts(mset.elems, 1, ctx)], budget=budget)
-    return CountVector(residue_order(conv, ctx), expected_total=work)
+    return CountVector(residue_order(conv, ctx), expected_total=j_len * k_len * mset.M)
 
 
 def triple_R(j_len: int, k_len: int, mset: ResidueSet, ctx: PrimeContext,

@@ -26,7 +26,7 @@ MAX_DLOG_PRIME = 1 << 26
 _DLOG_UNSET = np.uint32(0xFFFFFFFF)
 
 # Contexts kept by PrimeContext.of. A sweep visits its primes in order, so
-# a few suffice; each one may hold a 4p-byte dlog and a 16p-byte phase table.
+# a few suffice; each one may hold a 4p-byte dlog table.
 CONTEXT_CACHE_SIZE = 8
 
 
@@ -124,7 +124,7 @@ class PrimeContext:
     through `PrimeContext.of(p)`.
     """
 
-    __slots__ = ("p", "g", "_dlog", "_phases")
+    __slots__ = ("p", "g", "_dlog")
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -136,7 +136,6 @@ class PrimeContext:
         self.p = p
         self.g = find_primitive_root(p)
         self._dlog = None
-        self._phases = None
 
     @property
     def dlog(self) -> np.ndarray:
@@ -144,13 +143,6 @@ class PrimeContext:
         if self._dlog is None:
             self._dlog = build_dlog_table(self.p, self.g)
         return self._dlog
-
-    @property
-    def phases(self) -> np.ndarray:
-        """Additive-character table exp(2*pi*i*k/p) for k = 0..p-1."""
-        if self._phases is None:
-            self._phases = np.exp(2j * np.pi * np.arange(self.p) / self.p)
-        return self._phases
 
     def __repr__(self):
         return f"PrimeContext(p={self.p}, g={self.g})"

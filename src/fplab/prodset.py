@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import convolve
-from .energy import dlog_counts, residue_order
+from .energy import dlog_convolution, residue_order
 from .envelopes import product_set_branch
-from .errors import DomainError, ZeroInIntervalError, check_budget
+from .errors import DomainError, ZeroInIntervalError
 from .modfield import PrimeContext
 from .sets import Interval, ResidueSet
 
@@ -42,9 +41,8 @@ class ProductSetReport:
 def _occupancy(units: np.ndarray, scale: int, mset: ResidueSet, ctx: PrimeContext,
                budget: int | None) -> np.ndarray:
     """Dense table of the residues u^scale * m, from the support of a dlog convolution."""
-    conv = convolve.k_fold_count([dlog_counts(units, scale, ctx),
-                                  dlog_counts(mset.elems, 1, ctx)], budget=budget)
-    return residue_order(conv, ctx) > 0
+    return residue_order(dlog_convolution([(units, scale), (mset.elems, 1)], ctx, budget),
+                         ctx) > 0
 
 
 def _report(occ: np.ndarray, interval: Interval, mset: ResidueSet,
@@ -68,7 +66,6 @@ def product_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
     """Exact size of {h*m mod p}; 0 is a product exactly when the interval covers it."""
     if interval.p != ctx.p or mset.p != ctx.p:
         raise DomainError("interval/set modulus does not match context")
-    check_budget(interval.H * mset.M, budget, "product-set occupancy")
     elems = interval.elements()
     occ = _occupancy(elems[elems != 0], 1, mset, ctx, budget)
     occ[0] = interval.contains_zero
@@ -83,6 +80,5 @@ def ratio_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
         raise DomainError("interval/set modulus does not match context")
     if interval.contains_zero:
         raise ZeroInIntervalError("ratio set needs a denominator-safe interval (0 not in H)")
-    check_budget(interval.H * mset.M, budget, "ratio-set occupancy")
     occ = _occupancy(interval.elements(), -1, mset, ctx, budget)
     return _report(occ, interval, mset, epsilon, list_missing)

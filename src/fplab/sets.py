@@ -67,10 +67,6 @@ class Interval:
         r = (-self.L) % self.p
         return 1 <= r <= self.H
 
-    @property
-    def denominator_safe(self) -> bool:
-        return not self.contains_zero
-
     def elements(self) -> np.ndarray:
         """All H elements, reduced mod p, in shift order."""
         return (np.arange(self.L + 1, self.L + self.H + 1, dtype=np.int64)) % self.p

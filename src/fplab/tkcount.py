@@ -114,22 +114,17 @@ def tk_spectral_check(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: 
                       budget: int | None = None) -> list[float]:
     """|spectral - exact| at each sampled lam.
 
-    The spectral route re-derives T_k(lam) as
-    (1/p) * sum_a prod_i F_i(a) * e_p(-a*lam), with F_i the transform of
-    factor i's count vector; the exact route is the convolution.
+    The spectral route re-derives every T_k(lam) at once as
+    (1/p) * sum_a prod_i F_i(a) * e_p(-a*lam), one inverse transform of the
+    product of F_i, the transforms of the factors' count vectors; the
+    exact route is the convolution.
     """
-    p = ctx.p
     vectors = _factor_counts(factors, H, s, ctx, budget)
     if len(vectors) != k or k < 2:
         raise DomainError("factor list does not match k")
     exact = convolve.k_fold_count(vectors, budget=budget)
-    product = np.ones(p, dtype=np.complex128)
+    product = np.ones(ctx.p, dtype=np.complex128)
     for v in vectors:
         product *= convolve.length_p_transform(v.counts)
-    a = np.arange(p, dtype=np.int64)
-    residuals = []
-    for lam in sample_lambdas:
-        phase = np.conj(ctx.phases[(a * int(lam)) % p])
-        spectral = float(np.dot(product, phase).real) / p
-        residuals.append(abs(spectral - exact[lam]))
-    return residuals
+    spectral = np.conj(convolve.length_p_transform(np.conj(product))).real / ctx.p
+    return [abs(float(spectral[lam]) - exact[lam]) for lam in sample_lambdas]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import energy, envelopes, prodset, spectra, tkcount
-from .errors import BudgetError, DomainError, ZeroInIntervalError
+from .errors import DEFAULT_BUDGET, BudgetError, DomainError, ZeroInIntervalError
 from .modfield import PrimeContext, is_prime
 from .sets import (SplitMix64, initial_interval, mix_seed, random_subset,
                    shifted_interval)
@@ -66,7 +66,7 @@ class SweepConfig:
     l_policy: str = "zero"          # zero | random | explicit:<int>
     epsilon: float = 0.05
     seed: int = 1
-    budget: int = 1_000_000_000
+    budget: int = DEFAULT_BUDGET
     workers: int = 1
     out_format: str = "csv"         # csv | jsonl
     out_path: str = ""
@@ -80,6 +80,8 @@ class SweepConfig:
             _number(int, "l_policy", self.l_policy[len("explicit:"):])
         elif self.l_policy not in ("zero", "random"):
             raise DomainError(f"bad L policy {self.l_policy!r}")
+        if not 0 <= self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
         for p in self.primes:
             if not is_prime(p) or p < 3:
                 raise DomainError(f"{p} is not an odd prime")
@@ -188,15 +190,19 @@ def parse_config(text: str) -> SweepConfig:
         l_policy=raw.get("l_policy", "zero"),
         epsilon=one(float, "epsilon", 0.05),
         seed=one(int, "seed", 1),
-        budget=one(int, "budget", 1_000_000_000),
+        budget=one(int, "budget", DEFAULT_BUDGET),
         workers=one(int, "workers", 1),
         out_format=raw.get("format", "csv"),
         out_path=raw.get("out", ""),
     )
 
 
-def _sized(p: int, exponent: float) -> int:
-    return math.ceil(p ** exponent)
+def _sized(p: int, exponent: float) -> int | None:
+    """ceil(p^exponent); None when p^exponent overflows a float, far beyond the field."""
+    try:
+        return math.ceil(p ** exponent)
+    except OverflowError:
+        return None
 
 
 def _draw_shift(policy: str, rng: SplitMix64, p: int, h: int) -> int:
@@ -214,9 +220,9 @@ def _run_point(cfg: SweepConfig, index: int, point) -> ReportRow:
                      k=cfg.k, epsilon=cfg.epsilon, seed=seed)
     h = _sized(p, h_exp)
     m = _sized(p, m_exp)
-    if h > p - 1:
+    if h is None or h > p - 1:
         return replace(base, H=h, skip_reason="h_exceeds_field")
-    if m > p - 1:
+    if m is None or m > p - 1:
         return replace(base, H=h, M=m, skip_reason="m_exceeds_field")
     ctx = PrimeContext.of(p)
     rng = SplitMix64(seed)

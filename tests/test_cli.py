@@ -96,6 +96,17 @@ def test_domain_error_exit_code(capsys, singleton1):
     code, _, err = run_cli(capsys, "tk", "--p", "31", "--H", "3", "--k", "3",
                            "--set", "random:3", "--seed", "1", "--lambdas", "0,x")
     assert code == 2 and err.count("\n") == 1 and "--lambdas" in err
+    # an epsilon that is not a finite number >= 0
+    for eps in ("nan", "inf", "-1"):
+        code, _, err = run_cli(capsys, "prodset", "--p", "101", "--H", "3",
+                               "--set", "random:3", "--seed", "1", "--eps", eps)
+        assert code == 2 and err.count("\n") == 1 and "--eps" in err
+    # argparse usage errors: one line, no usage block
+    code, _, err = run_cli(capsys, "prodset", "--p", "x", "--H", "3",
+                           "--set", "random:3", "--seed", "1")
+    assert code == 2 and err == "error: argument --p: invalid int value: 'x'\n"
+    code, _, err = run_cli(capsys, "prodset", "--p", "101")
+    assert code == 2 and err.count("\n") == 1 and "--H" in err
 
 
 # Report bytes recorded before the CLI and the sweep shared one report

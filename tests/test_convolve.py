@@ -120,6 +120,27 @@ def test_plan_refusals():
         k_fold_count([big] * 3, short)
 
 
+def test_plans_are_charged_the_transforms_they_run():
+    # T_6 at n = 100003, two moduli: 15 cyclic transforms at 2^18 per modulus
+    charge = 15 * (1 << 18) * 18 * 2
+    assert charge == 141_557_760
+    plan = plan_convolution(100003, [1000] * 6, budget=200_000_000)
+    assert plan.strategy == "ntt" and len(plan.moduli) == 2
+    assert plan.fft_length == 1 << 18 < plan.lin_length
+    assert plan_convolution(100003, [1000] * 6, budget=charge).fft_length == 1 << 18
+    with pytest.raises(BudgetError) as exc:
+        plan_convolution(100003, [1000] * 6, budget=100_000_000)
+    assert exc.value.required == charge
+    # float route: d+1 transforms at N = 2048, so one distinct factor is cheaper
+    float_charge = 3 * 2048 * 11
+    assert plan_convolution(1009, [600, 600], budget=float_charge).strategy == "float"
+    with pytest.raises(BudgetError) as exc:
+        plan_convolution(1009, [600, 600], budget=float_charge - 1)
+    assert exc.value.required == float_charge
+    assert plan_convolution(1009, [600, 600], budget=2 * 2048 * 11,
+                            distinct=1).strategy == "float"
+
+
 def _ntt_plans(n, vecs):
     """Hand-built linear and cyclic NTT plans for the given factors."""
     bound = 1

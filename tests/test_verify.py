@@ -43,6 +43,8 @@ def test_parse_config_errors():
         ("measure = tk\nprimes = 3\nh_exp = half\n", "h_exp: 'half' is not a finite number"),
         ("measure = tk\nprimes = 3\nh_exp = nan\n", "h_exp: 'nan' is not a finite number"),
         (tk3 + "l_policy = explicit:x\n", "l_policy: 'x' is not an integer"),
+        (tk3 + "epsilon = -1\n", "epsilon must be a finite number >= 0"),
+        (tk3 + "epsilon = inf\n", "epsilon: 'inf' is not a finite number"),
     ]:
         with pytest.raises(DomainError, match=match):
             parse_config(text)
@@ -94,6 +96,12 @@ def test_skip_reasons():
     cfg = parse_config("measure = energy_j\nprimes = 11\nh_exp = 0.5\nm_exp = 1.0\n")
     rows = run_sweep(cfg)
     assert rows[0].skip_reason == "m_exceeds_field"
+    # sizes whose p^exponent overflows a float are skipped too, not a traceback
+    cfg = parse_config("measure = energy_j\nprimes = 101\nh_exp = 1000 0.5\n"
+                       "m_exp = 1000\n")
+    rows = run_sweep(cfg)
+    assert [r.skip_reason for r in rows] == ["h_exceeds_field", "m_exceeds_field"]
+    assert (rows[0].H, rows[1].H, rows[1].M) == (None, 11, None)
     cfg = parse_config("measure = energy_j\nprimes = 101\nh_exp = 0.9\n"
                        "m_exp = 0.9\nbudget = 10\n")
     rows = run_sweep(cfg)
