@@ -18,7 +18,10 @@ from .errors import ConsistencyError, DomainError
 # Witness set proving primality for all n < 3.3 * 10^24 (covers 2^64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-MAX_PRIME = 1 << 40
+# Every route holds an int64 or complex array of length about p (16 GiB at
+# 2^31), so no larger p can run at desk scale; below 2^31 every product of
+# two residues also stays below 2^62 in uint64.
+MAX_PRIME = 1 << 31
 # Dense dlog tables only below this; above, the 4-byte-per-entry table
 # no longer fits desk-scale memory and no spectra kernel needs it.
 MAX_DLOG_PRIME = 1 << 26
@@ -56,7 +59,7 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division (n < 2^40 keeps this instant)."""
+    """Distinct prime factors of n by trial division (n < 2^31 keeps this instant)."""
     factors = []
     d = 2
     while d * d <= n:
@@ -132,7 +135,7 @@ class PrimeContext:
         if p < 3 or p % 2 == 0:
             raise DomainError(f"p={p} must be an odd prime >= 3")
         if p >= MAX_PRIME:
-            raise DomainError(f"p={p} exceeds the supported range (< 2^40)")
+            raise DomainError(f"p={p} exceeds the supported range (< 2^31)")
         self.p = p
         self.g = find_primitive_root(p)
         self._dlog = None

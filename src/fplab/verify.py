@@ -19,7 +19,7 @@ import numpy as np
 
 from . import energy, envelopes, prodset, spectra, tkcount
 from .errors import DEFAULT_BUDGET, BudgetError, DomainError, ZeroInIntervalError
-from .modfield import PrimeContext, is_prime
+from .modfield import MAX_PRIME, PrimeContext, is_prime
 from .sets import (SplitMix64, initial_interval, mix_seed, random_subset,
                    shifted_interval)
 
@@ -85,6 +85,8 @@ class SweepConfig:
         for p in self.primes:
             if not is_prime(p) or p < 3:
                 raise DomainError(f"{p} is not an odd prime")
+            if p >= MAX_PRIME:  # refused before any row is written
+                raise DomainError(f"p={p} exceeds the supported range (< 2^31)")
 
 
 class _Record:

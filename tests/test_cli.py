@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Runs the CLI in a child whose address space is capped at 2 GiB, so a
+# request for a length-p array at p > 2^31 fails there instead of paging.
+_CAPPED_CLI = ("import resource, runpy, sys; "
+               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+               "sys.argv[0] = 'fplab'; runpy.run_module('fplab', run_name='__main__')")
+
+
+def run_capped_cli(*argv):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
 
 
 @pytest.fixture
@@ -107,6 +124,13 @@ def test_domain_error_exit_code(capsys, singleton1):
     assert code == 2 and err == "error: argument --p: invalid int value: 'x'\n"
     code, _, err = run_cli(capsys, "prodset", "--p", "101")
     assert code == 2 and err.count("\n") == 1 and "--H" in err
+    # primes above 2^31, whose length-p arrays no route can hold
+    for argv in (("energy", "--kind", "recip", "--p", "2147483659"),
+                 ("energy", "--kind", "recip", "--p", "1099511627689"),
+                 ("expsum", "--a", "3", "--p", "2147483659")):
+        code, out, err = run_capped_cli(*argv, "--H", "10", "--set", "random:5", "--seed", "1")
+        assert (code, out) == (2, "") and err.count("\n") == 1, err
+        assert "exceeds the supported range (< 2^31)" in err
 
 
 # Report bytes recorded before the CLI and the sweep shared one report

@@ -1,4 +1,8 @@
 import logging
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -141,6 +145,27 @@ def test_plans_are_charged_the_transforms_they_run():
                             distinct=1).strategy == "float"
 
 
+@pytest.fixture
+def ntt_cores(monkeypatch):
+    """Force the core count that sizes the NTT threads and their shared pool.
+
+    Plans of every length are threaded. Each forced count gets a fresh
+    pool, shut down before the process's own pool is restored.
+    """
+    monkeypatch.setattr(convolve, "_THREAD_MIN_LENGTH", 1)
+    monkeypatch.setattr(convolve, "_pool", None)
+
+    def force(cores):
+        if convolve._pool is not None:
+            convolve._pool.shutdown()
+        monkeypatch.setattr(convolve, "_cores", lambda: cores)
+        convolve._pool = None
+
+    yield force
+    if convolve._pool is not None:
+        convolve._pool.shutdown()
+
+
 def _ntt_plans(n, vecs):
     """Hand-built linear and cyclic NTT plans for the given factors."""
     bound = 1
@@ -154,7 +179,7 @@ def _ntt_plans(n, vecs):
 
 @pytest.mark.parametrize("k", [2, 3, 6])
 @pytest.mark.parametrize("repeated", [False, True])
-def test_cyclic_and_linear_ntt_schedules_agree(k, repeated, monkeypatch):
+def test_cyclic_and_linear_ntt_schedules_agree(k, repeated, monkeypatch, ntt_cores):
     # n = 53: the cyclic length 128 is below the linear one for k >= 3;
     # for k = 2 the two schedules coincide
     n = 53
@@ -168,6 +193,7 @@ def test_cyclic_and_linear_ntt_schedules_agree(k, repeated, monkeypatch):
         expect = oracles.cyclic_convolve(expect, v.as_list(), n)
     linear, cyclic = _ntt_plans(n, vecs)
     assert (cyclic.fft_length < cyclic.lin_length) == (k > 2)
+    ntt_cores(len(linear.moduli))  # one thread per modulus
     calls = []
     forward = convolve._ntt_forward
     monkeypatch.setattr(convolve, "_ntt_forward", lambda *a: calls.append(1) or forward(*a))
@@ -178,6 +204,91 @@ def test_cyclic_and_linear_ntt_schedules_agree(k, repeated, monkeypatch):
         factors = 1 if repeated else k
         steps = 1 if plan.fft_length >= plan.lin_length else 2 * k - 3
         assert len(calls) == (factors + steps) * len(plan.moduli)
+
+
+@pytest.mark.parametrize("moduli, top", [(2, 100), (3, 10 ** 5), (4, 10 ** 8)])
+def test_threaded_and_serial_ntt_agree(moduli, top, ntt_cores):
+    # n = 211, k = 3: the cyclic length 512 is below the linear 1024, and
+    # entries below `top` need `moduli` moduli
+    n, k = 211, 3
+    rng = np.random.default_rng(moduli)
+    u = _cv(rng.integers(0, top, size=n))
+    for vecs in ([_cv(rng.integers(0, top, size=n)) for _ in range(k)], [u] * k):
+        expect = vecs[0].as_list()
+        for v in vecs[1:]:
+            expect = oracles.cyclic_convolve(expect, v.as_list(), n)
+        linear, cyclic = _ntt_plans(n, vecs)
+        assert len(linear.moduli) == moduli and cyclic.fft_length < cyclic.lin_length
+        for plan in (linear, cyclic):
+            ntt_cores(1)
+            assert k_fold_count(vecs, plan).as_list() == expect
+            for cores in range(2, moduli + 1):
+                ntt_cores(cores)
+                assert k_fold_count(vecs, plan).as_list() == expect
+
+
+def test_ntt_tables_are_built_on_the_calling_thread(monkeypatch, ntt_cores):
+    # a cached table built in a pool thread would pin that thread's malloc arena
+    misses = []
+    for name in ("_ntt_tables", "_bit_reverse_indices"):
+        build = getattr(convolve, name).__wrapped__
+
+        def recorded(*args, build=build):
+            misses.append(threading.current_thread())
+            return build(*args)
+
+        monkeypatch.setattr(convolve, name, lru_cache(maxsize=16)(recorded))
+    ntt_cores(4)
+    rng = np.random.default_rng(8)
+    vecs = [_cv(rng.integers(0, 1000, size=211)) for _ in range(4)]
+    plan = plan_convolution(211, [v.total for v in vecs])
+    assert len(plan.moduli) == 3
+    expect = vecs[0].as_list()
+    for v in vecs[1:]:
+        expect = oracles.cyclic_convolve(expect, v.as_list(), 211)
+    assert k_fold_count(vecs, plan).as_list() == expect
+    assert len(misses) == 1 + len(plan.moduli)
+    assert set(misses) == {threading.current_thread()}
+
+
+def test_concurrent_callers_build_one_pool(monkeypatch, ntt_cores):
+    # more callers than cores race to build the shared pool on first use
+    built = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(convolve, "ThreadPoolExecutor", Counted)
+    rng = np.random.default_rng(6)
+    vecs = [_cv(rng.integers(0, 10 ** 5, size=211)) for _ in range(3)]
+    plan = _ntt_plans(211, vecs)[1]
+    ntt_cores(1)
+    expect = k_fold_count(vecs, plan).as_list()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rounds in range(1, 6):
+            ntt_cores(3)
+            start, results = threading.Barrier(8), []
+
+            def caller():
+                start.wait()
+                results.append(k_fold_count(vecs, plan).as_list())
+
+            callers = [threading.Thread(target=caller) for _ in range(8)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in callers)
+            assert results == [expect] * 8
+            for extra in built[rounds:]:
+                extra.shutdown()
+            assert len(built) == rounds
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_float_route_transforms_a_repeated_factor_once(monkeypatch):
@@ -211,6 +322,7 @@ def test_planner_picks_the_ntt_schedule(caplog):
     messages = [r.message for r in caplog.records]
     assert "cyclic schedule, length 262144" in messages[0]
     assert f"{15 * len(six.moduli)} transforms" in messages[0]
+    assert f"on {min(len(six.moduli), convolve._cores())} thread(s)" in messages[0]
     assert "linear schedule, length 262144" in messages[1]
     assert f"cyclic schedule, length 262144, moduli {four.moduli[0]}" in messages[2]
     assert "linear schedule, length 524288" in messages[3]
@@ -233,6 +345,7 @@ def test_kfold_plans_for_its_distinct_factors(caplog):
         schedule = "cyclic schedule, length 2048" if factors is vecs else \
             "linear schedule, length 4096"
         assert schedule in caplog.records[0].message
+        assert "on 1 thread(s)" in caplog.records[0].message  # too short to hand over
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

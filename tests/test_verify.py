@@ -1,8 +1,10 @@
 import csv
 import io
+import threading
 
 import pytest
 
+from fplab import convolve
 from fplab.errors import DomainError
 from fplab.modfield import PrimeContext
 from fplab.sets import SplitMix64, initial_interval, mix_seed, random_subset
@@ -38,6 +40,7 @@ def test_parse_config_errors():
         ("measure tk\n", "key = value"),
         ("measure = nope\nprimes = 3\nh_exp = 0.5\n", "unknown measure"),
         ("measure = tk\nprimes = 9\nh_exp = 0.5\n", "not an odd prime"),
+        ("measure = tk\nprimes = 101 2147483659\nh_exp = 0.5\n", "supported range"),
         ("measure = tk\nprimes = 1O1\nh_exp = 0.5\n", "primes: '1O1' is not an integer"),
         (tk3 + "k = six\n", "k: 'six' is not an integer"),
         ("measure = tk\nprimes = 3\nh_exp = half\n", "h_exp: 'half' is not a finite number"),
@@ -119,6 +122,29 @@ def test_workers_preserve_order():
     seq = run_sweep(cfg)
     par = run_sweep(SweepConfig(**{**cfg.__dict__, "workers": 4}))
     assert [r.csv_cells() for r in seq] == [r.csv_cells() for r in par]
+
+
+def test_threaded_sweep_shares_the_ntt_pool(monkeypatch):
+    # tk at m_exp 0.8 runs the exact route with three moduli on every point,
+    # threaded here although its transforms are short
+    text = "measure = tk\nprimes = 1009 3001\nh_exp = 0.5\nm_exp = 0.8\n"
+    monkeypatch.setattr(convolve, "_THREAD_MIN_LENGTH", 1)
+    residue, counts = convolve._ntt_residue, []
+
+    def sampled(*args):
+        counts.append(threading.active_count())
+        return residue(*args)
+
+    monkeypatch.setattr(convolve, "_ntt_residue", sampled)
+    reports = []
+    for workers in (1, 2):
+        sink = io.StringIO()
+        run_sweep(parse_config(text + f"workers = {workers}\n"), sink=sink)
+        reports.append(sink.getvalue())
+    assert reports[0] == reports[1] and reports[0].count("\n") == 3
+    assert len(counts) == 4 * 3
+    # the main thread, the sweep's workers and one shared pool of cores - 1
+    assert max(counts) <= 1 + 2 + convolve._cores() - 1
 
 
 def test_all_measures_produce_rows():
