@@ -179,7 +179,7 @@ def _cmd_tk(args) -> Record:
         M=rep.set_sizes[0], epsilon=rep.epsilon,
         main_term=f"{rep.main_term.numerator}/{rep.main_term.denominator}",
         total=rep.total, max_abs_dev=rep.max_abs_dev, mean_abs_dev=rep.mean_abs_dev,
-        flags="".join("1" if f else "0" for f in rep.hyp_flags),
+        flags=rep.flag_bits,
         dev_at=";".join(f"{lam}={fmt_number(d)}" for lam, d in rep.dev_at.items()),
         t_values=(";".join(str(v) for v in rep.counts.as_list())
                   if args.p <= _TK_VALUE_CAP else ""))

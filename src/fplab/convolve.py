@@ -330,14 +330,15 @@ def _ntt_inverse(vec: np.ndarray, q: int, n: int) -> np.ndarray:
 
 
 def _crt_combine(residues: list[np.ndarray], moduli: tuple[int, ...],
-                 bound: int) -> np.ndarray | list[int]:
+                 bound: int) -> np.ndarray:
     """Exact entries (each < bound <= prod(moduli)) from their residues, by Garner.
 
     The mixed-radix digits d_i < q_i of x = d_0 + q_0*(d_1 + q_1*(d_2 + ...))
     are computed in uint64, where every product of two residues stays below
     2^63. Below 2^62 the Horner sum runs in wrapping uint64 arithmetic and
-    is exact, since it is exact mod 2^64; above, digits pair up into limbs
-    d_i + q_i*d_(i+1) < 2^62, joined as Python ints.
+    is exact, since it is exact mod 2^64, and the result is int64. Above,
+    digits pair up into limbs d_i + q_i*d_(i+1) < 2^62, joined by Horner in
+    place on an object array of Python ints, the result's dtype.
     """
     digits = []
     for x, q in zip(residues, moduli):
@@ -356,11 +357,13 @@ def _crt_combine(residues: list[np.ndarray], moduli: tuple[int, ...],
         if i + 1 < len(digits):
             limb = limb + digits[i + 1] * np.uint64(radix)
             radix *= moduli[i + 1]
-        limbs.append(limb.tolist())
+        limbs.append(limb)
         radices.append(radix)
-    out = limbs[-1]
+    # in place: `limb + radix * out` would hold a second full-length object array
+    out = limbs[-1].astype(object)
     for limb, radix in zip(limbs[-2::-1], radices[-2::-1]):
-        out = [lo + radix * hi for lo, hi in zip(limb, out)]
+        out *= radix
+        out += limb.astype(object)
     return out
 
 
@@ -459,8 +462,7 @@ def _ntt_residue(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan,
     return acc
 
 
-def _ntt_kfold(vectors: list[np.ndarray], n: int,
-               plan: ConvolutionPlan) -> np.ndarray | list[int]:
+def _ntt_kfold(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan) -> np.ndarray:
     """Every modulus's residue on _ntt_threads threads, then the CRT in modulus order.
 
     With t threads, share j takes the moduli j, j+t, j+2t, ...; the calling
@@ -510,11 +512,9 @@ def k_fold_count(vectors: Sequence[CountVector], plan: ConvolutionPlan | None = 
         _check_plan(plan, n, masses)
     expected = prod(masses)
 
-    arrays = []
-    for v in vectors:
-        if not isinstance(v.counts, np.ndarray):
-            raise ConsistencyError("input count vectors must be 64-bit backed")
-        arrays.append(v.counts)
+    if any(v.counts.dtype != np.int64 for v in vectors):
+        raise ConsistencyError("input count vectors must be 64-bit backed")
+    arrays = [v.counts for v in vectors]
     if plan.strategy == "direct":
         return CountVector(_pair_kfold(arrays, n), expected_total=expected)
     if plan.strategy == "float":

@@ -12,29 +12,28 @@ from .errors import ConsistencyError
 class CountVector:
     """counts[lam] = how many input tuples land on residue lam.
 
-    Backed by an int64 array when every entry fits, by a list of Python
-    ints otherwise (outputs of the exact convolution route can exceed
-    64 bits). `total` is always an exact Python int.
+    `counts` is always a numpy array: int64 while every entry fits, and
+    dtype object, holding Python ints, when entries can pass 2^63 (the
+    exact convolution route's output above a coefficient bound of 2^62).
+    `total` is always an exact Python int.
     """
 
     __slots__ = ("counts", "p", "total")
 
     def __init__(self, counts: np.ndarray | Sequence[int], *, expected_total: int | None = None):
-        if isinstance(counts, np.ndarray):
-            if counts.dtype != np.int64:
-                counts = counts.astype(np.int64)
-            if counts.size and int(counts.min()) < 0:
-                raise ConsistencyError("negative entry in count vector")
-            # int64 partial sums can overflow silently; widen when in doubt.
-            if counts.size and counts.size * int(counts.max()) >= 1 << 62:
-                total = int(sum(int(v) for v in counts))
-            else:
-                total = int(counts.sum())
-        else:
-            counts = list(counts)
-            if any(v < 0 for v in counts):
-                raise ConsistencyError("negative entry in count vector")
-            total = sum(counts)
+        if not isinstance(counts, np.ndarray):
+            try:
+                counts = np.array(counts, dtype=np.int64)
+            except OverflowError:  # an entry beyond int64
+                counts = np.array(counts, dtype=object)
+        elif counts.dtype != object:
+            counts = counts.astype(np.int64, copy=False)
+        if counts.size and counts.min() < 0:
+            raise ConsistencyError("negative entry in count vector")
+        # int64 partial sums can overflow silently; sum Python ints when in doubt.
+        exact = counts.dtype == object or (
+            counts.size and counts.size * int(counts.max()) >= 1 << 62)
+        total = int(counts.sum(dtype=object if exact else np.int64))
         self.counts = counts
         self.p = len(counts)
         self.total = total
@@ -49,16 +48,12 @@ class CountVector:
         return self.p
 
     def as_list(self) -> list[int]:
-        if isinstance(self.counts, np.ndarray):
-            return [int(v) for v in self.counts]
-        return list(self.counts)
+        return self.counts.tolist()
 
     def sum_of_squares(self) -> int:
         """Exact sum of squared entries (arbitrary precision)."""
-        if isinstance(self.counts, np.ndarray):
-            vals, reps = np.unique(self.counts, return_counts=True)
-            return sum(int(v) * int(v) * int(r) for v, r in zip(vals, reps))
-        return sum(v * v for v in self.counts)
+        vals, reps = np.unique(self.counts, return_counts=True)
+        return sum(int(v) * int(v) * int(r) for v, r in zip(vals, reps))
 
     def __repr__(self):
         return f"CountVector(p={self.p}, total={self.total})"

@@ -40,11 +40,9 @@ def dlog_convolution(factors: list[tuple[np.ndarray, int]], ctx: PrimeContext,
                                  plan)
 
 
-def residue_order(conv: CountVector, ctx: PrimeContext) -> np.ndarray | list[int]:
+def residue_order(conv: CountVector, ctx: PrimeContext) -> np.ndarray:
     """A dlog-indexed vector gathered back to residues: entry u is conv[dlog(u)], entry 0 is 0."""
-    if isinstance(conv.counts, list):  # beyond int64: the exact route's Python ints
-        return [0] + [conv.counts[d] for d in ctx.dlog[1:].tolist()]
-    out = np.zeros(ctx.p, dtype=np.int64)
+    out = np.zeros(ctx.p, dtype=conv.counts.dtype)
     out[1:] = conv.counts[ctx.dlog[1:]]
     return out
 

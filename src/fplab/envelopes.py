@@ -9,7 +9,7 @@ and the like) are done in integers to avoid float-boundary artifacts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log
+from math import log, prod
 
 
 def pair_energy_envelope(H: int, M: int, p: int) -> float:
@@ -60,10 +60,7 @@ def triple_main_term(j_len: int, k_len: int, M: int, p: int) -> Fraction:
 
 def tk_main_term(masses: list[int], p: int) -> Fraction:
     """Expected value of T_k(lam): (prod of factor masses) / p."""
-    total = 1
-    for m in masses:
-        total *= m
-    return Fraction(total, p)
+    return Fraction(prod(masses), p)
 
 
 def burgess_envelope(k_len: int, p: int) -> float:

@@ -9,7 +9,7 @@ after construction and safe to share across threads.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 2^64."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d = n - 1
@@ -168,51 +168,35 @@ def mod_pow(base: int, exp: int, ctx: PrimeContext) -> int:
 
 
 def batch_inverse(values: Sequence[int] | np.ndarray, ctx: PrimeContext) -> list[int]:
-    """Inverses of all values mod p with a single modular exponentiation.
-
-    Prefix-product trick: one pow() on the running product, then a
-    backward sweep of multiplications.
-    """
-    p = ctx.p
-    vals = [int(v) for v in values]
-    prefix = []
-    acc = 1
-    for i, v in enumerate(vals):
-        if v % p == 0:
-            raise DomainError(f"value at index {i} is zero mod {p}: no inverse")
-        acc = acc * v % p
-        prefix.append(acc)
-    if not vals:
-        return []
-    inv_acc = pow(prefix[-1], p - 2, p)
-    out = [0] * len(vals)
-    for i in range(len(vals) - 1, 0, -1):
-        out[i] = inv_acc * prefix[i - 1] % p
-        inv_acc = inv_acc * vals[i] % p
-    out[0] = inv_acc
-    return out
+    """Inverses of all values mod p, by one array exponentiation."""
+    return recip_power_values(values, 1, ctx).tolist()
 
 
-def recip_power_values(elements: Iterable[int], s: int, ctx: PrimeContext) -> np.ndarray:
+def recip_power_values(elements: Sequence[int] | np.ndarray, s: int,
+                       ctx: PrimeContext) -> np.ndarray:
     """x^(-s) mod p for each element, as an int64 array.
 
-    The shared kernel behind every m * x^(-s) map: one batched inversion,
-    then a small-exponent pow per element.
+    The shared kernel behind every m * x^(-s) map. Every element must be a
+    unit, whatever the sign of s. Since x^(p-1) = 1, x^(-s) = x^e with
+    e = -s mod (p-1); one square-and-multiply runs over the whole array,
+    and every product of two residues stays below p^2 < 2^62 in uint64.
     """
-    p = ctx.p
-    elems = [int(x) % p for x in elements]
     if s == 0:
         raise DomainError("exponent s must be nonzero")
-    # x^(-s) = (x^(-1))^s for s > 0, and (x)^(-s) = x^|s| for s < 0.
-    if s > 0:
-        base = batch_inverse(elems, ctx)
-        e = s
-    else:
-        if any(x == 0 for x in elems):
-            idx = elems.index(0)
-            raise DomainError(f"value at index {idx} is zero mod {p}: no inverse")
-        base = elems
-        e = -s
-    if e == 1:
-        return np.asarray(base, dtype=np.int64)
-    return np.asarray([pow(b, e, p) for b in base], dtype=np.int64)
+    p = ctx.p
+    x = (np.asarray(elements, dtype=np.int64) % p).astype(np.uint64)
+    zeros = np.flatnonzero(x == 0)
+    if zeros.size:
+        raise DomainError(f"value at index {zeros[0]} is zero mod {p}: no inverse")
+    pp = np.uint64(p)
+    out = np.ones_like(x)
+    e = -s % (p - 1)
+    while e:
+        if e & 1:
+            out *= x
+            out %= pp
+        e >>= 1
+        if e:
+            x *= x
+            x %= pp
+    return out.astype(np.int64)

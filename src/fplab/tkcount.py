@@ -45,25 +45,26 @@ class TkReport:
     def total(self) -> int:
         return self.counts.total
 
+    @property
+    def flag_bits(self) -> str:
+        """hyp_flags as a string of 0s and 1s, the report's `flags` cell."""
+        return "".join("1" if f else "0" for f in self.hyp_flags)
 
-def _dev_stats(counts: CountVector, mass: int, p: int,
+
+def _dev_stats(counts: CountVector, p: int,
                sample_lambdas) -> tuple[float, float, dict[int, float]]:
-    """max/mean of |T(lam)*p/mass - 1| from exact integer numerators."""
-    if isinstance(counts.counts, np.ndarray) and mass * p < 1 << 62:
-        nums = counts.counts * p - mass
-        abs_nums = np.abs(nums)
-        max_num = int(abs_nums.max())
-        sum_num = int(abs_nums.sum())
-    else:
-        vals = counts.counts if isinstance(counts.counts, list) else counts.as_list()
-        max_num = 0
-        sum_num = 0
-        for t in vals:
-            d = abs(t * p - mass)
-            sum_num += d
-            if d > max_num:
-                max_num = d
-        max_num = int(max_num)
+    """max/mean of |T(lam)*p/mass - 1|, mass = counts.total, from exact integer numerators.
+
+    The entries t >= tau = ceil(mass/p) are those with t*p >= mass, so with
+    S_a their sum and N_a their number, sum_t |t*p - mass| is
+    p*(2*S_a - mass) + mass*(n - 2*N_a): exact for int64 and object
+    backing, with no full-length temporary of Python ints.
+    """
+    c, mass = counts.counts, counts.total
+    max_num = max(int(c.max()) * p - mass, mass - int(c.min()) * p)
+    above = c >= -(-mass // p)
+    s_above = int(c[above].sum(dtype=object))
+    sum_num = p * (2 * s_above - mass) + mass * (counts.p - 2 * int(above.sum()))
     max_dev = float(Fraction(max_num, mass))
     mean_dev = float(Fraction(sum_num, mass * p))
     dev_at = {int(lam): float(Fraction(counts[lam] * p - mass, mass))
@@ -96,10 +97,7 @@ def tk_experiment(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: int,
             f"factor sets have unequal sizes {sizes}; pass allow_unequal to override")
     vectors = _factor_counts(factors, H, s, ctx, budget)
     counts = convolve.k_fold_count(vectors, budget=budget)
-    mass = 1
-    for v in vectors:
-        mass *= v.total
-    max_dev, mean_dev, dev_at = _dev_stats(counts, mass, ctx.p, sample_lambdas)
+    max_dev, mean_dev, dev_at = _dev_stats(counts, ctx.p, sample_lambdas)
     flags, margins = tk_hypotheses(H, min(sizes), ctx.p, epsilon)
     return TkReport(
         k=k, p=ctx.p, H=H, s=s, set_sizes=tuple(sizes),

@@ -300,7 +300,7 @@ def _measure(cfg: SweepConfig, base: ReportRow, ctx: PrimeContext,
                                 epsilon=cfg.epsilon, budget=cfg.budget)
     return replace(base, H=h, M=m, L=factors[0][1], value=rep.max_abs_dev,
                    envelope=1.0, ratio=rep.max_abs_dev,
-                   flags="".join("1" if f else "0" for f in rep.hyp_flags))
+                   flags=rep.flag_bits)
 
 
 def _grid_rows(cfg: SweepConfig):

@@ -6,6 +6,7 @@ kernels, so oracle/kernel agreement is a genuine differential test.
 """
 
 import cmath
+from fractions import Fraction
 from itertools import product
 
 
@@ -159,3 +160,10 @@ def discrete_log(u, g, p):
 def char_sum(u_elems, t, g, p):
     return sum(cmath.exp(2j * cmath.pi * (t * discrete_log(u, g, p) % (p - 1)) / (p - 1))
                for u in u_elems)
+
+
+def dev_stats(t_values, mass, p, sample_lambdas):
+    # max/mean of |t*p/mass - 1| and the sampled signed deviations, one t at a time
+    nums = [abs(t * p - mass) for t in t_values]
+    return (float(Fraction(max(nums), mass)), float(Fraction(sum(nums), mass * p)),
+            {lam: float(Fraction(t_values[lam] * p - mass, mass)) for lam in sample_lambdas})

@@ -366,10 +366,9 @@ def test_garner_matches_textbook_crt(m):
     got = _crt_combine(residues, moduli, big_q)
     if big_q < 1 << 62:
         assert got.dtype == np.int64
-        got = got.tolist()
     else:
-        assert all(type(v) is int for v in got)
-    assert got == expect
+        assert got.dtype == object and all(type(v) is int for v in got)
+    assert got.tolist() == expect
     # entries known to lie below 2^62 come back as int64 whatever the moduli
     small = [v % (1 << 62) for v in expect]
     got = _crt_combine([np.asarray([v % q for v in small], dtype=np.uint64) for q in moduli],
@@ -427,7 +426,11 @@ def test_exact_route_with_huge_counts():
     assert w.total == u.total ** 3
     # every entry equals (2^20)^3 * 67^2 by symmetry
     expect = (1 << 60) * 67 * 67
+    assert w.counts.dtype == object
     assert all(v == expect for v in w.as_list())
+    # an object-backed vector is an output only, never a factor
+    with pytest.raises(ConsistencyError, match="64-bit"):
+        k_fold_count([w, u])
 
 
 def test_transform_examples():

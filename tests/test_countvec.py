@@ -22,6 +22,8 @@ def test_rejects_negative():
         CountVector(np.array([1, -1], dtype=np.int64))
     with pytest.raises(ConsistencyError):
         CountVector([1, -1])
+    with pytest.raises(ConsistencyError):
+        CountVector([1 << 70, -1])
 
 
 def test_sum_of_squares_exact_beyond_int64():
@@ -34,8 +36,16 @@ def test_sum_of_squares_exact_beyond_int64():
 
 def test_python_int_backing():
     cv = CountVector([1 << 70, 2])
+    assert cv.counts.dtype == object
     assert cv.total == (1 << 70) + 2
     assert cv[0] == 1 << 70
+    small = CountVector([3, 2])
+    assert small.counts.dtype == np.int64
+    for v in (cv, small):
+        assert all(type(t) is int for t in v.as_list())
+    # numpy alone would read [2^63, 1] as float64; the entries must stay exact ints
+    edge = CountVector([1 << 63, 1])
+    assert edge.counts.dtype == object and edge.total == (1 << 63) + 1
 
 
 def test_from_bincount():

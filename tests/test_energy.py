@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fplab.countvec import CountVector
 from fplab.energy import (additive_energy_recip, count_vector_product,
-                          energy_J, energy_Js, recip_power_counts, triple_R)
+                          energy_J, energy_Js, recip_power_counts, residue_order,
+                          triple_R)
 from fplab.errors import BudgetError, DomainError, ZeroInIntervalError
 from fplab.modfield import PrimeContext
 from fplab.prodset import ratio_set
@@ -22,6 +25,19 @@ def test_count_vector_example(ctx):
 
     single = count_vector_product(initial_interval(1, c), residue_set([1], c), 1, c)
     assert single.as_list() == [0, 1, 0, 0, 0, 0, 0]
+
+
+def test_residue_order_gathers_object_backing(ctx):
+    # entry u of the result is the dlog-indexed entry d with g^d = u
+    c = ctx(11)
+    conv = CountVector([(1 << 70) + d for d in range(10)])
+    assert conv.counts.dtype == object
+    got = residue_order(conv, c)
+    assert got.dtype == object
+    expect = [0] * 11
+    for d in range(10):
+        expect[pow(c.g, d, 11)] = (1 << 70) + d
+    assert got.tolist() == expect
 
 
 def test_count_vector_rejects_zero_in_interval(ctx):

@@ -97,11 +97,20 @@ def test_dlog_homomorphism(u, v):
 def test_recip_power_values_matches_oracle(ctx):
     c = ctx(31)
     elems = list(range(1, 20))
-    for s in (-3, -1, 1, 2, 5):
+    for s in (-3, -1, 1, 2, 5, 30, -30, 47, -47, 95):
         got = recip_power_values(elems, s, c).tolist()
         assert got == oracles.recip_values(elems, s, 31)
+    assert recip_power_values(elems, 30, c).tolist() == [1] * 19
     with pytest.raises(DomainError):
         recip_power_values(elems, 0, c)
+    for s in (2, -2):
+        with pytest.raises(DomainError, match="index 3"):
+            recip_power_values([1, 2, 3, 31, 5], s, c)
+    p = 1000003
+    big = PrimeContext.of(p)
+    sample = np.random.default_rng(11).integers(1, p, size=2000).tolist()
+    for s in (1, 3, -2, p + 4, -(p - 1)):
+        assert recip_power_values(sample, s, big).tolist() == [pow(x, -s, p) for x in sample]
 
 
 def test_context_validation():

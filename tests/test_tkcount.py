@@ -1,11 +1,14 @@
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fplab.countvec import CountVector
 from fplab.errors import DomainError
 from fplab.modfield import PrimeContext
 from fplab.sets import random_subset, residue_set
-from fplab.tkcount import tk_experiment, tk_spectral_check
+from fplab.tkcount import _dev_stats, tk_experiment, tk_spectral_check
 
 import oracles
 
@@ -125,3 +128,37 @@ def test_hypothesis_flags(ctx):
     rep = tk_experiment(6, factors, 159, 1, c, epsilon=0.02)
     assert rep.hyp_flags == (True, True, True)
     assert all(m > 0 for m in rep.hyp_margins)
+
+
+@pytest.mark.parametrize("m, dtype", [(10, np.int64), (1 << 61, np.int64), (1 << 80, object)])
+def test_dev_stats_matches_python_int_oracle(m, dtype):
+    # entries on both sides of tau = m and three with t*p == mass exactly;
+    # m = 2^61 puts mass*p above 2^62 and the int64 total above 2^63
+    p = 7
+    t_values = [m, m - 1, m + 1, m, m - 5, m + 5, m]
+    cv = CountVector(t_values)
+    assert cv.counts.dtype == dtype and cv.total == 7 * m
+    assert _dev_stats(cv, p, [0, 1, 5]) == \
+        oracles.dev_stats(t_values, cv.total, p, [0, 1, 5])
+    # a mass that p does not divide: tau = ceil(mass/p) falls between entries
+    p = 101
+    t_values = [m + v for v in np.random.default_rng(4).integers(0, 50, size=p).tolist()]
+    cv = CountVector(t_values)
+    assert cv.counts.dtype == dtype and cv.total % p
+    assert _dev_stats(cv, p, [3, 100]) == \
+        oracles.dev_stats(t_values, cv.total, p, [3, 100])
+
+
+def test_dev_stats_builds_no_full_length_object_temporary():
+    # |t*p - mass| over a whole object vector would allocate about 13 MB here
+    n = 100003
+    rng = np.random.default_rng(3)
+    cv = CountVector(np.array([v << 40 for v in rng.integers(1, 1 << 40, size=n).tolist()],
+                              dtype=object))
+    tracemalloc.start()
+    try:
+        _dev_stats(cv, n, [0, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
