@@ -24,9 +24,21 @@ each exact for the coefficient bound it is planned with:
           each step works at C = next_pow2(2n-1)). With d distinct factor
           arrays among the k, linear takes d+1 transforms at N and cyclic
           d+2k-3 at C; the planner picks the cheaper and marks cyclic by
-          fft_length = C < lin_length. T_6 over six factors at n=10^5 runs
-          cyclic (C = 2^18, N = 2^20), the energy [u]*4 at the same n
-          linear (N = 2^19).
+          fft_length = C < lin_length.
+          Float pairs: when two factors' mass product is below 2^40, the
+          float route computes their product exactly at C (with its
+          run-time residual check), and the NTT stage then multiplies the
+          ~k/2 pair products and the unpaired factors. Copies of one array
+          pair with each other first, and a repeated pair is computed once.
+          The pairs leave the bound, and so the moduli, unchanged. A
+          paired plan is charged its float transforms plus the NTT
+          transforms of its stage, and the planner takes it only when that
+          is below the unpaired plan's work; plan.pairs records the layout.
+          T_6 over six factors of mass ~2^18.3 at n=10^5 thus runs three
+          float pairs (9 float transforms at 2^18) and 6 cyclic NTTs at
+          2^18 per modulus, not 15; the energy [u]*4 at the same n runs
+          w = u*u once, then [w, w] linear at 2^18 (2 NTTs per modulus, not
+          2 at 2^19). No option selects the pairing.
 
 The moduli of an NTT plan are independent until the CRT, and numpy
 releases the interpreter lock inside the uint64 butterflies, so from
@@ -63,7 +75,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,10 +108,12 @@ class ConvolutionPlan:
     n: int                         # length of the index group Z_n
     strategy: str                  # "direct" | "float" | "ntt"
     bound: int                     # proven upper bound on any output coefficient
-    lin_length: int                # linear-convolution length k*(n-1)+1
+    lin_length: int                # linear-convolution length (factors - pairs)*(n-1)+1
     fft_length: int                # power-of-two length used by float/ntt;
                                    # an ntt plan below lin_length is cyclic
     moduli: tuple[int, ...] = ()   # ntt primes (empty otherwise)
+    pairs: tuple[tuple[int, int], ...] = ()  # factor index pairs an ntt plan
+                                   # convolves first on the float route
 
 
 @lru_cache(maxsize=None)
@@ -111,18 +125,22 @@ def _ntt_prime_info(q: int) -> tuple[int, int]:
 
 
 def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
-                     distinct: int | None = None) -> ConvolutionPlan:
+                     layout: Sequence[Hashable] | None = None) -> ConvolutionPlan:
     """Select the cheapest exact strategy for a k-fold length-n convolution.
 
     This is the one place that prices work. The coefficient bound is the
     product of all masses (safe: every output entry is at most the total
-    number of tuples); it decides which routes are exact. A transform
-    route costs the transforms it runs times L*log2(L) at its length L,
-    times the number of NTT moduli: d+1 transforms for the float route and
-    the linear NTT schedule, d+2k-3 for the cyclic one, where d is the
-    number of `distinct` factor arrays (default: all k; see _ntt_schedule).
-    The support-pair route costs pair_work, the pairs it visits at most,
-    each support being capped by its mass and by n; it is chosen when
+    number of tuples); it decides which routes are exact. `layout` names
+    each factor's array, equal names marking one array (default: k
+    distinct arrays), and a transform route transforms each of its d
+    distinct arrays once. A transform route costs the transforms it runs
+    times L*log2(L) at its length L, times the number of NTT moduli: d+1
+    transforms for the float route and the linear NTT schedule, d+2k-3 for
+    the cyclic one (see _ntt_schedule). An NTT plan may first convolve
+    pairs of factors on the float route (see _ntt_plan); it is chosen only
+    when its float and NTT transforms together cost less than the unpaired
+    plan. The support-pair route costs pair_work, the pairs it visits at
+    most, each support being capped by its mass and by n; it is chosen when
     PAIR_COST * pair_work is no larger than the transform work. A route
     whose own work exceeds the budget is passed over; the call is refused
     only when none fits, with `required` the smaller need. An NTT plan's
@@ -131,19 +149,19 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     k = len(masses)
     if k < 1:
         raise BudgetError("no factors to convolve", required=0)
-    d = k if distinct is None else distinct
+    keys = list(range(k)) if layout is None else list(layout)
     bound = prod(int(m) for m in masses)
     lin_length = k * (n - 1) + 1
     size = _next_pow2(lin_length)
     if bound < FLOAT_EXACT_BOUND:
         transform = ConvolutionPlan(n, "float", bound, lin_length, size)
-        transforms, what = d + 1, "float transform convolution"
+        transform_work = (len(set(keys)) + 1) * _transform_units(size)
+        what = "float transform convolution"
     else:
-        moduli = _select_ntt_moduli(bound, size)
-        length, per_modulus = _ntt_schedule(k, d, n, size)
-        transform = ConvolutionPlan(n, "ntt", bound, lin_length, length, moduli)
-        transforms, what = per_modulus * len(moduli), "multi-modulus exact convolution"
-    transform_work = transforms * _transform_units(transform.fft_length)
+        transform_work, transform, transforms, products, pair_transforms = min(
+            (_ntt_plan(n, keys, bound, pairs) for pairs in ((), _float_pairs(masses, keys))),
+            key=lambda candidate: candidate[0])
+        what = "multi-modulus exact convolution"
     limit = DEFAULT_BUDGET if budget is None else budget
     if bound < 1 << 63:  # int64 accumulation is exact
         pair_work = _pair_work(n, masses)
@@ -154,10 +172,13 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
             check_budget(pair_work, budget, "support-pair convolution")
     check_budget(transform_work, budget, what)
     if transform.strategy == "ntt":
+        length = transform.fft_length
         log.info("convolution bound %d >= 2^40: escalating to exact ntt route "
-                 "(%s schedule, length %d, moduli %s, %d transforms on %d thread(s))",
-                 bound, "cyclic" if length < lin_length else "linear", length,
-                 ",".join(map(str, moduli)), transforms, _ntt_threads(transform))
+                 "(%s schedule, length %d, moduli %s, %d transforms on %d thread(s))%s",
+                 bound, "cyclic" if length < transform.lin_length else "linear", length,
+                 ",".join(map(str, transform.moduli)), transforms, _ntt_threads(transform),
+                 f" after {products} float pair product(s) ({pair_transforms} transforms) "
+                 f"at length {_next_pow2(2 * n - 1)}" if products else "")
     return transform
 
 
@@ -180,6 +201,67 @@ def _ntt_schedule(k: int, distinct: int, n: int, size: int) -> tuple[int, int]:
     if cyc < size and cyclic * _transform_units(cyc) < linear * _transform_units(size):
         return cyc, cyclic
     return size, linear
+
+
+def _float_pairs(masses: Sequence[int], keys: list) -> tuple[tuple[int, int], ...]:
+    """Disjoint factor index pairs whose mass product is below FLOAT_EXACT_BOUND.
+
+    Copies of one array pair with each other first, so [u]*4 pairs as
+    (u, u), (u, u) and needs one product. The factors left over pair the
+    lightest with the heaviest that fits it, which forms as many pairs as
+    any rule can.
+    """
+    masses = [int(m) for m in masses]
+    copies: dict = {}
+    for i, key in enumerate(keys):
+        copies.setdefault(key, []).append(i)
+    pairs, left = [], []
+    for idx in copies.values():
+        if masses[idx[0]] ** 2 < FLOAT_EXACT_BOUND:
+            pairs += zip(idx[0::2], idx[1::2])
+            idx = idx[len(idx) & ~1:]
+        left += idx
+    left.sort(key=masses.__getitem__)
+    lo, hi = 0, len(left) - 1
+    while lo < hi:
+        if masses[left[lo]] * masses[left[hi]] < FLOAT_EXACT_BOUND:
+            pairs.append((left[lo], left[hi]))
+            lo += 1
+        hi -= 1
+    return tuple(pairs)
+
+
+def _pair_stage(factors: list, pairs: Sequence[tuple[int, int]],
+                product: Callable) -> list:
+    """The NTT stage's factors: product(a, b) for each pair, then the unpaired factors."""
+    paired = {i for pair in pairs for i in pair}
+    return ([product(factors[i], factors[j]) for i, j in pairs]
+            + [f for i, f in enumerate(factors) if i not in paired])
+
+
+def _ntt_plan(n: int, keys: list, bound: int,
+              pairs: tuple[tuple[int, int], ...]) -> tuple[int, ConvolutionPlan, int, int, int]:
+    """(work, plan, NTT transforms, pair products, float transforms) of an NTT plan.
+
+    The plan first convolves each pair of factors on the float route at
+    C = next_pow2(2n-1), computing a pair of the same two arrays once: two
+    forward transforms and one inverse, or one forward when both factors
+    are one array. Its NTT stage then multiplies the pair products and the
+    unpaired factors. The pairs leave the bound, and so the moduli, as
+    they are; its work is the float transforms plus the NTT transforms.
+    """
+    stage = _pair_stage(keys, pairs, lambda a, b: ("pair", frozenset((a, b))))
+    products = set(stage[:len(pairs)])
+    pair_transforms = sum(len(pair) + 1 for _, pair in products)
+    lin_length = len(stage) * (n - 1) + 1
+    size = _next_pow2(lin_length)
+    moduli = _select_ntt_moduli(bound, size)
+    length, per_modulus = _ntt_schedule(len(stage), len(set(stage)), n, size)
+    transforms = per_modulus * len(moduli)
+    work = (transforms * _transform_units(length)
+            + pair_transforms * _transform_units(_next_pow2(2 * n - 1)))
+    plan = ConvolutionPlan(n, "ntt", bound, lin_length, length, moduli, pairs)
+    return work, plan, transforms, len(products), pair_transforms
 
 
 def _pair_work(n: int, masses: Sequence[int]) -> int:
@@ -216,9 +298,21 @@ def _check_plan(plan: ConvolutionPlan, n: int, masses: Sequence[int]) -> None:
         raise BudgetError(
             f"coefficient bound {bound} exceeds plan bound {plan.bound}; "
             f"required strategy: {required}", required=bound)
-    if plan.strategy != "direct" and len(masses) * (n - 1) + 1 > max(plan.lin_length, 1):
+    flat = [i for pair in plan.pairs for i in pair]
+    if flat and (plan.strategy != "ntt" or len(set(flat)) < len(flat)
+                 or not all(0 <= i < len(masses) for i in flat)
+                 or len(masses) - len(plan.pairs) < 2):
+        raise BudgetError(f"plan pairs {plan.pairs} are not disjoint pairs of "
+                          f"{len(masses)} factors before an ntt stage", required=0)
+    for i, j in plan.pairs:
+        pair_bound = int(masses[i]) * int(masses[j])
+        if pair_bound >= FLOAT_EXACT_BOUND:
+            raise BudgetError(f"pair {(i, j)} has coefficient bound {pair_bound} >= 2^40, "
+                              f"beyond the float route", required=pair_bound)
+    factors = len(masses) - len(plan.pairs)
+    if plan.strategy != "direct" and factors * (n - 1) + 1 > max(plan.lin_length, 1):
         raise BudgetError("plan sized for fewer factors than supplied",
-                          required=len(masses) * (n - 1) + 1)
+                          required=factors * (n - 1) + 1)
     # a wrapped product keeps its mass, so a short transform would go unnoticed
     shortest = 2 * n - 1 if plan.strategy == "ntt" else plan.lin_length
     if plan.strategy != "direct" and plan.fft_length < shortest:
@@ -435,6 +529,25 @@ def _float_kfold(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan) -> np
     return rounded.astype(np.int64)
 
 
+def _float_pair_products(arrays: list[np.ndarray], n: int,
+                         pairs: tuple[tuple[int, int], ...]) -> list[np.ndarray]:
+    """The NTT stage's factors: each pair's product on the float route, then the rest.
+
+    A pair of the same two arrays as an earlier pair shares its product, so
+    the NTT stage transforms that product once too.
+    """
+    plan = ConvolutionPlan(n, "float", FLOAT_EXACT_BOUND, 2 * n - 1, _next_pow2(2 * n - 1))
+    done = {}
+
+    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        key = frozenset((id(a), id(b)))
+        if key not in done:
+            done[key] = _float_kfold([a, b], n, plan)
+        return done[key]
+
+    return _pair_stage(arrays, pairs, product)
+
+
 def _ntt_residue(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan,
                  q: int) -> np.ndarray:
     """The k-fold convolution mod q, folded onto Z_n: multiply spectra, invert, fold.
@@ -506,8 +619,7 @@ def k_fold_count(vectors: Sequence[CountVector], plan: ConvolutionPlan | None = 
         raise ConsistencyError("count vectors have mismatched lengths")
     masses = [v.total for v in vectors]
     if plan is None:
-        plan = plan_convolution(n, masses, budget,
-                                distinct=len({id(v.counts) for v in vectors}))
+        plan = plan_convolution(n, masses, budget, layout=[id(v.counts) for v in vectors])
     else:
         _check_plan(plan, n, masses)
     expected = prod(masses)
@@ -515,10 +627,13 @@ def k_fold_count(vectors: Sequence[CountVector], plan: ConvolutionPlan | None = 
     if any(v.counts.dtype != np.int64 for v in vectors):
         raise ConsistencyError("input count vectors must be 64-bit backed")
     arrays = [v.counts for v in vectors]
+    del vectors  # a factor the caller holds no more is freed once it is paired
     if plan.strategy == "direct":
         return CountVector(_pair_kfold(arrays, n), expected_total=expected)
     if plan.strategy == "float":
         return CountVector(_float_kfold(arrays, n, plan), expected_total=expected)
+    if plan.pairs:
+        arrays = _float_pair_products(arrays, n, plan.pairs)
     return CountVector(_ntt_kfold(arrays, n, plan), expected_total=expected)
 
 

@@ -26,6 +26,8 @@ class CountVector:
                 counts = np.array(counts, dtype=np.int64)
             except OverflowError:  # an entry beyond int64
                 counts = np.array(counts, dtype=object)
+        elif counts.dtype == np.uint64 and counts.size and counts.max() >= 1 << 63:
+            counts = counts.astype(object)  # beyond int64: exact, as from a list
         elif counts.dtype != object:
             counts = counts.astype(np.int64, copy=False)
         if counts.size and counts.min() < 0:

@@ -34,8 +34,7 @@ def dlog_convolution(factors: list[tuple[np.ndarray, int]], ctx: PrimeContext,
     Planned from the factor sizes before the dlog table or any count vector
     is built, so a refused call allocates nothing of length p.
     """
-    plan = convolve.plan_convolution(ctx.p - 1, [len(units) for units, _ in factors],
-                                     budget, distinct=len(factors))
+    plan = convolve.plan_convolution(ctx.p - 1, [len(units) for units, _ in factors], budget)
     return convolve.k_fold_count([dlog_counts(units, scale, ctx) for units, scale in factors],
                                  plan)
 

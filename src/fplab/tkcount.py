@@ -95,14 +95,16 @@ def tk_experiment(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: int,
     if not allow_unequal and len(set(sizes)) > 1:
         raise DomainError(
             f"factor sets have unequal sizes {sizes}; pass allow_unequal to override")
-    vectors = _factor_counts(factors, H, s, ctx, budget)
-    counts = convolve.k_fold_count(vectors, budget=budget)
+    # each factor's mass is H * M; no list of factors outlives the convolution,
+    # which frees each one once it has gone into a pair product
+    main_term = tk_main_term([H * m for m in sizes], ctx.p)
+    counts = convolve.k_fold_count(_factor_counts(factors, H, s, ctx, budget), budget=budget)
     max_dev, mean_dev, dev_at = _dev_stats(counts, ctx.p, sample_lambdas)
     flags, margins = tk_hypotheses(H, min(sizes), ctx.p, epsilon)
     return TkReport(
         k=k, p=ctx.p, H=H, s=s, set_sizes=tuple(sizes),
         shifts=tuple(shift for _, shift in factors), epsilon=epsilon,
-        main_term=tk_main_term([v.total for v in vectors], ctx.p),
+        main_term=main_term,
         counts=counts, max_abs_dev=max_dev, mean_abs_dev=mean_dev,
         dev_at=dev_at, hyp_flags=flags, hyp_margins=margins)
 

@@ -3,6 +3,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 import pytest
@@ -125,15 +126,19 @@ def test_plan_refusals():
 
 
 def test_plans_are_charged_the_transforms_they_run():
-    # T_6 at n = 100003, two moduli: 15 cyclic transforms at 2^18 per modulus
-    charge = 15 * (1 << 18) * 18 * 2
-    assert charge == 141_557_760
+    # T_6 at n = 100003, two moduli: three float pair products at 2^18
+    # (3 transforms each), then 6 cyclic transforms at 2^18 per modulus
+    units = (1 << 18) * 18
+    charge = (3 * 3 + 6 * 2) * units
+    assert charge == 99_090_432
+    # unpaired, the same plan would run 15 cyclic transforms per modulus
+    assert convolve._ntt_plan(100003, list(range(6)), 1000 ** 6, ())[0] == 15 * 2 * units
     plan = plan_convolution(100003, [1000] * 6, budget=200_000_000)
-    assert plan.strategy == "ntt" and len(plan.moduli) == 2
+    assert plan.strategy == "ntt" and len(plan.moduli) == 2 and len(plan.pairs) == 3
     assert plan.fft_length == 1 << 18 < plan.lin_length
-    assert plan_convolution(100003, [1000] * 6, budget=charge).fft_length == 1 << 18
+    assert plan_convolution(100003, [1000] * 6, budget=charge) == plan
     with pytest.raises(BudgetError) as exc:
-        plan_convolution(100003, [1000] * 6, budget=100_000_000)
+        plan_convolution(100003, [1000] * 6, budget=charge - 1)
     assert exc.value.required == charge
     # float route: d+1 transforms at N = 2048, so one distinct factor is cheaper
     float_charge = 3 * 2048 * 11
@@ -142,7 +147,7 @@ def test_plans_are_charged_the_transforms_they_run():
         plan_convolution(1009, [600, 600], budget=float_charge - 1)
     assert exc.value.required == float_charge
     assert plan_convolution(1009, [600, 600], budget=2 * 2048 * 11,
-                            distinct=1).strategy == "float"
+                            layout=[0, 0]).strategy == "float"
 
 
 @pytest.fixture
@@ -310,28 +315,47 @@ def test_planner_picks_the_ntt_schedule(caplog):
     with caplog.at_level(logging.INFO, logger="fplab.convolve"):
         six = plan_convolution(n, [1000] * 6)
         two = plan_convolution(n, [1 << 21] * 2)
-        four = plan_convolution(n, [1 << 12] * 4)
-        power = plan_convolution(n, [1 << 12] * 4, distinct=1)
-    assert six.strategy == two.strategy == four.strategy == power.strategy == "ntt"
-    assert (six.fft_length, six.lin_length) == (1 << 18, 600013)
+        four = plan_convolution(n, [1 << 20] * 4)
+        power = plan_convolution(n, [1 << 20] * 4, layout=[0] * 4)
+        paired_power = plan_convolution(n, [1 << 12] * 4, layout=[0] * 4)
+    plans = (six, two, four, power, paired_power)
+    assert {plan.strategy for plan in plans} == {"ntt"}
+    # six factors pair into three float products, which run cyclic
+    assert (six.fft_length, six.lin_length) == (1 << 18, 300007)
+    assert six.pairs == ((0, 5), (1, 4), (2, 3))
     assert two.fft_length == 1 << 18 >= two.lin_length
-    # four distinct factors: 9 transforms at 2^18 beat 5 at 2^19;
-    # one factor four times: 2 transforms at 2^19 beat 6 at 2^18
+    # 2^20 * 2^20 is not below 2^40, so these do not pair. Four distinct
+    # factors: 9 transforms at 2^18 beat 5 at 2^19; one factor four times:
+    # 2 transforms at 2^19 beat 6 at 2^18
+    assert two.pairs == four.pairs == power.pairs == ()
     assert four.fft_length == 1 << 18 < four.lin_length
     assert power.fft_length == 1 << 19 >= power.lin_length
+    # [u]*4 with a light u: w = u*u once on the float route, then [w, w]
+    # linear at 2^18, 2 transforms per modulus
+    assert paired_power.pairs == ((0, 1), (2, 3))
+    assert paired_power.fft_length == 1 << 18 >= paired_power.lin_length
     messages = [r.message for r in caplog.records]
     assert "cyclic schedule, length 262144" in messages[0]
-    assert f"{15 * len(six.moduli)} transforms" in messages[0]
+    assert f"{6 * len(six.moduli)} transforms" in messages[0]
     assert f"on {min(len(six.moduli), convolve._cores())} thread(s)" in messages[0]
+    assert messages[0].endswith(
+        "after 3 float pair product(s) (9 transforms) at length 262144")
     assert "linear schedule, length 262144" in messages[1]
     assert f"cyclic schedule, length 262144, moduli {four.moduli[0]}" in messages[2]
+    assert f"{9 * len(four.moduli)} transforms" in messages[2]
     assert "linear schedule, length 524288" in messages[3]
     assert f"{2 * len(power.moduli)} transforms" in messages[3]
+    assert not any("float pair" in m for m in messages[1:4])
+    assert "linear schedule, length 262144" in messages[4]
+    assert f"{2 * len(paired_power.moduli)} transforms" in messages[4]
+    assert messages[4].endswith(
+        "after 1 float pair product(s) (2 transforms) at length 262144")
 
 
 def test_kfold_plans_for_its_distinct_factors(caplog):
-    # n = 1009, k = 4: four distinct factors run cyclic at 2048, one factor
-    # four times linear at 4096
+    # n = 1009, k = 4, masses near 2^14.6: four distinct factors make two
+    # float pair products, one factor four times one, and either way the
+    # NTT stage multiplies two arrays, linear at 2048
     n = 1009
     rng = np.random.default_rng(4)
     vecs = [_cv(rng.integers(0, 50, size=n)) for _ in range(4)]
@@ -342,10 +366,144 @@ def test_kfold_plans_for_its_distinct_factors(caplog):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="fplab.convolve"):
             assert k_fold_count(factors).as_list() == expect
-        schedule = "cyclic schedule, length 2048" if factors is vecs else \
-            "linear schedule, length 4096"
-        assert schedule in caplog.records[0].message
+        products = 2 if factors is vecs else 1
+        assert "linear schedule, length 2048" in caplog.records[0].message
+        assert f"after {products} float pair product(s)" in caplog.records[0].message
         assert "on 1 thread(s)" in caplog.records[0].message  # too short to hand over
+
+
+def _paired_case(case):
+    """Factors for a float-paired NTT plan at n = 211, and the pairs it expects."""
+    n = 211
+    rng = np.random.default_rng(len(case))
+
+    def vec(top):
+        return _cv(rng.integers(0, top, size=n))
+
+    if case.startswith("distinct"):  # bounds near 2^43, 2^58 and 2^60
+        k = int(case[-1])
+        return [vec({3: 200, 5: 30, 6: 10}[k]) for _ in range(k)], k // 2
+    if case == "power":
+        return [vec(100)] * 4, 2
+    if case == "mixed":
+        u, v, w, x = (vec(1000) for _ in range(4))
+        return [u, u, v, w, w, x], 3
+    if case == "some":
+        # masses near 2^20.7 and 2^11.7: two heavy factors do not pair, so
+        # each light one pairs with a heavy one and one heavy one is left
+        heavy, light = 1 << 14, 32
+        return [vec(heavy), vec(light), vec(heavy), vec(heavy), vec(light)], 2
+    assert case == "object"  # bound near 2^99, above 2^62
+    return [vec(1 << 11) for _ in range(6)], 3
+
+
+@pytest.mark.parametrize("case", ["distinct3", "distinct5", "distinct6", "power",
+                                  "mixed", "some", "object"])
+def test_float_paired_plans_match_the_oracle(case, monkeypatch):
+    vecs, pairs = _paired_case(case)
+    n = vecs[0].p
+    masses = [v.total for v in vecs]
+    plan = plan_convolution(n, masses, layout=[id(v.counts) for v in vecs])
+    assert plan.strategy == "ntt" and len(plan.pairs) == pairs
+    assert all(masses[i] * masses[j] < convolve.FLOAT_EXACT_BOUND for i, j in plan.pairs)
+    unpaired = sorted(set(range(len(vecs))) - {i for pair in plan.pairs for i in pair})
+    if case == "some":
+        assert masses[unpaired[0]] ** 2 >= convolve.FLOAT_EXACT_BOUND
+    expect = vecs[0].as_list()
+    for v in vecs[1:]:
+        expect = oracles.cyclic_convolve(expect, v.as_list(), n)
+    products = []
+    pair_kfold = convolve._float_kfold
+    monkeypatch.setattr(convolve, "_float_kfold",
+                        lambda *a: products.append(1) or pair_kfold(*a))
+    got = k_fold_count(vecs)
+    assert got.as_list() == expect
+    assert got.counts.dtype == (object if plan.bound >= 1 << 62 else np.int64)
+    assert (got.counts.dtype == object) == (case in ("mixed", "some", "object"))
+    # a pair of the same two arrays is computed once
+    assert len(products) == {"power": 1, "mixed": 3}.get(case, pairs)
+
+
+def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch):
+    # T_6 over six distinct factors at n = 211: 3 float pairs (6 forward
+    # transforms, 3 inverse) at 512, then 6 cyclic NTTs at 512 per modulus
+    vecs, _ = _paired_case("distinct6")
+    masses = [v.total for v in vecs]
+    plan = plan_convolution(211, masses)
+    assert plan.fft_length == 512 < plan.lin_length == 631
+    charge = (9 + 6 * len(plan.moduli)) * 512 * 9
+    assert plan_convolution(211, masses, budget=charge) == plan
+    calls = []
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, f=getattr(np.fft, name):
+                            calls.append("float") or f(*a))
+    forward = convolve._ntt_forward
+    monkeypatch.setattr(convolve, "_ntt_forward", lambda *a: calls.append("ntt") or forward(*a))
+    expect = k_fold_count(vecs, plan).as_list()
+    assert calls.count("float") == 9 and calls.count("ntt") == 6 * len(plan.moduli)
+    # the planner refuses one unit less before any transform runs
+    calls.clear()
+    with pytest.raises(BudgetError) as exc:
+        k_fold_count(vecs, budget=charge - 1)
+    assert exc.value.required == charge and calls == []
+    assert k_fold_count(vecs, budget=charge).as_list() == expect
+
+
+def test_budget_below_a_paired_plan_is_refused_before_any_transform(monkeypatch):
+    # [u]*4 at n = 1009: w = u*u on the float route (one rfft, one irfft at
+    # 2048), then [w, w] linear at 2048, 2 NTTs per modulus
+    rng = np.random.default_rng(12)
+    u = _cv(rng.integers(0, 50, size=1009))
+    plan = plan_convolution(1009, [u.total] * 4, layout=[0] * 4)
+    assert plan.pairs == ((0, 1), (2, 3)) and plan.fft_length == 2048
+    charge = (2 + 2 * len(plan.moduli)) * 2048 * 11
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transform ran before the budget check")
+
+    with monkeypatch.context() as m:
+        for name in ("rfft", "irfft"):
+            m.setattr(np.fft, name, refuse)
+        m.setattr(convolve, "_ntt_forward", refuse)
+        with pytest.raises(BudgetError) as exc:
+            k_fold_count([u] * 4, budget=charge - 1)
+    assert exc.value.required == charge
+    expect = u.as_list()
+    for _ in range(3):
+        expect = oracles.cyclic_convolve(expect, u.as_list(), 1009)
+    assert k_fold_count([u] * 4, budget=charge).as_list() == expect
+
+
+def test_explicit_paired_plans_are_checked():
+    rng = np.random.default_rng(13)
+    vecs = [_cv(rng.integers(0, 1000, size=211)) for _ in range(4)]
+    plan = plan_convolution(211, [v.total for v in vecs])
+    assert plan.pairs
+    expect = k_fold_count(vecs, plan).as_list()
+    # any disjoint pairs of light factors give the same counts
+    for pairs in (((0, 1), (2, 3)), ((3, 0),), ((1, 2),)):
+        lin = (4 - len(pairs)) * 210 + 1
+        other = ConvolutionPlan(211, "ntt", plan.bound, lin, 512, plan.moduli, pairs)
+        assert k_fold_count(vecs, other).as_list() == expect
+    bad = {"overlap": ((0, 1), (1, 2)), "range": ((0, 4),), "stage": ((0, 1), (2, 3))}
+    for what, pairs in bad.items():
+        factors = vecs[:3] if what == "stage" else vecs
+        with pytest.raises(BudgetError, match="disjoint pairs"):
+            k_fold_count(factors, ConvolutionPlan(211, "ntt", plan.bound, 421, 512,
+                                                  plan.moduli, pairs))
+    with pytest.raises(BudgetError, match="disjoint pairs"):
+        k_fold_count(vecs[:2], ConvolutionPlan(211, "float", 1 << 39, 421, 512, (), ((0, 1),)))
+    # a pair at or above 2^40 would leave the float route's certified range
+    heavy = [_cv(rng.integers(1 << 14, 1 << 15, size=211)) for _ in range(3)]
+    bound = prod(v.total for v in heavy)
+    forged = ConvolutionPlan(211, "ntt", bound, 421, 512,
+                             _select_ntt_moduli(bound, 512), ((0, 1),))
+    with pytest.raises(BudgetError, match="beyond the float route"):
+        k_fold_count(heavy, forged)
+    # the NTT stage must still be long enough for its factors
+    short = ConvolutionPlan(211, "ntt", plan.bound, 421, 512, plan.moduli, ((0, 1),))
+    with pytest.raises(BudgetError, match="fewer factors"):
+        k_fold_count(vecs, short)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

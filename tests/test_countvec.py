@@ -48,6 +48,19 @@ def test_python_int_backing():
     assert edge.counts.dtype == object and edge.total == (1 << 63) + 1
 
 
+def test_uint64_beyond_int64_is_held_exactly():
+    # a cast to int64 would wrap 2^63 to a negative entry
+    big = CountVector(np.array([1 << 63, 1], dtype=np.uint64))
+    assert big.counts.dtype == object and big.as_list() == [1 << 63, 1]
+    assert big.total == (1 << 63) + 1
+    assert type(big[0]) is int
+    top = CountVector(np.array([(1 << 64) - 1, 0, 5], dtype=np.uint64), expected_total=(1 << 64) + 4)
+    assert top.as_list() == [(1 << 64) - 1, 0, 5]
+    small = CountVector(np.array([(1 << 63) - 1, 2], dtype=np.uint64))
+    assert small.counts.dtype == np.int64 and small.as_list() == [(1 << 63) - 1, 2]
+    assert CountVector(np.array([], dtype=np.uint64)).total == 0
+
+
 def test_from_bincount():
     cv = from_bincount(np.array([0, 2, 2, 4]), 5, expected_total=4)
     assert cv.as_list() == [1, 0, 2, 0, 1]
