@@ -1,8 +1,9 @@
 """Command-line front end: one subcommand per computation, reproducible output.
 
-Exit codes: 0 success, 2 usage/domain error, 3 budget refusal. All floats
-are serialized at 12 significant digits so identical invocations produce
-byte-identical reports.
+Exit codes: 0 success, 2 usage/domain error, 3 budget refusal (an array
+the process cannot allocate included). All floats are serialized at 12
+significant digits so identical invocations produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def _selftest_checks():
     def check_convolve():
         from .countvec import CountVector
         u = CountVector(np.array([0, 1, 1], dtype=np.int64))
-        w = convolve.cyclic_convolve(u, u)
+        w = convolve.k_fold_count([u, u])
         assert w.as_list() == [2, 1, 1]
         return "cyclic convolution matches pair enumeration"
 
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
         return _cmd_selftest() if args.command == "selftest" else _report(args)
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # no route prices the bytes of its arrays before allocating
+        print(f"budget refusal: out of memory: {exc}", file=sys.stderr)
         return 3
     except (DomainError, SetFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,8 +23,8 @@ each exact for the coefficient bound it is planned with:
           invert once) and cyclic (fold onto Z_n after every product, so
           each step works at C = next_pow2(2n-1)). With d distinct factor
           arrays among the k, linear takes d+1 transforms at N and cyclic
-          d+2k-3 at C; the planner picks the cheaper and marks cyclic by
-          fft_length = C < lin_length.
+          d+2k-3 at C; the planner picks the cheaper, and a stage of k
+          factors runs cyclic exactly when k(n-1)+1 exceeds its fft_length.
           Float pairs: when two factors' mass product is below 2^40, the
           float route computes their product exactly at C (with its
           run-time residual check), and the NTT stage then multiplies the
@@ -55,10 +55,13 @@ depend on the thread count.
 
 Transform routes transform a factor that appears several times (the
 repeated factors of an additive energy) once. One work model prices every
-plan, and plan_convolution is the only budget gate: a transform plan costs
-the transforms it runs times length * log2(length), times the number of
-NTT moduli; the support-pair route costs its pairs. The same number picks
-the schedule, weighs the routes and meets the budget.
+plan, and plan_convolution is the only budget gate and the only source of
+a plan: k_fold_count plans every call itself. A transform plan costs the
+transforms it runs times length * log2(length), times the number of NTT
+moduli; the support-pair route costs its pairs. The same number picks the
+schedule, weighs the routes and meets the budget. Planning logs nothing;
+the NTT route and its float pair stage each log one line of what they ran
+when they run.
 
 The prime-length Fourier transform (for complete exponential-sum tables)
 uses the chirp factorization c*l = (c^2 + l^2 - (c-l)^2)/2 to reduce a
@@ -108,9 +111,8 @@ class ConvolutionPlan:
     n: int                         # length of the index group Z_n
     strategy: str                  # "direct" | "float" | "ntt"
     bound: int                     # proven upper bound on any output coefficient
-    lin_length: int                # linear-convolution length (factors - pairs)*(n-1)+1
-    fft_length: int                # power-of-two length used by float/ntt;
-                                   # an ntt plan below lin_length is cyclic
+    fft_length: int                # power-of-two length used by float/ntt; an ntt
+                                   # stage of k factors is cyclic when k(n-1)+1 exceeds it
     moduli: tuple[int, ...] = ()   # ntt primes (empty otherwise)
     pairs: tuple[tuple[int, int], ...] = ()  # factor index pairs an ntt plan
                                    # convolves first on the float route
@@ -143,22 +145,21 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     most, each support being capped by its mass and by n; it is chosen when
     PAIR_COST * pair_work is no larger than the transform work. A route
     whose own work exceeds the budget is passed over; the call is refused
-    only when none fits, with `required` the smaller need. An NTT plan's
-    fft_length is below lin_length when its schedule is cyclic.
+    only when none fits, with `required` the smaller need. Planning has no
+    side effects: it logs nothing and allocates nothing of length n.
     """
     k = len(masses)
     if k < 1:
         raise BudgetError("no factors to convolve", required=0)
     keys = list(range(k)) if layout is None else list(layout)
     bound = prod(int(m) for m in masses)
-    lin_length = k * (n - 1) + 1
-    size = _next_pow2(lin_length)
     if bound < FLOAT_EXACT_BOUND:
-        transform = ConvolutionPlan(n, "float", bound, lin_length, size)
+        size = _next_pow2(k * (n - 1) + 1)
+        transform = ConvolutionPlan(n, "float", bound, size)
         transform_work = (len(set(keys)) + 1) * _transform_units(size)
         what = "float transform convolution"
     else:
-        transform_work, transform, transforms, products, pair_transforms = min(
+        transform_work, transform = min(
             (_ntt_plan(n, keys, bound, pairs) for pairs in ((), _float_pairs(masses, keys))),
             key=lambda candidate: candidate[0])
         what = "multi-modulus exact convolution"
@@ -167,18 +168,10 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
         pair_work = _pair_work(n, masses)
         if pair_work <= limit and (PAIR_COST * pair_work <= transform_work
                                    or transform_work > limit):
-            return ConvolutionPlan(n, "direct", bound, lin_length, 0)
+            return ConvolutionPlan(n, "direct", bound, 0)
         if pair_work < transform_work:  # neither fits: refuse with the smaller need
             check_budget(pair_work, budget, "support-pair convolution")
     check_budget(transform_work, budget, what)
-    if transform.strategy == "ntt":
-        length = transform.fft_length
-        log.info("convolution bound %d >= 2^40: escalating to exact ntt route "
-                 "(%s schedule, length %d, moduli %s, %d transforms on %d thread(s))%s",
-                 bound, "cyclic" if length < transform.lin_length else "linear", length,
-                 ",".join(map(str, transform.moduli)), transforms, _ntt_threads(transform),
-                 f" after {products} float pair product(s) ({pair_transforms} transforms) "
-                 f"at length {_next_pow2(2 * n - 1)}" if products else "")
     return transform
 
 
@@ -240,8 +233,8 @@ def _pair_stage(factors: list, pairs: Sequence[tuple[int, int]],
 
 
 def _ntt_plan(n: int, keys: list, bound: int,
-              pairs: tuple[tuple[int, int], ...]) -> tuple[int, ConvolutionPlan, int, int, int]:
-    """(work, plan, NTT transforms, pair products, float transforms) of an NTT plan.
+              pairs: tuple[tuple[int, int], ...]) -> tuple[int, ConvolutionPlan]:
+    """(work, plan) of an NTT plan.
 
     The plan first convolves each pair of factors on the float route at
     C = next_pow2(2n-1), computing a pair of the same two arrays once: two
@@ -253,15 +246,12 @@ def _ntt_plan(n: int, keys: list, bound: int,
     stage = _pair_stage(keys, pairs, lambda a, b: ("pair", frozenset((a, b))))
     products = set(stage[:len(pairs)])
     pair_transforms = sum(len(pair) + 1 for _, pair in products)
-    lin_length = len(stage) * (n - 1) + 1
-    size = _next_pow2(lin_length)
+    size = _next_pow2(len(stage) * (n - 1) + 1)
     moduli = _select_ntt_moduli(bound, size)
     length, per_modulus = _ntt_schedule(len(stage), len(set(stage)), n, size)
-    transforms = per_modulus * len(moduli)
-    work = (transforms * _transform_units(length)
+    work = (per_modulus * len(moduli) * _transform_units(length)
             + pair_transforms * _transform_units(_next_pow2(2 * n - 1)))
-    plan = ConvolutionPlan(n, "ntt", bound, lin_length, length, moduli, pairs)
-    return work, plan, transforms, len(products), pair_transforms
+    return work, ConvolutionPlan(n, "ntt", bound, length, moduli, pairs)
 
 
 def _pair_work(n: int, masses: Sequence[int]) -> int:
@@ -286,38 +276,6 @@ def _select_ntt_moduli(bound: int, n: int) -> tuple[int, ...]:
     raise BudgetError(
         f"coefficient bound {bound} exceeds exact-route capacity {capacity} "
         f"at transform length {n}", required=bound)
-
-
-def _check_plan(plan: ConvolutionPlan, n: int, masses: Sequence[int]) -> None:
-    if plan.n != n:
-        raise BudgetError(f"plan is for length {plan.n}, vectors have length {n}",
-                          required=0)
-    bound = prod(int(m) for m in masses)
-    if bound > plan.bound:
-        required = "ntt" if plan.strategy != "ntt" else "larger modulus pool"
-        raise BudgetError(
-            f"coefficient bound {bound} exceeds plan bound {plan.bound}; "
-            f"required strategy: {required}", required=bound)
-    flat = [i for pair in plan.pairs for i in pair]
-    if flat and (plan.strategy != "ntt" or len(set(flat)) < len(flat)
-                 or not all(0 <= i < len(masses) for i in flat)
-                 or len(masses) - len(plan.pairs) < 2):
-        raise BudgetError(f"plan pairs {plan.pairs} are not disjoint pairs of "
-                          f"{len(masses)} factors before an ntt stage", required=0)
-    for i, j in plan.pairs:
-        pair_bound = int(masses[i]) * int(masses[j])
-        if pair_bound >= FLOAT_EXACT_BOUND:
-            raise BudgetError(f"pair {(i, j)} has coefficient bound {pair_bound} >= 2^40, "
-                              f"beyond the float route", required=pair_bound)
-    factors = len(masses) - len(plan.pairs)
-    if plan.strategy != "direct" and factors * (n - 1) + 1 > max(plan.lin_length, 1):
-        raise BudgetError("plan sized for fewer factors than supplied",
-                          required=factors * (n - 1) + 1)
-    # a wrapped product keeps its mass, so a short transform would go unnoticed
-    shortest = 2 * n - 1 if plan.strategy == "ntt" else plan.lin_length
-    if plan.strategy != "direct" and plan.fft_length < shortest:
-        raise BudgetError(f"plan transform length {plan.fft_length} is below {shortest}",
-                          required=shortest)
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +471,13 @@ def _spectra(vectors: list[np.ndarray],
         yield spectrum
 
 
-def _float_kfold(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan) -> np.ndarray:
-    size = plan.fft_length
+def _float_kfold(vectors: list[np.ndarray], n: int, size: int) -> np.ndarray:
     spectra = _spectra(vectors, lambda vec: np.fft.rfft(vec, size))
     spectrum = next(spectra)
     for f in spectra:
         spectrum *= f
     del f  # one spectrum less held through the inverse transform
-    folded = _fold(np.fft.irfft(spectrum, size)[:plan.lin_length], n)
+    folded = _fold(np.fft.irfft(spectrum, size)[:len(vectors) * (n - 1) + 1], n)
     rounded = np.rint(folded)
     residual = float(np.abs(folded - rounded, out=folded).max())
     if residual > 0.25:
@@ -534,32 +491,34 @@ def _float_pair_products(arrays: list[np.ndarray], n: int,
     """The NTT stage's factors: each pair's product on the float route, then the rest.
 
     A pair of the same two arrays as an earlier pair shares its product, so
-    the NTT stage transforms that product once too.
+    the NTT stage transforms that product once too. Logs the products and
+    transforms it ran.
     """
-    plan = ConvolutionPlan(n, "float", FLOAT_EXACT_BOUND, 2 * n - 1, _next_pow2(2 * n - 1))
+    size = _next_pow2(2 * n - 1)
     done = {}
 
     def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         key = frozenset((id(a), id(b)))
         if key not in done:
-            done[key] = _float_kfold([a, b], n, plan)
+            done[key] = _float_kfold([a, b], n, size)
         return done[key]
 
-    return _pair_stage(arrays, pairs, product)
+    stage = _pair_stage(arrays, pairs, product)
+    # one forward transform per distinct array of a pair, and one inverse
+    log.info("float pair stage: %d product(s) (%d transforms) at length %d",
+             len(done), sum(len(key) + 1 for key in done), size)
+    return stage
 
 
-def _ntt_residue(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan,
+def _ntt_residue(vectors: list[np.ndarray], n: int, size: int, cyclic: bool,
                  q: int) -> np.ndarray:
     """The k-fold convolution mod q, folded onto Z_n: multiply spectra, invert, fold.
 
-    The linear schedule inverts once, after the last product. A cyclic plan
-    (fft_length < lin_length) folds after every product, whose linear part
-    has 2n-1 entries, and transforms the folded accumulator again for the
-    next factor.
+    The linear schedule inverts once, after the last product. The cyclic
+    one folds after every product, whose linear part has 2n-1 entries, and
+    transforms the folded accumulator again for the next factor.
     """
-    size = plan.fft_length
-    cyclic = size < plan.lin_length
-    span = 2 * n - 1 if cyclic else plan.lin_length
+    span = 2 * n - 1 if cyclic else len(vectors) * (n - 1) + 1
     last = len(vectors) - 1
     qq = np.uint64(q)
     spectra = _spectra(vectors, lambda vec: _ntt_forward(vec.astype(np.uint64) % qq, q, size))
@@ -578,10 +537,14 @@ def _ntt_residue(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan,
 def _ntt_kfold(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan) -> np.ndarray:
     """Every modulus's residue on _ntt_threads threads, then the CRT in modulus order.
 
-    With t threads, share j takes the moduli j, j+t, j+2t, ...; the calling
-    thread runs share 0 and the shared pool the others.
+    The schedule is cyclic exactly when the k factors' linear convolution,
+    k(n-1)+1 entries, does not fit in fft_length. With t threads, share j
+    takes the moduli j, j+t, j+2t, ...; the calling thread runs share 0 and
+    the shared pool the others. Logs the schedule and transforms it ran.
     """
     size, moduli = plan.fft_length, plan.moduli
+    k = len(vectors)
+    cyclic = k * (n - 1) + 1 > size
     # cached tables built in a pool thread would pin that thread's malloc arena
     _bit_reverse_indices(size)
     for q in moduli:
@@ -589,7 +552,7 @@ def _ntt_kfold(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan) -> np.n
     threads = _ntt_threads(plan)
 
     def share(first: int) -> list[np.ndarray]:
-        return [_ntt_residue(vectors, n, plan, q) for q in moduli[first::threads]]
+        return [_ntt_residue(vectors, n, size, cyclic, q) for q in moduli[first::threads]]
 
     futures = [_shared_pool().submit(share, j) for j in range(1, threads)]
     try:
@@ -600,48 +563,52 @@ def _ntt_kfold(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan) -> np.n
     residues[0::threads] = own
     for j, future in enumerate(futures, 1):
         residues[j::threads] = future.result()
+    # per modulus, _ntt_residue transforms each distinct array once, then
+    # inverts once (linear) or k-1 times, re-transforming k-2 accumulators
+    transforms = len({id(v) for v in vectors}) + (2 * k - 3 if cyclic else 1)
+    log.info("exact ntt convolution, bound %d: %s schedule, length %d, moduli %s, "
+             "%d transforms on %d thread(s)", plan.bound, "cyclic" if cyclic else "linear",
+             size, ",".join(map(str, moduli)), transforms * len(moduli), threads)
     return _crt_combine(residues, moduli, plan.bound)
 
 
-def k_fold_count(vectors: Sequence[CountVector], plan: ConvolutionPlan | None = None,
-                 budget: int | None = None) -> CountVector:
+def _run(arrays: list[np.ndarray], n: int, plan: ConvolutionPlan) -> np.ndarray:
+    """The convolution over Z_n of int64 factor arrays, run as `plan` says.
+
+    k_fold_count's executor; it runs any plan as given. The float pair
+    stage replaces the list's contents in place, so a factor no one else
+    holds is freed before the NTT stage starts.
+    """
+    if plan.strategy == "direct":
+        return _pair_kfold(arrays, n)
+    if plan.strategy == "float":
+        return _float_kfold(arrays, n, plan.fft_length)
+    if plan.pairs:
+        arrays[:] = _float_pair_products(arrays, n, plan.pairs)
+    return _ntt_kfold(arrays, n, plan)
+
+
+def k_fold_count(vectors: Sequence[CountVector], *, budget: int | None = None) -> CountVector:
     """The k-fold cyclic convolution of length-n count vectors, exactly.
 
-    Support pairs, or pointwise products in the transform domain, one
-    inverse transform and a fold onto Z_n; strategy per plan (auto-planned
-    when omitted). Total mass is verified against the product of input
-    masses on every call.
+    plan_convolution plans the call for the vectors' masses and distinct
+    arrays, refusing it before any transform runs when no route fits the
+    budget; the plan then runs as support pairs, or as pointwise products
+    in the transform domain, inverse transforms and folds onto Z_n. Total
+    mass is verified against the product of input masses on every call.
     """
     if len(vectors) < 2:
         raise BudgetError("k-fold convolution needs at least two factors", required=2)
     n = vectors[0].p
     if any(v.p != n for v in vectors):
         raise ConsistencyError("count vectors have mismatched lengths")
-    masses = [v.total for v in vectors]
-    if plan is None:
-        plan = plan_convolution(n, masses, budget, layout=[id(v.counts) for v in vectors])
-    else:
-        _check_plan(plan, n, masses)
-    expected = prod(masses)
-
+    plan = plan_convolution(n, [v.total for v in vectors], budget,
+                            layout=[id(v.counts) for v in vectors])
     if any(v.counts.dtype != np.int64 for v in vectors):
         raise ConsistencyError("input count vectors must be 64-bit backed")
     arrays = [v.counts for v in vectors]
     del vectors  # a factor the caller holds no more is freed once it is paired
-    if plan.strategy == "direct":
-        return CountVector(_pair_kfold(arrays, n), expected_total=expected)
-    if plan.strategy == "float":
-        return CountVector(_float_kfold(arrays, n, plan), expected_total=expected)
-    if plan.pairs:
-        arrays = _float_pair_products(arrays, n, plan.pairs)
-    return CountVector(_ntt_kfold(arrays, n, plan), expected_total=expected)
-
-
-def cyclic_convolve(u: CountVector, v: CountVector,
-                    plan: ConvolutionPlan | None = None,
-                    budget: int | None = None) -> CountVector:
-    """w[lam] = sum_mu u[mu] * v[(lam - mu) mod n], exact integers."""
-    return k_fold_count([u, v], plan, budget)
+    return CountVector(_run(arrays, n, plan), expected_total=plan.bound)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,12 @@ def dlog_convolution(factors: list[tuple[np.ndarray, int]], ctx: PrimeContext,
     """The convolution over Z_{p-1} of dlog_counts(units, scale) for each factor.
 
     Planned from the factor sizes before the dlog table or any count vector
-    is built, so a refused call allocates nothing of length p.
+    is built, so a refused call allocates nothing of length p; k_fold_count
+    then plans the same masses again and runs its plan.
     """
-    plan = convolve.plan_convolution(ctx.p - 1, [len(units) for units, _ in factors], budget)
+    convolve.plan_convolution(ctx.p - 1, [len(units) for units, _ in factors], budget)
     return convolve.k_fold_count([dlog_counts(units, scale, ctx) for units, scale in factors],
-                                 plan)
+                                 budget=budget)
 
 
 def residue_order(conv: CountVector, ctx: PrimeContext) -> np.ndarray:

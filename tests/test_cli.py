@@ -131,6 +131,12 @@ def test_domain_error_exit_code(capsys, singleton1):
         code, out, err = run_capped_cli(*argv, "--H", "10", "--set", "random:5", "--seed", "1")
         assert (code, out) == (2, "") and err.count("\n") == 1, err
         assert "exceeds the supported range (< 2^31)" in err
+    # the largest supported prime: its length-p arrays do not fit under the cap
+    for argv in (("energy", "--kind", "recip"), ("expsum", "--a", "3")):
+        code, out, err = run_capped_cli(*argv, "--p", "2147483647", "--H", "10",
+                                        "--set", "random:5", "--seed", "1")
+        assert (code, out) == (3, "") and err.count("\n") == 1, err
+        assert err.startswith("budget refusal: out of memory")
 
 
 # Report bytes recorded before the CLI and the sweep shared one report

@@ -1,6 +1,7 @@
 import logging
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from math import prod
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fplab import convolve
-from fplab.convolve import (ConvolutionPlan, cyclic_convolve, k_fold_count,
+from fplab.convolve import (ConvolutionPlan, k_fold_count,
                             length_p_transform, plan_convolution,
                             _crt_combine, _next_pow2, _ntt_forward, _ntt_inverse,
                             _select_ntt_moduli, _NTT_POOL)
@@ -26,21 +27,26 @@ def _cv(values):
     return CountVector(np.asarray(values, dtype=np.int64))
 
 
+def _run(vecs, plan):
+    """The counts a hand-built plan gives, run by k_fold_count's executor."""
+    return convolve._run([v.counts for v in vecs], vecs[0].p, plan).tolist()
+
+
 def test_identity_element():
     delta = _cv([1, 0, 0, 0, 0])
     v = _cv([3, 1, 4, 1, 5])
-    assert cyclic_convolve(delta, v).as_list() == v.as_list()
+    assert k_fold_count([delta, v]).as_list() == v.as_list()
 
 
 def test_tiny_example():
     u = _cv([0, 1, 1])
-    assert cyclic_convolve(u, u).as_list() == [2, 1, 1]
+    assert k_fold_count([u, u]).as_list() == [2, 1, 1]
 
 
 def test_mass_multiplies():
     u = _cv([2, 0, 5])
     v = _cv([1, 1, 1])
-    w = cyclic_convolve(u, v)
+    w = k_fold_count([u, v])
     assert w.total == u.total * v.total
 
 
@@ -50,7 +56,7 @@ def test_matches_schoolbook(data):
     p = data.draw(st.sampled_from([3, 5, 7, 31]))
     u = data.draw(st.lists(st.integers(0, 5), min_size=p, max_size=p))
     v = data.draw(st.lists(st.integers(0, 5), min_size=p, max_size=p))
-    got = cyclic_convolve(_cv(u), _cv(v)).as_list()
+    got = k_fold_count([_cv(u), _cv(v)]).as_list()
     assert got == oracles.cyclic_convolve(u, v, p)
 
 
@@ -78,22 +84,27 @@ def test_strategies_agree_on_medium_instance():
     vecs = [_cv(rng.integers(0, 3, size=p)) for _ in range(3)]
     auto = plan_convolution(p, [v.total for v in vecs])
     assert auto.strategy == "float"
-    ntt_plan = ConvolutionPlan(p, "ntt", auto.bound, auto.lin_length,
-                               auto.fft_length,
+    ntt_plan = ConvolutionPlan(p, "ntt", auto.bound, auto.fft_length,
                                _select_ntt_moduli(auto.bound, auto.fft_length))
-    a = k_fold_count(vecs, auto)
-    b = k_fold_count(vecs, ntt_plan)
-    assert a.as_list() == b.as_list()
+    assert k_fold_count(vecs).as_list() == _run(vecs, ntt_plan)
 
 
 def test_strategy_escalation_and_logging(caplog):
-    # bound above 2^40 must route to the exact multi-modulus path
-    masses = [1 << 15] * 3
+    # bound above 2^40 must route to the exact multi-modulus path, which
+    # logs when it runs; planning logs nothing
+    rng = np.random.default_rng(10)
+    vecs = [_cv(rng.integers(0, 65, size=1009)) for _ in range(3)]  # masses near 2^15
     with caplog.at_level(logging.INFO, logger="fplab.convolve"):
-        plan = plan_convolution(1009, masses)
-    assert plan.strategy == "ntt"
-    assert len(plan.moduli) >= 2
-    assert any("escalating" in r.message for r in caplog.records)
+        plan = plan_convolution(1009, [v.total for v in vecs])
+        assert plan.strategy == "ntt"
+        assert len(plan.moduli) >= 2
+        assert caplog.records == []
+        expect = vecs[0].as_list()
+        for v in vecs[1:]:
+            expect = oracles.cyclic_convolve(expect, v.as_list(), 1009)
+        assert k_fold_count(vecs).as_list() == expect
+    ntt = [r.getMessage() for r in caplog.records if "exact ntt" in r.getMessage()]
+    assert len(ntt) == 1 and f"moduli {','.join(map(str, plan.moduli))}" in ntt[0]
     # few support pairs: the pair route undercuts any transform
     small = plan_convolution(1009, [4, 4])
     assert small.strategy == "direct"
@@ -111,18 +122,10 @@ def test_ntt_pool_is_sound():
 
 
 def test_plan_refusals():
-    plan = plan_convolution(101, [4, 4])
-    big = _cv([100] * 101)
-    with pytest.raises(BudgetError, match="required strategy"):
-        k_fold_count([big, big], plan)
     with pytest.raises(BudgetError):
         plan_convolution(101, [10, 10], budget=1)
     with pytest.raises(BudgetError):
         _select_ntt_moduli(1 << 500, 1 << 20)
-    # a cyclic plan must still hold one product of two factors
-    short = ConvolutionPlan(101, "ntt", 1 << 50, 301, 128, _select_ntt_moduli(1 << 50, 512))
-    with pytest.raises(BudgetError, match="transform length 128"):
-        k_fold_count([big] * 3, short)
 
 
 def test_plans_are_charged_the_transforms_they_run():
@@ -135,7 +138,7 @@ def test_plans_are_charged_the_transforms_they_run():
     assert convolve._ntt_plan(100003, list(range(6)), 1000 ** 6, ())[0] == 15 * 2 * units
     plan = plan_convolution(100003, [1000] * 6, budget=200_000_000)
     assert plan.strategy == "ntt" and len(plan.moduli) == 2 and len(plan.pairs) == 3
-    assert plan.fft_length == 1 << 18 < plan.lin_length
+    assert plan.fft_length == 1 << 18 < 3 * 100002 + 1  # three pair products: cyclic
     assert plan_convolution(100003, [1000] * 6, budget=charge) == plan
     with pytest.raises(BudgetError) as exc:
         plan_convolution(100003, [1000] * 6, budget=charge - 1)
@@ -176,10 +179,10 @@ def _ntt_plans(n, vecs):
     bound = 1
     for v in vecs:
         bound *= v.total
-    lin = len(vecs) * (n - 1) + 1
-    moduli = _select_ntt_moduli(bound, _next_pow2(lin))
-    return (ConvolutionPlan(n, "ntt", bound, lin, _next_pow2(lin), moduli),
-            ConvolutionPlan(n, "ntt", bound, lin, _next_pow2(2 * n - 1), moduli))
+    lin = _next_pow2(len(vecs) * (n - 1) + 1)
+    moduli = _select_ntt_moduli(bound, lin)
+    return (ConvolutionPlan(n, "ntt", bound, lin, moduli),
+            ConvolutionPlan(n, "ntt", bound, _next_pow2(2 * n - 1), moduli))
 
 
 @pytest.mark.parametrize("k", [2, 3, 6])
@@ -197,17 +200,17 @@ def test_cyclic_and_linear_ntt_schedules_agree(k, repeated, monkeypatch, ntt_cor
     for v in vecs[1:]:
         expect = oracles.cyclic_convolve(expect, v.as_list(), n)
     linear, cyclic = _ntt_plans(n, vecs)
-    assert (cyclic.fft_length < cyclic.lin_length) == (k > 2)
+    assert (cyclic.fft_length < k * (n - 1) + 1) == (k > 2)
     ntt_cores(len(linear.moduli))  # one thread per modulus
     calls = []
     forward = convolve._ntt_forward
     monkeypatch.setattr(convolve, "_ntt_forward", lambda *a: calls.append(1) or forward(*a))
     for plan in (linear, cyclic):
         calls.clear()
-        assert k_fold_count(vecs, plan).as_list() == expect
+        assert _run(vecs, plan) == expect
         # inverses run the forward transform too; a repeated factor is transformed once
         factors = 1 if repeated else k
-        steps = 1 if plan.fft_length >= plan.lin_length else 2 * k - 3
+        steps = 1 if plan.fft_length >= k * (n - 1) + 1 else 2 * k - 3
         assert len(calls) == (factors + steps) * len(plan.moduli)
 
 
@@ -223,13 +226,13 @@ def test_threaded_and_serial_ntt_agree(moduli, top, ntt_cores):
         for v in vecs[1:]:
             expect = oracles.cyclic_convolve(expect, v.as_list(), n)
         linear, cyclic = _ntt_plans(n, vecs)
-        assert len(linear.moduli) == moduli and cyclic.fft_length < cyclic.lin_length
+        assert len(linear.moduli) == moduli and cyclic.fft_length < k * (n - 1) + 1
         for plan in (linear, cyclic):
             ntt_cores(1)
-            assert k_fold_count(vecs, plan).as_list() == expect
+            assert _run(vecs, plan) == expect
             for cores in range(2, moduli + 1):
                 ntt_cores(cores)
-                assert k_fold_count(vecs, plan).as_list() == expect
+                assert _run(vecs, plan) == expect
 
 
 def test_ntt_tables_are_built_on_the_calling_thread(monkeypatch, ntt_cores):
@@ -251,7 +254,7 @@ def test_ntt_tables_are_built_on_the_calling_thread(monkeypatch, ntt_cores):
     expect = vecs[0].as_list()
     for v in vecs[1:]:
         expect = oracles.cyclic_convolve(expect, v.as_list(), 211)
-    assert k_fold_count(vecs, plan).as_list() == expect
+    assert k_fold_count(vecs).as_list() == expect
     assert len(misses) == 1 + len(plan.moduli)
     assert set(misses) == {threading.current_thread()}
 
@@ -270,7 +273,7 @@ def test_concurrent_callers_build_one_pool(monkeypatch, ntt_cores):
     vecs = [_cv(rng.integers(0, 10 ** 5, size=211)) for _ in range(3)]
     plan = _ntt_plans(211, vecs)[1]
     ntt_cores(1)
-    expect = k_fold_count(vecs, plan).as_list()
+    expect = _run(vecs, plan)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -280,7 +283,7 @@ def test_concurrent_callers_build_one_pool(monkeypatch, ntt_cores):
 
             def caller():
                 start.wait()
-                results.append(k_fold_count(vecs, plan).as_list())
+                results.append(_run(vecs, plan))
 
             callers = [threading.Thread(target=caller) for _ in range(8)]
             for t in callers:
@@ -306,50 +309,34 @@ def test_float_route_transforms_a_repeated_factor_once(monkeypatch):
     calls = []
     rfft = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda *a: calls.append(1) or rfft(*a))
-    assert k_fold_count([u] * 3, plan).as_list() == expect
+    assert k_fold_count([u] * 3).as_list() == expect
     assert len(calls) == 1
 
 
-def test_planner_picks_the_ntt_schedule(caplog):
+def test_planner_picks_the_ntt_schedule():
     n = 100003
-    with caplog.at_level(logging.INFO, logger="fplab.convolve"):
-        six = plan_convolution(n, [1000] * 6)
-        two = plan_convolution(n, [1 << 21] * 2)
-        four = plan_convolution(n, [1 << 20] * 4)
-        power = plan_convolution(n, [1 << 20] * 4, layout=[0] * 4)
-        paired_power = plan_convolution(n, [1 << 12] * 4, layout=[0] * 4)
+    six = plan_convolution(n, [1000] * 6)
+    two = plan_convolution(n, [1 << 21] * 2)
+    four = plan_convolution(n, [1 << 20] * 4)
+    power = plan_convolution(n, [1 << 20] * 4, layout=[0] * 4)
+    paired_power = plan_convolution(n, [1 << 12] * 4, layout=[0] * 4)
     plans = (six, two, four, power, paired_power)
     assert {plan.strategy for plan in plans} == {"ntt"}
+    # a stage of k factors runs cyclic when k(n-1)+1 exceeds its fft_length;
     # six factors pair into three float products, which run cyclic
-    assert (six.fft_length, six.lin_length) == (1 << 18, 300007)
+    assert six.fft_length == 1 << 18 < 3 * (n - 1) + 1
     assert six.pairs == ((0, 5), (1, 4), (2, 3))
-    assert two.fft_length == 1 << 18 >= two.lin_length
+    assert two.fft_length == 1 << 18 >= 2 * (n - 1) + 1
     # 2^20 * 2^20 is not below 2^40, so these do not pair. Four distinct
     # factors: 9 transforms at 2^18 beat 5 at 2^19; one factor four times:
     # 2 transforms at 2^19 beat 6 at 2^18
     assert two.pairs == four.pairs == power.pairs == ()
-    assert four.fft_length == 1 << 18 < four.lin_length
-    assert power.fft_length == 1 << 19 >= power.lin_length
+    assert four.fft_length == 1 << 18 < 4 * (n - 1) + 1
+    assert power.fft_length == 1 << 19 >= 4 * (n - 1) + 1
     # [u]*4 with a light u: w = u*u once on the float route, then [w, w]
     # linear at 2^18, 2 transforms per modulus
     assert paired_power.pairs == ((0, 1), (2, 3))
-    assert paired_power.fft_length == 1 << 18 >= paired_power.lin_length
-    messages = [r.message for r in caplog.records]
-    assert "cyclic schedule, length 262144" in messages[0]
-    assert f"{6 * len(six.moduli)} transforms" in messages[0]
-    assert f"on {min(len(six.moduli), convolve._cores())} thread(s)" in messages[0]
-    assert messages[0].endswith(
-        "after 3 float pair product(s) (9 transforms) at length 262144")
-    assert "linear schedule, length 262144" in messages[1]
-    assert f"cyclic schedule, length 262144, moduli {four.moduli[0]}" in messages[2]
-    assert f"{9 * len(four.moduli)} transforms" in messages[2]
-    assert "linear schedule, length 524288" in messages[3]
-    assert f"{2 * len(power.moduli)} transforms" in messages[3]
-    assert not any("float pair" in m for m in messages[1:4])
-    assert "linear schedule, length 262144" in messages[4]
-    assert f"{2 * len(paired_power.moduli)} transforms" in messages[4]
-    assert messages[4].endswith(
-        "after 1 float pair product(s) (2 transforms) at length 262144")
+    assert paired_power.fft_length == 1 << 18 >= 2 * (n - 1) + 1
 
 
 def test_kfold_plans_for_its_distinct_factors(caplog):
@@ -366,10 +353,11 @@ def test_kfold_plans_for_its_distinct_factors(caplog):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="fplab.convolve"):
             assert k_fold_count(factors).as_list() == expect
+        pair_stage, ntt = (r.getMessage() for r in caplog.records)
         products = 2 if factors is vecs else 1
-        assert "linear schedule, length 2048" in caplog.records[0].message
-        assert f"after {products} float pair product(s)" in caplog.records[0].message
-        assert "on 1 thread(s)" in caplog.records[0].message  # too short to hand over
+        assert pair_stage.startswith(f"float pair stage: {products} product(s)")
+        assert "linear schedule, length 2048" in ntt
+        assert "on 1 thread(s)" in ntt  # too short to hand over
 
 
 def _paired_case(case):
@@ -424,13 +412,14 @@ def test_float_paired_plans_match_the_oracle(case, monkeypatch):
     assert len(products) == {"power": 1, "mixed": 3}.get(case, pairs)
 
 
-def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch):
+def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch, caplog):
     # T_6 over six distinct factors at n = 211: 3 float pairs (6 forward
     # transforms, 3 inverse) at 512, then 6 cyclic NTTs at 512 per modulus
     vecs, _ = _paired_case("distinct6")
     masses = [v.total for v in vecs]
+    caplog.set_level(logging.INFO, logger="fplab.convolve")
     plan = plan_convolution(211, masses)
-    assert plan.fft_length == 512 < plan.lin_length == 631
+    assert plan.fft_length == 512 < 3 * 210 + 1
     charge = (9 + 6 * len(plan.moduli)) * 512 * 9
     assert plan_convolution(211, masses, budget=charge) == plan
     calls = []
@@ -439,13 +428,20 @@ def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch):
                             calls.append("float") or f(*a))
     forward = convolve._ntt_forward
     monkeypatch.setattr(convolve, "_ntt_forward", lambda *a: calls.append("ntt") or forward(*a))
-    expect = k_fold_count(vecs, plan).as_list()
+    assert caplog.records == []  # planning alone logs nothing
+    expect = k_fold_count(vecs).as_list()
     assert calls.count("float") == 9 and calls.count("ntt") == 6 * len(plan.moduli)
+    # each stage logs what it ran
+    pair_stage, ntt = (r.getMessage() for r in caplog.records)
+    assert pair_stage == "float pair stage: 3 product(s) (9 transforms) at length 512"
+    assert f"cyclic schedule, length 512, moduli {','.join(map(str, plan.moduli))}, " \
+           f"{calls.count('ntt')} transforms on " in ntt
     # the planner refuses one unit less before any transform runs
     calls.clear()
+    caplog.clear()
     with pytest.raises(BudgetError) as exc:
         k_fold_count(vecs, budget=charge - 1)
-    assert exc.value.required == charge and calls == []
+    assert exc.value.required == charge and calls == [] and caplog.records == []
     assert k_fold_count(vecs, budget=charge).as_list() == expect
 
 
@@ -474,36 +470,39 @@ def test_budget_below_a_paired_plan_is_refused_before_any_transform(monkeypatch)
     assert k_fold_count([u] * 4, budget=charge).as_list() == expect
 
 
-def test_explicit_paired_plans_are_checked():
+def test_any_disjoint_pairs_give_the_same_counts():
     rng = np.random.default_rng(13)
     vecs = [_cv(rng.integers(0, 1000, size=211)) for _ in range(4)]
     plan = plan_convolution(211, [v.total for v in vecs])
     assert plan.pairs
-    expect = k_fold_count(vecs, plan).as_list()
-    # any disjoint pairs of light factors give the same counts
+    expect = k_fold_count(vecs).as_list()
+    # a stage of three factors runs cyclic at 512, one of two linear
     for pairs in (((0, 1), (2, 3)), ((3, 0),), ((1, 2),)):
-        lin = (4 - len(pairs)) * 210 + 1
-        other = ConvolutionPlan(211, "ntt", plan.bound, lin, 512, plan.moduli, pairs)
-        assert k_fold_count(vecs, other).as_list() == expect
-    bad = {"overlap": ((0, 1), (1, 2)), "range": ((0, 4),), "stage": ((0, 1), (2, 3))}
-    for what, pairs in bad.items():
-        factors = vecs[:3] if what == "stage" else vecs
-        with pytest.raises(BudgetError, match="disjoint pairs"):
-            k_fold_count(factors, ConvolutionPlan(211, "ntt", plan.bound, 421, 512,
-                                                  plan.moduli, pairs))
-    with pytest.raises(BudgetError, match="disjoint pairs"):
-        k_fold_count(vecs[:2], ConvolutionPlan(211, "float", 1 << 39, 421, 512, (), ((0, 1),)))
-    # a pair at or above 2^40 would leave the float route's certified range
-    heavy = [_cv(rng.integers(1 << 14, 1 << 15, size=211)) for _ in range(3)]
-    bound = prod(v.total for v in heavy)
-    forged = ConvolutionPlan(211, "ntt", bound, 421, 512,
-                             _select_ntt_moduli(bound, 512), ((0, 1),))
-    with pytest.raises(BudgetError, match="beyond the float route"):
-        k_fold_count(heavy, forged)
-    # the NTT stage must still be long enough for its factors
-    short = ConvolutionPlan(211, "ntt", plan.bound, 421, 512, plan.moduli, ((0, 1),))
-    with pytest.raises(BudgetError, match="fewer factors"):
-        k_fold_count(vecs, short)
+        other = ConvolutionPlan(211, "ntt", plan.bound, 512, plan.moduli, pairs)
+        assert _run(vecs, other) == expect
+
+
+def test_paired_factors_are_freed_before_the_ntt_stage(monkeypatch):
+    # T_6 at n = 211 pairs every factor; a factor only the convolution
+    # holds is gone once its pair product is made
+    refs, masses, alive = [], [], []
+
+    def factors():
+        vecs, _ = _paired_case("distinct6")
+        refs.extend(weakref.ref(v.counts) for v in vecs)
+        masses.extend(v.total for v in vecs)
+        return vecs
+
+    ntt_kfold = convolve._ntt_kfold
+
+    def ntt_stage(*args):
+        alive.extend(ref() is not None for ref in refs)
+        return ntt_kfold(*args)
+
+    monkeypatch.setattr(convolve, "_ntt_kfold", ntt_stage)
+    got = k_fold_count(factors())  # no assert: its rewriting would hold the list
+    assert got.total == prod(masses)
+    assert len(alive) == 6 and not any(alive)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -557,11 +556,10 @@ def test_float_route_near_its_bound_matches_ntt():
         auto = plan_convolution(p, [v.total for v in vecs])
         assert auto.strategy == "float"
         assert auto.bound < 1 << 40 <= 4 * auto.bound
-        ntt_plan = ConvolutionPlan(p, "ntt", auto.bound, auto.lin_length,
-                                   auto.fft_length,
+        ntt_plan = ConvolutionPlan(p, "ntt", auto.bound, auto.fft_length,
                                    _select_ntt_moduli(auto.bound, auto.fft_length))
-        got = k_fold_count(vecs, auto)
-        assert got.as_list() == k_fold_count(vecs, ntt_plan).as_list()
+        got = k_fold_count(vecs)
+        assert got.as_list() == _run(vecs, ntt_plan)
         assert max(got.as_list()) >= auto.bound >> 4
 
 
@@ -571,9 +569,9 @@ def test_float_route_certificate_rejects_uncertified_plans():
     rng = np.random.default_rng(5)
     vecs = [_cv(rng.integers(1 << 21, 1 << 22, size=p)) for _ in range(2)]
     bound = vecs[0].total * vecs[1].total
-    forged = ConvolutionPlan(p, "float", bound, 2 * p - 1, 512)
+    forged = ConvolutionPlan(p, "float", bound, 512)
     with pytest.raises(ConsistencyError, match="residual"):
-        k_fold_count(vecs, forged)
+        _run(vecs, forged)
 
 
 def test_exact_route_with_huge_counts():

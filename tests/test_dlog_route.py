@@ -16,16 +16,15 @@ import oracles
 
 @pytest.fixture
 def strategies(monkeypatch):
-    """Strategies of every convolution planned while the test runs."""
+    """Strategies of every convolution run while the test runs."""
     seen = []
-    plan = convolve.plan_convolution
+    run = convolve._run
 
-    def spy(*args, **kwargs):
-        result = plan(*args, **kwargs)
-        seen.append(result.strategy)
-        return result
+    def spy(arrays, n, plan):
+        seen.append(plan.strategy)
+        return run(arrays, n, plan)
 
-    monkeypatch.setattr(convolve, "plan_convolution", spy)
+    monkeypatch.setattr(convolve, "_run", spy)
     return seen
 
 
