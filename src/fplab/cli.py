@@ -163,10 +163,11 @@ def _cmd_expsum(args) -> Record:
 
 def _cmd_tk(args) -> Record:
     ctx = PrimeContext.of(args.p)
-    factors = []
-    for i in range(args.k):
-        idx = i if args.set_spec.startswith("random:") else None
-        factors.append((_load_set(args.set_spec, args.seed, ctx, factor_index=idx), args.L))
+    if args.set_spec.startswith("random:"):
+        msets = [_load_set(args.set_spec, args.seed, ctx, factor_index=i) for i in range(args.k)]
+    else:  # one set M for every factor, read once
+        msets = [_load_set(args.set_spec, args.seed, ctx)] * args.k
+    factors = [(mset, args.L) for mset in msets]
     try:
         lambdas = [int(t) % args.p for t in args.lambdas.split(",") if t.strip()]
     except ValueError:

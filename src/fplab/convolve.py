@@ -1,67 +1,59 @@
 """Exact cyclic convolution over an index group Z_n, and prime-length DFTs.
 
 Additive problems convolve over Z_p; product problems convolve over
-Z_{p-1} after reindexing every unit by its discrete log. Three strategies,
-each exact for the coefficient bound it is planned with:
+Z_{p-1} after reindexing every unit by its discrete log. Two strategies:
 
   direct  support pairs: every product of two nonzero entries is scattered
           to (i + j) mod n with int64 accumulation; exact below 2^63.
           Chosen when its pair count, weighted by PAIR_COST, undercuts the
           transform work.
-  float   power-of-two real FFTs of the zero-padded factors, one inverse,
-          fold mod n, round. The worst-case rounding error for a
-          coefficient bound B and transform length N is ~ B * eps * c*log2(N)
-          with eps = 2^-53, so rounding is certified for B < 2^40 at any
-          desk-scale length (error << 0.5); the residual is also checked
-          at run time.
-  ntt     number-theoretic transforms modulo several ~31-bit primes with
-          power-of-two-friendly multiplicative groups, recombined by the
-          Chinese remainder theorem (Garner's mixed-radix digits). No
-          rounding at all; used whenever the bound exceeds the float
-          route's certified capacity. Two schedules per modulus: linear
-          (transform every factor at N = next_pow2(k(n-1)+1), multiply,
-          invert once) and cyclic (fold onto Z_n after every product, so
-          each step works at C = next_pow2(2n-1)). With d distinct factor
-          arrays among the k, linear takes d+1 transforms at N and cyclic
-          d+2k-3 at C; the planner picks the cheaper, and a stage of k
-          factors runs cyclic exactly when k(n-1)+1 exceeds its fft_length.
-          Float pairs: when two factors' mass product is below 2^40, the
-          float route computes their product exactly at C (with its
-          run-time residual check), and the NTT stage then multiplies the
-          ~k/2 pair products and the unpaired factors. Copies of one array
-          pair with each other first, and a repeated pair is computed once.
-          The pairs leave the bound, and so the moduli, unchanged. A
-          paired plan is charged its float transforms plus the NTT
-          transforms of its stage, and the planner takes it only when that
-          is below the unpaired plan's work; plan.pairs records the layout.
-          T_6 over six factors of mass ~2^18.3 at n=10^5 thus runs three
-          float pairs (9 float transforms at 2^18) and 6 cyclic NTTs at
-          2^18 per modulus, not 15; the energy [u]*4 at the same n runs
-          w = u*u once, then [w, w] linear at 2^18 (2 NTTs per modulus, not
-          2 at 2^19). No option selects the pairing.
+  float   a cyclic chain of certified two-factor float products at
+          C = next_pow2(2n-1). Step t multiplies the accumulator (the
+          first factor, then the product so far) by factor t. Either side
+          may be split into b-bit limbs, x = sum_i x_i 2^(b i) with
+          0 <= x_i < 2^b; a side whose entries are below 2^b stays one
+          limb. Each limb is transformed once (real FFTs at C), and for
+          each limb-index sum s the products of the limb spectra with
+          i + j = s are added and inverted once. Each inverse is folded
+          onto Z_n and rounded, and the parts are carry-normalised into
+          base-2^b int64 digits, which the next step splits at its own
+          width. After the last step the digits join into an int64 array
+          when the coefficient bound (the product of the masses) is below
+          2^62, and into an object array of Python ints otherwise.
 
-The moduli of an NTT plan are independent until the CRT, and numpy
-releases the interpreter lock inside the uint64 butterflies, so from
-transform length 2^15 on they run on min(#moduli, cores) threads: the
-calling thread takes every t-th modulus from the first, and the rest go
-to one shared pool of cores - 1 threads, built on first use. A sweep's
-worker threads share that pool, so its NTT work runs on at most
-workers + cores - 1 threads, and pool tasks never wait on one another.
-The caller builds the cached twiddle and bit-reversal tables before
-anything is submitted, so no long-lived table lives in a pool thread's
-malloc arena. No option selects the thread count, and the budget prices
-work, not wall time. The residues meet in modulus order, so counts do not
-depend on the thread count.
+The certificate. Percival (C. Percival, Math. Comp. 72 (2003), 387-395)
+bounds the error of a radix-2 float convolution of length N = 2^m by
+||x||_2 ||y||_2 gamma(N), with
+gamma = (1+eps)^(3m) (1+eps sqrt5)^(3m+1) (1+beta)^(3m) - 1, eps = 2^-53
+and beta the error of the twiddle factors. Before the inverse of sum s is
+used, sum_{i+j=s} ||x_i||_2 ||y_j||_2 gamma(C) must be below 1/4. The
+norms are exact integers (countvec.sum_of_squares) of the very limbs that
+are multiplied. Folding adds two entries, so every folded error is below
+1/2 and rounding is exact. The limb width b of a step is the widest that
+certifies every sum, worked out from these norms at each step; it is not
+a setting. What is assumed of numpy's pocketfft: at power-of-two lengths
+its real transforms err no more than Percival's radix-2 transform with
+correctly rounded twiddles (beta = eps). That is not proved here, so the
+rounding residual of every inverse is still checked, and a residual above
+0.25, far beyond anything the bound allows in practice, raises
+ConsistencyError.
 
-Transform routes transform a factor that appears several times (the
-repeated factors of an additive energy) once. One work model prices every
-plan, and plan_convolution is the only budget gate and the only source of
-a plan: k_fold_count plans every call itself. A transform plan costs the
-transforms it runs times length * log2(length), times the number of NTT
-moduli; the support-pair route costs its pairs. The same number picks the
-schedule, weighs the routes and meets the budget. Planning logs nothing;
-the NTT route and its float pair stage each log one line of what they ran
-when they run.
+Spectra. A factor held whole (one limb) is transformed once however many
+steps use it, and its spectrum is dropped after its last use. The
+accumulator's limb spectra are streamed: each is made when the first sum
+that needs it comes up and dropped after the last.
+
+One work model prices every plan, and plan_convolution is the only budget
+gate and the only source of a plan: k_fold_count plans every call itself.
+A float plan is charged its transforms times C * log2(C). Each step is
+charged the transforms it would run at the worst-case norms its masses
+allow (see _bound_norms), with the width chosen from those bounds by the
+executor's rule. Actual norms are never larger, so the executor's width is
+never narrower, its limbs never more, and it never runs more transforms
+than it was charged. The support-pair route costs its pairs. Planning logs
+nothing; the float route logs one line when it runs: its steps, the limbs
+and width of each, the transforms run against those charged, the largest
+certified bound and the largest rounding residual.
 
 The prime-length Fourier transform (for complete exponential-sum tables)
 uses the chirp factorization c*l = (c^2 + l^2 - (c-l)^2)/2 to reduce a
@@ -72,19 +64,16 @@ length-p transform to one power-of-two circular convolution of length
 from __future__ import annotations
 
 import logging
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
-from typing import Callable, Hashable, Iterator, Sequence
+from math import isqrt, prod
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .countvec import CountVector
+from .countvec import CountVector, sum_of_squares
 from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, check_budget
-from .modfield import find_primitive_root, power_table
 
 log = logging.getLogger(__name__)
 
@@ -92,12 +81,12 @@ log = logging.getLogger(__name__)
 # N*log2(N) steps of a transform). Measured on 2 x86 vCPUs with numpy 2.4 at
 # n = 10^4..10^6: 8-16 ns per pair against 0.8-1.4 ns per unit.
 PAIR_COST = 10
-FLOAT_EXACT_BOUND = 1 << 40    # float route certified below this coefficient bound
-
-# 31-bit primes q with large power-of-two factors of q-1; products of any
-# four exceed 2^120, which covers every desk-scale coefficient bound.
-_NTT_POOL = (2013265921, 1811939329, 469762049, 2113929217, 167772161, 754974721)
 _PAIR_BLOCK = 1 << 22          # support pairs scattered per block
+_WORD = 62                     # widest limb or digit: every one is an int64 array
+
+# one side's limb norms: norms(b, count) gives the squared l2 norms of its
+# first `count` limbs at width b, or of all of them when count is None
+Norms = Callable[..., list]
 
 
 def _next_pow2(n: int) -> int:
@@ -106,24 +95,14 @@ def _next_pow2(n: int) -> int:
 
 @dataclass(frozen=True)
 class ConvolutionPlan:
-    """How a convolution will run: strategy, certified bound, moduli."""
+    """How a convolution will run: strategy, coefficient bound, length, charge."""
 
     n: int                         # length of the index group Z_n
-    strategy: str                  # "direct" | "float" | "ntt"
-    bound: int                     # proven upper bound on any output coefficient
-    fft_length: int                # power-of-two length used by float/ntt; an ntt
-                                   # stage of k factors is cyclic when k(n-1)+1 exceeds it
-    moduli: tuple[int, ...] = ()   # ntt primes (empty otherwise)
-    pairs: tuple[tuple[int, int], ...] = ()  # factor index pairs an ntt plan
-                                   # convolves first on the float route
-
-
-@lru_cache(maxsize=None)
-def _ntt_prime_info(q: int) -> tuple[int, int]:
-    """(two-adicity of q-1, primitive root of q)."""
-    m = q - 1
-    adicity = (m & -m).bit_length() - 1
-    return adicity, find_primitive_root(q)
+    strategy: str                  # "direct" | "float"
+    bound: int                     # product of the masses: no coefficient exceeds it
+    fft_length: int                # C = next_pow2(2n-1) for "float", 0 for "direct"
+    transforms: int = 0            # float transforms charged at the worst-case norms
+    moduli: tuple[int, ...] = ()   # always empty: no route works modulo primes
 
 
 def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
@@ -132,37 +111,26 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
 
     This is the one place that prices work. The coefficient bound is the
     product of all masses (safe: every output entry is at most the total
-    number of tuples); it decides which routes are exact. `layout` names
-    each factor's array, equal names marking one array (default: k
-    distinct arrays), and a transform route transforms each of its d
-    distinct arrays once. A transform route costs the transforms it runs
-    times L*log2(L) at its length L, times the number of NTT moduli: d+1
-    transforms for the float route and the linear NTT schedule, d+2k-3 for
-    the cyclic one (see _ntt_schedule). An NTT plan may first convolve
-    pairs of factors on the float route (see _ntt_plan); it is chosen only
-    when its float and NTT transforms together cost less than the unpaired
-    plan. The support-pair route costs pair_work, the pairs it visits at
-    most, each support being capped by its mass and by n; it is chosen when
-    PAIR_COST * pair_work is no larger than the transform work. A route
-    whose own work exceeds the budget is passed over; the call is refused
-    only when none fits, with `required` the smaller need. Planning has no
-    side effects: it logs nothing and allocates nothing of length n.
+    number of tuples). `layout` names each factor's array, equal names
+    marking one array (default: k distinct arrays); a float plan
+    transforms an array held whole once. The float route costs the
+    transforms _chain_transforms charges times C*log2(C). The support-pair
+    route (bound < 2^63) costs pair_work, the pairs it visits at most, each
+    support being capped by its mass and by n; it is chosen when PAIR_COST
+    * pair_work is no larger than the transform work. A route whose own
+    work exceeds the budget is passed over; the call is refused only when
+    none fits, with `required` the smaller need. Planning has no side
+    effects: it logs nothing and allocates nothing of length n.
     """
     k = len(masses)
     if k < 1:
         raise BudgetError("no factors to convolve", required=0)
+    masses = [int(m) for m in masses]
     keys = list(range(k)) if layout is None else list(layout)
-    bound = prod(int(m) for m in masses)
-    if bound < FLOAT_EXACT_BOUND:
-        size = _next_pow2(k * (n - 1) + 1)
-        transform = ConvolutionPlan(n, "float", bound, size)
-        transform_work = (len(set(keys)) + 1) * _transform_units(size)
-        what = "float transform convolution"
-    else:
-        transform_work, transform = min(
-            (_ntt_plan(n, keys, bound, pairs) for pairs in ((), _float_pairs(masses, keys))),
-            key=lambda candidate: candidate[0])
-        what = "multi-modulus exact convolution"
+    bound = prod(masses)
+    size = _next_pow2(2 * n - 1)
+    transforms = _chain_transforms(n, masses, keys, size)
+    transform_work = transforms * _transform_units(size)
     limit = DEFAULT_BUDGET if budget is None else budget
     if bound < 1 << 63:  # int64 accumulation is exact
         pair_work = _pair_work(n, masses)
@@ -171,8 +139,8 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
             return ConvolutionPlan(n, "direct", bound, 0)
         if pair_work < transform_work:  # neither fits: refuse with the smaller need
             check_budget(pair_work, budget, "support-pair convolution")
-    check_budget(transform_work, budget, what)
-    return transform
+    check_budget(transform_work, budget, "float transform convolution")
+    return ConvolutionPlan(n, "float", bound, size, transforms)
 
 
 def _transform_units(length: int) -> int:
@@ -180,247 +148,217 @@ def _transform_units(length: int) -> int:
     return length * (length.bit_length() - 1)
 
 
-def _ntt_schedule(k: int, distinct: int, n: int, size: int) -> tuple[int, int]:
-    """(transform length, transforms per modulus) of the cheaper NTT schedule.
-
-    Each of the `distinct` factor arrays is transformed once. The linear
-    schedule does so at the padded length `size` and inverts once:
-    distinct+1 transforms. The cyclic one folds onto Z_n after each
-    product, so it works at next_pow2(2n-1): distinct factor transforms,
-    k-1 inverses and k-2 transforms of the folded accumulator.
-    """
-    cyc = _next_pow2(2 * n - 1)
-    linear, cyclic = distinct + 1, distinct + 2 * k - 3
-    if cyc < size and cyclic * _transform_units(cyc) < linear * _transform_units(size):
-        return cyc, cyclic
-    return size, linear
-
-
-def _float_pairs(masses: Sequence[int], keys: list) -> tuple[tuple[int, int], ...]:
-    """Disjoint factor index pairs whose mass product is below FLOAT_EXACT_BOUND.
-
-    Copies of one array pair with each other first, so [u]*4 pairs as
-    (u, u), (u, u) and needs one product. The factors left over pair the
-    lightest with the heaviest that fits it, which forms as many pairs as
-    any rule can.
-    """
-    masses = [int(m) for m in masses]
-    copies: dict = {}
-    for i, key in enumerate(keys):
-        copies.setdefault(key, []).append(i)
-    pairs, left = [], []
-    for idx in copies.values():
-        if masses[idx[0]] ** 2 < FLOAT_EXACT_BOUND:
-            pairs += zip(idx[0::2], idx[1::2])
-            idx = idx[len(idx) & ~1:]
-        left += idx
-    left.sort(key=masses.__getitem__)
-    lo, hi = 0, len(left) - 1
-    while lo < hi:
-        if masses[left[lo]] * masses[left[hi]] < FLOAT_EXACT_BOUND:
-            pairs.append((left[lo], left[hi]))
-            lo += 1
-        hi -= 1
-    return tuple(pairs)
-
-
-def _pair_stage(factors: list, pairs: Sequence[tuple[int, int]],
-                product: Callable) -> list:
-    """The NTT stage's factors: product(a, b) for each pair, then the unpaired factors."""
-    paired = {i for pair in pairs for i in pair}
-    return ([product(factors[i], factors[j]) for i, j in pairs]
-            + [f for i, f in enumerate(factors) if i not in paired])
-
-
-def _ntt_plan(n: int, keys: list, bound: int,
-              pairs: tuple[tuple[int, int], ...]) -> tuple[int, ConvolutionPlan]:
-    """(work, plan) of an NTT plan.
-
-    The plan first convolves each pair of factors on the float route at
-    C = next_pow2(2n-1), computing a pair of the same two arrays once: two
-    forward transforms and one inverse, or one forward when both factors
-    are one array. Its NTT stage then multiplies the pair products and the
-    unpaired factors. The pairs leave the bound, and so the moduli, as
-    they are; its work is the float transforms plus the NTT transforms.
-    """
-    stage = _pair_stage(keys, pairs, lambda a, b: ("pair", frozenset((a, b))))
-    products = set(stage[:len(pairs)])
-    pair_transforms = sum(len(pair) + 1 for _, pair in products)
-    size = _next_pow2(len(stage) * (n - 1) + 1)
-    moduli = _select_ntt_moduli(bound, size)
-    length, per_modulus = _ntt_schedule(len(stage), len(set(stage)), n, size)
-    work = (per_modulus * len(moduli) * _transform_units(length)
-            + pair_transforms * _transform_units(_next_pow2(2 * n - 1)))
-    return work, ConvolutionPlan(n, "ntt", bound, length, moduli, pairs)
-
-
 def _pair_work(n: int, masses: Sequence[int]) -> int:
     """Upper bound on the support pairs the direct route visits, factor by factor."""
-    support, work = min(int(masses[0]), n), 0
+    support, work = min(masses[0], n), 0
     for m in masses[1:]:
-        pairs = support * min(int(m), n)
+        pairs = support * min(m, n)
         work += pairs
         support = min(pairs, n)
     return work
 
 
-def _select_ntt_moduli(bound: int, n: int) -> tuple[int, ...]:
-    usable = [q for q in _NTT_POOL if (1 << _ntt_prime_info(q)[0]) >= n]
-    chosen = []
-    capacity = 1
-    for q in usable:
-        chosen.append(q)
-        capacity *= q
-        if capacity > bound:
-            return tuple(chosen)
-    raise BudgetError(
-        f"coefficient bound {bound} exceeds exact-route capacity {capacity} "
-        f"at transform length {n}", required=bound)
+def _chain_transforms(n: int, masses: list[int], keys: list, size: int) -> int:
+    """The transforms the float chain is charged: what it runs at worst-case norms.
 
+    Each step takes its width from _bound_norms by the executor's rule
+    (_width). It transforms the accumulator's limbs (in the first step,
+    the first factor's) and the factor's limbs, except that a factor held
+    whole whose spectrum was made before, in this step or an earlier one,
+    is not transformed again. It inverts once per limb-index sum.
+    """
+    gamma = _gamma(size)
+    held, transforms, acc = set(), 0, masses[0]
 
-# ---------------------------------------------------------------------------
-# threads for the moduli of an exact convolution
-
-# Shorter transforms run serially. On 2 vCPUs, threads cost up to 42% at
-# length 2^11, broke even at 2^13, varied from -20% to +4% at 2^14 and
-# saved 26-45% from 2^15 on.
-_THREAD_MIN_LENGTH = 1 << 15
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _cores() -> int:
-    """CPUs this process may run on; sizes the shared pool and each call's threads."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _ntt_threads(plan: ConvolutionPlan) -> int:
-    """Threads the moduli of an NTT plan run on, the calling thread included."""
-    if plan.fft_length < _THREAD_MIN_LENGTH:
+    def forward(key: Hashable, limbs: int) -> int:
+        if limbs > 1:
+            return limbs
+        if key in held:
+            return 0
+        held.add(key)
         return 1
-    return min(len(plan.moduli), _cores())
 
-
-def _shared_pool() -> ThreadPoolExecutor:
-    """The cores - 1 threads every NTT convolution of the process shares, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _cores() - 1), thread_name_prefix="fplab-ntt")
-        return _pool
-
-
-# ---------------------------------------------------------------------------
-# number-theoretic transform over a 31-bit prime, power-of-two length
-
-
-@lru_cache(maxsize=16)
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.uint32)
-    rev = np.zeros(n, dtype=np.uint32)
-    for b in range(bits):
-        rev = (rev << 1) | ((idx >> b) & 1)
-    return rev
-
-
-@lru_cache(maxsize=16)
-def _ntt_tables(q: int, n: int) -> tuple[np.ndarray, int]:
-    """(root powers w^0..w^(n/2-1), n^-1 mod q) for length n.
-
-    The butterflies of a length-n transform read twiddles below n/2 only.
-    """
-    adicity, g = _ntt_prime_info(q)
-    if (1 << adicity) < n:
-        raise ConsistencyError(f"modulus {q} cannot host a length-{n} transform")
-    w = pow(g, (q - 1) // n, q)
-    return power_table(w, max(1, n >> 1), q), pow(n, q - 2, q)
-
-
-def _ntt_forward(vec: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Iterative radix-2 length-n transform of vec (uint64, entries < q) zero-padded.
-
-    Butterfly sums and differences lie below 2q, so one conditional
-    subtraction reduces them: min(s, s - q) is s - q when s >= q, and s
-    otherwise, because s - q then wraps around to above 2^63. Each stage
-    holds two half-length temporaries, v and d.
-    """
-    pows = _ntt_tables(q, n)[0]
-    a = np.zeros(n, dtype=np.uint64)
-    a[_bit_reverse_indices(n)[:vec.size]] = vec  # bit reversal is an involution
-    qq = np.uint64(q)
-    length = 2
-    while length <= n:
-        half = length >> 1
-        step = n // length
-        tw = pows[0:step * half:step]
-        b = a.reshape(-1, length)
-        u, w = b[:, :half], b[:, half:]
-        v = w * tw
-        v %= qq
-        d = u + qq
-        d -= v
-        np.add(u, v, out=v)          # v = s
-        np.subtract(v, qq, out=u)
-        np.minimum(u, v, out=u)
-        np.subtract(d, qq, out=v)
-        np.minimum(d, v, out=w)
-        length <<= 1
-    return a
-
-
-def _ntt_inverse(vec: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Inverse length-n transform: the forward one read at (n - j) mod n, times n^-1."""
-    out = _ntt_forward(vec, q, n)
-    out[1:] = out[:0:-1].copy()
-    out *= np.uint64(_ntt_tables(q, n)[1])
-    out %= np.uint64(q)
-    return out
-
-
-def _crt_combine(residues: list[np.ndarray], moduli: tuple[int, ...],
-                 bound: int) -> np.ndarray:
-    """Exact entries (each < bound <= prod(moduli)) from their residues, by Garner.
-
-    The mixed-radix digits d_i < q_i of x = d_0 + q_0*(d_1 + q_1*(d_2 + ...))
-    are computed in uint64, where every product of two residues stays below
-    2^63. Below 2^62 the Horner sum runs in wrapping uint64 arithmetic and
-    is exact, since it is exact mod 2^64, and the result is int64. Above,
-    digits pair up into limbs d_i + q_i*d_(i+1) < 2^62, joined by Horner in
-    place on an object array of Python ints, the result's dtype.
-    """
-    digits = []
-    for x, q in zip(residues, moduli):
-        qq = np.uint64(q)
-        for d, qd in zip(digits, moduli):
-            x = (x + (qq - d % qq)) * np.uint64(pow(qd, -1, q)) % qq
-        digits.append(x)
-    if bound < 1 << 62:
-        out = digits[-1]
-        for d, q in zip(digits[-2::-1], moduli[-2::-1]):
-            out = out * np.uint64(q) + d
-        return out.astype(np.int64)
-    limbs, radices = [], []
-    for i in range(0, len(digits), 2):
-        limb, radix = digits[i], moduli[i]
-        if i + 1 < len(digits):
-            limb = limb + digits[i + 1] * np.uint64(radix)
-            radix *= moduli[i + 1]
-        limbs.append(limb)
-        radices.append(radix)
-    # in place: `limb + radix * out` would hold a second full-length object array
-    out = limbs[-1].astype(object)
-    for limb, radix in zip(limbs[-2::-1], radices[-2::-1]):
-        out *= radix
-        out += limb.astype(object)
-    return out
+    for t in range(1, len(masses)):
+        mass = masses[t]
+        b, _ = _width(_bound_norms(acc, n), _bound_norms(mass, n),
+                      acc.bit_length(), mass.bit_length(), gamma)
+        x_limbs, y_limbs = _limb_count(acc.bit_length(), b), _limb_count(mass.bit_length(), b)
+        transforms += forward(keys[0], x_limbs) if t == 1 else x_limbs
+        transforms += forward(keys[t], y_limbs) + x_limbs + y_limbs - 1
+        acc *= mass
+    return transforms
 
 
 # ---------------------------------------------------------------------------
-# the three convolution routes
+# the certificate: Percival's bound from exact limb norms
+
+
+@lru_cache(maxsize=None)
+def _gamma(length: int) -> float:
+    """Percival's error factor gamma(2^m), with beta = eps = 2^-53, rounded up.
+
+    Evaluated through log1p and expm1, then raised by 2^-40 relative, which
+    covers the float rounding of this evaluation and of the comparison
+    that uses it.
+    """
+    m = length.bit_length() - 1
+    eps = 2.0 ** -53
+    growth = 6 * m * math.log1p(eps) + (3 * m + 1) * math.log1p(eps * math.sqrt(5))
+    return math.expm1(growth) * (1 + 2.0 ** -40)
+
+
+def _limb_count(bits: int, b: int) -> int:
+    """Limbs of width b of a side whose entries have at most `bits` bits."""
+    return max(1, -(-bits // b))
+
+
+def _bound_norms(mass: int, n: int) -> Norms:
+    """Squared-norm bounds for the limbs of any nonnegative vector of this mass on Z_n.
+
+    Every entry is at most the mass, so limb i at width b has entries at
+    most D = min(mass >> b*i, 2^b - 1) and a mass of at most
+    mass >> b*i; its squared l2 norm is at most min((mass >> b*i) * D,
+    n * D^2). A point mass meets the bound when it is one limb.
+    """
+    bits = mass.bit_length()
+
+    def norms(b: int, count: int | None = None) -> list[int]:
+        out = []
+        for i in range(_limb_count(bits, b) if count is None else count):
+            top = mass >> (b * i)
+            d = min(top, (1 << b) - 1)
+            out.append(min(top * d, n * d * d))
+        return out
+
+    return norms
+
+
+def _exact_norms(digits: list[np.ndarray], width: int, bits: int) -> Norms:
+    """The exact squared l2 norms of the limbs of sum_i digits[i] * 2^(width*i)."""
+    def norms(b: int, count: int | None = None) -> list[int]:
+        limbs = _limb_count(bits, b)
+        return [sum_of_squares(_limb(digits, width, b, j, limbs))
+                for j in range(limbs if count is None else count)]
+
+    return norms
+
+
+def _ceil_sqrt(v: int) -> int:
+    return isqrt(v - 1) + 1 if v else 0
+
+
+def _sum_bound(xs: list[int], ys: list[int]) -> int:
+    """max over s of sum_{i+j=s} ||x_i|| ||y_j||, each term rounded up, from squared norms."""
+    sums = [0] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        for j, c in enumerate(ys):
+            sums[i + j] += _ceil_sqrt(a * c)
+    return max(sums)
+
+
+def _width(x_norms: Norms, y_norms: Norms, x_bits: int, y_bits: int,
+           gamma: float) -> tuple[int, float]:
+    """(b, certified bound): the widest limb width whose every sum certifies.
+
+    Widths run up to `top`, where both sides are one limb, or to _WORD.
+    `top` is tried first. Below it, the low limbs' term (s = 0) never falls
+    as b grows, so bisection finds the widest width at which that term
+    certifies; the full certificate is then checked from there down. Width
+    1 certifies at any desk-scale n, since its limbs are 0/1 vectors.
+    """
+    def bound(b: int, count: int | None = None) -> float:
+        return _sum_bound(x_norms(b, count), y_norms(b, count)) * gamma
+
+    top = min(_WORD, max(1, x_bits, y_bits))
+    worst = bound(top)
+    if worst < 0.25:
+        return top, worst
+    lo, hi = 1, top - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if bound(mid, 1) < 0.25:
+            lo = mid
+        else:
+            hi = mid - 1
+    for b in range(lo, 0, -1):
+        worst = bound(b)
+        if worst < 0.25:
+            return b, worst
+    raise ConsistencyError("no limb width certifies the float product")
+
+
+# ---------------------------------------------------------------------------
+# limbs, carries and the final join
+
+
+def _limb(digits: list[np.ndarray], width: int, b: int, j: int, count: int) -> np.ndarray:
+    """Limb j of `count` at width b of sum_i digits[i] * 2^(width*i).
+
+    That is bits [j*b, (j+1)*b) of every entry, the last limb taking all
+    the bits above. Every digit but the top one is below 2^width. A limb
+    that is one whole digit is that digit's array, not a copy.
+    """
+    lo = j * b
+    hi = None if j == count - 1 else lo + b
+    limb = None
+    for i, d in enumerate(digits):
+        start = i * width
+        stop = None if i == len(digits) - 1 else start + width
+        if (stop is not None and stop <= lo) or (hi is not None and start >= hi):
+            continue
+        first = max(start, lo)
+        part = d >> (first - start) if first > start else d
+        if hi is not None and (stop is None or hi < stop):
+            part = part & ((1 << (hi - first)) - 1)
+        if first > lo:
+            part = part << (first - lo)
+        limb = part if limb is None else limb | part
+    return limb
+
+
+def _carry(parts: list[np.ndarray], b: int) -> list[np.ndarray]:
+    """Base-2^b digits of sum_s parts[s] * 2^(b*s), each below 2^b but the top one.
+
+    The parts are nonnegative int64 arrays below 2^45 and are overwritten;
+    top digits that are zero everywhere are dropped.
+    """
+    mask = (1 << b) - 1
+    digits, carry = [], 0
+    for z in parts:
+        z += carry
+        carry = z >> b
+        z &= mask
+        digits.append(z)
+    digits.append(carry)
+    while len(digits) > 1 and not digits[-1].any():
+        digits.pop()
+    return digits
+
+
+def _bits(digits: list[np.ndarray], width: int) -> int:
+    """Bit length of the largest entry of sum_i digits[i] * 2^(width*i)."""
+    return (len(digits) - 1) * width + int(digits[-1].max()).bit_length()
+
+
+def _join(digits: list[np.ndarray], width: int, bound: int) -> np.ndarray:
+    """The exact vector: int64 below a coefficient bound of 2^62, else Python ints.
+
+    Above, the digits regroup into 62-bit words that are joined by Horner in
+    place on an object array; `word + radix * out` would hold a second
+    full-length object array.
+    """
+    if bound < 1 << _WORD:
+        return _limb(digits, width, _WORD, 0, 1)
+    count = _limb_count(_bits(digits, width), _WORD)
+    out = _limb(digits, width, _WORD, count - 1, count).astype(object)
+    for j in range(count - 2, -1, -1):
+        out *= 1 << _WORD
+        out += _limb(digits, width, _WORD, j, count).astype(object)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the two convolution routes
 
 
 def _fold(linear: np.ndarray, n: int) -> np.ndarray:
@@ -449,143 +387,112 @@ def _pair_kfold(vectors: list[np.ndarray], n: int) -> np.ndarray:
     return out
 
 
-def _spectra(vectors: list[np.ndarray],
-             transform: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
-    """Each factor's transform in order, computing each distinct array once.
-
-    A spectrum is held only while a later position still uses its array.
-    The first one yielded is the caller's to overwrite; later ones may be
-    held for a later position and are read-only.
-    """
-    last = {id(vec): i for i, vec in enumerate(vectors)}
-    held = {}
-    for i, vec in enumerate(vectors):
-        key = id(vec)
-        spectrum = held.pop(key, None)
-        if spectrum is None:
-            spectrum = transform(vec)
-        if last[key] > i:
-            held[key] = spectrum
-            if i == 0:
-                spectrum = spectrum.copy()
-        yield spectrum
-
-
-def _float_kfold(vectors: list[np.ndarray], n: int, size: int) -> np.ndarray:
-    spectra = _spectra(vectors, lambda vec: np.fft.rfft(vec, size))
-    spectrum = next(spectra)
-    for f in spectra:
-        spectrum *= f
-    del f  # one spectrum less held through the inverse transform
-    folded = _fold(np.fft.irfft(spectrum, size)[:len(vectors) * (n - 1) + 1], n)
+def _rounded(folded: np.ndarray) -> tuple[np.ndarray, float]:
+    """(int64 counts, rounding residual) of one folded inverse, which is overwritten."""
     rounded = np.rint(folded)
-    residual = float(np.abs(folded - rounded, out=folded).max())
+    folded -= rounded
+    residual = float(np.abs(folded, out=folded).max())
     if residual > 0.25:
         raise ConsistencyError(
             f"float convolution rounding residual {residual:.3g} exceeds 0.25")
-    return rounded.astype(np.int64)
+    return rounded.astype(np.int64), residual
 
 
-def _float_pair_products(arrays: list[np.ndarray], n: int,
-                         pairs: tuple[tuple[int, int], ...]) -> list[np.ndarray]:
-    """The NTT stage's factors: each pair's product on the float route, then the rest.
+def _float_chain(arrays: list, n: int, plan: ConvolutionPlan) -> np.ndarray:
+    """The chain of certified two-factor float products; see the module docstring.
 
-    A pair of the same two arrays as an earlier pair shares its product, so
-    the NTT stage transforms that product once too. Logs the products and
-    transforms it ran.
+    A factor's entry in `arrays` is cleared once its step has read it, so a
+    factor no one else holds is freed as the chain goes. Logs what it ran.
     """
-    size = _next_pow2(2 * n - 1)
-    done = {}
+    size = plan.fft_length
+    gamma = _gamma(size)
+    keys = [id(a) for a in arrays]
+    last = {key: t for t, key in enumerate(keys)}
+    held = {}  # key -> spectrum of a factor held whole that a later step uses
+    digits, width = [arrays[0]], _WORD
+    bits = _bits(digits, width)
+    arrays[0] = None
+    run, steps, certified, residual = 0, [], 0.0, 0.0
 
-    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        key = frozenset((id(a), id(b)))
-        if key not in done:
-            done[key] = _float_kfold([a, b], n, size)
-        return done[key]
+    def spectra(t: int, side: list[np.ndarray]) -> list[np.ndarray]:
+        """The spectra of factor t's limbs; a whole factor's from `held` when made before."""
+        nonlocal run
+        spectrum = held.get(keys[t]) if len(side) == 1 else None
+        if spectrum is not None:
+            return [spectrum]
+        run += len(side)
+        out = [np.fft.rfft(limb, size) for limb in side]
+        if len(side) == 1 and last[keys[t]] > t:
+            held[keys[t]] = out[0]
+        return out
 
-    stage = _pair_stage(arrays, pairs, product)
-    # one forward transform per distinct array of a pair, and one inverse
-    log.info("float pair stage: %d product(s) (%d transforms) at length %d",
-             len(done), sum(len(key) + 1 for key in done), size)
-    return stage
-
-
-def _ntt_residue(vectors: list[np.ndarray], n: int, size: int, cyclic: bool,
-                 q: int) -> np.ndarray:
-    """The k-fold convolution mod q, folded onto Z_n: multiply spectra, invert, fold.
-
-    The linear schedule inverts once, after the last product. The cyclic
-    one folds after every product, whose linear part has 2n-1 entries, and
-    transforms the folded accumulator again for the next factor.
-    """
-    span = 2 * n - 1 if cyclic else len(vectors) * (n - 1) + 1
-    last = len(vectors) - 1
-    qq = np.uint64(q)
-    spectra = _spectra(vectors, lambda vec: _ntt_forward(vec.astype(np.uint64) % qq, q, size))
-    spectrum = next(spectra)
-    for i, f in enumerate(spectra, 1):
-        spectrum *= f
-        del f  # one spectrum less held through the inverse transform
-        spectrum %= qq
-        if cyclic or i == last:
-            acc = _fold(_ntt_inverse(spectrum, q, size)[:span], n) % qq
-            if i < last:
-                spectrum = _ntt_forward(acc, q, size)
-    return acc
-
-
-def _ntt_kfold(vectors: list[np.ndarray], n: int, plan: ConvolutionPlan) -> np.ndarray:
-    """Every modulus's residue on _ntt_threads threads, then the CRT in modulus order.
-
-    The schedule is cyclic exactly when the k factors' linear convolution,
-    k(n-1)+1 entries, does not fit in fft_length. With t threads, share j
-    takes the moduli j, j+t, j+2t, ...; the calling thread runs share 0 and
-    the shared pool the others. Logs the schedule and transforms it ran.
-    """
-    size, moduli = plan.fft_length, plan.moduli
-    k = len(vectors)
-    cyclic = k * (n - 1) + 1 > size
-    # cached tables built in a pool thread would pin that thread's malloc arena
-    _bit_reverse_indices(size)
-    for q in moduli:
-        _ntt_tables(q, size)
-    threads = _ntt_threads(plan)
-
-    def share(first: int) -> list[np.ndarray]:
-        return [_ntt_residue(vectors, n, size, cyclic, q) for q in moduli[first::threads]]
-
-    futures = [_shared_pool().submit(share, j) for j in range(1, threads)]
-    try:
-        own = share(0)
-    finally:
-        wait(futures)
-    residues = [None] * len(moduli)
-    residues[0::threads] = own
-    for j, future in enumerate(futures, 1):
-        residues[j::threads] = future.result()
-    # per modulus, _ntt_residue transforms each distinct array once, then
-    # inverts once (linear) or k-1 times, re-transforming k-2 accumulators
-    transforms = len({id(v) for v in vectors}) + (2 * k - 3 if cyclic else 1)
-    log.info("exact ntt convolution, bound %d: %s schedule, length %d, moduli %s, "
-             "%d transforms on %d thread(s)", plan.bound, "cyclic" if cyclic else "linear",
-             size, ",".join(map(str, moduli)), transforms * len(moduli), threads)
-    return _crt_combine(residues, moduli, plan.bound)
+    for t in range(1, len(keys)):
+        y = arrays[t]
+        arrays[t] = None
+        y_bits = _bits([y], _WORD)
+        b, bound = _width(_exact_norms(digits, width, bits), _exact_norms([y], _WORD, y_bits),
+                          bits, y_bits, gamma)
+        x_limbs, y_limbs = _limb_count(bits, b), _limb_count(y_bits, b)
+        first = None  # the first step's x spectra; later steps stream the accumulator's
+        if t == 1:
+            first = spectra(0, [_limb(digits, width, b, i, x_limbs) for i in range(x_limbs)])
+        ys = spectra(t, [_limb([y], _WORD, b, j, y_limbs) for j in range(y_limbs)])
+        y = None
+        owned = t > 1 or keys[0] not in held  # may x's spectra be overwritten?
+        live, parts = {}, []
+        for s in range(x_limbs + y_limbs - 1):
+            if s < x_limbs:
+                if first is None:
+                    live[s] = np.fft.rfft(_limb(digits, width, b, s, x_limbs), size)
+                    run += 1
+                else:
+                    live[s] = first[s]
+            z = None
+            for i in range(max(0, s - y_limbs + 1), min(s, x_limbs - 1) + 1):
+                if i == s - y_limbs + 1:  # the last sum that uses x_i
+                    term = live.pop(i)
+                    term = np.multiply(term, ys[s - i], out=term if owned else None)
+                else:
+                    term = live[i] * ys[s - i]
+                if z is None:
+                    z = term
+                else:
+                    z += term
+                term = None
+            if s == x_limbs + y_limbs - 2:  # the factor spectra are spent
+                ys = first = None
+                for key in {keys[t], keys[0]}:
+                    if last[key] <= t:
+                        held.pop(key, None)
+            linear = np.fft.irfft(z, size)
+            z = None
+            folded = _fold(linear[:2 * n - 1], n)
+            linear = None
+            part, res = _rounded(folded)
+            folded = None
+            run += 1
+            parts.append(part)
+            residual = max(residual, res)
+        digits = parts if len(parts) == 1 else _carry(parts, b)
+        width = b
+        bits = _bits(digits, width)
+        steps.append(f"{x_limbs}x{y_limbs}@{b}")
+        certified = max(certified, bound)
+    log.info("float convolution at length %d: %d step(s) %s (limbs x limbs @ width), "
+             "%d of %d charged transforms, certified bound %.3g, largest residual %.3g",
+             size, len(steps), " ".join(steps), run, plan.transforms, certified, residual)
+    return _join(digits, width, plan.bound)
 
 
-def _run(arrays: list[np.ndarray], n: int, plan: ConvolutionPlan) -> np.ndarray:
+def _run(arrays: list, n: int, plan: ConvolutionPlan) -> np.ndarray:
     """The convolution over Z_n of int64 factor arrays, run as `plan` says.
 
-    k_fold_count's executor; it runs any plan as given. The float pair
-    stage replaces the list's contents in place, so a factor no one else
-    holds is freed before the NTT stage starts.
+    k_fold_count's executor. The float chain clears each entry of `arrays`
+    as it reads it.
     """
     if plan.strategy == "direct":
         return _pair_kfold(arrays, n)
-    if plan.strategy == "float":
-        return _float_kfold(arrays, n, plan.fft_length)
-    if plan.pairs:
-        arrays[:] = _float_pair_products(arrays, n, plan.pairs)
-    return _ntt_kfold(arrays, n, plan)
+    return _float_chain(arrays, n, plan)
 
 
 def k_fold_count(vectors: Sequence[CountVector], *, budget: int | None = None) -> CountVector:
@@ -593,9 +500,9 @@ def k_fold_count(vectors: Sequence[CountVector], *, budget: int | None = None) -
 
     plan_convolution plans the call for the vectors' masses and distinct
     arrays, refusing it before any transform runs when no route fits the
-    budget; the plan then runs as support pairs, or as pointwise products
-    in the transform domain, inverse transforms and folds onto Z_n. Total
-    mass is verified against the product of input masses on every call.
+    budget; the plan then runs as support pairs or as the float chain.
+    Total mass is verified against the product of input masses on every
+    call.
     """
     if len(vectors) < 2:
         raise BudgetError("k-fold convolution needs at least two factors", required=2)
@@ -607,7 +514,7 @@ def k_fold_count(vectors: Sequence[CountVector], *, budget: int | None = None) -
     if any(v.counts.dtype != np.int64 for v in vectors):
         raise ConsistencyError("input count vectors must be 64-bit backed")
     arrays = [v.counts for v in vectors]
-    del vectors  # a factor the caller holds no more is freed once it is paired
+    del vectors  # a factor the caller holds no more is freed after its step
     return CountVector(_run(arrays, n, plan), expected_total=plan.bound)
 
 

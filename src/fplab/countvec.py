@@ -54,11 +54,42 @@ class CountVector:
 
     def sum_of_squares(self) -> int:
         """Exact sum of squared entries (arbitrary precision)."""
-        vals, reps = np.unique(self.counts, return_counts=True)
-        return sum(int(v) * int(v) * int(r) for v, r in zip(vals, reps))
+        if self.counts.dtype == object:
+            return int(np.dot(self.counts, self.counts))  # Python ints: exact
+        return sum_of_squares(self.counts)
 
     def __repr__(self):
         return f"CountVector(p={self.p}, total={self.total})"
+
+
+def sum_of_squares(x: np.ndarray) -> int:
+    """Exact sum of x^2 over a nonnegative int64 array.
+
+    One int64 dot when max^2 * n < 2^63, where no partial sum can
+    overflow. Otherwise the exact path: _exact_dot halves the entries'
+    bits until each of its int64 dots is below that limit.
+    """
+    if x.size == 0:
+        return 0
+    top = int(x.max())
+    if top * top * x.size < 1 << 63:
+        return int(np.dot(x, x))
+    return _exact_dot(x, x, top, top)
+
+
+def _exact_dot(x: np.ndarray, y: np.ndarray, x_max: int, y_max: int) -> int:
+    """Exact <x, y> of nonnegative int64 arrays whose maxima are at most x_max, y_max.
+
+    The factor with the larger maximum is split as hi * 2^w + lo, w half
+    its bits, until max(x) * max(y) * n < 2^63 holds for every dot.
+    """
+    if x_max * y_max * x.size < 1 << 63:
+        return int(np.dot(x, y))
+    if x_max < y_max:
+        x, y, x_max, y_max = y, x, y_max, x_max
+    w = x_max.bit_length() // 2
+    return ((_exact_dot(x >> w, y, x_max >> w, y_max) << w)
+            + _exact_dot(x & ((1 << w) - 1), y, (1 << w) - 1, y_max))
 
 
 def from_bincount(indices: np.ndarray, p: int, expected_total: int | None = None) -> CountVector:

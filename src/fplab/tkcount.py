@@ -74,11 +74,20 @@ def _dev_stats(counts: CountVector, p: int,
 
 def _factor_counts(factors: list[tuple[ResidueSet, int]], H: int, s: int,
                    ctx: PrimeContext, budget: int | None) -> list[CountVector]:
-    """One count vector per (set, shift) factor over the interval shift + {1..H}."""
+    """The count vector of each (set, shift) factor over the interval shift + {1..H}.
+
+    Factors with equal set contents and equal shifts mod p share one
+    vector, so the paper's T_k over one set M and one interval X builds
+    one vector, which k_fold_count then transforms once.
+    """
+    built: dict[tuple[bytes, int], CountVector] = {}
     vectors = []
     for mset, shift in factors:
-        x = shifted_interval(shift, H, ctx, require_denominator_safe=True)
-        vectors.append(count_vector_product(x, mset, s, ctx, budget))
+        key = (mset.elems.tobytes(), shift % ctx.p)
+        if key not in built:
+            x = shifted_interval(shift, H, ctx, require_denominator_safe=True)
+            built[key] = count_vector_product(x, mset, s, ctx, budget)
+        vectors.append(built[key])
     return vectors
 
 
@@ -96,7 +105,7 @@ def tk_experiment(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: int,
         raise DomainError(
             f"factor sets have unequal sizes {sizes}; pass allow_unequal to override")
     # each factor's mass is H * M; no list of factors outlives the convolution,
-    # which frees each one once it has gone into a pair product
+    # which frees each one after its last step
     main_term = tk_main_term([H * m for m in sizes], ctx.p)
     counts = convolve.k_fold_count(_factor_counts(factors, H, s, ctx, budget), budget=budget)
     max_dev, mean_dev, dev_at = _dev_stats(counts, ctx.p, sample_lambdas)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from fplab import cli, tkcount
 from fplab.cli import main
 
 
@@ -251,3 +252,28 @@ def test_product_problem_above_dlog_cap_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "prodset", "--p", "67108879", "--H", "3",
                            "--set", "random:3", "--seed", "1")
     assert code == 2 and "2^26" in err
+
+
+# Recorded before factors with equal contents shared one count vector.
+T6_FILE_SET = (
+    "command,k,p,H,L,s,M,epsilon,main_term,total,max_abs_dev,mean_abs_dev,flags,dev_at,t_values\n"
+    "tk,6,31,3,4,1,3,0.05,531441/31,531441,0.0543221166602,0.0220169495342,000,"
+    "0=0.036792419102;5=-0.00415662321876,17774;17438;17946;17569;17006;17072;16729;16309;"
+    "17160;16898;17277;17956;17372;17582;17381;16608;16607;16714;16212;17182;17217;17268;"
+    "17998;17423;17262;17252;16663;16527;17053;16614;17372\n")
+
+
+def test_tk_over_one_file_set_builds_one_count_vector(capsys, tmp_path, monkeypatch):
+    # the paper's T_6 over one set M and one interval X: the set file is
+    # read once and one count vector is built, with the recorded bytes
+    path = tmp_path / "set3"
+    path.write_text("2\n7\n19\n")
+    reads, builds = [], []
+    read, build = cli.set_from_file, tkcount.count_vector_product
+    monkeypatch.setattr(cli, "set_from_file", lambda *a: reads.append(1) or read(*a))
+    monkeypatch.setattr(tkcount, "count_vector_product",
+                        lambda *a: builds.append(1) or build(*a))
+    assert run_cli(capsys, "tk", "--p", "31", "--H", "3", "--s", "1", "--k", "6",
+                   "--set", f"file:{path}", "--L", "4", "--lambdas", "0,5") == \
+        (0, T6_FILE_SET, "")
+    assert reads == builds == [1]

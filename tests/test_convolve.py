@@ -1,9 +1,6 @@
 import logging
-import sys
-import threading
+import re
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -13,12 +10,9 @@ from hypothesis import strategies as st
 
 from fplab import convolve
 from fplab.convolve import (ConvolutionPlan, k_fold_count,
-                            length_p_transform, plan_convolution,
-                            _crt_combine, _next_pow2, _ntt_forward, _ntt_inverse,
-                            _select_ntt_moduli, _NTT_POOL)
+                            length_p_transform, plan_convolution)
 from fplab.countvec import CountVector
 from fplab.errors import BudgetError, ConsistencyError
-from fplab.modfield import is_prime
 
 import oracles
 
@@ -78,72 +72,99 @@ def test_kfold_matches_enumeration_small():
             assert got == oracles.tk_counts(values, p)
 
 
+def _chain_logs(caplog):
+    """(transforms run, transforms charged, steps) of each float chain's log line."""
+    out = []
+    for record in caplog.records:
+        m = re.search(r"\d+ step\(s\) (.*) \(limbs x limbs @ width\), (\d+) of (\d+) charged",
+                      record.getMessage())
+        if m:
+            out.append((int(m[2]), int(m[3]), m[1].split()))
+    return out
+
+
+def _spy_transforms(monkeypatch):
+    """The arrays passed to np.fft.rfft and the count of np.fft.irfft calls, as they run."""
+    calls = {"rfft": [], "irfft": 0}
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+
+    def forward(a, *args):
+        calls["rfft"].append(a)
+        return rfft(a, *args)
+
+    def inverse(*args):
+        calls["irfft"] += 1
+        return irfft(*args)
+
+    monkeypatch.setattr(np.fft, "rfft", forward)
+    monkeypatch.setattr(np.fft, "irfft", inverse)
+    return calls
+
+
+def _expect(vecs):
+    expect = vecs[0].as_list()
+    for v in vecs[1:]:
+        expect = oracles.cyclic_convolve(expect, v.as_list(), v.p)
+    return expect
+
+
 def test_strategies_agree_on_medium_instance():
     rng = np.random.default_rng(3)
     p = 211
     vecs = [_cv(rng.integers(0, 3, size=p)) for _ in range(3)]
     auto = plan_convolution(p, [v.total for v in vecs])
     assert auto.strategy == "float"
-    ntt_plan = ConvolutionPlan(p, "ntt", auto.bound, auto.fft_length,
-                               _select_ntt_moduli(auto.bound, auto.fft_length))
-    assert k_fold_count(vecs).as_list() == _run(vecs, ntt_plan)
+    direct = ConvolutionPlan(p, "direct", auto.bound, 0)
+    assert k_fold_count(vecs).as_list() == _run(vecs, direct) == _expect(vecs)
 
 
 def test_strategy_escalation_and_logging(caplog):
-    # bound above 2^40 must route to the exact multi-modulus path, which
-    # logs when it runs; planning logs nothing
+    # a bound above 2^40 runs the float chain too, which logs one line
+    # when it runs; planning logs nothing
     rng = np.random.default_rng(10)
     vecs = [_cv(rng.integers(0, 65, size=1009)) for _ in range(3)]  # masses near 2^15
     with caplog.at_level(logging.INFO, logger="fplab.convolve"):
         plan = plan_convolution(1009, [v.total for v in vecs])
-        assert plan.strategy == "ntt"
-        assert len(plan.moduli) >= 2
+        assert plan.strategy == "float" and plan.bound >= 1 << 40
+        assert plan.fft_length == 2048 and plan.moduli == ()
         assert caplog.records == []
-        expect = vecs[0].as_list()
-        for v in vecs[1:]:
-            expect = oracles.cyclic_convolve(expect, v.as_list(), 1009)
-        assert k_fold_count(vecs).as_list() == expect
-    ntt = [r.getMessage() for r in caplog.records if "exact ntt" in r.getMessage()]
-    assert len(ntt) == 1 and f"moduli {','.join(map(str, plan.moduli))}" in ntt[0]
+        assert k_fold_count(vecs).as_list() == _expect(vecs)
+    # the worst case of these masses splits the second step, but the
+    # actual norms certify both steps whole: 3 + 3 transforms
+    ((run, charged, steps),) = _chain_logs(caplog)
+    assert run == 6 < charged == plan.transforms
+    assert [step.split("@")[0] for step in steps] == ["1x1", "1x1"]
     # few support pairs: the pair route undercuts any transform
     small = plan_convolution(1009, [4, 4])
     assert small.strategy == "direct"
-    # full supports: 1922 pairs cost more than four length-128 transforms
+    # full supports: 1922 pairs cost more than six length-64 transforms
     tiny = plan_convolution(31, [1000, 1000, 1000])
-    assert tiny.strategy == "float"
+    assert tiny.strategy == "float" and tiny.transforms == 6
     dense = plan_convolution(1009, [600, 600])
     assert dense.strategy == "float"
-
-
-def test_ntt_pool_is_sound():
-    for q in _select_ntt_moduli(1 << 120, 1 << 24):
-        assert is_prime(q)
-        assert (q - 1) % (1 << 24) == 0
 
 
 def test_plan_refusals():
     with pytest.raises(BudgetError):
         plan_convolution(101, [10, 10], budget=1)
-    with pytest.raises(BudgetError):
-        _select_ntt_moduli(1 << 500, 1 << 20)
+    with pytest.raises(BudgetError, match="at least two"):
+        k_fold_count([_cv([1, 2, 3])])
 
 
 def test_plans_are_charged_the_transforms_they_run():
-    # T_6 at n = 100003, two moduli: three float pair products at 2^18
-    # (3 transforms each), then 6 cyclic transforms at 2^18 per modulus
+    # T_6 at n = 100003 with masses 1000: at worst-case norms steps 1-2
+    # stay one limb (3 + 2 transforms), steps 3-5 split the accumulator
+    # into two limbs (2 + 1 forward, 2 inverse each): 21 transforms at 2^18
     units = (1 << 18) * 18
-    charge = (3 * 3 + 6 * 2) * units
+    charge = 21 * units
     assert charge == 99_090_432
-    # unpaired, the same plan would run 15 cyclic transforms per modulus
-    assert convolve._ntt_plan(100003, list(range(6)), 1000 ** 6, ())[0] == 15 * 2 * units
-    plan = plan_convolution(100003, [1000] * 6, budget=200_000_000)
-    assert plan.strategy == "ntt" and len(plan.moduli) == 2 and len(plan.pairs) == 3
-    assert plan.fft_length == 1 << 18 < 3 * 100002 + 1  # three pair products: cyclic
-    assert plan_convolution(100003, [1000] * 6, budget=charge) == plan
+    plan = plan_convolution(100003, [1000] * 6, budget=charge)
+    assert plan == ConvolutionPlan(100003, "float", 1000 ** 6, 1 << 18, 21)
     with pytest.raises(BudgetError) as exc:
         plan_convolution(100003, [1000] * 6, budget=charge - 1)
     assert exc.value.required == charge
-    # float route: d+1 transforms at N = 2048, so one distinct factor is cheaper
+    # one step: 2 forward transforms and 1 inverse at 2048, or 1 forward
+    # when both factors are one array
     float_charge = 3 * 2048 * 11
     assert plan_convolution(1009, [600, 600], budget=float_charge).strategy == "float"
     with pytest.raises(BudgetError) as exc:
@@ -153,215 +174,58 @@ def test_plans_are_charged_the_transforms_they_run():
                             layout=[0, 0]).strategy == "float"
 
 
-@pytest.fixture
-def ntt_cores(monkeypatch):
-    """Force the core count that sizes the NTT threads and their shared pool.
-
-    Plans of every length are threaded. Each forced count gets a fresh
-    pool, shut down before the process's own pool is restored.
-    """
-    monkeypatch.setattr(convolve, "_THREAD_MIN_LENGTH", 1)
-    monkeypatch.setattr(convolve, "_pool", None)
-
-    def force(cores):
-        if convolve._pool is not None:
-            convolve._pool.shutdown()
-        monkeypatch.setattr(convolve, "_cores", lambda: cores)
-        convolve._pool = None
-
-    yield force
-    if convolve._pool is not None:
-        convolve._pool.shutdown()
-
-
-def _ntt_plans(n, vecs):
-    """Hand-built linear and cyclic NTT plans for the given factors."""
-    bound = 1
-    for v in vecs:
-        bound *= v.total
-    lin = _next_pow2(len(vecs) * (n - 1) + 1)
-    moduli = _select_ntt_moduli(bound, lin)
-    return (ConvolutionPlan(n, "ntt", bound, lin, moduli),
-            ConvolutionPlan(n, "ntt", bound, _next_pow2(2 * n - 1), moduli))
-
-
-@pytest.mark.parametrize("k", [2, 3, 6])
-@pytest.mark.parametrize("repeated", [False, True])
-def test_cyclic_and_linear_ntt_schedules_agree(k, repeated, monkeypatch, ntt_cores):
-    # n = 53: the cyclic length 128 is below the linear one for k >= 3;
-    # for k = 2 the two schedules coincide
-    n = 53
-    rng = np.random.default_rng(7 * k + repeated)
-    if repeated:
-        vecs = [_cv(rng.integers(0, 1000, size=n))] * k
-    else:
-        vecs = [_cv(rng.integers(0, 1000, size=n)) for _ in range(k)]
-    expect = vecs[0].as_list()
-    for v in vecs[1:]:
-        expect = oracles.cyclic_convolve(expect, v.as_list(), n)
-    linear, cyclic = _ntt_plans(n, vecs)
-    assert (cyclic.fft_length < k * (n - 1) + 1) == (k > 2)
-    ntt_cores(len(linear.moduli))  # one thread per modulus
-    calls = []
-    forward = convolve._ntt_forward
-    monkeypatch.setattr(convolve, "_ntt_forward", lambda *a: calls.append(1) or forward(*a))
-    for plan in (linear, cyclic):
-        calls.clear()
-        assert _run(vecs, plan) == expect
-        # inverses run the forward transform too; a repeated factor is transformed once
-        factors = 1 if repeated else k
-        steps = 1 if plan.fft_length >= k * (n - 1) + 1 else 2 * k - 3
-        assert len(calls) == (factors + steps) * len(plan.moduli)
-
-
-@pytest.mark.parametrize("moduli, top", [(2, 100), (3, 10 ** 5), (4, 10 ** 8)])
-def test_threaded_and_serial_ntt_agree(moduli, top, ntt_cores):
-    # n = 211, k = 3: the cyclic length 512 is below the linear 1024, and
-    # entries below `top` need `moduli` moduli
-    n, k = 211, 3
-    rng = np.random.default_rng(moduli)
-    u = _cv(rng.integers(0, top, size=n))
-    for vecs in ([_cv(rng.integers(0, top, size=n)) for _ in range(k)], [u] * k):
-        expect = vecs[0].as_list()
-        for v in vecs[1:]:
-            expect = oracles.cyclic_convolve(expect, v.as_list(), n)
-        linear, cyclic = _ntt_plans(n, vecs)
-        assert len(linear.moduli) == moduli and cyclic.fft_length < k * (n - 1) + 1
-        for plan in (linear, cyclic):
-            ntt_cores(1)
-            assert _run(vecs, plan) == expect
-            for cores in range(2, moduli + 1):
-                ntt_cores(cores)
-                assert _run(vecs, plan) == expect
-
-
-def test_ntt_tables_are_built_on_the_calling_thread(monkeypatch, ntt_cores):
-    # a cached table built in a pool thread would pin that thread's malloc arena
-    misses = []
-    for name in ("_ntt_tables", "_bit_reverse_indices"):
-        build = getattr(convolve, name).__wrapped__
-
-        def recorded(*args, build=build):
-            misses.append(threading.current_thread())
-            return build(*args)
-
-        monkeypatch.setattr(convolve, name, lru_cache(maxsize=16)(recorded))
-    ntt_cores(4)
-    rng = np.random.default_rng(8)
-    vecs = [_cv(rng.integers(0, 1000, size=211)) for _ in range(4)]
-    plan = plan_convolution(211, [v.total for v in vecs])
-    assert len(plan.moduli) == 3
-    expect = vecs[0].as_list()
-    for v in vecs[1:]:
-        expect = oracles.cyclic_convolve(expect, v.as_list(), 211)
-    assert k_fold_count(vecs).as_list() == expect
-    assert len(misses) == 1 + len(plan.moduli)
-    assert set(misses) == {threading.current_thread()}
-
-
-def test_concurrent_callers_build_one_pool(monkeypatch, ntt_cores):
-    # more callers than cores race to build the shared pool on first use
-    built = []
-
-    class Counted(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(convolve, "ThreadPoolExecutor", Counted)
-    rng = np.random.default_rng(6)
-    vecs = [_cv(rng.integers(0, 10 ** 5, size=211)) for _ in range(3)]
-    plan = _ntt_plans(211, vecs)[1]
-    ntt_cores(1)
-    expect = _run(vecs, plan)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for rounds in range(1, 6):
-            ntt_cores(3)
-            start, results = threading.Barrier(8), []
-
-            def caller():
-                start.wait()
-                results.append(_run(vecs, plan))
-
-            callers = [threading.Thread(target=caller) for _ in range(8)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in callers)
-            assert results == [expect] * 8
-            for extra in built[rounds:]:
-                extra.shutdown()
-            assert len(built) == rounds
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_float_route_transforms_a_repeated_factor_once(monkeypatch):
+    # [u]*3: u's spectrum is made once and serves both steps; the second
+    # step transforms only the accumulator
     rng = np.random.default_rng(2)
     u = _cv(rng.integers(0, 3, size=211))
-    expect = oracles.cyclic_convolve(oracles.cyclic_convolve(u.as_list(), u.as_list(), 211),
-                                     u.as_list(), 211)
-    plan = plan_convolution(211, [u.total] * 3)
-    assert plan.strategy == "float"
-    calls = []
-    rfft = np.fft.rfft
-    monkeypatch.setattr(np.fft, "rfft", lambda *a: calls.append(1) or rfft(*a))
-    assert k_fold_count([u] * 3).as_list() == expect
-    assert len(calls) == 1
+    plan = plan_convolution(211, [u.total] * 3, layout=[0] * 3)
+    assert plan.strategy == "float" and plan.transforms == 4
+    calls = _spy_transforms(monkeypatch)
+    assert k_fold_count([u] * 3).as_list() == _expect([u] * 3)
+    assert len(calls["rfft"]) == 2 and calls["rfft"][0] is u.counts
+    assert calls["irfft"] == 2
 
 
-def test_planner_picks_the_ntt_schedule():
-    n = 100003
-    six = plan_convolution(n, [1000] * 6)
-    two = plan_convolution(n, [1 << 21] * 2)
-    four = plan_convolution(n, [1 << 20] * 4)
-    power = plan_convolution(n, [1 << 20] * 4, layout=[0] * 4)
-    paired_power = plan_convolution(n, [1 << 12] * 4, layout=[0] * 4)
-    plans = (six, two, four, power, paired_power)
-    assert {plan.strategy for plan in plans} == {"ntt"}
-    # a stage of k factors runs cyclic when k(n-1)+1 exceeds its fft_length;
-    # six factors pair into three float products, which run cyclic
-    assert six.fft_length == 1 << 18 < 3 * (n - 1) + 1
-    assert six.pairs == ((0, 5), (1, 4), (2, 3))
-    assert two.fft_length == 1 << 18 >= 2 * (n - 1) + 1
-    # 2^20 * 2^20 is not below 2^40, so these do not pair. Four distinct
-    # factors: 9 transforms at 2^18 beat 5 at 2^19; one factor four times:
-    # 2 transforms at 2^19 beat 6 at 2^18
-    assert two.pairs == four.pairs == power.pairs == ()
-    assert four.fft_length == 1 << 18 < 4 * (n - 1) + 1
-    assert power.fft_length == 1 << 19 >= 4 * (n - 1) + 1
-    # [u]*4 with a light u: w = u*u once on the float route, then [w, w]
-    # linear at 2^18, 2 transforms per modulus
-    assert paired_power.pairs == ((0, 1), (2, 3))
-    assert paired_power.fft_length == 1 << 18 >= 2 * (n - 1) + 1
+def test_planner_charges_worst_case_limbs():
+    # [u]*4 at n = 100003 with a mass of 3163 (the recip_e4 energy): at
+    # worst-case norms steps 1 and 2 are one limb (u transformed once,
+    # then one accumulator transform and one inverse each) and step 3
+    # splits the accumulator in two: 2 + 2 + 4 transforms
+    power = plan_convolution(100003, [3163] * 4, layout=[0] * 4)
+    assert power.strategy == "float" and power.transforms == 8
+    # four distinct factors transform each of them: 3 + 3 + 5
+    assert plan_convolution(100003, [3163] * 4).transforms == 11
+    # point masses of 2^23 - 1: every step splits both sides
+    assert plan_convolution(211, [(1 << 23) - 1] * 3).transforms == 16
+    # a zero mass certifies one limb at once
+    assert plan_convolution(211, [0, 5, 5]).strategy == "direct"
 
 
-def test_kfold_plans_for_its_distinct_factors(caplog):
-    # n = 1009, k = 4, masses near 2^14.6: four distinct factors make two
-    # float pair products, one factor four times one, and either way the
-    # NTT stage multiplies two arrays, linear at 2048
+def test_kfold_plans_for_its_distinct_factors(caplog, monkeypatch):
+    # n = 1009, k = 4, masses near 2^14.6: four distinct factors, or one
+    # factor four times, whose whole-array spectrum is made once
     n = 1009
     rng = np.random.default_rng(4)
     vecs = [_cv(rng.integers(0, 50, size=n)) for _ in range(4)]
+    calls = _spy_transforms(monkeypatch)
     for factors in (vecs, [vecs[0]] * 4):
-        expect = factors[0].as_list()
-        for v in factors[1:]:
-            expect = oracles.cyclic_convolve(expect, v.as_list(), n)
+        expect = _expect(factors)
         caplog.clear()
+        calls["rfft"].clear()
+        calls["irfft"] = 0
         with caplog.at_level(logging.INFO, logger="fplab.convolve"):
             assert k_fold_count(factors).as_list() == expect
-        pair_stage, ntt = (r.getMessage() for r in caplog.records)
-        products = 2 if factors is vecs else 1
-        assert pair_stage.startswith(f"float pair stage: {products} product(s)")
-        assert "linear schedule, length 2048" in ntt
-        assert "on 1 thread(s)" in ntt  # too short to hand over
+        ((run, charged, steps),) = _chain_logs(caplog)
+        assert run == len(calls["rfft"]) + calls["irfft"] <= charged
+        assert charged == plan_convolution(n, [v.total for v in factors],
+                                           layout=[id(v.counts) for v in factors]).transforms
+        assert steps[0].startswith("1x1@")
+        assert sum(a is factors[0].counts for a in calls["rfft"]) == 1
 
 
 def _paired_case(case):
-    """Factors for a float-paired NTT plan at n = 211, and the pairs it expects."""
+    """Factors whose chain splits in various ways at n = 211, and repeated arrays."""
     n = 211
     rng = np.random.default_rng(len(case))
 
@@ -370,89 +234,119 @@ def _paired_case(case):
 
     if case.startswith("distinct"):  # bounds near 2^43, 2^58 and 2^60
         k = int(case[-1])
-        return [vec({3: 200, 5: 30, 6: 10}[k]) for _ in range(k)], k // 2
+        return [vec({3: 200, 5: 30, 6: 10}[k]) for _ in range(k)]
     if case == "power":
-        return [vec(100)] * 4, 2
+        return [vec(100)] * 4
     if case == "mixed":
         u, v, w, x = (vec(1000) for _ in range(4))
-        return [u, u, v, w, w, x], 3
+        return [u, u, v, w, w, x]
     if case == "some":
-        # masses near 2^20.7 and 2^11.7: two heavy factors do not pair, so
-        # each light one pairs with a heavy one and one heavy one is left
+        # masses near 2^20.7 and 2^11.7: heavy and light factors mixed
         heavy, light = 1 << 14, 32
-        return [vec(heavy), vec(light), vec(heavy), vec(heavy), vec(light)], 2
+        return [vec(heavy), vec(light), vec(heavy), vec(heavy), vec(light)]
     assert case == "object"  # bound near 2^99, above 2^62
-    return [vec(1 << 11) for _ in range(6)], 3
+    return [vec(1 << 11) for _ in range(6)]
 
 
 @pytest.mark.parametrize("case", ["distinct3", "distinct5", "distinct6", "power",
                                   "mixed", "some", "object"])
-def test_float_paired_plans_match_the_oracle(case, monkeypatch):
-    vecs, pairs = _paired_case(case)
-    n = vecs[0].p
+def test_float_paired_plans_match_the_oracle(case, caplog):
+    # every float plan is a chain of paired (two-factor) products
+    vecs = _paired_case(case)
     masses = [v.total for v in vecs]
-    plan = plan_convolution(n, masses, layout=[id(v.counts) for v in vecs])
-    assert plan.strategy == "ntt" and len(plan.pairs) == pairs
-    assert all(masses[i] * masses[j] < convolve.FLOAT_EXACT_BOUND for i, j in plan.pairs)
-    unpaired = sorted(set(range(len(vecs))) - {i for pair in plan.pairs for i in pair})
-    if case == "some":
-        assert masses[unpaired[0]] ** 2 >= convolve.FLOAT_EXACT_BOUND
-    expect = vecs[0].as_list()
-    for v in vecs[1:]:
-        expect = oracles.cyclic_convolve(expect, v.as_list(), n)
-    products = []
-    pair_kfold = convolve._float_kfold
-    monkeypatch.setattr(convolve, "_float_kfold",
-                        lambda *a: products.append(1) or pair_kfold(*a))
-    got = k_fold_count(vecs)
-    assert got.as_list() == expect
+    plan = plan_convolution(vecs[0].p, masses, layout=[id(v.counts) for v in vecs])
+    assert plan.strategy == "float"
+    with caplog.at_level(logging.INFO, logger="fplab.convolve"):
+        got = k_fold_count(vecs)
+    assert got.as_list() == _expect(vecs)
     assert got.counts.dtype == (object if plan.bound >= 1 << 62 else np.int64)
     assert (got.counts.dtype == object) == (case in ("mixed", "some", "object"))
-    # a pair of the same two arrays is computed once
-    assert len(products) == {"power": 1, "mixed": 3}.get(case, pairs)
+    ((run, charged, steps),) = _chain_logs(caplog)
+    assert run <= charged == plan.transforms and len(steps) == len(vecs) - 1
+
+
+def test_l2_certificate_admits_a_pair_the_mass_rule_refused(caplog):
+    # 0/1 factors of masses 33 * 2^15 and 32 * 2^15: the mass product is
+    # 2^40.04, which a 2^40 mass rule would refuse, but ||a|| ||b|| = 2^20.02
+    # certifies one limb. Both are 61-periodic on Z_n, n = 61 * 2^15, so
+    # their convolution is 2^15 times the one of their periods on Z_61.
+    m, reps = 61, 1 << 15
+    rng = np.random.default_rng(14)
+    periods = [np.zeros(m, dtype=np.int64) for _ in range(2)]
+    periods[0][rng.choice(m, 33, replace=False)] = 1
+    periods[1][rng.choice(m, 32, replace=False)] = 1
+    a, b = (_cv(np.tile(period, reps)) for period in periods)
+    assert a.total * b.total >= 1 << 40
+    with caplog.at_level(logging.INFO, logger="fplab.convolve"):
+        got = k_fold_count([a, b])
+    assert _chain_logs(caplog) == [(3, 3, ["1x1@1"])]  # one limb: width = largest entry's bits
+    small = oracles.cyclic_convolve(periods[0].tolist(), periods[1].tolist(), m)
+    assert np.array_equal(got.counts, np.tile(np.asarray(small) * reps, reps))
+
+
+def test_certificate_adds_every_limb_product_of_a_sum():
+    # from squared norms: the sum s = 1 is ||x_0|| ||y_1|| + ||x_1|| ||y_0||
+    # = 2*5 + 3*4, the largest of the three sums
+    assert convolve._sum_bound([4, 9], [16, 25]) == 22
+    assert convolve._sum_bound([2], [3]) == 3  # sqrt(6), rounded up
+    # Percival's factor at 2^18 with beta = eps: (6m + sqrt5 (3m+1)) eps
+    assert 230 < convolve._gamma(1 << 18) * 2 ** 53 < 231
+
+
+def test_uncertified_products_are_never_run_unsplit(monkeypatch, caplog):
+    # entries near 2^30 at n = 211: ||x|| ||y|| is near 2^67, far past
+    # what rounds exactly, so no whole factor is ever transformed
+    rng = np.random.default_rng(15)
+    vecs = [_cv(rng.integers(1 << 29, 1 << 30, size=211)) for _ in range(2)]
+    norms = [v.sum_of_squares() for v in vecs]
+    assert norms[0] * norms[1] * convolve._gamma(512) ** 2 >= 1 / 16
+    calls = _spy_transforms(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="fplab.convolve"):
+        assert k_fold_count(vecs).as_list() == _expect(vecs)
+    assert calls["rfft"] and not any(a is v.counts for a in calls["rfft"] for v in vecs)
+    assert all(int(a.max()) < 1 << 26 for a in calls["rfft"])
+    ((run, charged, (step,)),) = _chain_logs(caplog)
+    assert not step.startswith("1x1@") and run <= charged
 
 
 def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch, caplog):
-    # T_6 over six distinct factors at n = 211: 3 float pairs (6 forward
-    # transforms, 3 inverse) at 512, then 6 cyclic NTTs at 512 per modulus
-    vecs, _ = _paired_case("distinct6")
+    # point masses of 2^23 - 1, every bit set: the worst case of their
+    # masses, so each step splits exactly as the planner charged it, and
+    # the chain runs every charged transform
+    n = 211
+    vecs = []
+    for i in range(3):
+        counts = np.zeros(n, dtype=np.int64)
+        counts[3 + 70 * i] = (1 << 23) - 1
+        vecs.append(_cv(counts))
     masses = [v.total for v in vecs]
     caplog.set_level(logging.INFO, logger="fplab.convolve")
-    plan = plan_convolution(211, masses)
-    assert plan.fft_length == 512 < 3 * 210 + 1
-    charge = (9 + 6 * len(plan.moduli)) * 512 * 9
-    assert plan_convolution(211, masses, budget=charge) == plan
-    calls = []
-    for name in ("rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, lambda *a, f=getattr(np.fft, name):
-                            calls.append("float") or f(*a))
-    forward = convolve._ntt_forward
-    monkeypatch.setattr(convolve, "_ntt_forward", lambda *a: calls.append("ntt") or forward(*a))
+    plan = plan_convolution(n, masses)
+    assert plan.transforms == 16 and plan.fft_length == 512
+    charge = plan.transforms * 512 * 9
+    calls = _spy_transforms(monkeypatch)
     assert caplog.records == []  # planning alone logs nothing
-    expect = k_fold_count(vecs).as_list()
-    assert calls.count("float") == 9 and calls.count("ntt") == 6 * len(plan.moduli)
-    # each stage logs what it ran
-    pair_stage, ntt = (r.getMessage() for r in caplog.records)
-    assert pair_stage == "float pair stage: 3 product(s) (9 transforms) at length 512"
-    assert f"cyclic schedule, length 512, moduli {','.join(map(str, plan.moduli))}, " \
-           f"{calls.count('ntt')} transforms on " in ntt
+    expect = k_fold_count(vecs, budget=charge).as_list()
+    assert expect == _expect(vecs)
+    ((run, charged, steps),) = _chain_logs(caplog)
+    assert run == charged == len(calls["rfft"]) + calls["irfft"] == 16
+    assert steps == ["2x2@22", "3x2@22"]
     # the planner refuses one unit less before any transform runs
-    calls.clear()
+    calls["rfft"].clear()
     caplog.clear()
     with pytest.raises(BudgetError) as exc:
         k_fold_count(vecs, budget=charge - 1)
-    assert exc.value.required == charge and calls == [] and caplog.records == []
-    assert k_fold_count(vecs, budget=charge).as_list() == expect
+    assert exc.value.required == charge and calls["rfft"] == [] and caplog.records == []
 
 
 def test_budget_below_a_paired_plan_is_refused_before_any_transform(monkeypatch):
-    # [u]*4 at n = 1009: w = u*u on the float route (one rfft, one irfft at
-    # 2048), then [w, w] linear at 2048, 2 NTTs per modulus
+    # [u]*4 at n = 1009: u is transformed once, and the plan is charged
+    # its worst-case steps at 2048
     rng = np.random.default_rng(12)
     u = _cv(rng.integers(0, 50, size=1009))
     plan = plan_convolution(1009, [u.total] * 4, layout=[0] * 4)
-    assert plan.pairs == ((0, 1), (2, 3)) and plan.fft_length == 2048
-    charge = (2 + 2 * len(plan.moduli)) * 2048 * 11
+    assert plan.strategy == "float" and plan.fft_length == 2048
+    charge = plan.transforms * 2048 * 11
 
     def refuse(*args, **kwargs):
         raise AssertionError("a transform ran before the budget check")
@@ -460,91 +354,49 @@ def test_budget_below_a_paired_plan_is_refused_before_any_transform(monkeypatch)
     with monkeypatch.context() as m:
         for name in ("rfft", "irfft"):
             m.setattr(np.fft, name, refuse)
-        m.setattr(convolve, "_ntt_forward", refuse)
         with pytest.raises(BudgetError) as exc:
             k_fold_count([u] * 4, budget=charge - 1)
     assert exc.value.required == charge
-    expect = u.as_list()
-    for _ in range(3):
-        expect = oracles.cyclic_convolve(expect, u.as_list(), 1009)
-    assert k_fold_count([u] * 4, budget=charge).as_list() == expect
+    assert k_fold_count([u] * 4, budget=charge).as_list() == _expect([u] * 4)
 
 
-def test_any_disjoint_pairs_give_the_same_counts():
+def test_any_factor_order_gives_the_same_counts():
+    # each order takes other limb widths at each step
     rng = np.random.default_rng(13)
-    vecs = [_cv(rng.integers(0, 1000, size=211)) for _ in range(4)]
-    plan = plan_convolution(211, [v.total for v in vecs])
-    assert plan.pairs
+    vecs = [_cv(rng.integers(0, top, size=211)) for top in (1000, 3, 1 << 20, 50)]
     expect = k_fold_count(vecs).as_list()
-    # a stage of three factors runs cyclic at 512, one of two linear
-    for pairs in (((0, 1), (2, 3)), ((3, 0),), ((1, 2),)):
-        other = ConvolutionPlan(211, "ntt", plan.bound, 512, plan.moduli, pairs)
-        assert _run(vecs, other) == expect
+    assert expect == _expect(vecs)
+    for order in ((3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)):
+        assert k_fold_count([vecs[i] for i in order]).as_list() == expect
 
 
-def test_paired_factors_are_freed_before_the_ntt_stage(monkeypatch):
-    # T_6 at n = 211 pairs every factor; a factor only the convolution
-    # holds is gone once its pair product is made
+def test_factors_are_freed_after_their_last_step(monkeypatch):
+    # a factor only the convolution holds is gone once its step has read
+    # it: at the first inverse only the first factor and the ones after
+    # the second are alive, and at the last inverse none is
     refs, masses, alive = [], [], []
 
     def factors():
-        vecs, _ = _paired_case("distinct6")
+        vecs = _paired_case("distinct6")
         refs.extend(weakref.ref(v.counts) for v in vecs)
         masses.extend(v.total for v in vecs)
         return vecs
 
-    ntt_kfold = convolve._ntt_kfold
+    irfft = np.fft.irfft
 
-    def ntt_stage(*args):
-        alive.extend(ref() is not None for ref in refs)
-        return ntt_kfold(*args)
+    def inverse(*args):
+        alive.append([ref() is not None for ref in refs])
+        return irfft(*args)
 
-    monkeypatch.setattr(convolve, "_ntt_kfold", ntt_stage)
+    monkeypatch.setattr(np.fft, "irfft", inverse)
     got = k_fold_count(factors())  # no assert: its rewriting would hold the list
     assert got.total == prod(masses)
-    assert len(alive) == 6 and not any(alive)
+    assert alive[0] == [True, False] + [True] * 4 and not any(alive[-1])
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_garner_matches_textbook_crt(m):
-    moduli = _NTT_POOL[:m]
-    big_q = 1
-    for q in moduli:
-        big_q *= q
-    rng = np.random.default_rng(m)
-    residues = [np.concatenate([[0, q - 1, 0, q - 1], rng.integers(0, q, size=200)])
-                .astype(np.uint64) for q in moduli]
-    residues[0][2] = moduli[0] - 1
-    residues[-1][3] = 0
-    # the textbook formula: sum of r_i * (Q/q_i) * ((Q/q_i)^-1 mod q_i), mod Q
-    coeffs = [(big_q // q) * pow(big_q // q % q, q - 2, q) for q in moduli]
-    expect = [sum(c * int(r[i]) for c, r in zip(coeffs, residues)) % big_q
-              for i in range(residues[0].size)]
-    got = _crt_combine(residues, moduli, big_q)
-    if big_q < 1 << 62:
-        assert got.dtype == np.int64
-    else:
-        assert got.dtype == object and all(type(v) is int for v in got)
-    assert got.tolist() == expect
-    # entries known to lie below 2^62 come back as int64 whatever the moduli
-    small = [v % (1 << 62) for v in expect]
-    got = _crt_combine([np.asarray([v % q for v in small], dtype=np.uint64) for q in moduli],
-                       moduli, max(small) + 1)
-    assert got.dtype == np.int64 and got.tolist() == small
-
-
-def test_ntt_inverse_undoes_forward():
-    rng = np.random.default_rng(9)
-    for q in (_NTT_POOL[0], _NTT_POOL[-1]):
-        for bits in range(1, 19):
-            x = rng.integers(0, q, size=1 << bits).astype(np.uint64)
-            x[0] = q - 1
-            assert np.array_equal(_ntt_inverse(_ntt_forward(x, q, x.size), q, x.size), x)
-
-
-def test_float_route_near_its_bound_matches_ntt():
-    # concentrated factors: two entries carry almost all of the mass, so
-    # single output coefficients reach a sixteenth of a bound just under 2^40
+def test_concentrated_factors_agree_with_the_direct_route():
+    # two entries carry almost all of the mass, so single coefficients
+    # reach a sixteenth of a bound just under 2^40
     p = 1009
     for k, big in ((2, (1 << 19) - 4), (3, 1 << 12)):
         vecs = []
@@ -556,22 +408,20 @@ def test_float_route_near_its_bound_matches_ntt():
         auto = plan_convolution(p, [v.total for v in vecs])
         assert auto.strategy == "float"
         assert auto.bound < 1 << 40 <= 4 * auto.bound
-        ntt_plan = ConvolutionPlan(p, "ntt", auto.bound, auto.fft_length,
-                                   _select_ntt_moduli(auto.bound, auto.fft_length))
         got = k_fold_count(vecs)
-        assert got.as_list() == _run(vecs, ntt_plan)
+        assert got.as_list() == _run(vecs, ConvolutionPlan(p, "direct", auto.bound, 0))
         assert max(got.as_list()) >= auto.bound >> 4
 
 
-def test_float_route_certificate_rejects_uncertified_plans():
-    # a float plan forged for coefficients near 2^51 must fail its residual check
-    p = 211
+def test_float_route_certificate_rejects_uncertified_plans(monkeypatch):
+    # an inverse transform that errs by 0.4 can no longer be certified to
+    # round exactly: the run-time residual check raises
     rng = np.random.default_rng(5)
-    vecs = [_cv(rng.integers(1 << 21, 1 << 22, size=p)) for _ in range(2)]
-    bound = vecs[0].total * vecs[1].total
-    forged = ConvolutionPlan(p, "float", bound, 512)
+    vecs = [_cv(rng.integers(0, 1 << 10, size=211)) for _ in range(3)]
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a: irfft(*a) + 0.4)
     with pytest.raises(ConsistencyError, match="residual"):
-        _run(vecs, forged)
+        k_fold_count(vecs)
 
 
 def test_exact_route_with_huge_counts():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fplab.countvec import CountVector, from_bincount
+from fplab.countvec import CountVector, from_bincount, sum_of_squares
 from fplab.errors import ConsistencyError
 
 
@@ -32,6 +32,21 @@ def test_sum_of_squares_exact_beyond_int64():
     assert cv.sum_of_squares() == 2 * big * big  # 2^81: exact
     arr = CountVector(np.full(7, 1 << 30, dtype=np.int64))
     assert arr.sum_of_squares() == 7 * (1 << 60)
+
+
+@pytest.mark.parametrize("top, n", [
+    (3037000499, 1),       # max^2 * n just below 2^63: one int64 dot
+    (3037000500, 1),       # just above: the exact path
+    ((1 << 30) - 1, 8),    # 8 * (2^30 - 1)^2 < 2^63
+    (1 << 30, 8),          # 8 * 2^60 = 2^63
+    ((1 << 62) + 12345, 1000),
+])
+def test_sum_of_squares_matches_python_ints(top, n):
+    rng = np.random.default_rng(top % 1000 + n)
+    x = rng.integers(0, top, size=n, endpoint=True)
+    x[0] = top
+    assert sum_of_squares(x) == sum(v * v for v in x.tolist())
+    assert CountVector(x).sum_of_squares() == sum(v * v for v in x.tolist())
 
 
 def test_python_int_backing():

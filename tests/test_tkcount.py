@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fplab import convolve, tkcount
 from fplab.countvec import CountVector
 from fplab.errors import DomainError
 from fplab.modfield import PrimeContext
@@ -96,6 +97,25 @@ def test_k_validation(ctx):
         tk_experiment(1, [(ms, 0)], 2, 1, c)
     with pytest.raises(DomainError):
         tk_experiment(3, [(ms, 0)] * 2, 2, 1, c)
+
+
+def test_equal_factors_share_one_count_vector(ctx, monkeypatch):
+    # six distinct set objects with equal contents, and shifts equal mod p
+    c = ctx(101)
+    factors = [(residue_set([2, 7, 19], c), 4 + 101 * (i % 2)) for i in range(6)]
+    calls = []
+    build = tkcount.count_vector_product
+    monkeypatch.setattr(tkcount, "count_vector_product",
+                        lambda *a: calls.append(1) or build(*a))
+    rep = tk_experiment(6, factors, 3, 1, c)
+    assert len(calls) == 1
+    vectors = [build(tkcount.shifted_interval(4, 3, c), factors[0][0], 1, c)
+               for _ in range(6)]
+    assert rep.counts.as_list() == convolve.k_fold_count(vectors).as_list()
+    # a different shift builds a second vector
+    calls.clear()
+    tk_experiment(6, factors[:5] + [(factors[5][0], 5)], 3, 1, c)
+    assert len(calls) == 2
 
 
 def test_dev_at_sampling(ctx):

@@ -1,10 +1,9 @@
 import csv
 import io
-import threading
+import logging
 
 import pytest
 
-from fplab import convolve
 from fplab.errors import DomainError
 from fplab.modfield import PrimeContext
 from fplab.sets import SplitMix64, initial_interval, mix_seed, random_subset
@@ -124,27 +123,21 @@ def test_workers_preserve_order():
     assert [r.csv_cells() for r in seq] == [r.csv_cells() for r in par]
 
 
-def test_threaded_sweep_shares_the_ntt_pool(monkeypatch):
-    # tk at m_exp 0.8 runs the exact route with three moduli on every point,
-    # threaded here although its transforms are short
+def test_threaded_sweep_matches_serial(caplog):
+    # tk at m_exp 0.8: every point's T_6 splits its later steps into limbs
     text = "measure = tk\nprimes = 1009 3001\nh_exp = 0.5\nm_exp = 0.8\n"
-    monkeypatch.setattr(convolve, "_THREAD_MIN_LENGTH", 1)
-    residue, counts = convolve._ntt_residue, []
-
-    def sampled(*args):
-        counts.append(threading.active_count())
-        return residue(*args)
-
-    monkeypatch.setattr(convolve, "_ntt_residue", sampled)
     reports = []
     for workers in (1, 2):
         sink = io.StringIO()
-        run_sweep(parse_config(text + f"workers = {workers}\n"), sink=sink)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fplab.convolve"):
+            run_sweep(parse_config(text + f"workers = {workers}\n"), sink=sink)
         reports.append(sink.getvalue())
+        chains = [r.getMessage() for r in caplog.records if "float convolution" in r.getMessage()]
+        steps = [step for line in chains for step in line.split(" (limbs")[0].split()
+                 if "x" in step and "@" in step]
+        assert any(not step.startswith("1x1@") for step in steps)
     assert reports[0] == reports[1] and reports[0].count("\n") == 3
-    assert len(counts) == 4 * 3
-    # the main thread, the sweep's workers and one shared pool of cores - 1
-    assert max(counts) <= 1 + 2 + convolve._cores() - 1
 
 
 def test_all_measures_produce_rows():
