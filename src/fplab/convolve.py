@@ -38,10 +38,15 @@ rounding residual of every inverse is still checked, and a residual above
 0.25, far beyond anything the bound allows in practice, raises
 ConsistencyError.
 
-Spectra. A factor held whole (one limb) is transformed once however many
-steps use it, and its spectrum is dropped after its last use. The
-accumulator's limb spectra are streamed: each is made when the first sum
-that needs it comes up and dropped after the last.
+Spectra. One rule, kept by the executor and charged by the planner. A
+side that is one whole factor (the first factor in step 1, factor t in
+step t) carries its array's key, and a key counts as made only when its
+side is whole (one limb): that spectrum is made once and kept while a
+later operand uses it. The first factor's is made before factor 1's, so
+[u]*2 transforms u once. The accumulator after step 1, and every limb,
+carry no key: their spectra are streamed, each made when the first sum
+that needs it comes up. A spectrum is multiplied in place on its last
+sum exactly when it is not kept.
 
 One work model prices every plan, and plan_convolution is the only budget
 gate and the only source of a plan: k_fold_count plans every call itself.
@@ -130,7 +135,7 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     bound = prod(masses)
     size = _next_pow2(2 * n - 1)
     transforms = _chain_transforms(n, masses, keys, size)
-    transform_work = transforms * _transform_units(size)
+    transform_work = transforms * size * (size.bit_length() - 1)
     limit = DEFAULT_BUDGET if budget is None else budget
     if bound < 1 << 63:  # int64 accumulation is exact
         pair_work = _pair_work(n, masses)
@@ -141,11 +146,6 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
             check_budget(pair_work, budget, "support-pair convolution")
     check_budget(transform_work, budget, "float transform convolution")
     return ConvolutionPlan(n, "float", bound, size, transforms)
-
-
-def _transform_units(length: int) -> int:
-    """Work units of one power-of-two transform: length * log2(length)."""
-    return length * (length.bit_length() - 1)
 
 
 def _pair_work(n: int, masses: Sequence[int]) -> int:
@@ -162,30 +162,26 @@ def _chain_transforms(n: int, masses: list[int], keys: list, size: int) -> int:
     """The transforms the float chain is charged: what it runs at worst-case norms.
 
     Each step takes its width from _bound_norms by the executor's rule
-    (_width). It transforms the accumulator's limbs (in the first step,
-    the first factor's) and the factor's limbs, except that a factor held
-    whole whose spectrum was made before, in this step or an earlier one,
-    is not transformed again. It inverts once per limb-index sum.
+    (_width) and inverts once per limb-index sum. Its forward transforms
+    follow the module's spectrum rule: a side that is one whole factor
+    (the first factor in step 1, factor t in step t) carries its array's
+    key, and a key counts as made only when its side is whole (one limb);
+    a made key is not charged again. The accumulator after step 1, and
+    every limb, carry no key and are charged every time.
     """
     gamma = _gamma(size)
-    held, transforms, acc = set(), 0, masses[0]
-
-    def forward(key: Hashable, limbs: int) -> int:
-        if limbs > 1:
-            return limbs
-        if key in held:
-            return 0
-        held.add(key)
-        return 1
-
-    for t in range(1, len(masses)):
-        mass = masses[t]
+    made, transforms, acc, x_key = set(), 0, masses[0], keys[0]
+    for y_key, mass in zip(keys[1:], masses[1:]):
         b, _ = _width(_bound_norms(acc, n), _bound_norms(mass, n),
                       acc.bit_length(), mass.bit_length(), gamma)
         x_limbs, y_limbs = _limb_count(acc.bit_length(), b), _limb_count(mass.bit_length(), b)
-        transforms += forward(keys[0], x_limbs) if t == 1 else x_limbs
-        transforms += forward(keys[t], y_limbs) + x_limbs + y_limbs - 1
-        acc *= mass
+        for key, limbs in ((x_key, x_limbs), (y_key, y_limbs)):
+            whole = limbs == 1 and key is not None
+            transforms += 0 if whole and key in made else limbs
+            if whole:
+                made.add(key)
+        transforms += x_limbs + y_limbs - 1
+        acc, x_key = acc * mass, None
     return transforms
 
 
@@ -408,62 +404,47 @@ def _float_chain(arrays: list, n: int, plan: ConvolutionPlan) -> np.ndarray:
     gamma = _gamma(size)
     keys = [id(a) for a in arrays]
     last = {key: t for t, key in enumerate(keys)}
-    held = {}  # key -> spectrum of a factor held whole that a later step uses
-    digits, width = [arrays[0]], _WORD
+    kept = {}  # key -> spectrum of a whole factor that a later operand uses
+    digits, width, x_key = [arrays[0]], _WORD, keys[0]
     bits = _bits(digits, width)
     arrays[0] = None
     run, steps, certified, residual = 0, [], 0.0, 0.0
 
-    def spectra(t: int, side: list[np.ndarray]) -> list[np.ndarray]:
-        """The spectra of factor t's limbs; a whole factor's from `held` when made before."""
+    def spectrum(limb: np.ndarray, key: Hashable | None, at: int) -> np.ndarray:
+        """The spectrum of the limb of operand `at`, kept when its key has a later operand."""
         nonlocal run
-        spectrum = held.get(keys[t]) if len(side) == 1 else None
-        if spectrum is not None:
-            return [spectrum]
-        run += len(side)
-        out = [np.fft.rfft(limb, size) for limb in side]
-        if len(side) == 1 and last[keys[t]] > t:
-            held[keys[t]] = out[0]
-        return out
+        if key not in kept:
+            run += 1
+            kept[key] = np.fft.rfft(limb, size)
+        return kept[key] if last.get(key, at) > at else kept.pop(key)
 
     for t in range(1, len(keys)):
-        y = arrays[t]
-        arrays[t] = None
+        y, arrays[t] = arrays[t], None
         y_bits = _bits([y], _WORD)
         b, bound = _width(_exact_norms(digits, width, bits), _exact_norms([y], _WORD, y_bits),
                           bits, y_bits, gamma)
         x_limbs, y_limbs = _limb_count(bits, b), _limb_count(y_bits, b)
-        first = None  # the first step's x spectra; later steps stream the accumulator's
-        if t == 1:
-            first = spectra(0, [_limb(digits, width, b, i, x_limbs) for i in range(x_limbs)])
-        ys = spectra(t, [_limb([y], _WORD, b, j, y_limbs) for j in range(y_limbs)])
+        x_key = x_key if x_limbs == 1 else None
+        live = {0: spectrum(_limb(digits, width, b, 0, x_limbs), x_key, t - 1)}
+        ys = [spectrum(_limb([y], _WORD, b, j, y_limbs), keys[t] if y_limbs == 1 else None, t)
+              for j in range(y_limbs)]
         y = None
-        owned = t > 1 or keys[0] not in held  # may x's spectra be overwritten?
-        live, parts = {}, []
+        kept = {k: v for k, v in kept.items() if last[k] > t}  # none outlives its last use
+        parts = []
         for s in range(x_limbs + y_limbs - 1):
-            if s < x_limbs:
-                if first is None:
-                    live[s] = np.fft.rfft(_limb(digits, width, b, s, x_limbs), size)
-                    run += 1
-                else:
-                    live[s] = first[s]
+            if 0 < s < x_limbs:
+                live[s] = spectrum(_limb(digits, width, b, s, x_limbs), None, t - 1)
             z = None
             for i in range(max(0, s - y_limbs + 1), min(s, x_limbs - 1) + 1):
                 if i == s - y_limbs + 1:  # the last sum that uses x_i
                     term = live.pop(i)
-                    term = np.multiply(term, ys[s - i], out=term if owned else None)
+                    term = np.multiply(term, ys[s - i], out=None if x_key in kept else term)
                 else:
                     term = live[i] * ys[s - i]
-                if z is None:
-                    z = term
-                else:
-                    z += term
+                z = term if z is None else np.add(z, term, out=z)
                 term = None
             if s == x_limbs + y_limbs - 2:  # the factor spectra are spent
-                ys = first = None
-                for key in {keys[t], keys[0]}:
-                    if last[key] <= t:
-                        held.pop(key, None)
+                ys = None
             linear = np.fft.irfft(z, size)
             z = None
             folded = _fold(linear[:2 * n - 1], n)
@@ -474,10 +455,12 @@ def _float_chain(arrays: list, n: int, plan: ConvolutionPlan) -> np.ndarray:
             parts.append(part)
             residual = max(residual, res)
         digits = parts if len(parts) == 1 else _carry(parts, b)
-        width = b
+        width, x_key = b, None
         bits = _bits(digits, width)
         steps.append(f"{x_limbs}x{y_limbs}@{b}")
         certified = max(certified, bound)
+    if run > plan.transforms:
+        raise ConsistencyError(f"float chain ran {run} transforms, {plan.transforms} charged")
     log.info("float convolution at length %d: %d step(s) %s (limbs x limbs @ width), "
              "%d of %d charged transforms, certified bound %.3g, largest residual %.3g",
              size, len(steps), " ".join(steps), run, plan.transforms, certified, residual)

@@ -94,5 +94,4 @@ def _exact_dot(x: np.ndarray, y: np.ndarray, x_max: int, y_max: int) -> int:
 
 def from_bincount(indices: np.ndarray, p: int, expected_total: int | None = None) -> CountVector:
     """Count vector from a flat array of residue indices."""
-    return CountVector(np.bincount(indices, minlength=p).astype(np.int64),
-                       expected_total=expected_total)
+    return CountVector(np.bincount(indices, minlength=p), expected_total=expected_total)

@@ -7,6 +7,7 @@ import pytest
 
 from fplab import cli, tkcount
 from fplab.cli import main
+from fplab.convolve import plan_convolution
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +104,12 @@ def test_budget_exit_code(capsys):
                            "--H", "50", "--set", "random:50", "--seed", "1",
                            "--budget", "10")
     assert code == 3 and "budget" in err.lower()
+    # the README's worked example: T_6 at p = 100003, H = 563 is charged 51
+    # float transforms at 2^18, 51 * 2^18 * 18 = 240648192 units
+    assert plan_convolution(100003, [563 * 563] * 6).transforms == 51
+    code, _, err = run_cli(capsys, "tk", "--p", "100003", "--H", "563", "--k", "6",
+                           "--set", "random:563", "--seed", "1", "--budget", "240648191")
+    assert code == 3 and "needs 240648192" in err
 
 
 def test_domain_error_exit_code(capsys, singleton1):

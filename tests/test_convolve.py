@@ -174,17 +174,22 @@ def test_plans_are_charged_the_transforms_they_run():
                             layout=[0, 0]).strategy == "float"
 
 
-def test_float_route_transforms_a_repeated_factor_once(monkeypatch):
-    # [u]*3: u's spectrum is made once and serves both steps; the second
-    # step transforms only the accumulator
+@pytest.mark.parametrize("k,charge", [(2, 2), (3, 4)])
+def test_float_route_transforms_a_repeated_factor_once(monkeypatch, k, charge):
+    # [u]*k: u's spectrum is made once, as the first factor, and serves
+    # every step; each later step transforms only the accumulator
     rng = np.random.default_rng(2)
     u = _cv(rng.integers(0, 3, size=211))
-    plan = plan_convolution(211, [u.total] * 3, layout=[0] * 3)
-    assert plan.strategy == "float" and plan.transforms == 4
+    plan = plan_convolution(211, [u.total] * k, layout=[0] * k)
+    assert plan.strategy == "float" and plan.transforms == charge
     calls = _spy_transforms(monkeypatch)
-    assert k_fold_count([u] * 3).as_list() == _expect([u] * 3)
-    assert len(calls["rfft"]) == 2 and calls["rfft"][0] is u.counts
-    assert calls["irfft"] == 2
+    assert k_fold_count([u] * k).as_list() == _expect([u] * k)
+    assert [a is u.counts for a in calls["rfft"]] == [True] + [False] * (k - 2)
+    assert calls["irfft"] == k - 1
+    # the chain refuses to run more transforms than its plan was charged
+    short = ConvolutionPlan(211, "float", plan.bound, plan.fft_length, charge - 1)
+    with pytest.raises(ConsistencyError, match=f"ran {charge} transforms, {charge - 1} charged"):
+        _run([u] * k, short)
 
 
 def test_planner_charges_worst_case_limbs():
@@ -196,8 +201,10 @@ def test_planner_charges_worst_case_limbs():
     assert power.strategy == "float" and power.transforms == 8
     # four distinct factors transform each of them: 3 + 3 + 5
     assert plan_convolution(100003, [3163] * 4).transforms == 11
-    # point masses of 2^23 - 1: every step splits both sides
+    # point masses of 2^23 - 1: every step splits both sides, so one array
+    # three times is charged as much as three arrays
     assert plan_convolution(211, [(1 << 23) - 1] * 3).transforms == 16
+    assert plan_convolution(211, [(1 << 23) - 1] * 3, layout=[0] * 3).transforms == 16
     # a zero mass certifies one limb at once
     assert plan_convolution(211, [0, 5, 5]).strategy == "direct"
 
@@ -337,6 +344,10 @@ def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch, caplog):
     with pytest.raises(BudgetError) as exc:
         k_fold_count(vecs, budget=charge - 1)
     assert exc.value.required == charge and calls["rfft"] == [] and caplog.records == []
+    # one of them three times splits like three: no spectrum is reused
+    calls["irfft"] = 0
+    assert k_fold_count([vecs[0]] * 3, budget=charge).as_list() == _expect([vecs[0]] * 3)
+    assert len(calls["rfft"]) + calls["irfft"] == 16
 
 
 def test_budget_below_a_paired_plan_is_refused_before_any_transform(monkeypatch):

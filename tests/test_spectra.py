@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from fplab.energy import recip_power_counts
 from fplab.errors import DomainError
 from fplab.modfield import PrimeContext
 from fplab.sets import initial_interval, random_subset, residue_set, shifted_interval
@@ -38,14 +39,19 @@ def test_complete_sum_squares_structure(ctx):
     assert np.abs(t13.W.imag).max() < 1e-9
 
 
-@pytest.mark.parametrize("p,H,L,s", [(101, 40, 7, 1), (499, 200, 0, 2), (1999, 500, 300, 3)])
+@pytest.mark.parametrize("p,H,L,s", [(101, 40, 7, 1), (499, 200, 0, 2), (1999, 500, 300, 3),
+                                     (1000003, 15849, 12345, 1)])
 def test_complete_sum_matches_direct(p, H, L, s):
+    # sampled rows against direct summation, and Parseval over the whole
+    # table: sum_c |W[c]|^2 = p * sum_lam u[lam]^2 for the fibre counts u
     c = PrimeContext.of(p)
     x = shifted_interval(L, H, c, require_denominator_safe=True)
     t = complete_sum_table(x, s, c)
     x_elems = x.elements().tolist()
     for ci in (0, 1, 2, p // 2, p - 1):
         assert abs(t.W[ci] - oracles.complete_sum(x_elems, s, ci, p)) < 1e-6
+    rhs = p * recip_power_counts(x, s, c).sum_of_squares()
+    assert abs(float((np.abs(t.W) ** 2).sum()) - rhs) <= 1e-9 * rhs
 
 
 def test_complete_sum_all_entries_vs_direct():
