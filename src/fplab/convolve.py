@@ -31,12 +31,14 @@ norms are exact integers (countvec.sum_of_squares) of the very limbs that
 are multiplied. Folding adds two entries, so every folded error is below
 1/2 and rounding is exact. The limb width b of a step is the widest that
 certifies every sum, worked out from these norms at each step; it is not
-a setting. What is assumed of numpy's pocketfft: at power-of-two lengths
-its real transforms err no more than Percival's radix-2 transform with
-correctly rounded twiddles (beta = eps). That is not proved here, so the
-rounding residual of every inverse is still checked, and a residual above
-0.25, far beyond anything the bound allows in practice, raises
-ConsistencyError.
+a setting. A width is rejected first from Cauchy-Schwarz lower bounds on
+its low limbs' norms, ||x_0||^2 >= (sum x_0)^2 / n, and its exact norms
+are taken only when those bounds certify. What is assumed of numpy's
+pocketfft: at power-of-two lengths its real transforms err no more than
+Percival's radix-2 transform with correctly rounded twiddles (beta = eps).
+That is not proved here, so the rounding residual of every inverse is
+still checked, and a residual above 0.25, far beyond anything the bound
+allows in practice, raises ConsistencyError.
 
 Spectra. One rule, kept by the executor and charged by the planner. A
 side that is one whole factor (the first factor in step 1, factor t in
@@ -90,7 +92,8 @@ _PAIR_BLOCK = 1 << 22          # support pairs scattered per block
 _WORD = 62                     # widest limb or digit: every one is an int64 array
 
 # one side's limb norms: norms(b, count) gives the squared l2 norms of its
-# first `count` limbs at width b, or of all of them when count is None
+# first `count` limbs at width b, or of all of them when count is None;
+# norms(b, 1, floor=True) may give a lower bound on limb 0's instead
 Norms = Callable[..., list]
 
 
@@ -214,11 +217,12 @@ def _bound_norms(mass: int, n: int) -> Norms:
     Every entry is at most the mass, so limb i at width b has entries at
     most D = min(mass >> b*i, 2^b - 1) and a mass of at most
     mass >> b*i; its squared l2 norm is at most min((mass >> b*i) * D,
-    n * D^2). A point mass meets the bound when it is one limb.
+    n * D^2). A point mass meets the bound when it is one limb. These are
+    the planner's norms, so `floor` changes nothing.
     """
     bits = mass.bit_length()
 
-    def norms(b: int, count: int | None = None) -> list[int]:
+    def norms(b: int, count: int | None = None, floor: bool = False) -> list[int]:
         out = []
         for i in range(_limb_count(bits, b) if count is None else count):
             top = mass >> (b * i)
@@ -230,13 +234,31 @@ def _bound_norms(mass: int, n: int) -> Norms:
 
 
 def _exact_norms(digits: list[np.ndarray], width: int, bits: int) -> Norms:
-    """The exact squared l2 norms of the limbs of sum_i digits[i] * 2^(width*i)."""
-    def norms(b: int, count: int | None = None) -> list[int]:
+    """The exact squared l2 norms of the limbs of sum_i digits[i] * 2^(width*i).
+
+    With `floor`, limb 0's is bounded below by Cauchy-Schwarz,
+    ||x_0||^2 >= (sum x_0)^2 / n, from a sum that every rounding lowers:
+    no exact norm is taken.
+    """
+    def norms(b: int, count: int | None = None, floor: bool = False) -> list[int]:
         limbs = _limb_count(bits, b)
+        if floor:
+            limb = _limb(digits, width, b, 0, limbs)
+            return [_sum_floor(limb) ** 2 // limb.size]
         return [sum_of_squares(_limb(digits, width, b, j, limbs))
                 for j in range(limbs if count is None else count)]
 
     return norms
+
+
+def _sum_floor(x: np.ndarray) -> int:
+    """A lower bound on the sum of a nonnegative int64 array: exact when it fits int64.
+
+    The entries are shifted right until their sum cannot overflow, so the
+    shifted-out bits are all that is lost.
+    """
+    shift = max(0, int(x.max()).bit_length() + x.size.bit_length() - 63)
+    return int((x >> shift if shift else x).sum()) << shift
 
 
 def _ceil_sqrt(v: int) -> int:
@@ -259,20 +281,25 @@ def _width(x_norms: Norms, y_norms: Norms, x_bits: int, y_bits: int,
     Widths run up to `top`, where both sides are one limb, or to _WORD.
     `top` is tried first. Below it, the low limbs' term (s = 0) never falls
     as b grows, so bisection finds the widest width at which that term
-    certifies; the full certificate is then checked from there down. Width
-    1 certifies at any desk-scale n, since its limbs are 0/1 vectors.
+    certifies; the full certificate is then checked from there down. `top`
+    and each bisection probe are rejected first from lower bounds on the
+    low limbs' norms (the s = 0 term); exact norms are taken only when
+    those certify. Width 1 certifies at any desk-scale n, since its limbs
+    are 0/1 vectors.
     """
-    def bound(b: int, count: int | None = None) -> float:
-        return _sum_bound(x_norms(b, count), y_norms(b, count)) * gamma
+    def bound(b: int, count: int | None = None, floor: bool = False) -> float:
+        return _sum_bound(x_norms(b, count, floor=floor),
+                          y_norms(b, count, floor=floor)) * gamma
 
     top = min(_WORD, max(1, x_bits, y_bits))
-    worst = bound(top)
-    if worst < 0.25:
-        return top, worst
+    if bound(top, 1, floor=True) < 0.25:
+        worst = bound(top)
+        if worst < 0.25:
+            return top, worst
     lo, hi = 1, top - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if bound(mid, 1) < 0.25:
+        if bound(mid, 1, floor=True) < 0.25 and bound(mid, 1) < 0.25:
             lo = mid
         else:
             hi = mid - 1

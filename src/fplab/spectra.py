@@ -1,11 +1,15 @@
 """Additive and multiplicative character sums.
 
 Complete-sum tables W[c] = sum_x e_p(c * x^(-s)) come from one
-prime-length Fourier transform of the reciprocal-power count vector;
-character spectra S[t] = sum_u chi_t(u) from one length-(p-1) transform
-of the dlog-reindexed indicator. Entries that are integers by symmetry
-(the c = 0 / principal-character slots, and the full-group spectrum)
-are snapped to their exact values after the float transform.
+prime-length Fourier transform of the reciprocal-power count vector.
+Character spectra S[t] = sum_u chi_t(u) are the length-(p-1) transform of
+the dlog-reindexed indicator v. Since v is real and p-1 is even, that
+transform is one complex FFT of half length M = (p-1)/2: v is packed as
+z[j] = v[2j] + i*v[2j+1], and the spectra of its even and odd halves are
+untangled from Z = fft(z) by the conjugate symmetry of a real input.
+Entries that are integers by symmetry (the c = 0 / principal-character
+slots, and the full-group spectrum) are snapped to their exact values
+after the float transform.
 """
 
 from __future__ import annotations
@@ -116,7 +120,15 @@ def weighted_frac_sum(alpha, beta, a: int, mset: ResidueSet, interval_x: Interva
 
 
 def char_spectrum(u_set: ResidueSet | Interval, ctx: PrimeContext) -> CharSpectrum:
-    """All p-1 character sums of a subset of the multiplicative group."""
+    """All p-1 character sums of a subset of the multiplicative group.
+
+    S[t] = sum_j v[j] e^(2 pi i t j/(p-1)) = conj(fft(v))[t] for the 0/1
+    indicator v of dlog(U). With Z = fft(z) of the packed z[j] = v[2j] +
+    i*v[2j+1] at length M = (p-1)/2, the halves' spectra are
+    E[k] = (Z[k] + conj Z[-k mod M])/2 and O[k] = (Z[k] - conj Z[-k mod M])/(2i),
+    and fft(v)[k] = E[k] + w^k O[k], fft(v)[k+M] = E[k] - w^k O[k] with
+    w = e^(-2 pi i/(p-1)). The twiddles are made on every call.
+    """
     p = ctx.p
     if isinstance(u_set, Interval):
         if u_set.contains_zero:
@@ -125,13 +137,27 @@ def char_spectrum(u_set: ResidueSet | Interval, ctx: PrimeContext) -> CharSpectr
     else:
         elems = u_set.elems
     n = elems.size
-    if n == p - 1:
-        s = np.zeros(p - 1, dtype=np.complex128)  # full group: orthogonality is exact
+    s = np.zeros(p - 1, dtype=np.complex128)
+    if n == p - 1:  # full group: orthogonality is exact
         s[0] = n
         return CharSpectrum(S=s, p=p, set_size=n)
-    v = np.zeros(p - 1, dtype=np.complex128)
-    v[ctx.dlog[elems]] = 1.0
-    s = np.fft.ifft(v) * (p - 1)
+    m = (p - 1) // 2  # PrimeContext refuses p = 2, so p - 1 is even
+    z = np.zeros(m, dtype=np.complex128)
+    z.view(np.float64)[ctx.dlog[elems]] = 1.0  # z[j] = v[2j] + i*v[2j+1]
+    z = np.fft.fft(z)
+    zr = np.conj(np.roll(z[::-1], 1))  # conj Z[-k mod M]
+    low, high = s[:m], s[m:]
+    np.add(z, zr, out=low)  # 2E
+    z -= zr  # 2iO
+    angle = np.arange(m) * (-2 * np.pi / (p - 1))
+    np.cos(angle, out=zr.real)
+    np.sin(angle, out=zr.imag)
+    zr *= -0.5j  # w^k / (2i)
+    z *= zr  # w^k O
+    low *= 0.5  # E
+    np.subtract(low, z, out=high)
+    low += z
+    np.conj(s, out=s)
     s[0] = complex(n)  # principal character counts the set exactly
     return CharSpectrum(S=s, p=p, set_size=n)
 

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fplab import convolve
+from fplab import convolve, countvec, sets, tkcount
 from fplab.convolve import (ConvolutionPlan, k_fold_count,
                             length_p_transform, plan_convolution)
 from fplab.countvec import CountVector
 from fplab.errors import BudgetError, ConsistencyError
+from fplab.modfield import PrimeContext
 
 import oracles
 
@@ -298,6 +299,41 @@ def test_certificate_adds_every_limb_product_of_a_sum():
     assert convolve._sum_bound([2], [3]) == 3  # sqrt(6), rounded up
     # Percival's factor at 2^18 with beta = eps: (6m + sqrt5 (3m+1)) eps
     assert 230 < convolve._gamma(1 << 18) * 2 ** 53 < 231
+
+
+def test_norm_floors_never_exceed_exact_norms():
+    # a probe is rejected from a floor, so the floor must be a true lower bound
+    assert convolve._sum_floor(np.full(4, (1 << 62) - 1)) <= 4 * ((1 << 62) - 1)
+    assert convolve._sum_floor(np.arange(1000)) == 499500  # fits int64: exact
+    rng = np.random.default_rng(16)
+    for top in (1 << 20, 1 << 45, 1 << 62):
+        x = rng.integers(0, top, size=4099)
+        norms = convolve._exact_norms([x], convolve._WORD, int(x.max()).bit_length())
+        for b in (7, 31, 61):
+            (low,), (exact,) = norms(b, 1, floor=True), norms(b, 1)
+            assert 0.7 * exact <= low <= exact
+
+
+def test_width_probes_reject_from_norm_floors(monkeypatch, caplog):
+    # T_6 at p = 100003 on six random sets: a width whose norm floors
+    # already fail takes no exact norm. Exact norms at every width tried
+    # made 98 exact-path dots (countvec._exact_dot, recursion included);
+    # the floors leave 33, and the widths are those the exact norms choose.
+    p, h = 100003, 563
+    c = PrimeContext(p)
+    factors = [(sets.random_subset(h, sets.mix_seed(1, 1, p, i), c), 0) for i in range(6)]
+    calls, exact_dot = [0], countvec._exact_dot
+
+    def spy(*args):
+        calls[0] += 1
+        return exact_dot(*args)
+
+    monkeypatch.setattr(countvec, "_exact_dot", spy)
+    with caplog.at_level(logging.INFO, logger="fplab.convolve"):
+        tkcount.tk_experiment(6, factors, h, 1, c, epsilon=0.02)
+    assert calls[0] == 33
+    ((run, charged, steps),) = _chain_logs(caplog)
+    assert (run, charged, steps) == (27, 51, ["1x1@4", "1x1@20", "2x1@26", "3x1@25", "4x1@24"])
 
 
 def test_uncertified_products_are_never_run_unsplit(monkeypatch, caplog):

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -39,18 +40,31 @@ def test_complete_sum_squares_structure(ctx):
     assert np.abs(t13.W.imag).max() < 1e-9
 
 
+def _row_gate(p, sum_of_squares, size):
+    """Rounding gate of one transform row: log2(L) * 2^-53 * sqrt(p) * ||u||_2.
+
+    L is the length of the power-of-two transform behind the row, or a
+    bound on it, and u the transformed vector; every sampled row error
+    measured here is below a tenth of it.
+    """
+    return math.log2(size) * 2.0 ** -53 * math.sqrt(p) * math.sqrt(sum_of_squares)
+
+
 @pytest.mark.parametrize("p,H,L,s", [(101, 40, 7, 1), (499, 200, 0, 2), (1999, 500, 300, 3),
                                      (1000003, 15849, 12345, 1)])
 def test_complete_sum_matches_direct(p, H, L, s):
-    # sampled rows against direct summation, and Parseval over the whole
-    # table: sum_c |W[c]|^2 = p * sum_lam u[lam]^2 for the fibre counts u
+    # sampled rows against direct summation within the chirp's rounding
+    # gate at L = next_pow2(2p-1), and Parseval over the whole table:
+    # sum_c |W[c]|^2 = p * sum_lam u[lam]^2 for the fibre counts u
     c = PrimeContext.of(p)
     x = shifted_interval(L, H, c, require_denominator_safe=True)
     t = complete_sum_table(x, s, c)
     x_elems = x.elements().tolist()
+    squares = recip_power_counts(x, s, c).sum_of_squares()
+    gate = _row_gate(p, squares, 1 << (2 * p - 2).bit_length())
     for ci in (0, 1, 2, p // 2, p - 1):
-        assert abs(t.W[ci] - oracles.complete_sum(x_elems, s, ci, p)) < 1e-6
-    rhs = p * recip_power_counts(x, s, c).sum_of_squares()
+        assert abs(t.W[ci] - oracles.complete_sum(x_elems, s, ci, p)) < gate
+    rhs = p * squares
     assert abs(float((np.abs(t.W) ** 2).sum()) - rhs) <= 1e-9 * rhs
 
 
@@ -175,16 +189,42 @@ def test_char_spectrum_matches_direct(ctx):
         assert abs(spec.S[t] - expect) < 1e-6
 
 
-def test_char_spectrum_all_entries_vs_direct():
-    # full-spectrum comparison at a mid-size prime, independent exponent sums
-    p = 499
+@pytest.mark.parametrize("p,kind", [(3, "set"), (5, "set"), (101, "set"), (499, "set"),
+                                    (499, "interval")])
+def test_char_spectrum_all_entries_vs_direct(p, kind):
+    # full-spectrum comparison, independent exponent sums; the packed
+    # transform runs at half length M = (p-1)/2 = 1, 2, 50 (even) and 249
+    # (odd). L = 2^20 bounds every transform length these gates cover,
+    # numpy's Bluestein padding at p = 1000003 included
     c = PrimeContext.of(p)
-    u_elems = random_subset(37, 17, c).elems.tolist()
-    spec = char_spectrum(residue_set(u_elems, c), c)
+    if kind == "interval":
+        u_set = shifted_interval(100, 150, c)
+        u_elems = u_set.elements().tolist()
+    else:
+        u_elems = random_subset(min(37, p - 2), 17, c).elems.tolist()
+        u_set = residue_set(u_elems, c)
+    spec = char_spectrum(u_set, c)
     logs = np.asarray([oracles.discrete_log(u, c.g, p) for u in u_elems])
     t = np.arange(p - 1)
     direct = np.exp(2j * np.pi * ((np.outer(t, logs) % (p - 1)) / (p - 1))).sum(axis=1)
-    assert np.abs(spec.S - direct).max() < 1e-6
+    assert np.abs(spec.S - direct).max() < _row_gate(p, len(u_elems), 1 << 20)
+
+
+def test_char_spectrum_at_scale():
+    # p = 10^6 + 3, #U = p^0.7: sampled rows against direct summation over
+    # logs checked by pow, and Parseval sum_t |S[t]|^2 = (p-1) * #U
+    p = 1000003
+    c = PrimeContext.of(p)
+    u = random_subset(math.ceil(p ** 0.7), 29, c)
+    spec = char_spectrum(u, c).S
+    logs = c.dlog[u.elems].astype(np.int64)
+    assert all(pow(c.g, k, p) == x for x, k in zip(u.elems.tolist(), logs.tolist()))
+    gate = _row_gate(p, u.M, 1 << 20)
+    for t in np.random.default_rng(3).integers(1, p - 1, size=8).tolist():
+        direct = np.exp(2j * np.pi * ((t * logs) % (p - 1)) / (p - 1)).sum()
+        assert abs(spec[t] - direct) < gate
+    rhs = (p - 1) * u.M
+    assert abs(float((np.abs(spec) ** 2).sum()) - rhs) <= 1e-12 * rhs
 
 
 def test_char_spectrum_accepts_intervals(ctx):
