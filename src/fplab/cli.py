@@ -147,7 +147,7 @@ def _cmd_energy(args) -> Record:
     return Record(
         command="energy", kind=args.kind, p=args.p, H=args.H, L=args.L, s=args.s,
         ell=args.ell, Klen=args.Klen, M=mset.M, value=value, envelope=envelope,
-        ratio=value / envelope)
+        ratio=envelopes.value_ratio(value, envelope))
 
 
 def _cmd_expsum(args) -> Record:

@@ -26,19 +26,19 @@ bounds the error of a radix-2 float convolution of length N = 2^m by
 ||x||_2 ||y||_2 gamma(N), with
 gamma = (1+eps)^(3m) (1+eps sqrt5)^(3m+1) (1+beta)^(3m) - 1, eps = 2^-53
 and beta the error of the twiddle factors. Before the inverse of sum s is
-used, sum_{i+j=s} ||x_i||_2 ||y_j||_2 gamma(C) must be below 1/4. The
-norms are exact integers (countvec.sum_of_squares) of the very limbs that
-are multiplied. Folding adds two entries, so every folded error is below
-1/2 and rounding is exact. The limb width b of a step is the widest that
-certifies every sum, worked out from these norms at each step; it is not
-a setting. A width is rejected first from Cauchy-Schwarz lower bounds on
-its low limbs' norms, ||x_0||^2 >= (sum x_0)^2 / n, and its exact norms
-are taken only when those bounds certify. What is assumed of numpy's
-pocketfft: at power-of-two lengths its real transforms err no more than
-Percival's radix-2 transform with correctly rounded twiddles (beta = eps).
-That is not proved here, so the rounding residual of every inverse is
-still checked, and a residual above 0.25, far beyond anything the bound
-allows in practice, raises ConsistencyError.
+used, sum_{i+j=s} ||x_i||_2 ||y_j||_2 gamma(C) must be below 1/4. Each
+limb's squared norm is bounded by one rule (_limb_norms) from what is
+known of its side: the bits of its largest entry, its mass and, when the
+side is one int64 array, its exact squared norm (countvec.sum_of_squares).
+No limb is cut to be measured. Folding adds two entries, so every folded
+error is below 1/2 and rounding is exact. The limb width b of a step is
+the widest that certifies every sum under these bounds; it is not a
+setting. What is assumed of numpy's pocketfft: at power-of-two lengths
+its real transforms err no more than Percival's radix-2 transform with
+correctly rounded twiddles (beta = eps). That is not proved here, so the
+rounding residual of every inverse is still checked, and a residual above
+0.25, far beyond anything the bound allows in practice, raises
+ConsistencyError.
 
 Spectra. One rule, kept by the executor and charged by the planner. A
 side that is one whole factor (the first factor in step 1, factor t in
@@ -53,14 +53,16 @@ sum exactly when it is not kept.
 One work model prices every plan, and plan_convolution is the only budget
 gate and the only source of a plan: k_fold_count plans every call itself.
 A float plan is charged its transforms times C * log2(C). Each step is
-charged the transforms it would run at the worst-case norms its masses
-allow (see _bound_norms), with the width chosen from those bounds by the
-executor's rule. Actual norms are never larger, so the executor's width is
-never narrower, its limbs never more, and it never runs more transforms
-than it was charged. The support-pair route costs its pairs. Planning logs
-nothing; the float route logs one line when it runs: its steps, the limbs
-and width of each, the transforms run against those charged, the largest
-certified bound and the largest rounding residual.
+charged the transforms it would run at the worst case its masses allow:
+the planner bounds the norms from each side's mass and the mass's bit
+length alone. The executor bounds them by the same rule from its sides'
+real bits, the same masses and the exact norms it has, so its bounds are
+never larger, its width never narrower, its limbs never more, and it
+never runs more transforms than it was charged. The support-pair route
+costs its pairs. Planning logs nothing; the float route logs one line
+when it runs: its steps, the limbs and width of each, the transforms run
+against those charged, the largest certified bound and the largest
+rounding residual.
 
 The prime-length Fourier transform (for complete exponential-sum tables)
 uses the chirp factorization c*l = (c^2 + l^2 - (c-l)^2)/2 to reduce a
@@ -72,10 +74,12 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import isqrt, prod
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,11 +94,6 @@ log = logging.getLogger(__name__)
 PAIR_COST = 10
 _PAIR_BLOCK = 1 << 22          # support pairs scattered per block
 _WORD = 62                     # widest limb or digit: every one is an int64 array
-
-# one side's limb norms: norms(b, count) gives the squared l2 norms of its
-# first `count` limbs at width b, or of all of them when count is None;
-# norms(b, 1, floor=True) may give a lower bound on limb 0's instead
-Norms = Callable[..., list]
 
 
 def _next_pow2(n: int) -> int:
@@ -164,19 +163,18 @@ def _pair_work(n: int, masses: Sequence[int]) -> int:
 def _chain_transforms(n: int, masses: list[int], keys: list, size: int) -> int:
     """The transforms the float chain is charged: what it runs at worst-case norms.
 
-    Each step takes its width from _bound_norms by the executor's rule
-    (_width) and inverts once per limb-index sum. Its forward transforms
-    follow the module's spectrum rule: a side that is one whole factor
-    (the first factor in step 1, factor t in step t) carries its array's
-    key, and a key counts as made only when its side is whole (one limb);
-    a made key is not charged again. The accumulator after step 1, and
-    every limb, carry no key and are charged every time.
+    Each step takes its width from _width, each side given by its mass
+    and the mass's bit length alone, and inverts once per limb-index sum.
+    Its forward transforms follow the module's spectrum rule: a side that
+    is one whole factor (the first factor in step 1, factor t in step t)
+    carries its array's key, and a key counts as made only when its side
+    is whole (one limb); a made key is not charged again. The accumulator
+    after step 1, and every limb, carry no key and are charged every time.
     """
     gamma = _gamma(size)
     made, transforms, acc, x_key = set(), 0, masses[0], keys[0]
     for y_key, mass in zip(keys[1:], masses[1:]):
-        b, _ = _width(_bound_norms(acc, n), _bound_norms(mass, n),
-                      acc.bit_length(), mass.bit_length(), gamma)
+        b, _ = _width((acc.bit_length(), acc, None), (mass.bit_length(), mass, None), n, gamma)
         x_limbs, y_limbs = _limb_count(acc.bit_length(), b), _limb_count(mass.bit_length(), b)
         for key, limbs in ((x_key, x_limbs), (y_key, y_limbs)):
             whole = limbs == 1 and key is not None
@@ -189,7 +187,7 @@ def _chain_transforms(n: int, masses: list[int], keys: list, size: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the certificate: Percival's bound from exact limb norms
+# the certificate: Percival's bound from bounds on the limb norms
 
 
 @lru_cache(maxsize=None)
@@ -211,54 +209,22 @@ def _limb_count(bits: int, b: int) -> int:
     return max(1, -(-bits // b))
 
 
-def _bound_norms(mass: int, n: int) -> Norms:
-    """Squared-norm bounds for the limbs of any nonnegative vector of this mass on Z_n.
+def _limb_norms(b: int, bits: int, mass: int, n: int,
+                whole: int | None = None) -> Iterator[int]:
+    """Bounds on the squared l2 norms of the b-bit limbs of a side, limb 0 first.
 
-    Every entry is at most the mass, so limb i at width b has entries at
-    most D = min(mass >> b*i, 2^b - 1) and a mass of at most
-    mass >> b*i; its squared l2 norm is at most min((mass >> b*i) * D,
-    n * D^2). A point mass meets the bound when it is one limb. These are
-    the planner's norms, so `floor` changes nothing.
+    The side is a nonnegative vector on Z_n whose entries have at most
+    `bits` bits and sum to `mass`; `whole`, when given, is its exact
+    squared norm. Limb i has entries at most D = min(top >> b*i, 2^b - 1),
+    top = min(mass, 2^bits - 1), a mass of at most mass >> b*i, and it is
+    entrywise at most the side, so its squared norm is at most
+    min((mass >> b*i) * D, n * D^2, whole).
     """
-    bits = mass.bit_length()
-
-    def norms(b: int, count: int | None = None, floor: bool = False) -> list[int]:
-        out = []
-        for i in range(_limb_count(bits, b) if count is None else count):
-            top = mass >> (b * i)
-            d = min(top, (1 << b) - 1)
-            out.append(min(top * d, n * d * d))
-        return out
-
-    return norms
-
-
-def _exact_norms(digits: list[np.ndarray], width: int, bits: int) -> Norms:
-    """The exact squared l2 norms of the limbs of sum_i digits[i] * 2^(width*i).
-
-    With `floor`, limb 0's is bounded below by Cauchy-Schwarz,
-    ||x_0||^2 >= (sum x_0)^2 / n, from a sum that every rounding lowers:
-    no exact norm is taken.
-    """
-    def norms(b: int, count: int | None = None, floor: bool = False) -> list[int]:
-        limbs = _limb_count(bits, b)
-        if floor:
-            limb = _limb(digits, width, b, 0, limbs)
-            return [_sum_floor(limb) ** 2 // limb.size]
-        return [sum_of_squares(_limb(digits, width, b, j, limbs))
-                for j in range(limbs if count is None else count)]
-
-    return norms
-
-
-def _sum_floor(x: np.ndarray) -> int:
-    """A lower bound on the sum of a nonnegative int64 array: exact when it fits int64.
-
-    The entries are shifted right until their sum cannot overflow, so the
-    shifted-out bits are all that is lost.
-    """
-    shift = max(0, int(x.max()).bit_length() + x.size.bit_length() - 63)
-    return int((x >> shift if shift else x).sum()) << shift
+    top = min(mass, (1 << bits) - 1)
+    for i in range(_limb_count(bits, b)):
+        d = min(top >> (b * i), (1 << b) - 1)
+        norm = min((mass >> (b * i)) * d, n * d * d)
+        yield norm if whole is None else min(norm, whole)
 
 
 def _ceil_sqrt(v: int) -> int:
@@ -274,35 +240,25 @@ def _sum_bound(xs: list[int], ys: list[int]) -> int:
     return max(sums)
 
 
-def _width(x_norms: Norms, y_norms: Norms, x_bits: int, y_bits: int,
-           gamma: float) -> tuple[int, float]:
+def _width(x: tuple, y: tuple, n: int, gamma: float) -> tuple[int, float]:
     """(b, certified bound): the widest limb width whose every sum certifies.
 
-    Widths run up to `top`, where both sides are one limb, or to _WORD.
-    `top` is tried first. Below it, the low limbs' term (s = 0) never falls
-    as b grows, so bisection finds the widest width at which that term
-    certifies; the full certificate is then checked from there down. `top`
-    and each bisection probe are rejected first from lower bounds on the
-    low limbs' norms (the s = 0 term); exact norms are taken only when
-    those certify. Width 1 certifies at any desk-scale n, since its limbs
-    are 0/1 vectors.
+    x and y are the sides' (bits, mass, whole), as _limb_norms takes them.
+    Widths run up to where both sides are one limb, or to _WORD. Limb 0's
+    bound is a minimum of terms that never fall as b grows (`whole` a
+    constant among them), so the low limbs' term (s = 0) never falls
+    either, and bisection finds the widest width at which it certifies;
+    the full certificate is then checked from there down. Width 1
+    certifies at any desk-scale n, since its limbs are 0/1 vectors.
     """
-    def bound(b: int, count: int | None = None, floor: bool = False) -> float:
-        return _sum_bound(x_norms(b, count, floor=floor),
-                          y_norms(b, count, floor=floor)) * gamma
+    def bound(b: int, count: int | None = None) -> float:
+        """gamma times the largest sum over the first `count` limbs of each side (all: None)."""
+        xs, ys = (list(islice(_limb_norms(b, bits, mass, n, whole), count))
+                  for bits, mass, whole in (x, y))
+        return _sum_bound(xs, ys) * gamma
 
-    top = min(_WORD, max(1, x_bits, y_bits))
-    if bound(top, 1, floor=True) < 0.25:
-        worst = bound(top)
-        if worst < 0.25:
-            return top, worst
-    lo, hi = 1, top - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if bound(mid, 1, floor=True) < 0.25 and bound(mid, 1) < 0.25:
-            lo = mid
-        else:
-            hi = mid - 1
+    widths = range(1, min(_WORD, max(1, x[0], y[0])) + 1)
+    lo = bisect_left(widths, True, key=lambda b: bound(b, 1) >= 0.25)  # widest low-term pass
     for b in range(lo, 0, -1):
         worst = bound(b)
         if worst < 0.25:
@@ -363,6 +319,17 @@ def _bits(digits: list[np.ndarray], width: int) -> int:
     return (len(digits) - 1) * width + int(digits[-1].max()).bit_length()
 
 
+def _side(digits: list[np.ndarray], width: int, mass: int) -> tuple[int, int, int | None]:
+    """(bits, mass, whole) of sum_i digits[i] * 2^(width*i), as _limb_norms takes them.
+
+    The exact squared norm `whole` is taken only when the side fits one
+    int64 array.
+    """
+    bits = _bits(digits, width)
+    whole = sum_of_squares(_limb(digits, width, _WORD, 0, 1)) if bits <= _WORD else None
+    return bits, mass, whole
+
+
 def _join(digits: list[np.ndarray], width: int, bound: int) -> np.ndarray:
     """The exact vector: int64 below a coefficient bound of 2^62, else Python ints.
 
@@ -421,19 +388,20 @@ def _rounded(folded: np.ndarray) -> tuple[np.ndarray, float]:
     return rounded.astype(np.int64), residual
 
 
-def _float_chain(arrays: list, n: int, plan: ConvolutionPlan) -> np.ndarray:
+def _float_chain(arrays: list, masses: list[int], n: int,
+                 plan: ConvolutionPlan) -> np.ndarray:
     """The chain of certified two-factor float products; see the module docstring.
 
-    A factor's entry in `arrays` is cleared once its step has read it, so a
-    factor no one else holds is freed as the chain goes. Logs what it ran.
+    masses[t] is the sum of arrays[t]. A factor's entry in `arrays` is
+    cleared once its step has read it, so a factor no one else holds is
+    freed as the chain goes. Logs what it ran.
     """
     size = plan.fft_length
     gamma = _gamma(size)
     keys = [id(a) for a in arrays]
     last = {key: t for t, key in enumerate(keys)}
     kept = {}  # key -> spectrum of a whole factor that a later operand uses
-    digits, width, x_key = [arrays[0]], _WORD, keys[0]
-    bits = _bits(digits, width)
+    digits, width, x_key, acc = [arrays[0]], _WORD, keys[0], masses[0]
     arrays[0] = None
     run, steps, certified, residual = 0, [], 0.0, 0.0
 
@@ -447,10 +415,9 @@ def _float_chain(arrays: list, n: int, plan: ConvolutionPlan) -> np.ndarray:
 
     for t in range(1, len(keys)):
         y, arrays[t] = arrays[t], None
-        y_bits = _bits([y], _WORD)
-        b, bound = _width(_exact_norms(digits, width, bits), _exact_norms([y], _WORD, y_bits),
-                          bits, y_bits, gamma)
-        x_limbs, y_limbs = _limb_count(bits, b), _limb_count(y_bits, b)
+        x_side, y_side = _side(digits, width, acc), _side([y], _WORD, masses[t])
+        b, bound = _width(x_side, y_side, n, gamma)
+        x_limbs, y_limbs = _limb_count(x_side[0], b), _limb_count(y_side[0], b)
         x_key = x_key if x_limbs == 1 else None
         live = {0: spectrum(_limb(digits, width, b, 0, x_limbs), x_key, t - 1)}
         ys = [spectrum(_limb([y], _WORD, b, j, y_limbs), keys[t] if y_limbs == 1 else None, t)
@@ -482,8 +449,7 @@ def _float_chain(arrays: list, n: int, plan: ConvolutionPlan) -> np.ndarray:
             parts.append(part)
             residual = max(residual, res)
         digits = parts if len(parts) == 1 else _carry(parts, b)
-        width, x_key = b, None
-        bits = _bits(digits, width)
+        width, x_key, acc = b, None, acc * masses[t]
         steps.append(f"{x_limbs}x{y_limbs}@{b}")
         certified = max(certified, bound)
     if run > plan.transforms:
@@ -494,15 +460,15 @@ def _float_chain(arrays: list, n: int, plan: ConvolutionPlan) -> np.ndarray:
     return _join(digits, width, plan.bound)
 
 
-def _run(arrays: list, n: int, plan: ConvolutionPlan) -> np.ndarray:
-    """The convolution over Z_n of int64 factor arrays, run as `plan` says.
+def _run(arrays: list, masses: list[int], n: int, plan: ConvolutionPlan) -> np.ndarray:
+    """The convolution over Z_n of int64 factor arrays of these masses, run as `plan` says.
 
     k_fold_count's executor. The float chain clears each entry of `arrays`
     as it reads it.
     """
     if plan.strategy == "direct":
         return _pair_kfold(arrays, n)
-    return _float_chain(arrays, n, plan)
+    return _float_chain(arrays, masses, n, plan)
 
 
 def k_fold_count(vectors: Sequence[CountVector], *, budget: int | None = None) -> CountVector:
@@ -519,13 +485,13 @@ def k_fold_count(vectors: Sequence[CountVector], *, budget: int | None = None) -
     n = vectors[0].p
     if any(v.p != n for v in vectors):
         raise ConsistencyError("count vectors have mismatched lengths")
-    plan = plan_convolution(n, [v.total for v in vectors], budget,
-                            layout=[id(v.counts) for v in vectors])
+    masses = [v.total for v in vectors]
+    plan = plan_convolution(n, masses, budget, layout=[id(v.counts) for v in vectors])
     if any(v.counts.dtype != np.int64 for v in vectors):
         raise ConsistencyError("input count vectors must be 64-bit backed")
     arrays = [v.counts for v in vectors]
     del vectors  # a factor the caller holds no more is freed after its step
-    return CountVector(_run(arrays, n, plan), expected_total=plan.bound)
+    return CountVector(_run(arrays, masses, n, plan), expected_total=plan.bound)
 
 
 # ---------------------------------------------------------------------------

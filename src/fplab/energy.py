@@ -18,7 +18,7 @@ from . import convolve
 from .countvec import CountVector, from_bincount
 from .errors import DomainError, ZeroInIntervalError
 from .modfield import PrimeContext, recip_power_values
-from .sets import Interval, ResidueSet, shifted_interval
+from .sets import Interval, ResidueSet, require_modulus, shifted_interval
 
 
 def dlog_counts(units: np.ndarray, scale: int, ctx: PrimeContext) -> CountVector:
@@ -55,8 +55,7 @@ def count_vector_product(interval: Interval, mset: ResidueSet, s: int,
     """
     if interval.contains_zero:
         raise ZeroInIntervalError("interval covers 0 mod p: x^(-s) undefined")
-    if mset.p != ctx.p or interval.p != ctx.p:
-        raise DomainError("interval/set modulus does not match context")
+    require_modulus(ctx, mset, interval)
     if s == 0:
         raise DomainError("exponent s must be nonzero")
     conv = dlog_convolution([(mset.elems, 1), (interval.elements(), -s)], ctx, budget)
@@ -107,6 +106,7 @@ def triple_R(j_len: int, k_len: int, mset: ResidueSet, ctx: PrimeContext,
 
 def recip_power_counts(interval: Interval, s: int, ctx: PrimeContext) -> CountVector:
     """u[lam] = #{x in X : x^(-s) = lam mod p} (fiber sizes of the power map)."""
+    require_modulus(ctx, interval)
     if interval.contains_zero:
         raise ZeroInIntervalError("interval covers 0 mod p: x^(-s) undefined")
     vals = recip_power_values(interval.elements(), s, ctx)

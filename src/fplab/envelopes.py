@@ -9,7 +9,9 @@ and the like) are done in integers to avoid float-boundary artifacts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log, prod
+from math import inf, log, prod
+
+from .errors import DomainError
 
 
 def pair_energy_envelope(H: int, M: int, p: int) -> float:
@@ -27,8 +29,25 @@ def pair_energy_envelope(H: int, M: int, p: int) -> float:
 
 
 def recip_energy_envelope(H: int, p: int, ell: int) -> float:
-    """Envelope for the 2*ell-fold reciprocal-power additive energy."""
-    return H ** (2 * ell * ell / (ell + 1)) + H ** (2 * ell) / p
+    """Envelope for the 2*ell-fold reciprocal-power additive energy.
+
+    DomainError when it exceeds the float range.
+    """
+    try:
+        envelope = H ** (2 * ell * ell / (ell + 1)) + H ** (2 * ell) / p
+    except OverflowError:
+        envelope = inf
+    if envelope == inf:
+        raise DomainError(f"recip energy envelope exceeds the float range at H={H} and ell={ell}")
+    return envelope
+
+
+def value_ratio(value: int | float, envelope: float) -> float:
+    """value / envelope; DomainError when the value exceeds the float range."""
+    try:
+        return value / envelope
+    except OverflowError:
+        raise DomainError("measured value exceeds the float range") from None
 
 
 def frac_sum_envelope(H: int, M: int, p: int, ell: int) -> float:

@@ -15,7 +15,7 @@ from .energy import dlog_convolution, residue_order
 from .envelopes import product_set_branch
 from .errors import DomainError, ZeroInIntervalError
 from .modfield import PrimeContext
-from .sets import Interval, ResidueSet
+from .sets import Interval, ResidueSet, require_modulus
 
 _MISSING_LIST_CAP = 1 << 16
 
@@ -64,8 +64,7 @@ def product_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
                 epsilon: float = 0.05, budget: int | None = None,
                 list_missing: bool = False) -> ProductSetReport:
     """Exact size of {h*m mod p}; 0 is a product exactly when the interval covers it."""
-    if interval.p != ctx.p or mset.p != ctx.p:
-        raise DomainError("interval/set modulus does not match context")
+    require_modulus(ctx, interval, mset)
     elems = interval.elements()
     occ = _occupancy(elems[elems != 0], 1, mset, ctx, budget)
     occ[0] = interval.contains_zero
@@ -76,8 +75,7 @@ def ratio_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
               epsilon: float = 0.05, budget: int | None = None,
               list_missing: bool = False) -> ProductSetReport:
     """Exact size of {m/h mod p}: the product set of the inverted interval."""
-    if interval.p != ctx.p or mset.p != ctx.p:
-        raise DomainError("interval/set modulus does not match context")
+    require_modulus(ctx, interval, mset)
     if interval.contains_zero:
         raise ZeroInIntervalError("ratio set needs a denominator-safe interval (0 not in H)")
     occ = _occupancy(interval.elements(), -1, mset, ctx, budget)

@@ -98,6 +98,12 @@ class ResidueSet:
         return self.M
 
 
+def require_modulus(ctx: PrimeContext, *items: Interval | ResidueSet) -> None:
+    """DomainError unless every interval and set is taken mod ctx.p."""
+    if any(item.p != ctx.p for item in items):
+        raise DomainError("interval/set modulus does not match context")
+
+
 def initial_interval(H: int, ctx: PrimeContext) -> Interval:
     """The interval {1, ..., H}."""
     return Interval(0, H, ctx.p)

@@ -23,7 +23,7 @@ from .energy import recip_power_counts
 from .envelopes import frac_sum_envelope, weighted_frac_sum_envelope
 from .errors import DomainError
 from .modfield import PrimeContext, recip_power_values
-from .sets import Interval, ResidueSet, initial_interval
+from .sets import Interval, ResidueSet, initial_interval, require_modulus
 
 _BETA_SLACK = 1e-12
 
@@ -79,9 +79,12 @@ def kloosterman_frac_sum(a: int, mset: ResidueSet, interval_x: Interval, s: int,
     """S = sum over m of |W[a*m mod p]|, with the ell-parameterized envelope."""
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
+    require_modulus(ctx, mset, interval_x)
     p = ctx.p
     if table is None:
         table = complete_sum_table(interval_x, s, ctx)
+    elif (table.p, table.H, table.L, table.s) != (p, interval_x.H, interval_x.L, s):
+        raise DomainError("complete-sum table was built for another p, interval or s")
     idx = (a % p) * mset.elems % p
     value = float(np.abs(table.W[idx]).sum())
     h, m = interval_x.H, mset.M
@@ -97,6 +100,7 @@ def weighted_frac_sum(alpha, beta, a: int, mset: ResidueSet, interval_x: Interva
     alpha is indexed by mset.elems order, beta by interval order
     (L+1, ..., L+H).
     """
+    require_modulus(ctx, mset, interval_x)
     p = ctx.p
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
@@ -129,6 +133,7 @@ def char_spectrum(u_set: ResidueSet | Interval, ctx: PrimeContext) -> CharSpectr
     and fft(v)[k] = E[k] + w^k O[k], fft(v)[k+M] = E[k] - w^k O[k] with
     w = e^(-2 pi i/(p-1)). The twiddles are made on every call.
     """
+    require_modulus(ctx, u_set)
     p = ctx.p
     if isinstance(u_set, Interval):
         if u_set.contains_zero:
@@ -165,5 +170,5 @@ def char_spectrum(u_set: ResidueSet | Interval, ctx: PrimeContext) -> CharSpectr
 def burgess_ratio(k_len: int, ctx: PrimeContext) -> float:
     """max over t != 0 of |S_K(chi_t)| / (K^(1/2) * p^(3/16)) for K = {1..k_len}."""
     spec = char_spectrum(initial_interval(k_len, ctx), ctx)
-    top = float(np.abs(spec.S[1:]).max()) if ctx.p > 2 else 0.0
+    top = float(np.abs(spec.S[1:]).max())
     return top / (k_len ** 0.5 * ctx.p ** 0.1875)

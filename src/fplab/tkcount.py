@@ -78,12 +78,16 @@ def _factor_counts(factors: list[tuple[ResidueSet, int]], H: int, s: int,
 
     Factors with equal set contents and equal shifts mod p share one
     vector, so the paper's T_k over one set M and one interval X builds
-    one vector, which k_fold_count then transforms once.
+    one vector, which k_fold_count then transforms once. The k-fold
+    convolution of the vectors is planned first, from their masses H * M
+    and this sharing, as k_fold_count will plan it: a call it refuses
+    builds no vector and no dlog table.
     """
+    keys = [(mset.elems.tobytes(), shift % ctx.p) for mset, shift in factors]
+    convolve.plan_convolution(ctx.p, [H * mset.M for mset, _ in factors], budget, layout=keys)
     built: dict[tuple[bytes, int], CountVector] = {}
     vectors = []
-    for mset, shift in factors:
-        key = (mset.elems.tobytes(), shift % ctx.p)
+    for (mset, shift), key in zip(factors, keys):
         if key not in built:
             x = shifted_interval(shift, H, ctx, require_denominator_safe=True)
             built[key] = count_vector_product(x, mset, s, ctx, budget)
@@ -128,9 +132,9 @@ def tk_spectral_check(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: 
     product of F_i, the transforms of the factors' count vectors; the
     exact route is the convolution.
     """
-    vectors = _factor_counts(factors, H, s, ctx, budget)
-    if len(vectors) != k or k < 2:
+    if len(factors) != k or k < 2:
         raise DomainError("factor list does not match k")
+    vectors = _factor_counts(factors, H, s, ctx, budget)
     exact = convolve.k_fold_count(vectors, budget=budget)
     product = np.ones(ctx.p, dtype=np.complex128)
     for v in vectors:

@@ -276,7 +276,7 @@ def _measure(cfg: SweepConfig, base: ReportRow, ctx: PrimeContext,
         val = energy.additive_energy_recip(x, s, ell, ctx, cfg.budget)
         env = envelopes.recip_energy_envelope(h, p, ell)
         return replace(base, H=h, M=m, L=shift, value=val, envelope=env,
-                       ratio=val / env)
+                       ratio=envelopes.value_ratio(val, env))
 
     if measure == "kloosterman":
         x = shifted_interval(shift, h, ctx, require_denominator_safe=True)

@@ -132,6 +132,13 @@ def test_domain_error_exit_code(capsys, singleton1):
     assert code == 2 and err == "error: argument --p: invalid int value: 'x'\n"
     code, _, err = run_cli(capsys, "prodset", "--p", "101")
     assert code == 2 and err.count("\n") == 1 and "--H" in err
+    # a recip energy whose envelope is beyond the float range (it fits at ell = 221)
+    recip = ("energy", "--kind", "recip", "--p", "101", "--H", "5", "--set", "random:3",
+             "--seed", "1", "--ell")
+    assert run_cli(capsys, *recip, "221")[0] == 0
+    code, out, err = run_cli(capsys, *recip, "222")
+    assert (code, out) == (2, "")
+    assert err == "error: recip energy envelope exceeds the float range at H=5 and ell=222\n"
     # primes above 2^31, whose length-p arrays no route can hold
     for argv in (("energy", "--kind", "recip", "--p", "2147483659"),
                  ("energy", "--kind", "recip", "--p", "1099511627689"),

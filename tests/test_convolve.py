@@ -24,7 +24,8 @@ def _cv(values):
 
 def _run(vecs, plan):
     """The counts a hand-built plan gives, run by k_fold_count's executor."""
-    return convolve._run([v.counts for v in vecs], vecs[0].p, plan).tolist()
+    return convolve._run([v.counts for v in vecs], [v.total for v in vecs], vecs[0].p,
+                         plan).tolist()
 
 
 def test_identity_element():
@@ -301,39 +302,81 @@ def test_certificate_adds_every_limb_product_of_a_sum():
     assert 230 < convolve._gamma(1 << 18) * 2 ** 53 < 231
 
 
-def test_norm_floors_never_exceed_exact_norms():
-    # a probe is rejected from a floor, so the floor must be a true lower bound
-    assert convolve._sum_floor(np.full(4, (1 << 62) - 1)) <= 4 * ((1 << 62) - 1)
-    assert convolve._sum_floor(np.arange(1000)) == 499500  # fits int64: exact
+def test_width_is_the_widest_that_certifies_every_sum():
+    # _width's bisection on the low limbs' term and downward scan agree with
+    # a scan of every width, on planner sides (mass only) and executor sides
+    # (real bits and an exact norm)
+    n = 100003
+    gamma = convolve._gamma(1 << 18)
+
+    def widest(x, y):
+        def bound(b):
+            xs, ys = (list(convolve._limb_norms(b, *side[:2], n, side[2])) for side in (x, y))
+            return convolve._sum_bound(xs, ys) * gamma
+        top = min(convolve._WORD, max(1, x[0], y[0]))
+        b = max(b for b in range(1, top + 1) if bound(b) < 0.25)
+        return b, bound(b)
+
+    sides = [(m.bit_length(), m, None) for m in (1, 563 * 563, 3163 ** 3, 10 ** 20, 2 ** 70)]
+    sides += [(bits, mass, mass * mass // n) for bits, mass, _ in sides[1:]]
+    sides += [(30, 10 ** 12, None), (45, 2 ** 60, 2 ** 104)]
+    for x in sides:
+        for y in sides:
+            assert convolve._width(x, y, n, gamma) == widest(x, y)
+
+
+def _limbs_of(x, b):
+    count = convolve._limb_count(int(x.max()).bit_length(), b)
+    return [convolve._limb([x], convolve._WORD, b, i, count) for i in range(count)]
+
+
+def test_limb_norm_bounds_never_undercut_exact_norms():
+    # every bound is at least the exact squared norm of the limb it stands
+    # for, from the executor's inputs (real bits, mass, with and without
+    # the side's exact norm) and from the planner's (the mass alone),
+    # and the executor's bounds never exceed the planner's
     rng = np.random.default_rng(16)
-    for top in (1 << 20, 1 << 45, 1 << 62):
-        x = rng.integers(0, top, size=4099)
-        norms = convolve._exact_norms([x], convolve._WORD, int(x.max()).bit_length())
-        for b in (7, 31, 61):
-            (low,), (exact,) = norms(b, 1, floor=True), norms(b, 1)
-            assert 0.7 * exact <= low <= exact
+    n = 4099
+    point = np.zeros(n, dtype=np.int64)
+    point[7] = (1 << 53) + 12345
+    vecs = [rng.integers(0, top, size=n) for top in (1 << 20, 1 << 45, 1 << 62)]
+    vecs += [point, rng.integers(0, 2, size=n)]
+    for x in vecs:
+        mass, bits = CountVector(x).total, int(x.max()).bit_length()
+        whole = countvec.sum_of_squares(x)
+        for b in (1, 7, 31, 61):
+            exact = [countvec.sum_of_squares(limb) for limb in _limbs_of(x, b)]
+            planned = list(convolve._limb_norms(b, mass.bit_length(), mass, n))
+            for cap in (None, whole):
+                bounds = list(convolve._limb_norms(b, bits, mass, n, cap))
+                assert len(bounds) == len(exact) <= len(planned)
+                assert all(e <= bound <= plan for e, bound, plan in zip(exact, bounds, planned))
+    # a point mass meets its bound in its top limb
+    b = 31
+    assert list(convolve._limb_norms(b, 54, int(point.sum()), n))[-1] == \
+        countvec.sum_of_squares(_limbs_of(point, b)[-1])
 
 
-def test_width_probes_reject_from_norm_floors(monkeypatch, caplog):
-    # T_6 at p = 100003 on six random sets: a width whose norm floors
-    # already fail takes no exact norm. Exact norms at every width tried
-    # made 98 exact-path dots (countvec._exact_dot, recursion included);
-    # the floors leave 33, and the widths are those the exact norms choose.
+def test_t6_widths_come_from_the_limb_norm_bounds(monkeypatch, caplog):
+    # T_6 at p = 100003 on six random sets: each step's width comes from
+    # the bounds on its sides' limb norms, and the norm work is one exact
+    # norm of each side held as one int64 array (four accumulators and five
+    # factors), never of a cut limb
     p, h = 100003, 563
     c = PrimeContext(p)
     factors = [(sets.random_subset(h, sets.mix_seed(1, 1, p, i), c), 0) for i in range(6)]
-    calls, exact_dot = [0], countvec._exact_dot
+    calls, sum_of_squares = [], convolve.sum_of_squares
 
-    def spy(*args):
-        calls[0] += 1
-        return exact_dot(*args)
+    def spy(x):
+        calls.append(x.size)
+        return sum_of_squares(x)
 
-    monkeypatch.setattr(countvec, "_exact_dot", spy)
+    monkeypatch.setattr(convolve, "sum_of_squares", spy)
     with caplog.at_level(logging.INFO, logger="fplab.convolve"):
         tkcount.tk_experiment(6, factors, h, 1, c, epsilon=0.02)
-    assert calls[0] == 33
+    assert calls == [p] * 9
     ((run, charged, steps),) = _chain_logs(caplog)
-    assert (run, charged, steps) == (27, 51, ["1x1@4", "1x1@20", "2x1@26", "3x1@25", "4x1@24"])
+    assert (run, charged, steps) == (27, 51, ["1x1@4", "1x1@20", "2x1@24", "3x1@24", "4x1@24"])
 
 
 def test_uncertified_products_are_never_run_unsplit(monkeypatch, caplog):
@@ -354,8 +397,8 @@ def test_uncertified_products_are_never_run_unsplit(monkeypatch, caplog):
 
 def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch, caplog):
     # point masses of 2^23 - 1, every bit set: the worst case of their
-    # masses, so each step splits exactly as the planner charged it, and
-    # the chain runs every charged transform
+    # masses, so each step's norm bounds, width and split are exactly
+    # those the planner charged, and the chain runs every charged transform
     n = 211
     vecs = []
     for i in range(3):
@@ -373,7 +416,7 @@ def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch, caplog):
     assert expect == _expect(vecs)
     ((run, charged, steps),) = _chain_logs(caplog)
     assert run == charged == len(calls["rfft"]) + calls["irfft"] == 16
-    assert steps == ["2x2@22", "3x2@22"]
+    assert steps == ["2x2@21", "3x2@19"]
     # the planner refuses one unit less before any transform runs
     calls["rfft"].clear()
     caplog.clear()

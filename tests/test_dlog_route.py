@@ -10,6 +10,7 @@ from fplab.errors import BudgetError, DomainError
 from fplab.modfield import PrimeContext
 from fplab.prodset import product_set, ratio_set
 from fplab.sets import initial_interval, random_subset
+from fplab.tkcount import tk_experiment
 
 import oracles
 
@@ -20,9 +21,9 @@ def strategies(monkeypatch):
     seen = []
     run = convolve._run
 
-    def spy(arrays, n, plan):
+    def spy(arrays, masses, n, plan):
         seen.append(plan.strategy)
-        return run(arrays, n, plan)
+        return run(arrays, masses, n, plan)
 
     monkeypatch.setattr(convolve, "_run", spy)
     return seen
@@ -75,11 +76,14 @@ def test_dense_products_are_charged_their_transform_work(ctx, strategies):
 def test_refusal_comes_before_the_dlog_table():
     c = PrimeContext(1000003)  # a fresh context: no dlog table yet
     iv, mset = initial_interval(40_000, c), random_subset(40_000, 1, c)
+    # T_8 with H = #M = 300: each factor's product fits the budget, T_8 does not
+    factors = [(random_subset(300, i, c), 0) for i in range(8)]
     tracemalloc.start()
     try:
         for call in (lambda: product_set(iv, mset, c, budget=10**6),
                      lambda: energy_J(iv, mset, c, budget=10**6),
-                     lambda: triple_R(40_000, 40_000, mset, c, budget=10**6)):
+                     lambda: triple_R(40_000, 40_000, mset, c, budget=10**6),
+                     lambda: tk_experiment(8, factors, 300, 1, c, budget=10**6)):
             with pytest.raises(BudgetError):
                 call()
         _, peak = tracemalloc.get_traced_memory()

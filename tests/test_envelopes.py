@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from fplab.envelopes import (burgess_envelope, frac_sum_envelope, holder_norm,
                              pair_energy_envelope, product_set_branch,
                              recip_energy_envelope, tk_hypotheses,
-                             tk_main_term, triple_main_term)
+                             tk_main_term, triple_main_term, value_ratio)
+from fplab.errors import DomainError
 
 
 def test_pair_energy_regimes():
@@ -29,6 +31,14 @@ def test_exact_exponent_boundaries():
 
 def test_recip_and_frac_envelopes():
     assert recip_energy_envelope(10, 101, 1) == 10.0 + 100 / 101
+    # 5^(2 l^2/(l+1)) is a float at l = 221 and beyond the float range at 222
+    assert recip_energy_envelope(5, 101, 221) < float("inf")
+    with pytest.raises(DomainError, match="envelope exceeds the float range at H=5 and ell=222"):
+        recip_energy_envelope(5, 101, 222)
+    # a ratio is refused only when the value itself is beyond a float
+    assert value_ratio(3, 2.0) == 1.5 and value_ratio(10 ** 300, 1e300) == 1.0
+    with pytest.raises(DomainError, match="value exceeds the float range"):
+        value_ratio(10 ** 400, 1e300)
     env = frac_sum_envelope(10, 10, 101, 2)
     assert env == 100 * (101 / (10 * 10 ** (4 / 3)) + 0.1) ** 0.25
 

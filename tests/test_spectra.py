@@ -244,3 +244,40 @@ def test_burgess_examples(ctx):
     # oracle: direct maximization over characters
     best = max(abs(oracles.char_sum(range(1, 11), t, c.g, 101)) for t in range(1, 100))
     assert abs(r - best / (10 ** 0.5 * 101 ** 0.1875)) < 1e-9
+
+
+_C101, _C1009 = PrimeContext.of(101), PrimeContext.of(1009)
+_IV101, _IV1009 = initial_interval(20, _C101), initial_interval(20, _C1009)
+_SET101, _SET1009 = residue_set([2, 3, 5], _C101), residue_set([2, 3, 5], _C1009)
+_FOREIGN_MODULUS = {
+    "recip_power_counts": lambda: recip_power_counts(_IV101, 1, _C1009),
+    "complete_sum_table": lambda: complete_sum_table(_IV101, 1, _C1009),
+    "kloosterman_set": lambda: kloosterman_frac_sum(1, _SET101, _IV1009, 1, _C1009),
+    "kloosterman_interval": lambda: kloosterman_frac_sum(1, _SET1009, _IV101, 1, _C1009),
+    "kloosterman_table_p": lambda: kloosterman_frac_sum(
+        1, _SET1009, _IV1009, 1, _C1009, table=complete_sum_table(_IV101, 1, _C101)),
+    "kloosterman_table_s": lambda: kloosterman_frac_sum(
+        1, _SET1009, _IV1009, 1, _C1009, table=complete_sum_table(_IV1009, 2, _C1009)),
+    "kloosterman_table_H": lambda: kloosterman_frac_sum(
+        1, _SET1009, _IV1009, 1, _C1009,
+        table=complete_sum_table(initial_interval(21, _C1009), 1, _C1009)),
+    "kloosterman_table_L": lambda: kloosterman_frac_sum(
+        1, _SET1009, _IV1009, 1, _C1009,
+        table=complete_sum_table(shifted_interval(1, 20, _C1009), 1, _C1009)),
+    "weighted_set": lambda: weighted_frac_sum(np.ones(3), np.ones(20), 1, _SET101, _IV1009,
+                                              1, _C1009),
+    "weighted_interval": lambda: weighted_frac_sum(np.ones(3), np.ones(20), 1, _SET1009,
+                                                   _IV101, 1, _C1009),
+    "char_spectrum_set": lambda: char_spectrum(_SET101, _C1009),
+    "char_spectrum_interval": lambda: char_spectrum(_IV101, _C1009),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOREIGN_MODULUS))
+def test_spectral_entry_points_refuse_another_modulus(case):
+    # each input, or a passed table, built for another p, interval or s is
+    # refused instead of giving a value; the matching inputs still run
+    with pytest.raises(DomainError, match="modulus does not match|another p, interval or s"):
+        _FOREIGN_MODULUS[case]()
+    table = complete_sum_table(_IV1009, 1, _C1009)
+    assert kloosterman_frac_sum(1, _SET1009, _IV1009, 1, _C1009, table=table).value > 0

@@ -114,6 +114,12 @@ def test_skip_reasons():
     rows = run_sweep(cfg)
     assert rows[0].skip_reason == "budget_exceeded"
     assert rows[1].skip_reason == "" and rows[1].value > 0
+    # a recip energy envelope beyond the float range is a domain skip, not an error
+    cfg = parse_config("measure = recip_energy\nprimes = 101\nh_exp = 0.34\nell = 221 222\n")
+    rows = run_sweep(cfg)
+    assert rows[0].H == 5 and rows[0].skip_reason == "" and 0 < rows[0].ratio < 2
+    assert rows[1].skip_reason == ("domain:recip energy envelope exceeds the float range "
+                                   "at H=5 and ell=222")
 
 
 def test_workers_preserve_order():
