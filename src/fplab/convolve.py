@@ -66,8 +66,13 @@ rounding residual.
 
 The prime-length Fourier transform (for complete exponential-sum tables)
 uses the chirp factorization c*l = (c^2 + l^2 - (c-l)^2)/2 to reduce a
-length-p transform to one power-of-two circular convolution of length
->= 2p-1, at every length p >= 2.
+length-p transform to one circular convolution, at every length p >= 2.
+Computing rows 0..R-1 takes a circular length L >= p + R - 1, the
+smallest 2^a * 3^b at least that (pocketfft's radix 3 runs about as fast
+as its radix 2). A complex input needs all R = p rows, so L >= 2p-1. A
+real input needs only R = p//2 + 1: its transform has
+hat_u[p-c] = conj hat_u[c], so L >= p + p//2 and the other rows are
+filled as conjugates. The row count comes from the input's dtype.
 """
 
 from __future__ import annotations
@@ -498,16 +503,31 @@ def k_fold_count(vectors: Sequence[CountVector], *, budget: int | None = None) -
 # prime-length discrete Fourier transform (positive-sign convention)
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a * 3^b that is at least n."""
+    best, three = _next_pow2(n), 1
+    while three < best:
+        best = min(best, three * _next_pow2(-(-n // three)))
+        three *= 3
+    return best
+
+
 @lru_cache(maxsize=4)
-def _chirp_tables(n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(chirp, transformed filter, fft length) for a length-n transform."""
+def _chirp_tables(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(chirp, transformed filter, fft length) for rows 0..rows-1 of a length-n transform.
+
+    The filter holds conj(chirp[d]) at every offset d = c - lam in
+    [-(n-1), rows-1], at d mod L; these n + rows - 1 offsets are distinct
+    modulo L >= n + rows - 1, so the circular convolution at L equals the
+    linear one on rows 0..rows-1.
+    """
     t = np.arange(n, dtype=np.int64)
     # reduce t^2 mod 2n before forming the angle: keeps sin/cos arguments small
     sq = (t * t) % (2 * n)
     chirp = np.exp(1j * np.pi * sq / n)
-    m = _next_pow2(2 * n - 1)
+    m = _smooth_length(n + rows - 1)
     filt = np.zeros(m, dtype=np.complex128)
-    filt[:n] = np.conj(chirp)
+    filt[:rows] = np.conj(chirp[:rows])
     filt[m - n + 1:] = np.conj(chirp[1:][::-1])
     return chirp, np.fft.fft(filt), m
 
@@ -515,14 +535,27 @@ def _chirp_tables(n: int) -> tuple[np.ndarray, np.ndarray, int]:
 def length_p_transform(u: np.ndarray) -> np.ndarray:
     """hat_u[c] = sum_lam u[lam] * exp(2*pi*i*c*lam/n) for n = len(u).
 
-    Chirp reduction to a power-of-two circular convolution.
+    Chirp reduction to one circular convolution at a 3-smooth length L.
+    A complex u needs all n rows, so L >= 2n - 1. A real u has
+    hat_u[n-c] = conj hat_u[c], so only rows 0..n//2 are convolved, at
+    L >= n + n//2, and the rest are their conjugates (row n/2 of an even
+    n is its own mirror and is kept real).
     """
-    u = np.asarray(u, dtype=np.complex128)
+    u = np.asarray(u)
     n = u.size
     if n == 1:
-        return u.copy()
-    chirp, filt_hat, m = _chirp_tables(n)
+        return u.astype(np.complex128)
+    real = not np.iscomplexobj(u)
+    rows = n // 2 + 1 if real else n
+    chirp, filt_hat, m = _chirp_tables(n, rows)
     a = np.zeros(m, dtype=np.complex128)
-    a[:n] = u * chirp
-    conv = np.fft.ifft(np.fft.fft(a) * filt_hat)[:n]
-    return chirp * conv
+    np.multiply(u, chirp, out=a[:n])
+    a = np.fft.fft(a)
+    a *= filt_hat
+    a = np.fft.ifft(a)
+    out = np.empty(n, dtype=np.complex128)
+    np.multiply(chirp[:rows], a[:rows], out=out[:rows])
+    np.conj(out[n - rows:0:-1], out=out[rows:])
+    if real and n % 2 == 0:
+        out[n // 2] = out[n // 2].real  # its own mirror, so real
+    return out

@@ -176,6 +176,12 @@ PINNED = {
         '{"command": "expsum", "p": 101, "H": 10, "L": 2, "s": 1, "a": 9, "ell": 2, "M": 4, '
         '"value": 11.1507883645, "envelope": 43.6802364432, "trivial": 40.0, '
         '"ratio": 0.25528223454}\n'),
+    "expsum --p 100003 --H 2000 --L 777 --s 2 --a 12345 --set random:300 --seed 11": (
+        "command,p,H,L,s,a,ell,M,value,envelope,trivial,ratio\n"
+        "expsum,100003,2000,777,2,12345,2,300,12372.8717287,215243.43754,600000,0.057483154284\n",
+        '{"command": "expsum", "p": 100003, "H": 2000, "L": 777, "s": 2, "a": 12345, "ell": 2, '
+        '"M": 300, "value": 12372.8717287, "envelope": 215243.43754, "trivial": 600000.0, '
+        '"ratio": 0.057483154284}\n'),
     "tk --p 31 --H 3 --s 1 --k 3 --set random:3 --seed 10 --lambdas 0,5": (
         "command,k,p,H,L,s,M,epsilon,main_term,total,max_abs_dev,mean_abs_dev,flags,dev_at,"
         "t_values\ntk,3,31,3,0,1,3,0.05,729/31,729,0.275720164609,0.104871896987,000,"

@@ -556,3 +556,18 @@ def test_transform_matches_direct_dft(n):
     got = length_p_transform(u)
     expect = np.asarray(oracles.dft(u.tolist()))
     assert np.abs(got - expect).max() < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 31, 64, 101, 1009])
+def test_real_transform_mirrors_the_half_it_computes(n, dtype):
+    # a real input convolves rows 0..n//2 only; the rest, at odd and even n
+    # alike, must match the DFT and the all-rows path of the same input as complex
+    rng = np.random.default_rng(n)
+    u = rng.integers(-50, 100, size=n).astype(dtype)
+    got = length_p_transform(u)
+    gate = 1e-9 * (1 + np.abs(u).sum())
+    assert got.dtype == np.complex128 and got.shape == (n,)
+    assert np.abs(got - np.asarray(oracles.dft(u.tolist()))).max() < gate
+    assert np.abs(got - length_p_transform(u + 0j)).max() < gate
+    assert all(got[n - c] == np.conj(got[c]) for c in range(1, n))

@@ -1,9 +1,11 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fplab import convolve
 from fplab.energy import recip_power_counts
 from fplab.errors import DomainError
 from fplab.modfield import PrimeContext
@@ -43,9 +45,9 @@ def test_complete_sum_squares_structure(ctx):
 def _row_gate(p, sum_of_squares, size):
     """Rounding gate of one transform row: log2(L) * 2^-53 * sqrt(p) * ||u||_2.
 
-    L is the length of the power-of-two transform behind the row, or a
-    bound on it, and u the transformed vector; every sampled row error
-    measured here is below a tenth of it.
+    L is the length of the FFT behind the row (the chirp's 2^a * 3^b
+    length, or a power of two), or a bound on it, and u the transformed
+    vector; every sampled row error measured here is below a tenth of it.
     """
     return math.log2(size) * 2.0 ** -53 * math.sqrt(p) * math.sqrt(sum_of_squares)
 
@@ -53,19 +55,38 @@ def _row_gate(p, sum_of_squares, size):
 @pytest.mark.parametrize("p,H,L,s", [(101, 40, 7, 1), (499, 200, 0, 2), (1999, 500, 300, 3),
                                      (1000003, 15849, 12345, 1)])
 def test_complete_sum_matches_direct(p, H, L, s):
-    # sampled rows against direct summation within the chirp's rounding
-    # gate at L = next_pow2(2p-1), and Parseval over the whole table:
+    # sampled rows, the first mirrored row p//2 + 1 among them, against
+    # direct summation within the chirp's rounding gate at the length L it
+    # convolves at (the smallest 2^a * 3^b >= p + p//2 for a real input),
+    # and Parseval over the whole table:
     # sum_c |W[c]|^2 = p * sum_lam u[lam]^2 for the fibre counts u
     c = PrimeContext.of(p)
     x = shifted_interval(L, H, c, require_denominator_safe=True)
     t = complete_sum_table(x, s, c)
     x_elems = x.elements().tolist()
     squares = recip_power_counts(x, s, c).sum_of_squares()
-    gate = _row_gate(p, squares, 1 << (2 * p - 2).bit_length())
-    for ci in (0, 1, 2, p // 2, p - 1):
+    gate = _row_gate(p, squares, convolve._chirp_tables(p, p // 2 + 1)[2])
+    for ci in (0, 1, 2, p // 2, p // 2 + 1, p - 1):
         assert abs(t.W[ci] - oracles.complete_sum(x_elems, s, ci, p)) < gate
     rhs = p * squares
     assert abs(float((np.abs(t.W) ** 2).sum()) - rhs) <= 1e-9 * rhs
+
+
+def test_complete_sum_table_memory():
+    # with the chirp tables warm, one table at p = 100003 holds less than
+    # five length-p complex arrays at its peak: the real input's chirp runs
+    # at L >= p + p//2, not at next_pow2(2p - 1)
+    p = 100003
+    c = PrimeContext.of(p)
+    x = shifted_interval(12345, 3163, c, require_denominator_safe=True)
+    complete_sum_table(x, 1, c)
+    tracemalloc.start()
+    try:
+        complete_sum_table(x, 1, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 16 * p
 
 
 def test_complete_sum_all_entries_vs_direct():
