@@ -73,6 +73,11 @@ as its radix 2). A complex input needs all R = p rows, so L >= 2p-1. A
 real input needs only R = p//2 + 1: its transform has
 hat_u[p-c] = conj hat_u[c], so L >= p + p//2 and the other rows are
 filled as conjugates. The row count comes from the input's dtype.
+Buffers: the chirp is cached once per length p and the transformed
+filter once per (p, rows), each built in place (a first build holds the
+chirp and the filter). A call allocates one work buffer of length L,
+runs both FFTs in it, writes its rows into its head and returns it
+shrunk to length p, so it holds that buffer beside the caller's input.
 """
 
 from __future__ import annotations
@@ -131,8 +136,14 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     support being capped by its mass and by n; it is chosen when PAIR_COST
     * pair_work is no larger than the transform work. A route whose own
     work exceeds the budget is passed over; the call is refused only when
-    none fits, with `required` the smaller need. Planning has no side
-    effects: it logs nothing and allocates nothing of length n.
+    none fits, with `required` the smaller need. Where the pair route is
+    not available, a request whose float floor (_float_floor: at least two
+    transforms a step) exceeds the budget is refused before the
+    step-by-step charge, with that floor as `required`; that charge grows
+    with the masses' bits, and takes seconds at thousands of factors.
+    Below 2^63 the charge is cheap, and the refusal names the same need
+    as it always did. Planning has no side effects: it logs nothing and
+    allocates nothing of length n.
     """
     k = len(masses)
     if k < 1:
@@ -141,11 +152,16 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     keys = list(range(k)) if layout is None else list(layout)
     bound = prod(masses)
     size = _next_pow2(2 * n - 1)
-    transforms = _chain_transforms(n, masses, keys, size)
-    transform_work = transforms * size * (size.bit_length() - 1)
+    unit = size * (size.bit_length() - 1)  # work of one float transform
     limit = DEFAULT_BUDGET if budget is None else budget
-    if bound < 1 << 63:  # int64 accumulation is exact
-        pair_work = _pair_work(n, masses)
+    pair_work = _pair_work(n, masses) if bound < 1 << 63 else None  # int64 accumulation is exact
+    floor = _float_floor(masses) * unit
+    if pair_work is None and floor > limit:  # no route can fit, whatever the norms
+        raise BudgetError(f"float transform convolution needs at least {floor} operations, "
+                          f"budget is {limit}", required=floor)
+    transforms = _chain_transforms(n, masses, keys, size)
+    transform_work = transforms * unit
+    if pair_work is not None:
         if pair_work <= limit and (PAIR_COST * pair_work <= transform_work
                                    or transform_work > limit):
             return ConvolutionPlan(n, "direct", bound, 0)
@@ -153,6 +169,21 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
             check_budget(pair_work, budget, "support-pair convolution")
     check_budget(transform_work, budget, "float transform convolution")
     return ConvolutionPlan(n, "float", bound, size, transforms)
+
+
+def _float_floor(masses: list[int]) -> int:
+    """Transforms every float chain runs at least, whatever the norms of its sides.
+
+    Each step transforms every limb of the accumulator (in step 1 the
+    first factor, which nothing has made yet) and inverts at least once
+    per limb, and no limb is wider than _WORD bits. A cheap lower bound on
+    _chain_transforms, from the masses' bit lengths alone.
+    """
+    floor, acc = 0, masses[0]
+    for mass in masses[1:]:
+        floor += 2 * _limb_count(acc.bit_length(), _WORD)
+        acc *= mass
+    return floor
 
 
 def _pair_work(n: int, masses: Sequence[int]) -> int:
@@ -513,23 +544,43 @@ def _smooth_length(n: int) -> int:
 
 
 @lru_cache(maxsize=4)
-def _chirp_tables(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(chirp, transformed filter, fft length) for rows 0..rows-1 of a length-n transform.
+def _chirp(n: int) -> np.ndarray:
+    """chirp[t] = exp(i*pi*t^2/n), one per length n, shared by every row count.
+
+    t^2 is reduced mod 2n before the angle is formed, which keeps the
+    sin/cos arguments small. The angle i*pi*t^2/n is formed in the output
+    and the exponential taken in place, so a build holds the chirp and
+    one int64 array of length n.
+    """
+    sq = np.arange(n, dtype=np.int64)
+    sq *= sq
+    sq %= 2 * n
+    chirp = np.multiply(1j * np.pi, sq)
+    chirp /= n
+    return np.exp(chirp, out=chirp)
+
+
+@lru_cache(maxsize=4)
+def _chirp_filter(n: int, rows: int) -> tuple[np.ndarray, int]:
+    """(transformed filter, fft length L) for rows 0..rows-1 of a length-n transform.
 
     The filter holds conj(chirp[d]) at every offset d = c - lam in
     [-(n-1), rows-1], at d mod L; these n + rows - 1 offsets are distinct
     modulo L >= n + rows - 1, so the circular convolution at L equals the
-    linear one on rows 0..rows-1.
+    linear one on rows 0..rows-1. It is conjugated into place and
+    transformed in place: a build holds the chirp and this one array.
     """
-    t = np.arange(n, dtype=np.int64)
-    # reduce t^2 mod 2n before forming the angle: keeps sin/cos arguments small
-    sq = (t * t) % (2 * n)
-    chirp = np.exp(1j * np.pi * sq / n)
+    chirp = _chirp(n)
     m = _smooth_length(n + rows - 1)
     filt = np.zeros(m, dtype=np.complex128)
-    filt[:rows] = np.conj(chirp[:rows])
-    filt[m - n + 1:] = np.conj(chirp[1:][::-1])
-    return chirp, np.fft.fft(filt), m
+    np.conj(chirp[:rows], out=filt[:rows])
+    np.conj(chirp[:0:-1], out=filt[m - n + 1:])
+    return np.fft.fft(filt, out=filt), m
+
+
+def _chirp_tables(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(chirp, transformed filter, fft length) for rows 0..rows-1 of a length-n transform."""
+    return (_chirp(n), *_chirp_filter(n, rows))
 
 
 def length_p_transform(u: np.ndarray) -> np.ndarray:
@@ -540,6 +591,10 @@ def length_p_transform(u: np.ndarray) -> np.ndarray:
     hat_u[n-c] = conj hat_u[c], so only rows 0..n//2 are convolved, at
     L >= n + n//2, and the rest are their conjugates (row n/2 of an even
     n is its own mirror and is kept real).
+
+    One work buffer of length L is allocated. Both FFTs run in it, the
+    rows are written back into its head, and it is shrunk to length n
+    and returned, so a call holds that buffer and the caller's u.
     """
     u = np.asarray(u)
     n = u.size
@@ -550,12 +605,12 @@ def length_p_transform(u: np.ndarray) -> np.ndarray:
     chirp, filt_hat, m = _chirp_tables(n, rows)
     a = np.zeros(m, dtype=np.complex128)
     np.multiply(u, chirp, out=a[:n])
-    a = np.fft.fft(a)
+    np.fft.fft(a, out=a)
     a *= filt_hat
-    a = np.fft.ifft(a)
-    out = np.empty(n, dtype=np.complex128)
-    np.multiply(chirp[:rows], a[:rows], out=out[:rows])
-    np.conj(out[n - rows:0:-1], out=out[rows:])
+    np.fft.ifft(a, out=a)
+    np.multiply(chirp[:rows], a[:rows], out=a[:rows])
+    np.conj(a[n - rows:0:-1], out=a[rows:n])
     if real and n % 2 == 0:
-        out[n // 2] = out[n // 2].real  # its own mirror, so real
-    return out
+        a[n // 2] = a[n // 2].real  # its own mirror, so real
+    a.resize(n, refcheck=False)  # no view of `a` is alive; shrinking keeps the head
+    return a

@@ -12,7 +12,8 @@ class ZeroInIntervalError(DomainError):
 class BudgetError(RuntimeError):
     """The requested computation exceeds the configured work budget.
 
-    `required` carries the budget that would have admitted the instance.
+    `required` carries the budget that would have admitted the instance,
+    or, when the message says "needs at least", a lower bound on it.
     """
 
     def __init__(self, message: str, required: int):

@@ -7,6 +7,9 @@ the dlog-reindexed indicator v. Since v is real and p-1 is even, that
 transform is one complex FFT of half length M = (p-1)/2: v is packed as
 z[j] = v[2j] + i*v[2j+1], and the spectra of its even and odd halves are
 untangled from Z = fft(z) by the conjugate symmetry of a real input.
+The FFT runs in place in z, and the upper half of the output array holds
+the mirror conj Z[-k mod M] and then the twiddles until it is written, so
+a call holds its output, z and one float array of M angles.
 Entries that are integers by symmetry (the c = 0 / principal-character
 slots, and the full-group spectrum) are snapped to their exact values
 after the float transform.
@@ -149,16 +152,18 @@ def char_spectrum(u_set: ResidueSet | Interval, ctx: PrimeContext) -> CharSpectr
     m = (p - 1) // 2  # PrimeContext refuses p = 2, so p - 1 is even
     z = np.zeros(m, dtype=np.complex128)
     z.view(np.float64)[ctx.dlog[elems]] = 1.0  # z[j] = v[2j] + i*v[2j+1]
-    z = np.fft.fft(z)
-    zr = np.conj(np.roll(z[::-1], 1))  # conj Z[-k mod M]
+    np.fft.fft(z, out=z)
     low, high = s[:m], s[m:]
-    np.add(z, zr, out=low)  # 2E
-    z -= zr  # 2iO
-    angle = np.arange(m) * (-2 * np.pi / (p - 1))
-    np.cos(angle, out=zr.real)
-    np.sin(angle, out=zr.imag)
-    zr *= -0.5j  # w^k / (2i)
-    z *= zr  # w^k O
+    np.conj(z[:0:-1], out=high[1:])  # high is scratch: conj Z[-k mod M]
+    high[0] = np.conj(z[0])
+    np.add(z, high, out=low)  # 2E
+    z -= high  # 2iO
+    angle = np.arange(m, dtype=np.float64)
+    angle *= -2 * np.pi / (p - 1)
+    np.cos(angle, out=high.real)
+    np.sin(angle, out=high.imag)
+    high *= -0.5j  # w^k / (2i)
+    z *= high  # w^k O
     low *= 0.5  # E
     np.subtract(low, z, out=high)
     low += z

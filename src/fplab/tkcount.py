@@ -139,5 +139,17 @@ def tk_spectral_check(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: 
     product = np.ones(ctx.p, dtype=np.complex128)
     for v in vectors:
         product *= convolve.length_p_transform(v.counts)
-    spectral = np.conj(convolve.length_p_transform(np.conj(product))).real / ctx.p
+    spectral = _hermitian_inverse(product) / ctx.p
     return [abs(float(spectral[lam]) - exact[lam]) for lam in sample_lambdas]
+
+
+def _hermitian_inverse(product: np.ndarray) -> np.ndarray:
+    """sum_a P[a] * e_p(-a*lam) at every lam, for P with P[-a] = conj P[a].
+
+    Such a sum is real. With R and I the real and imaginary parts of P,
+    R even and I odd, it is sum_a R[a] cos + I[a] sin of 2*pi*a*lam/p,
+    which is Re D + Im D for D the transform of the real vector R + I:
+    one real-input transform, which convolves only half its rows.
+    """
+    d = convolve.length_p_transform(product.real + product.imag)
+    return d.real + d.imag

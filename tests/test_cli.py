@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fplab import cli, tkcount
+from fplab import cli, convolve, tkcount
 from fplab.cli import main
 from fplab.convolve import plan_convolution
 
@@ -110,6 +110,17 @@ def test_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "tk", "--p", "100003", "--H", "563", "--k", "6",
                            "--set", "random:563", "--seed", "1", "--budget", "240648191")
     assert code == 3 and "needs 240648192" in err
+
+
+def test_oversize_chain_is_refused_before_it_is_priced(capsys, monkeypatch):
+    # E_10000 at p = 101 with H = 5: 5^10000 rules out the pair route and
+    # the float floor alone exceeds the budget, so no step's width is scanned
+    widths = []
+    monkeypatch.setattr(convolve, "_width", lambda *args: widths.append(args))
+    code, _, err = run_cli(capsys, "energy", "--kind", "recip", "--p", "101", "--H", "5",
+                           "--ell", "10000", "--set", "random:3", "--seed", "1",
+                           "--budget", "1000")
+    assert code == 3 and "needs at least" in err and widths == []
 
 
 def test_domain_error_exit_code(capsys, singleton1):

@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 import weakref
 from math import prod
 
@@ -209,6 +210,33 @@ def test_planner_charges_worst_case_limbs():
     assert plan_convolution(211, [(1 << 23) - 1] * 3, layout=[0] * 3).transforms == 16
     # a zero mass certifies one limb at once
     assert plan_convolution(211, [0, 5, 5]).strategy == "direct"
+
+
+def test_float_floor_never_exceeds_the_charge():
+    # the floor that refuses a request before its step-by-step charge is a
+    # lower bound on that charge, for any masses and any sharing of arrays
+    rng = np.random.default_rng(16)
+    for n in (7, 211, 100003):
+        for k in (2, 3, 6, 12):
+            for top in (1, 1 << 10, 1 << 40):
+                masses = [int(m) for m in rng.integers(0, top, size=k, endpoint=True)]
+                size = convolve._next_pow2(2 * n - 1)
+                for keys in (list(range(k)), [0] * k):
+                    charge = convolve._chain_transforms(n, masses, keys, size)
+                    assert 2 * (k - 1) <= convolve._float_floor(masses) <= charge
+
+
+def test_oversize_chains_are_refused_at_their_floor():
+    # [u]*10000 with a mass of 5: no pair route (5^10000 > 2^63), and the
+    # float floor alone exceeds the budget
+    floor = convolve._float_floor([5] * 10000) * 256 * 8
+    with pytest.raises(BudgetError, match=f"needs at least {floor} ") as exc:
+        plan_convolution(101, [5] * 10000, budget=floor - 1, layout=[0] * 10000)
+    assert exc.value.required == floor
+    # the pair route's work is exact where it exists: refusals keep their need
+    with pytest.raises(BudgetError, match="support-pair convolution needs 5000 ") as exc:
+        plan_convolution(100, [50, 100], budget=100)
+    assert exc.value.required == 5000
 
 
 def test_kfold_plans_for_its_distinct_factors(caplog, monkeypatch):
@@ -571,3 +599,28 @@ def test_real_transform_mirrors_the_half_it_computes(n, dtype):
     assert np.abs(got - np.asarray(oracles.dft(u.tolist()))).max() < gate
     assert np.abs(got - length_p_transform(u + 0j)).max() < gate
     assert all(got[n - c] == np.conj(got[c]) for c in range(1, n))
+
+
+def test_both_row_counts_share_one_chirp():
+    # the chirp is cached once per length and each filter per row count
+    n = 1009
+    real, complex_ = convolve._chirp_tables(n, n // 2 + 1), convolve._chirp_tables(n, n)
+    assert real[0] is complex_[0]
+    assert real[2] == 1536 and complex_[2] == 2048
+
+
+def test_cold_chirp_tables_build_in_place():
+    # a first build at p = 100003 holds the chirp and the one filter array,
+    # conjugated into place and transformed in place: 2.58 * 16p bytes at
+    # its traced peak, where full-length temporaries took 5.15 * 16p
+    p = 100003
+    convolve._chirp.cache_clear()
+    convolve._chirp_filter.cache_clear()
+    tracemalloc.start()
+    try:
+        convolve._chirp_tables(p, p // 2 + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.83 * 16 * p
+

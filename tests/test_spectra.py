@@ -73,9 +73,10 @@ def test_complete_sum_matches_direct(p, H, L, s):
 
 
 def test_complete_sum_table_memory():
-    # with the chirp tables warm, one table at p = 100003 holds less than
-    # five length-p complex arrays at its peak: the real input's chirp runs
-    # at L >= p + p//2, not at next_pow2(2p - 1)
+    # with the chirp tables warm, one table at p = 100003 holds the int64
+    # fibre counts and the transform's one work buffer at its peak: the
+    # real input's chirp runs at L = 165888 >= p + p//2, both FFTs run in
+    # that buffer, and its head is the table. Measured 2.16 * 16p bytes
     p = 100003
     c = PrimeContext.of(p)
     x = shifted_interval(12345, 3163, c, require_denominator_safe=True)
@@ -86,7 +87,7 @@ def test_complete_sum_table_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 16 * p
+    assert peak < 2.37 * 16 * p
 
 
 def test_complete_sum_all_entries_vs_direct():
@@ -246,6 +247,24 @@ def test_char_spectrum_at_scale():
         assert abs(spec[t] - direct) < gate
     rhs = (p - 1) * u.M
     assert abs(float((np.abs(spec) ** 2).sum()) - rhs) <= 1e-12 * rhs
+
+
+def test_char_spectrum_memory():
+    # with the dlog table warm, one spectrum at p = 100003 holds its output
+    # (p - 1 complex), the packed half-length array it transforms in place
+    # and the float angles of its twiddles: 1.75 * 16p bytes at its traced
+    # peak, where a fresh FFT output and mirror copies took 2.54 * 16p
+    p = 100003
+    c = PrimeContext.of(p)
+    u = random_subset(math.ceil(p ** 0.7), 29, c)
+    char_spectrum(u, c)
+    tracemalloc.start()
+    try:
+        char_spectrum(u, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.93 * 16 * p
 
 
 def test_char_spectrum_accepts_intervals(ctx):

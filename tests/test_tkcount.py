@@ -12,6 +12,7 @@ from fplab.sets import random_subset, residue_set
 from fplab.tkcount import _dev_stats, tk_experiment, tk_spectral_check
 
 import oracles
+from test_spectra import _row_gate
 
 
 def test_six_fold_tiny_example(ctx):
@@ -139,6 +140,21 @@ def test_spectral_check_two_fold_hand_case(ctx):
     residuals = tk_spectral_check(2, [(ms, 0)] * 2, 1, 1, c,
                                   sample_lambdas=list(range(7)))
     assert all(r < 1e-9 for r in residuals)
+
+
+@pytest.mark.parametrize("p", [7, 101, 1009, 10007, 100003])
+def test_hermitian_inverse_matches_the_complex_route(p):
+    # the spectral check's product of real-input transforms is Hermitian;
+    # its inverse from one real-input transform must match the all-rows
+    # complex inverse within the row gate of that complex transform
+    rng = np.random.default_rng(p)
+    product = np.ones(p, dtype=np.complex128)
+    for _ in range(3):
+        product *= convolve.length_p_transform(rng.integers(0, 3, size=p))
+    complex_route = np.conj(convolve.length_p_transform(np.conj(product))).real
+    squares = float((np.abs(product) ** 2).sum())
+    gate = _row_gate(p, squares, convolve._chirp_tables(p, p)[2])
+    assert np.abs(tkcount._hermitian_inverse(product) - complex_route).max() < gate
 
 
 def test_hypothesis_flags(ctx):
