@@ -12,14 +12,32 @@ Z_{p-1} after reindexing every unit by its discrete log. Two strategies:
           first factor, then the product so far) by factor t. Either side
           may be split into b-bit limbs, x = sum_i x_i 2^(b i) with
           0 <= x_i < 2^b; a side whose entries are below 2^b stays one
-          limb. Each limb is transformed once (real FFTs at C), and for
-          each limb-index sum s the products of the limb spectra with
-          i + j = s are added and inverted once. Each inverse is folded
-          onto Z_n and rounded, and the parts are carry-normalised into
-          base-2^b int64 digits, which the next step splits at its own
-          width. After the last step the digits join into an int64 array
-          when the coefficient bound (the product of the masses) is below
-          2^62, and into an object array of Python ints otherwise.
+          limb. Each limb is transformed once, and for each limb-index
+          sum s the products of the limb spectra with i + j = s are added
+          and inverted once. Each inverse is rounded, folded onto Z_n,
+          and the parts are carry-normalised into base-2^b int64 digits,
+          which the next step splits at its own width. After the last
+          step the digits join into an int64 array when the coefficient
+          bound (the product of the masses) is below 2^62, and into an
+          object array of Python ints otherwise.
+
+Phases. Every product runs at half length, C/2. Write a limb as
+x(t) = x_e(t^2) + t x_o(t^2), x_e its even entries and x_o its odd ones.
+Then x y = (x_e y_e + t^2 x_o y_o) + t (x_e y_o + x_o y_e), a polynomial
+identity, so one path serves odd n (additive problems) and even n
+(products over Z_{p-1}) alike. A limb's spectrum is the pair of real FFTs
+at C/2 of x_e and x_o. A sum's spectrum is a pair too: the even phase
+sums x_e y_e + w x_o y_o, where the twiddle w_k = e^(-2 pi i k/(C/2))
+shifts x_o y_o by one place, and the odd phase sums x_e y_o + x_o y_e.
+Each phase is inverted at C/2 and rounded: the even phase holds the n
+entries 2m of the linear product, the odd phase its n-1 entries 2m+1,
+and neither wraps, since C/2 >= n (the phase length is 1 at n = 1,
+where C = 1). The rounded phases are then folded onto Z_n exactly, in
+int64. One phase pair, forward or inverse, is one transform wherever
+transforms are counted: the charge, the log line and the check of run
+against charged. The twiddle is made once per chain, after the first
+step's forward transforms, and the products are formed in blocks over
+x's spectra where they are not kept.
 
 The certificate. Percival (C. Percival, Math. Comp. 72 (2003), 387-395)
 bounds the error of a radix-2 float convolution of length N = 2^m by
@@ -30,15 +48,23 @@ used, sum_{i+j=s} ||x_i||_2 ||y_j||_2 gamma(C) must be below 1/4. Each
 limb's squared norm is bounded by one rule (_limb_norms) from what is
 known of its side: the bits of its largest entry, its mass and, when the
 side is one int64 array, its exact squared norm (countvec.sum_of_squares).
-No limb is cut to be measured. Folding adds two entries, so every folded
-error is below 1/2 and rounding is exact. The limb width b of a step is
-the widest that certifies every sum under these bounds; it is not a
-setting. What is assumed of numpy's pocketfft: at power-of-two lengths
-its real transforms err no more than Percival's radix-2 transform with
+No limb is cut to be measured. The bound is taken at C, and it bounds
+each phase of a product run at C/2. The even phase errs by at most
+(||x_e|| ||y_e|| + ||x_o|| ||y_o||) gamma(C/2) from its two products, plus
+what the twiddle adds to the second, and by Cauchy-Schwarz
+||x_e|| ||y_e|| + ||x_o|| ||y_o|| <= ||x|| ||y|| (the odd phase likewise).
+The gap gamma(C) - gamma(C/2) = (6 + 3 sqrt5) eps, about 12.7 eps to
+first order, covers the twiddle's error (at most 3.6 eps measured, from
+its rounded angle and sine and cosine), its complex multiply (sqrt5 eps)
+and the add. So every entry of a phase errs by less than 1/4 and rounds
+exactly, and the fold adds integers. The limb width b of a step is the
+widest that certifies every sum under these bounds; it is not a setting.
+What is assumed of numpy's pocketfft: at the power-of-two length C/2 its
+real transforms err no more than Percival's radix-2 transform with
 correctly rounded twiddles (beta = eps). That is not proved here, so the
-rounding residual of every inverse is still checked, and a residual above
-0.25, far beyond anything the bound allows in practice, raises
-ConsistencyError.
+rounding residual of each phase of every inverse is still checked, and
+a residual above 0.25, far beyond anything the bound allows in practice,
+raises ConsistencyError.
 
 Spectra. One rule, kept by the executor and charged by the planner. A
 side that is one whole factor (the first factor in step 1, factor t in
@@ -48,7 +74,8 @@ later operand uses it. The first factor's is made before factor 1's, so
 [u]*2 transforms u once. The accumulator after step 1, and every limb,
 carry no key: their spectra are streamed, each made when the first sum
 that needs it comes up. A spectrum is multiplied in place on its last
-sum exactly when it is not kept.
+sum exactly when it is not kept. A one-limb accumulator's int64 array
+is dropped once its phases are transformed, before the factor's are.
 
 One work model prices every plan, and plan_convolution is the only budget
 gate and the only source of a plan: k_fold_count plans every call itself.
@@ -60,9 +87,9 @@ real bits, the same masses and the exact norms it has, so its bounds are
 never larger, its width never narrower, its limbs never more, and it
 never runs more transforms than it was charged. The support-pair route
 costs its pairs. Planning logs nothing; the float route logs one line
-when it runs: its steps, the limbs and width of each, the transforms run
-against those charged, the largest certified bound and the largest
-rounding residual.
+when it runs: its length C and phase length C/2, its steps, the limbs
+and width of each, the transforms run against those charged, the largest
+certified bound and the largest rounding residual.
 
 The prime-length Fourier transform (for complete exponential-sum tables)
 uses the chirp factorization c*l = (c^2 + l^2 - (c-l)^2)/2 to reduce a
@@ -104,6 +131,7 @@ log = logging.getLogger(__name__)
 PAIR_COST = 10
 _PAIR_BLOCK = 1 << 22          # support pairs scattered per block
 _WORD = 62                     # widest limb or digit: every one is an int64 array
+_BLOCK = 1 << 16               # spectrum entries multiplied per block
 
 
 def _next_pow2(n: int) -> int:
@@ -117,7 +145,10 @@ class ConvolutionPlan:
     n: int                         # length of the index group Z_n
     strategy: str                  # "direct" | "float"
     bound: int                     # product of the masses: no coefficient exceeds it
-    fft_length: int                # C = next_pow2(2n-1) for "float", 0 for "direct"
+    # C = next_pow2(2n-1) for "float", 0 for "direct": the length the charge
+    # and the certificate are taken at. The chain transforms each operand's
+    # even and odd phases at C/2; gamma(C) bounds each phase (module docstring).
+    fft_length: int
     transforms: int = 0            # float transforms charged at the worst-case norms
     moduli: tuple[int, ...] = ()   # always empty: no route works modulo primes
 
@@ -137,13 +168,16 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     * pair_work is no larger than the transform work. A route whose own
     work exceeds the budget is passed over; the call is refused only when
     none fits, with `required` the smaller need. Where the pair route is
-    not available, a request whose float floor (_float_floor: at least two
-    transforms a step) exceeds the budget is refused before the
-    step-by-step charge, with that floor as `required`; that charge grows
-    with the masses' bits, and takes seconds at thousands of factors.
-    Below 2^63 the charge is cheap, and the refusal names the same need
-    as it always did. Planning has no side effects: it logs nothing and
-    allocates nothing of length n.
+    not available, the step-by-step charge, which grows with the masses'
+    bits, is priced against a lower bound on the whole: the charges of
+    the steps priced so far plus the floors (_float_floor) of the rest.
+    Once that bound exceeds the budget, the request is refused with it as
+    `required` ("needs at least"), before any further step is priced; a
+    request is refused on its floors alone before the first. So a refusal
+    of thousands of factors takes no step-by-step pricing. Below 2^63 the
+    charge is cheap, and the refusal names the same need as it always
+    did. Planning has no side effects: it logs nothing and allocates
+    nothing of length n.
     """
     k = len(masses)
     if k < 1:
@@ -155,11 +189,19 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     unit = size * (size.bit_length() - 1)  # work of one float transform
     limit = DEFAULT_BUDGET if budget is None else budget
     pair_work = _pair_work(n, masses) if bound < 1 << 63 else None  # int64 accumulation is exact
-    floor = _float_floor(masses) * unit
-    if pair_work is None and floor > limit:  # no route can fit, whatever the norms
-        raise BudgetError(f"float transform convolution needs at least {floor} operations, "
-                          f"budget is {limit}", required=floor)
-    transforms = _chain_transforms(n, masses, keys, size)
+    steps = _chain_transforms(n, masses, keys, size)
+    if pair_work is None:  # the chain is the only route: refuse as soon as it cannot fit
+        floors = _float_floor(n, masses, size)
+        transforms, least = 0, sum(floors)
+        for floor in floors:
+            if least * unit > limit:
+                raise BudgetError(f"float transform convolution needs at least {least * unit} "
+                                  f"operations, budget is {limit}", required=least * unit)
+            charge = next(steps)
+            transforms += charge
+            least += charge - floor
+    else:
+        transforms = sum(steps)
     transform_work = transforms * unit
     if pair_work is not None:
         if pair_work <= limit and (PAIR_COST * pair_work <= transform_work
@@ -171,19 +213,29 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     return ConvolutionPlan(n, "float", bound, size, transforms)
 
 
-def _float_floor(masses: list[int]) -> int:
-    """Transforms every float chain runs at least, whatever the norms of its sides.
+def _float_floor(n: int, masses: list[int], size: int) -> list[int]:
+    """Transforms each step of the float chain is charged at least, whatever its sides' norms.
 
     Each step transforms every limb of the accumulator (in step 1 the
     first factor, which nothing has made yet) and inverts at least once
-    per limb, and no limb is wider than _WORD bits. A cheap lower bound on
-    _chain_transforms, from the masses' bit lengths alone.
+    per limb. Its width is at most the widest at which the low limbs'
+    term of the certificate passes (_low_width), so it has at least as
+    many limbs as at that width. That term needs only limb 0 of each
+    side, whose bound from a mass m is the same for every m >= n * 2^62,
+    so each mass is capped there and the bound stays cheap at any k.
     """
-    floor, acc = 0, masses[0]
+    gamma, cap = _gamma(size), n << _WORD
+
+    def side(mass: int) -> tuple[int, int, None]:
+        mass = min(mass, cap)
+        return mass.bit_length(), mass, None
+
+    floors, acc = [], masses[0]
     for mass in masses[1:]:
-        floor += 2 * _limb_count(acc.bit_length(), _WORD)
+        b = _low_width(side(acc), side(mass), n, gamma)
+        floors.append(2 * _limb_count(acc.bit_length(), max(1, b)))
         acc *= mass
-    return floor
+    return floors
 
 
 def _pair_work(n: int, masses: Sequence[int]) -> int:
@@ -196,8 +248,8 @@ def _pair_work(n: int, masses: Sequence[int]) -> int:
     return work
 
 
-def _chain_transforms(n: int, masses: list[int], keys: list, size: int) -> int:
-    """The transforms the float chain is charged: what it runs at worst-case norms.
+def _chain_transforms(n: int, masses: list[int], keys: list, size: int) -> Iterator[int]:
+    """The transforms charged to each step of the float chain: what it runs at worst-case norms.
 
     Each step takes its width from _width, each side given by its mass
     and the mass's bit length alone, and inverts once per limb-index sum.
@@ -206,20 +258,21 @@ def _chain_transforms(n: int, masses: list[int], keys: list, size: int) -> int:
     carries its array's key, and a key counts as made only when its side
     is whole (one limb); a made key is not charged again. The accumulator
     after step 1, and every limb, carry no key and are charged every time.
+    Steps are priced as they are drawn.
     """
     gamma = _gamma(size)
-    made, transforms, acc, x_key = set(), 0, masses[0], keys[0]
+    made, acc, x_key = set(), masses[0], keys[0]
     for y_key, mass in zip(keys[1:], masses[1:]):
         b, _ = _width((acc.bit_length(), acc, None), (mass.bit_length(), mass, None), n, gamma)
         x_limbs, y_limbs = _limb_count(acc.bit_length(), b), _limb_count(mass.bit_length(), b)
+        transforms = x_limbs + y_limbs - 1
         for key, limbs in ((x_key, x_limbs), (y_key, y_limbs)):
             whole = limbs == 1 and key is not None
             transforms += 0 if whole and key in made else limbs
             if whole:
                 made.add(key)
-        transforms += x_limbs + y_limbs - 1
+        yield transforms
         acc, x_key = acc * mass, None
-    return transforms
 
 
 # ---------------------------------------------------------------------------
@@ -276,27 +329,38 @@ def _sum_bound(xs: list[int], ys: list[int]) -> int:
     return max(sums)
 
 
+def _certified(x: tuple, y: tuple, n: int, gamma: float, b: int,
+               count: int | None = None) -> float:
+    """gamma times the largest sum over the first `count` limbs of each side at width b (all: None).
+
+    x and y are the sides' (bits, mass, whole), as _limb_norms takes them.
+    """
+    xs, ys = (list(islice(_limb_norms(b, bits, mass, n, whole), count))
+              for bits, mass, whole in (x, y))
+    return _sum_bound(xs, ys) * gamma
+
+
+def _low_width(x: tuple, y: tuple, n: int, gamma: float) -> int:
+    """The widest width at which the low limbs' term (s = 0) certifies, 0 if none.
+
+    Widths run up to where both sides are one limb, or to _WORD. Limb 0's
+    bound is a minimum of terms that never fall as b grows (`whole` a
+    constant among them), so that term never falls either, and bisection
+    finds the widest width at which it passes. The full certificate is
+    never below it, so no wider width certifies.
+    """
+    widths = range(1, min(_WORD, max(1, x[0], y[0])) + 1)
+    return bisect_left(widths, True, key=lambda b: _certified(x, y, n, gamma, b, 1) >= 0.25)
+
+
 def _width(x: tuple, y: tuple, n: int, gamma: float) -> tuple[int, float]:
     """(b, certified bound): the widest limb width whose every sum certifies.
 
-    x and y are the sides' (bits, mass, whole), as _limb_norms takes them.
-    Widths run up to where both sides are one limb, or to _WORD. Limb 0's
-    bound is a minimum of terms that never fall as b grows (`whole` a
-    constant among them), so the low limbs' term (s = 0) never falls
-    either, and bisection finds the widest width at which it certifies;
-    the full certificate is then checked from there down. Width 1
+    The full certificate is checked from _low_width down. Width 1
     certifies at any desk-scale n, since its limbs are 0/1 vectors.
     """
-    def bound(b: int, count: int | None = None) -> float:
-        """gamma times the largest sum over the first `count` limbs of each side (all: None)."""
-        xs, ys = (list(islice(_limb_norms(b, bits, mass, n, whole), count))
-                  for bits, mass, whole in (x, y))
-        return _sum_bound(xs, ys) * gamma
-
-    widths = range(1, min(_WORD, max(1, x[0], y[0])) + 1)
-    lo = bisect_left(widths, True, key=lambda b: bound(b, 1) >= 0.25)  # widest low-term pass
-    for b in range(lo, 0, -1):
-        worst = bound(b)
+    for b in range(_low_width(x, y, n, gamma), 0, -1):
+        worst = _certified(x, y, n, gamma, b)
         if worst < 0.25:
             return b, worst
     raise ConsistencyError("no limb width certifies the float product")
@@ -371,7 +435,8 @@ def _join(digits: list[np.ndarray], width: int, bound: int) -> np.ndarray:
 
     Above, the digits regroup into 62-bit words that are joined by Horner in
     place on an object array; `word + radix * out` would hold a second
-    full-length object array.
+    full-length object array. Each word is added as its int64 array, which
+    numpy converts in buffered chunks, not as an object copy.
     """
     if bound < 1 << _WORD:
         return _limb(digits, width, _WORD, 0, 1)
@@ -379,7 +444,7 @@ def _join(digits: list[np.ndarray], width: int, bound: int) -> np.ndarray:
     out = _limb(digits, width, _WORD, count - 1, count).astype(object)
     for j in range(count - 2, -1, -1):
         out *= 1 << _WORD
-        out += _limb(digits, width, _WORD, j, count).astype(object)
+        out += _limb(digits, width, _WORD, j, count)
     return out
 
 
@@ -387,11 +452,19 @@ def _join(digits: list[np.ndarray], width: int, bound: int) -> np.ndarray:
 # the two convolution routes
 
 
-def _fold(linear: np.ndarray, n: int) -> np.ndarray:
-    """Wrap a linear-convolution result onto Z_n indices."""
-    full = linear.size - linear.size % n
-    out = linear[:full].reshape(-1, n).sum(axis=0)
-    out[:linear.size - full] += linear[full:]
+def _fold(even: np.ndarray, odd: np.ndarray, n: int) -> np.ndarray:
+    """Wrap a linear result onto Z_n from its phases: entry 2m is even[m], 2m+1 is odd[m].
+
+    The result has 2n-1 entries, so even holds n and odd n-1. Entry n+i
+    wraps onto i, and n+i has the parity of i exactly when n is even.
+    """
+    out = np.empty(n, dtype=even.dtype)
+    evens, odds = out[0::2], out[1::2]
+    evens[:] = even[:evens.size]
+    odds[:] = odd[:odds.size]
+    low, high = (evens, odds) if n % 2 == 0 else (odds, evens)
+    low += even[evens.size:]
+    high[:(n - 1) // 2] += odd[odds.size:]
     return out
 
 
@@ -413,15 +486,52 @@ def _pair_kfold(vectors: list[np.ndarray], n: int) -> np.ndarray:
     return out
 
 
-def _rounded(folded: np.ndarray) -> tuple[np.ndarray, float]:
-    """(int64 counts, rounding residual) of one folded inverse, which is overwritten."""
-    rounded = np.rint(folded)
-    folded -= rounded
-    residual = float(np.abs(folded, out=folded).max())
+def _rounded(phase: np.ndarray) -> tuple[np.ndarray, float]:
+    """(int64 counts, rounding residual) of one phase of an inverse, which is overwritten."""
+    rounded = np.rint(phase)
+    phase -= rounded
+    residual = float(np.abs(phase, out=phase).max(initial=0.0))
     if residual > 0.25:
         raise ConsistencyError(
             f"float convolution rounding residual {residual:.3g} exceeds 0.25")
     return rounded.astype(np.int64), residual
+
+
+def _twiddle(half: int) -> np.ndarray:
+    """e^(-2 pi i k / half) for k = 0..half//2: a shift by one place at length `half`.
+
+    The angles are formed in the imaginary half of the output, their
+    cosines written to its real half and their sines taken in place.
+    """
+    twiddle = np.empty(half // 2 + 1, dtype=np.complex128)
+    angle = twiddle.imag
+    np.multiply(np.arange(half // 2 + 1), -2 * np.pi / half, out=angle)
+    np.cos(angle, out=twiddle.real)
+    np.sin(angle, out=angle)
+    return twiddle
+
+
+def _phase_product(x: tuple, y: tuple, twiddle: np.ndarray,
+                   overwrite: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The phase spectra (even, odd) of x * y, from the phase spectra of x and of y.
+
+    even = x_e y_e + twiddle * x_o y_o and odd = x_e y_o + x_o y_e, formed
+    _BLOCK entries at a time, so no temporary is longer than a block. They
+    are written over x's spectra when `overwrite`, and y's are never
+    written; each block is read whole before it is written, so y may be x.
+    """
+    (xe, xo), (ye, yo) = x, y
+    even, odd = (xe, xo) if overwrite else (np.empty_like(xe), np.empty_like(xo))
+    for lo in range(0, xe.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        shifted = xo[block] * yo[block]
+        shifted *= twiddle[block]
+        e = xe[block] * ye[block]
+        e += shifted
+        o = np.multiply(xe[block], yo[block], out=shifted)
+        o += xo[block] * ye[block]
+        even[block], odd[block] = e, o
+    return even, odd
 
 
 def _float_chain(arrays: list, masses: list[int], n: int,
@@ -433,20 +543,21 @@ def _float_chain(arrays: list, masses: list[int], n: int,
     freed as the chain goes. Logs what it ran.
     """
     size = plan.fft_length
+    half = max(1, size // 2)  # the phase length; C = 1 only at n = 1
     gamma = _gamma(size)
     keys = [id(a) for a in arrays]
     last = {key: t for t, key in enumerate(keys)}
-    kept = {}  # key -> spectrum of a whole factor that a later operand uses
+    kept = {}  # key -> phase spectra of a whole factor that a later operand uses
     digits, width, x_key, acc = [arrays[0]], _WORD, keys[0], masses[0]
     arrays[0] = None
-    run, steps, certified, residual = 0, [], 0.0, 0.0
+    twiddle, run, steps, certified, residual = None, 0, [], 0.0, 0.0
 
-    def spectrum(limb: np.ndarray, key: Hashable | None, at: int) -> np.ndarray:
-        """The spectrum of the limb of operand `at`, kept when its key has a later operand."""
+    def spectrum(limb: np.ndarray, key: Hashable | None, at: int) -> tuple:
+        """The phase spectra of the limb of operand `at`, kept when its key has a later operand."""
         nonlocal run
         if key not in kept:
             run += 1
-            kept[key] = np.fft.rfft(limb, size)
+            kept[key] = np.fft.rfft(limb[0::2], half), np.fft.rfft(limb[1::2], half)
         return kept[key] if last.get(key, at) > at else kept.pop(key)
 
     for t in range(1, len(keys)):
@@ -456,9 +567,13 @@ def _float_chain(arrays: list, masses: list[int], n: int,
         x_limbs, y_limbs = _limb_count(x_side[0], b), _limb_count(y_side[0], b)
         x_key = x_key if x_limbs == 1 else None
         live = {0: spectrum(_limb(digits, width, b, 0, x_limbs), x_key, t - 1)}
+        if x_limbs == 1:  # the accumulator's array is not held beside y's transforms
+            digits = None
         ys = [spectrum(_limb([y], _WORD, b, j, y_limbs), keys[t] if y_limbs == 1 else None, t)
               for j in range(y_limbs)]
         y = None
+        if twiddle is None:  # made after the first step's forward transforms
+            twiddle = _twiddle(half)
         kept = {k: v for k, v in kept.items() if last[k] > t}  # none outlives its last use
         parts = []
         for s in range(x_limbs + y_limbs - 1):
@@ -466,33 +581,30 @@ def _float_chain(arrays: list, masses: list[int], n: int,
                 live[s] = spectrum(_limb(digits, width, b, s, x_limbs), None, t - 1)
             z = None
             for i in range(max(0, s - y_limbs + 1), min(s, x_limbs - 1) + 1):
-                if i == s - y_limbs + 1:  # the last sum that uses x_i
-                    term = live.pop(i)
-                    term = np.multiply(term, ys[s - i], out=None if x_key in kept else term)
-                else:
-                    term = live[i] * ys[s - i]
-                z = term if z is None else np.add(z, term, out=z)
+                final = i == s - y_limbs + 1  # the last sum that uses x_i
+                x = live.pop(i) if final else live[i]
+                term = _phase_product(x, ys[s - i], twiddle, final and x_key not in kept)
+                z = term if z is None else tuple(np.add(a, c, out=a) for a, c in zip(z, term))
                 term = None
             if s == x_limbs + y_limbs - 2:  # the factor spectra are spent
                 ys = None
-            linear = np.fft.irfft(z, size)
-            z = None
-            folded = _fold(linear[:2 * n - 1], n)
-            linear = None
-            part, res = _rounded(folded)
-            folded = None
+            (even, odd), z = z, None
+            even, res_even = _rounded(np.fft.irfft(even, half)[:n])
+            odd, res_odd = _rounded(np.fft.irfft(odd, half)[:n - 1])
             run += 1
-            parts.append(part)
-            residual = max(residual, res)
+            parts.append(_fold(even, odd, n))
+            even = odd = None
+            residual = max(residual, res_even, res_odd)
         digits = parts if len(parts) == 1 else _carry(parts, b)
         width, x_key, acc = b, None, acc * masses[t]
         steps.append(f"{x_limbs}x{y_limbs}@{b}")
         certified = max(certified, bound)
     if run > plan.transforms:
         raise ConsistencyError(f"float chain ran {run} transforms, {plan.transforms} charged")
-    log.info("float convolution at length %d: %d step(s) %s (limbs x limbs @ width), "
-             "%d of %d charged transforms, certified bound %.3g, largest residual %.3g",
-             size, len(steps), " ".join(steps), run, plan.transforms, certified, residual)
+    log.info("float convolution at length %d (phases at %d): %d step(s) %s "
+             "(limbs x limbs @ width), %d of %d charged transforms, certified bound %.3g, "
+             "largest residual %.3g",
+             size, half, len(steps), " ".join(steps), run, plan.transforms, certified, residual)
     return _join(digits, width, plan.bound)
 
 

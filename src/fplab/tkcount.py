@@ -8,6 +8,7 @@ rational main term (prod of masses)/p, so no double rounding occurs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,15 +131,19 @@ def tk_spectral_check(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: 
     The spectral route re-derives every T_k(lam) at once as
     (1/p) * sum_a prod_i F_i(a) * e_p(-a*lam), one inverse transform of the
     product of F_i, the transforms of the factors' count vectors; the
-    exact route is the convolution.
+    exact route is the convolution. Factors that share a count vector
+    share its transform, which is made once and multiplied in once per
+    factor.
     """
     if len(factors) != k or k < 2:
         raise DomainError("factor list does not match k")
     vectors = _factor_counts(factors, H, s, ctx, budget)
     exact = convolve.k_fold_count(vectors, budget=budget)
     product = np.ones(ctx.p, dtype=np.complex128)
-    for v in vectors:
-        product *= convolve.length_p_transform(v.counts)
+    for v, uses in Counter(vectors).items():
+        spectrum = convolve.length_p_transform(v.counts)
+        for _ in range(uses):
+            product *= spectrum
     spectral = _hermitian_inverse(product) / ctx.p
     return [abs(float(spectral[lam]) - exact[lam]) for lam in sample_lambdas]
 

@@ -114,13 +114,16 @@ def test_budget_exit_code(capsys):
 
 def test_oversize_chain_is_refused_before_it_is_priced(capsys, monkeypatch):
     # E_10000 at p = 101 with H = 5: 5^10000 rules out the pair route and
-    # the float floor alone exceeds the budget, so no step's width is scanned
+    # the float floors alone exceed the budget, so no step's width is
+    # scanned, at a budget far below the charge (12533190656) and at one
+    # between the 62-bit-limb floor (7689576448) and the charge
     widths = []
     monkeypatch.setattr(convolve, "_width", lambda *args: widths.append(args))
-    code, _, err = run_cli(capsys, "energy", "--kind", "recip", "--p", "101", "--H", "5",
-                           "--ell", "10000", "--set", "random:3", "--seed", "1",
-                           "--budget", "1000")
-    assert code == 3 and "needs at least" in err and widths == []
+    for budget in ("1000", "10000000000"):
+        code, _, err = run_cli(capsys, "energy", "--kind", "recip", "--p", "101", "--H", "5",
+                               "--ell", "10000", "--set", "random:3", "--seed", "1",
+                               "--budget", budget)
+        assert code == 3 and "needs at least" in err and widths == []
 
 
 def test_domain_error_exit_code(capsys, singleton1):

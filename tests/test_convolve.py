@@ -57,6 +57,28 @@ def test_matches_schoolbook(data):
     assert got == oracles.cyclic_convolve(u, v, p)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_float_chain_matches_the_pair_oracle(data):
+    # odd and even n, the smallest included; factors whose entries need 2
+    # to 4 limbs at the widths that certify, and repeated factors. Both
+    # k_fold_count's own plan and a float plan must give the oracle's counts
+    n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 16, 17, 64, 101]))
+    k = data.draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    bits = data.draw(st.lists(st.sampled_from([1, 12, 30, 45, 61]), min_size=k, max_size=k))
+    arrays = [_cv(rng.integers(0, 1 << b, size=n)) for b in bits]
+    vecs = [arrays[i] for i in data.draw(st.lists(st.integers(0, k - 1), min_size=k,
+                                                  max_size=k))]
+    expect = _expect(vecs)
+    assert k_fold_count(vecs).as_list() == expect
+    masses, keys = [v.total for v in vecs], [id(v.counts) for v in vecs]
+    size = convolve._next_pow2(2 * n - 1)
+    charge = sum(convolve._chain_transforms(n, masses, keys, size))
+    plan = ConvolutionPlan(n, "float", prod(masses), size, charge)
+    assert _run(vecs, plan) == expect
+
+
 def test_kfold_matches_enumeration_small():
     # p <= 31, per-factor mass <= 16, k <= 6
     rng = np.random.default_rng(11)
@@ -87,17 +109,24 @@ def _chain_logs(caplog):
 
 
 def _spy_transforms(monkeypatch):
-    """The arrays passed to np.fft.rfft and the count of np.fft.irfft calls, as they run."""
-    calls = {"rfft": [], "irfft": 0}
+    """The arrays passed to np.fft.rfft, the count of np.fft.irfft calls and
+    every transform's length, as they run.
+
+    A float chain transforms a limb as two phase views, each with the limb
+    as its base.
+    """
+    calls = {"rfft": [], "irfft": 0, "lengths": []}
     rfft, irfft = np.fft.rfft, np.fft.irfft
 
-    def forward(a, *args):
+    def forward(a, n):
         calls["rfft"].append(a)
-        return rfft(a, *args)
+        calls["lengths"].append(n)
+        return rfft(a, n)
 
-    def inverse(*args):
+    def inverse(a, n):
         calls["irfft"] += 1
-        return irfft(*args)
+        calls["lengths"].append(n)
+        return irfft(a, n)
 
     monkeypatch.setattr(np.fft, "rfft", forward)
     monkeypatch.setattr(np.fft, "irfft", inverse)
@@ -187,8 +216,8 @@ def test_float_route_transforms_a_repeated_factor_once(monkeypatch, k, charge):
     assert plan.strategy == "float" and plan.transforms == charge
     calls = _spy_transforms(monkeypatch)
     assert k_fold_count([u] * k).as_list() == _expect([u] * k)
-    assert [a is u.counts for a in calls["rfft"]] == [True] + [False] * (k - 2)
-    assert calls["irfft"] == k - 1
+    assert [a.base is u.counts for a in calls["rfft"]] == [True, True] + [False, False] * (k - 2)
+    assert calls["irfft"] == 2 * (k - 1)
     # the chain refuses to run more transforms than its plan was charged
     short = ConvolutionPlan(211, "float", plan.bound, plan.fft_length, charge - 1)
     with pytest.raises(ConsistencyError, match=f"ran {charge} transforms, {charge - 1} charged"):
@@ -222,14 +251,14 @@ def test_float_floor_never_exceeds_the_charge():
                 masses = [int(m) for m in rng.integers(0, top, size=k, endpoint=True)]
                 size = convolve._next_pow2(2 * n - 1)
                 for keys in (list(range(k)), [0] * k):
-                    charge = convolve._chain_transforms(n, masses, keys, size)
-                    assert 2 * (k - 1) <= convolve._float_floor(masses) <= charge
+                    charge = sum(convolve._chain_transforms(n, masses, keys, size))
+                    assert 2 * (k - 1) <= sum(convolve._float_floor(n, masses, size)) <= charge
 
 
 def test_oversize_chains_are_refused_at_their_floor():
     # [u]*10000 with a mass of 5: no pair route (5^10000 > 2^63), and the
     # float floor alone exceeds the budget
-    floor = convolve._float_floor([5] * 10000) * 256 * 8
+    floor = sum(convolve._float_floor(101, [5] * 10000, 256)) * 256 * 8
     with pytest.raises(BudgetError, match=f"needs at least {floor} ") as exc:
         plan_convolution(101, [5] * 10000, budget=floor - 1, layout=[0] * 10000)
     assert exc.value.required == floor
@@ -237,6 +266,44 @@ def test_oversize_chains_are_refused_at_their_floor():
     with pytest.raises(BudgetError, match="support-pair convolution needs 5000 ") as exc:
         plan_convolution(100, [50, 100], budget=100)
     assert exc.value.required == 5000
+
+
+def test_chains_are_refused_once_a_lower_bound_on_their_need_passes_the_budget(monkeypatch):
+    # 50 distinct factors of mass 2^40 at n = 211 (no pair route): charged
+    # 5743 transforms, with floors summing to 5498. A budget between the two
+    # is refused after pricing a few steps, once the steps priced plus the
+    # floors of the rest pass it; a budget one unit below the charge is
+    # refused only when every step is priced, with the exact need
+    masses, unit = [1 << 40] * 50, 512 * 9
+    charge = sum(convolve._chain_transforms(211, masses, list(range(50)), 512))
+    assert (sum(convolve._float_floor(211, masses, 512)), charge) == (5498, 5743)
+    widths, width = [], convolve._width
+    monkeypatch.setattr(convolve, "_width", lambda *args: widths.append(args) or width(*args))
+    with pytest.raises(BudgetError, match="needs at least") as exc:
+        plan_convolution(211, masses, budget=5600 * unit)
+    assert 5600 * unit < exc.value.required <= charge * unit and 0 < len(widths) < 25
+    with pytest.raises(BudgetError, match=f"convolution needs {charge * unit} "):
+        plan_convolution(211, masses, budget=charge * unit - 1)
+    assert plan_convolution(211, masses, budget=charge * unit).transforms == charge
+
+
+@pytest.mark.parametrize("n", [210, 211])
+def test_float_chain_transforms_run_at_half_length(monkeypatch, caplog, n):
+    # each operand is transformed as its even and odd phases, and each
+    # limb-index sum inverted as two phases: every forward and inverse runs
+    # at C/2, two per transform counted, at even and odd n alike
+    rng = np.random.default_rng(n)
+    u = _cv(rng.integers(0, 1 << 20, size=n))
+    vecs = [u, _cv(rng.integers(0, 1000, size=n)), u, _cv(rng.integers(0, 1 << 40, size=n))]
+    plan = plan_convolution(n, [v.total for v in vecs], layout=[id(v.counts) for v in vecs])
+    calls = _spy_transforms(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="fplab.convolve"):
+        assert k_fold_count(vecs).as_list() == _expect(vecs)
+    ((run, charged, steps),) = _chain_logs(caplog)
+    assert plan.fft_length == 512 and "at length 512 (phases at 256)" in caplog.text
+    assert set(calls["lengths"]) == {plan.fft_length // 2}
+    assert len(calls["lengths"]) == 2 * run and run <= charged
+    assert any(not step.startswith("1x1@") for step in steps)
 
 
 def test_kfold_plans_for_its_distinct_factors(caplog, monkeypatch):
@@ -254,11 +321,11 @@ def test_kfold_plans_for_its_distinct_factors(caplog, monkeypatch):
         with caplog.at_level(logging.INFO, logger="fplab.convolve"):
             assert k_fold_count(factors).as_list() == expect
         ((run, charged, steps),) = _chain_logs(caplog)
-        assert run == len(calls["rfft"]) + calls["irfft"] <= charged
+        assert 2 * run == len(calls["rfft"]) + calls["irfft"] and run <= charged
         assert charged == plan_convolution(n, [v.total for v in factors],
                                            layout=[id(v.counts) for v in factors]).transforms
         assert steps[0].startswith("1x1@")
-        assert sum(a is factors[0].counts for a in calls["rfft"]) == 1
+        assert sum(a.base is factors[0].counts for a in calls["rfft"]) == 2
 
 
 def _paired_case(case):
@@ -328,6 +395,22 @@ def test_certificate_adds_every_limb_product_of_a_sum():
     assert convolve._sum_bound([2], [3]) == 3  # sqrt(6), rounded up
     # Percival's factor at 2^18 with beta = eps: (6m + sqrt5 (3m+1)) eps
     assert 230 < convolve._gamma(1 << 18) * 2 ** 53 < 231
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 2.0 ** -53,
+                    reason="needs an extended-precision reference")
+@pytest.mark.parametrize("half", [1 << 9, 1 << 17, 1 << 20])
+def test_twiddle_error_fits_the_gap_between_lengths(half):
+    # the odd x odd phase product is shifted by a twiddle that errs by at
+    # most 4 eps; with its complex multiply (sqrt5 eps) and the add (eps)
+    # it stays inside gamma(C) - gamma(C/2), about 12.7 eps
+    twiddle = convolve._twiddle(half).astype(np.clongdouble)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    angle = -2 * pi * np.arange(half // 2 + 1, dtype=np.longdouble) / half
+    err = float(np.abs(twiddle - (np.cos(angle) + 1j * np.sin(angle))).max()) * 2 ** 53
+    assert err < 4
+    gap = (convolve._gamma(2 * half) - convolve._gamma(half)) * 2 ** 53
+    assert 4 + 5 ** 0.5 + 1 < gap < 13
 
 
 def test_width_is_the_widest_that_certifies_every_sum():
@@ -417,7 +500,7 @@ def test_uncertified_products_are_never_run_unsplit(monkeypatch, caplog):
     calls = _spy_transforms(monkeypatch)
     with caplog.at_level(logging.INFO, logger="fplab.convolve"):
         assert k_fold_count(vecs).as_list() == _expect(vecs)
-    assert calls["rfft"] and not any(a is v.counts for a in calls["rfft"] for v in vecs)
+    assert calls["rfft"] and not any(a.base is v.counts for a in calls["rfft"] for v in vecs)
     assert all(int(a.max()) < 1 << 26 for a in calls["rfft"])
     ((run, charged, (step,)),) = _chain_logs(caplog)
     assert not step.startswith("1x1@") and run <= charged
@@ -443,7 +526,7 @@ def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch, caplog):
     expect = k_fold_count(vecs, budget=charge).as_list()
     assert expect == _expect(vecs)
     ((run, charged, steps),) = _chain_logs(caplog)
-    assert run == charged == len(calls["rfft"]) + calls["irfft"] == 16
+    assert run == charged == 16 and len(calls["rfft"]) + calls["irfft"] == 2 * 16
     assert steps == ["2x2@21", "3x2@19"]
     # the planner refuses one unit less before any transform runs
     calls["rfft"].clear()
@@ -454,7 +537,7 @@ def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch, caplog):
     # one of them three times splits like three: no spectrum is reused
     calls["irfft"] = 0
     assert k_fold_count([vecs[0]] * 3, budget=charge).as_list() == _expect([vecs[0]] * 3)
-    assert len(calls["rfft"]) + calls["irfft"] == 16
+    assert len(calls["rfft"]) + calls["irfft"] == 2 * 16
 
 
 def test_budget_below_a_paired_plan_is_refused_before_any_transform(monkeypatch):
@@ -490,8 +573,9 @@ def test_any_factor_order_gives_the_same_counts():
 
 def test_factors_are_freed_after_their_last_step(monkeypatch):
     # a factor only the convolution holds is gone once its step has read
-    # it: at the first inverse only the first factor and the ones after
-    # the second are alive, and at the last inverse none is
+    # it, and a one-limb accumulator once its phases are transformed: at
+    # the first inverse only the factors after the second are alive (the
+    # first is one limb in step 1), and at the last inverse none is
     refs, masses, alive = [], [], []
 
     def factors():
@@ -509,7 +593,7 @@ def test_factors_are_freed_after_their_last_step(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", inverse)
     got = k_fold_count(factors())  # no assert: its rewriting would hold the list
     assert got.total == prod(masses)
-    assert alive[0] == [True, False] + [True] * 4 and not any(alive[-1])
+    assert alive[0] == [False, False] + [True] * 4 and not any(alive[-1])
 
 
 def test_concentrated_factors_agree_with_the_direct_route():
@@ -533,13 +617,17 @@ def test_concentrated_factors_agree_with_the_direct_route():
 
 def test_float_route_certificate_rejects_uncertified_plans(monkeypatch):
     # an inverse transform that errs by 0.4 can no longer be certified to
-    # round exactly: the run-time residual check raises
+    # round exactly: the run-time residual check raises, when every phase
+    # errs and when only the even (first) or only the odd (second) one does
     rng = np.random.default_rng(5)
     vecs = [_cv(rng.integers(0, 1 << 10, size=211)) for _ in range(3)]
     irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a: irfft(*a) + 0.4)
-    with pytest.raises(ConsistencyError, match="residual"):
-        k_fold_count(vecs)
+    for phases in ({0, 1}, {0}, {1}):
+        calls = iter(range(1 << 20))
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, calls=calls, phases=phases:
+                            irfft(*a) + 0.4 * (next(calls) % 2 in phases))
+        with pytest.raises(ConsistencyError, match="residual"):
+            k_fold_count(vecs)
 
 
 def test_exact_route_with_huge_counts():

@@ -134,6 +134,22 @@ def test_spectral_check_small(ctx):
     assert all(r < 1e-3 for r in residuals)
 
 
+def test_spectral_check_transforms_each_distinct_factor_once(ctx, monkeypatch):
+    # T_6 over one set and one shift at p = 10007: one factor vector, so
+    # one forward transform and the one inverse
+    c = ctx(10007)
+    mset = random_subset(9, 3, c)
+    calls, transform = [], convolve.length_p_transform
+
+    def spy(u):
+        calls.append(u)
+        return transform(u)
+
+    monkeypatch.setattr(convolve, "length_p_transform", spy)
+    residuals = tk_spectral_check(6, [(mset, 3)] * 6, 9, 1, c, sample_lambdas=[0, 1, 5003])
+    assert len(calls) == 2 and all(r < 0.5 for r in residuals)
+
+
 def test_spectral_check_two_fold_hand_case(ctx):
     c = ctx(7)
     ms = residue_set([1], c)
