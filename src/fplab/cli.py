@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import convolve, energy, envelopes, prodset, spectra, tkcount, verify
+from . import convolve, prodset, spectra, tkcount, verify
 from .errors import DEFAULT_BUDGET, BudgetError, DomainError, SetFileError
 from .modfield import PrimeContext, batch_inverse, mod_pow
 from .sets import (ResidueSet, initial_interval, mix_seed, random_subset,
@@ -130,24 +130,11 @@ def _cmd_prodset(args) -> Record:
 def _cmd_energy(args) -> Record:
     ctx = PrimeContext.of(args.p)
     mset = _load_set(args.set_spec, args.seed, ctx)
-    base = initial_interval(args.H, ctx)
-    if args.kind == "J":
-        value = energy.energy_J(base, mset, ctx, args.budget)
-        envelope = envelopes.pair_energy_envelope(args.H, mset.M, args.p)
-    elif args.kind == "Js":
-        value = energy.energy_Js(args.L, base, mset, args.s, ctx, args.budget)
-        envelope = envelopes.pair_energy_envelope(args.H, mset.M, args.p)
-    elif args.kind == "R":
-        value = energy.triple_R(args.H, args.Klen, mset, ctx, args.budget)
-        envelope = float(envelopes.triple_main_term(args.H, args.Klen, mset.M, args.p))
-    else:
-        x = shifted_interval(args.L, args.H, ctx, require_denominator_safe=True)
-        value = energy.additive_energy_recip(x, args.s, args.ell, ctx, args.budget)
-        envelope = envelopes.recip_energy_envelope(args.H, args.p, args.ell)
     return Record(
         command="energy", kind=args.kind, p=args.p, H=args.H, L=args.L, s=args.s,
-        ell=args.ell, Klen=args.Klen, M=mset.M, value=value, envelope=envelope,
-        ratio=envelopes.value_ratio(value, envelope))
+        ell=args.ell, Klen=args.Klen, M=mset.M,
+        **verify.energy_values(args.kind, ctx, mset, args.H, args.L, args.s, args.ell,
+                               args.budget, args.Klen))
 
 
 def _cmd_expsum(args) -> Record:
@@ -235,11 +222,10 @@ def _selftest_checks():
         return "occupancy size matches hash-set oracle"
 
     def check_energy():
-        iv = initial_interval(2, ctx7)
         ms = residue_set([1, 3], ctx7)
         brute = sum(1 for h1 in (1, 2) for h2 in (1, 2) for m1 in (1, 3)
                     for m2 in (1, 3) if h1 * m1 % 7 == h2 * m2 % 7)
-        assert energy.energy_J(iv, ms, ctx7) == brute == 4
+        assert verify.energy_values("J", ctx7, ms, 2, 0, 1, 2, None)["value"] == brute == 4
         return "pair energy matches quadruple enumeration"
 
     def check_convolve():

@@ -35,9 +35,10 @@ and neither wraps, since C/2 >= n (the phase length is 1 at n = 1,
 where C = 1). The rounded phases are then folded onto Z_n exactly, in
 int64. One phase pair, forward or inverse, is one transform wherever
 transforms are counted: the charge, the log line and the check of run
-against charged. The twiddle is made once per chain, after the first
-step's forward transforms, and the products are formed in blocks over
-x's spectra where they are not kept.
+against charged. Each step makes the twiddle after its factor's forward
+transforms and drops it with the factor spectra, before its last
+inverse, and the products are formed in blocks over x's spectra where
+they are not kept.
 
 The certificate. Percival (C. Percival, Math. Comp. 72 (2003), 387-395)
 bounds the error of a radix-2 float convolution of length N = 2^m by
@@ -121,7 +122,7 @@ from typing import Hashable, Iterator, Sequence
 import numpy as np
 
 from .countvec import CountVector, sum_of_squares
-from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, check_budget
+from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, DomainError, check_budget
 
 log = logging.getLogger(__name__)
 
@@ -181,7 +182,7 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     """
     k = len(masses)
     if k < 1:
-        raise BudgetError("no factors to convolve", required=0)
+        raise DomainError("no factors to convolve")
     masses = [int(m) for m in masses]
     keys = list(range(k)) if layout is None else list(layout)
     bound = prod(masses)
@@ -222,7 +223,9 @@ def _float_floor(n: int, masses: list[int], size: int) -> list[int]:
     term of the certificate passes (_low_width), so it has at least as
     many limbs as at that width. That term needs only limb 0 of each
     side, whose bound from a mass m is the same for every m >= n * 2^62,
-    so each mass is capped there and the bound stays cheap at any k.
+    so each mass is capped there and the bound stays cheap at any k. Once
+    the accumulator is capped, a run of equal masses repeats its sides,
+    and the width is searched again only when the sides change.
     """
     gamma, cap = _gamma(size), n << _WORD
 
@@ -230,9 +233,11 @@ def _float_floor(n: int, masses: list[int], size: int) -> list[int]:
         mass = min(mass, cap)
         return mass.bit_length(), mass, None
 
-    floors, acc = [], masses[0]
+    floors, acc, last, b = [], masses[0], None, 0
     for mass in masses[1:]:
-        b = _low_width(side(acc), side(mass), n, gamma)
+        sides = side(acc), side(mass)
+        if sides != last:
+            b, last = _low_width(*sides, n, gamma), sides
         floors.append(2 * _limb_count(acc.bit_length(), max(1, b)))
         acc *= mass
     return floors
@@ -550,7 +555,7 @@ def _float_chain(arrays: list, masses: list[int], n: int,
     kept = {}  # key -> phase spectra of a whole factor that a later operand uses
     digits, width, x_key, acc = [arrays[0]], _WORD, keys[0], masses[0]
     arrays[0] = None
-    twiddle, run, steps, certified, residual = None, 0, [], 0.0, 0.0
+    run, steps, certified, residual = 0, [], 0.0, 0.0
 
     def spectrum(limb: np.ndarray, key: Hashable | None, at: int) -> tuple:
         """The phase spectra of the limb of operand `at`, kept when its key has a later operand."""
@@ -571,9 +576,7 @@ def _float_chain(arrays: list, masses: list[int], n: int,
             digits = None
         ys = [spectrum(_limb([y], _WORD, b, j, y_limbs), keys[t] if y_limbs == 1 else None, t)
               for j in range(y_limbs)]
-        y = None
-        if twiddle is None:  # made after the first step's forward transforms
-            twiddle = _twiddle(half)
+        y, twiddle = None, _twiddle(half)
         kept = {k: v for k, v in kept.items() if last[k] > t}  # none outlives its last use
         parts = []
         for s in range(x_limbs + y_limbs - 1):
@@ -586,8 +589,8 @@ def _float_chain(arrays: list, masses: list[int], n: int,
                 term = _phase_product(x, ys[s - i], twiddle, final and x_key not in kept)
                 z = term if z is None else tuple(np.add(a, c, out=a) for a, c in zip(z, term))
                 term = None
-            if s == x_limbs + y_limbs - 2:  # the factor spectra are spent
-                ys = None
+            if s == x_limbs + y_limbs - 2:  # the factor spectra and the twiddle are spent
+                ys = twiddle = None
             (even, odd), z = z, None
             even, res_even = _rounded(np.fft.irfft(even, half)[:n])
             odd, res_odd = _rounded(np.fft.irfft(odd, half)[:n - 1])
@@ -626,10 +629,10 @@ def k_fold_count(vectors: Sequence[CountVector], *, budget: int | None = None) -
     arrays, refusing it before any transform runs when no route fits the
     budget; the plan then runs as support pairs or as the float chain.
     Total mass is verified against the product of input masses on every
-    call.
+    call. Fewer than two factors is a DomainError.
     """
     if len(vectors) < 2:
-        raise BudgetError("k-fold convolution needs at least two factors", required=2)
+        raise DomainError("k-fold convolution needs at least two factors")
     n = vectors[0].p
     if any(v.p != n for v in vectors):
         raise ConsistencyError("count vectors have mismatched lengths")
@@ -690,11 +693,6 @@ def _chirp_filter(n: int, rows: int) -> tuple[np.ndarray, int]:
     return np.fft.fft(filt, out=filt), m
 
 
-def _chirp_tables(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(chirp, transformed filter, fft length) for rows 0..rows-1 of a length-n transform."""
-    return (_chirp(n), *_chirp_filter(n, rows))
-
-
 def length_p_transform(u: np.ndarray) -> np.ndarray:
     """hat_u[c] = sum_lam u[lam] * exp(2*pi*i*c*lam/n) for n = len(u).
 
@@ -714,7 +712,7 @@ def length_p_transform(u: np.ndarray) -> np.ndarray:
         return u.astype(np.complex128)
     real = not np.iscomplexobj(u)
     rows = n // 2 + 1 if real else n
-    chirp, filt_hat, m = _chirp_tables(n, rows)
+    chirp, (filt_hat, m) = _chirp(n), _chirp_filter(n, rows)
     a = np.zeros(m, dtype=np.complex128)
     np.multiply(u, chirp, out=a[:n])
     np.fft.fft(a, out=a)

@@ -15,27 +15,34 @@ class CountVector:
     `counts` is always a numpy array: int64 while every entry fits, and
     dtype object, holding Python ints, when entries can pass 2^63 (the
     exact convolution route's output above a coefficient bound of 2^62).
-    `total` is always an exact Python int.
+    `total` is always an exact Python int. The counts are taken through
+    np.asarray once, a sequence as Python ints (dtype object): an integer
+    dtype or Python ints are accepted, and anything else, like a negative
+    entry, raises ConsistencyError.
     """
 
     __slots__ = ("counts", "p", "total")
 
     def __init__(self, counts: np.ndarray | Sequence[int], *, expected_total: int | None = None):
-        if not isinstance(counts, np.ndarray):
-            try:
-                counts = np.array(counts, dtype=np.int64)
-            except OverflowError:  # an entry beyond int64
-                counts = np.array(counts, dtype=object)
-        elif counts.dtype == np.uint64 and counts.size and counts.max() >= 1 << 63:
-            counts = counts.astype(object)  # beyond int64: exact, as from a list
-        elif counts.dtype != object:
-            counts = counts.astype(np.int64, copy=False)
+        listed = not isinstance(counts, np.ndarray)
+        counts = np.asarray(counts, dtype=object if listed else None)
+        if counts.dtype != object and not np.issubdtype(counts.dtype, np.integer):
+            raise ConsistencyError(f"count vector entries must be integers, got {counts.dtype}")
         if counts.size and counts.min() < 0:
             raise ConsistencyError("negative entry in count vector")
         # int64 partial sums can overflow silently; sum Python ints when in doubt.
         exact = counts.dtype == object or (
             counts.size and counts.size * int(counts.max()) >= 1 << 62)
-        total = int(counts.sum(dtype=object if exact else np.int64))
+        total = counts.sum(dtype=object if exact else np.int64)
+        # a sum of Python numbers is an integer only when every entry is one
+        if not isinstance(total, (int, np.integer)):
+            raise ConsistencyError("count vector entries must be integers")
+        if listed or counts.dtype == np.uint64:  # int64 where every entry fits, else Python ints
+            wide = counts.size and counts.max() >= 1 << 63
+            counts = counts.astype(object if wide else np.int64, copy=False)
+        elif counts.dtype != object:
+            counts = counts.astype(np.int64, copy=False)
+        total = int(total)
         self.counts = counts
         self.p = len(counts)
         self.total = total

@@ -81,13 +81,14 @@ def energy_Js(L: int, interval: Interval, mset: ResidueSet, s: int,
     return c.sum_of_squares()
 
 
-def triple_count_vector(j_len: int, k_len: int, mset: ResidueSet,
-                        ctx: PrimeContext, budget: int | None = None) -> CountVector:
-    """counts[lam] = #{(j,k,m): j*k*m = lam mod p} over initial intervals and a set.
+def triple_R(j_len: int, k_len: int, mset: ResidueSet, ctx: PrimeContext,
+             budget: int | None = None) -> int:
+    """Coincidences j1*k1*m1 = j2*k2*m2 mod p (two initial intervals, one set).
 
-    Two 2-fold convolutions, j*k first and then times the set. The planner
-    prices and gates each one on its own, and j*k, with at most
-    j_len*k_len support pairs, takes the support-pair route when the
+    The sum of squares of counts[lam] = #{(j,k,m): j*k*m = lam mod p}, a
+    product of two 2-fold convolutions, j*k first and then times the set.
+    The planner prices and gates each one on its own, and j*k, with at
+    most j_len*k_len support pairs, takes the support-pair route when the
     intervals are short.
     """
     if not (1 <= j_len <= ctx.p - 1 and 1 <= k_len <= ctx.p - 1):
@@ -95,13 +96,8 @@ def triple_count_vector(j_len: int, k_len: int, mset: ResidueSet,
     jk = dlog_convolution([(np.arange(1, j_len + 1), 1), (np.arange(1, k_len + 1), 1)],
                           ctx, budget)
     conv = convolve.k_fold_count([jk, dlog_counts(mset.elems, 1, ctx)], budget=budget)
-    return CountVector(residue_order(conv, ctx), expected_total=j_len * k_len * mset.M)
-
-
-def triple_R(j_len: int, k_len: int, mset: ResidueSet, ctx: PrimeContext,
-             budget: int | None = None) -> int:
-    """Coincidences j1*k1*m1 = j2*k2*m2 mod p (two initial intervals, one set)."""
-    return triple_count_vector(j_len, k_len, mset, ctx, budget).sum_of_squares()
+    return CountVector(residue_order(conv, ctx),
+                       expected_total=j_len * k_len * mset.M).sum_of_squares()
 
 
 def recip_power_counts(interval: Interval, s: int, ctx: PrimeContext) -> CountVector:

@@ -12,23 +12,23 @@ import csv
 import itertools
 import json
 import math
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from . import energy, envelopes, prodset, spectra, tkcount
 from .errors import DEFAULT_BUDGET, BudgetError, DomainError, ZeroInIntervalError
 from .modfield import MAX_PRIME, PrimeContext, is_prime
-from .sets import (SplitMix64, initial_interval, mix_seed, random_subset,
+from .sets import (ResidueSet, SplitMix64, initial_interval, mix_seed, random_subset,
                    shifted_interval)
 
 MEASURES = ("prodset", "ratio", "energy_j", "energy_js", "recip_energy",
             "kloosterman", "burgess", "tk")
 
-CSV_COLUMNS = ("index", "measure", "p", "H", "M", "L", "s", "ell", "k",
-               "epsilon", "seed", "value", "envelope", "ratio", "flags",
-               "skip_reason")
+# the sweep measures that are energies, and the kind each one is
+_ENERGY_KINDS = {"energy_j": "J", "energy_js": "Js", "recip_energy": "recip"}
 
 
 def fmt_number(x) -> str:
@@ -56,6 +56,8 @@ def _number(kind, key: str, text: str):
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """The sweep's settings and the schema of its config: a field without a default is required."""
+
     measure: str
     primes: tuple[int, ...]
     h_exps: tuple[float, ...]
@@ -136,6 +138,9 @@ class ReportRow(_Record):
         return [(name, getattr(self, name)) for name in CSV_COLUMNS]
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
+
+
 def write_report(records, sink, out_format: str, columns=CSV_COLUMNS) -> None:
     """The one report writer: records to sink as CSV or as JSON lines.
 
@@ -154,8 +159,26 @@ def write_report(records, sink, out_format: str, columns=CSV_COLUMNS) -> None:
             sink.write(json.dumps(rec.json_obj()) + "\n")
 
 
+# the config keys named unlike their SweepConfig fields
+_CONFIG_KEYS = {"h_exps": "h_exp", "m_exps": "m_exp", "s_list": "s", "ell_list": "ell",
+                "out_format": "format", "out_path": "out"}
+
+
+def _setting(kind, key: str, text: str):
+    """A config value of a SweepConfig field's type: str, int, float, or a tuple of those."""
+    if kind is str:
+        return text
+    if typing.get_origin(kind) is tuple:
+        return tuple(_number(typing.get_args(kind)[0], key, t)
+                     for t in text.replace(",", " ").split())
+    return _number(kind, key, text)
+
+
 def parse_config(text: str) -> SweepConfig:
-    """Parse the flat key = value format ('#' starts a comment)."""
+    """Parse the flat key = value format ('#' starts a comment).
+
+    The keys, their types and their defaults are SweepConfig's fields.
+    """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -166,37 +189,16 @@ def parse_config(text: str) -> SweepConfig:
         key, val = line.split("=", 1)
         raw[key.strip().lower()] = val.strip()
 
-    def one(kind, key, default):
-        return _number(kind, key, raw[key]) if key in raw else default
-
-    def many(kind, key, default):
-        if key not in raw:
-            return default
-        return tuple(_number(kind, key, t) for t in raw[key].replace(",", " ").split())
-
-    known = {"measure", "primes", "h_exp", "m_exp", "s", "ell", "k", "l_policy",
-             "epsilon", "seed", "budget", "workers", "format", "out"}
-    unknown = set(raw) - known
+    keys = {_CONFIG_KEYS.get(f.name, f.name): f for f in fields(SweepConfig)}
+    unknown = set(raw) - set(keys)
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    if "measure" not in raw or "primes" not in raw or "h_exp" not in raw:
-        raise DomainError("config requires at least: measure, primes, h_exp")
-    return SweepConfig(
-        measure=raw["measure"],
-        primes=many(int, "primes", ()),
-        h_exps=many(float, "h_exp", ()),
-        m_exps=many(float, "m_exp", (0.5,)),
-        s_list=many(int, "s", (1,)),
-        ell_list=many(int, "ell", (2,)),
-        k=one(int, "k", 6),
-        l_policy=raw.get("l_policy", "zero"),
-        epsilon=one(float, "epsilon", 0.05),
-        seed=one(int, "seed", 1),
-        budget=one(int, "budget", DEFAULT_BUDGET),
-        workers=one(int, "workers", 1),
-        out_format=raw.get("format", "csv"),
-        out_path=raw.get("out", ""),
-    )
+    required = [key for key, f in keys.items() if f.default is MISSING]
+    if any(key not in raw for key in required):
+        raise DomainError(f"config requires at least: {', '.join(required)}")
+    kinds = typing.get_type_hints(SweepConfig)
+    return SweepConfig(**{f.name: _setting(kinds[f.name], key, raw[key])
+                          for key, f in keys.items() if key in raw})
 
 
 def _sized(p: int, exponent: float) -> int | None:
@@ -215,37 +217,62 @@ def _draw_shift(policy: str, rng: SplitMix64, p: int, h: int) -> int:
     return int(policy.split(":", 1)[1])
 
 
+def energy_values(kind: str, ctx: PrimeContext, mset: ResidueSet, h: int, shift: int,
+                  s: int, ell: int, budget: int | None, k_len: int = 1) -> dict:
+    """The value, envelope and ratio of an energy of `kind`, as report fields.
+
+    J and Js are the pair energies over {1..h} (Js shifted by `shift`,
+    with exponent s), R the triple energy over {1..h} and {1..k_len}, and
+    recip the 2*ell-fold energy of x^(-s) over shift + {1..h}. The value
+    is computed before the envelope, so a value's refusal comes first.
+    """
+    p, base = ctx.p, initial_interval(h, ctx)
+    if kind == "J":
+        value = energy.energy_J(base, mset, ctx, budget)
+        envelope = envelopes.pair_energy_envelope(h, mset.M, p)
+    elif kind == "Js":
+        value = energy.energy_Js(shift, base, mset, s, ctx, budget)
+        envelope = envelopes.pair_energy_envelope(h, mset.M, p)
+    elif kind == "R":
+        value = energy.triple_R(h, k_len, mset, ctx, budget)
+        envelope = float(envelopes.triple_main_term(h, k_len, mset.M, p))
+    else:
+        x = shifted_interval(shift, h, ctx, require_denominator_safe=True)
+        value = energy.additive_energy_recip(x, s, ell, ctx, budget)
+        envelope = envelopes.recip_energy_envelope(h, p, ell)
+    return dict(value=value, envelope=envelope, ratio=envelopes.value_ratio(value, envelope))
+
+
 def _run_point(cfg: SweepConfig, index: int, point) -> ReportRow:
     p, h_exp, m_exp, s, ell = point
     seed = mix_seed(cfg.seed, index)
-    base = ReportRow(index=index, measure=cfg.measure, p=p, s=s, ell=ell,
-                     k=cfg.k, epsilon=cfg.epsilon, seed=seed)
-    h = _sized(p, h_exp)
-    m = _sized(p, m_exp)
+    h, m = _sized(p, h_exp), _sized(p, m_exp)
+    row = ReportRow(index=index, measure=cfg.measure, p=p, H=h, s=s, ell=ell,
+                    k=cfg.k, epsilon=cfg.epsilon, seed=seed)
     if h is None or h > p - 1:
-        return replace(base, H=h, skip_reason="h_exceeds_field")
+        return replace(row, skip_reason="h_exceeds_field")
     if m is None or m > p - 1:
-        return replace(base, H=h, M=m, skip_reason="m_exceeds_field")
+        return replace(row, M=m, skip_reason="m_exceeds_field")
     ctx = PrimeContext.of(p)
     rng = SplitMix64(seed)
     set_seed = rng.next_u64()
-    shift = _draw_shift(cfg.l_policy, rng, p, h)
+    row = replace(row, M=m, L=_draw_shift(cfg.l_policy, rng, p, h))
     try:
-        return _measure(cfg, base, ctx, h, m, shift, s, ell, set_seed, rng)
+        return _measure(cfg, row, ctx, set_seed, rng)
     except BudgetError:
-        return replace(base, H=h, M=m, L=shift, skip_reason="budget_exceeded")
+        return replace(row, skip_reason="budget_exceeded")
     except ZeroInIntervalError:
-        return replace(base, H=h, M=m, L=shift, skip_reason="interval_covers_zero")
+        return replace(row, skip_reason="interval_covers_zero")
     except DomainError as exc:
-        return replace(base, H=h, M=m, L=shift, skip_reason=f"domain:{exc}")
+        return replace(row, skip_reason=f"domain:{exc}")
     except Exception as exc:  # a broken point must never abort the sweep
-        return replace(base, H=h, M=m, L=shift, skip_reason=f"error:{type(exc).__name__}")
+        return replace(row, skip_reason=f"error:{type(exc).__name__}")
 
 
-def _measure(cfg: SweepConfig, base: ReportRow, ctx: PrimeContext,
-             h: int, m: int, shift: int, s: int, ell: int,
+def _measure(cfg: SweepConfig, row: ReportRow, ctx: PrimeContext,
              set_seed: int, rng: SplitMix64) -> ReportRow:
-    p = ctx.p
+    """The measured row: `row`, which holds the point's H, M and L, with its results."""
+    p, h, m, shift, s = ctx.p, row.H, row.M, row.L, row.s
     measure = cfg.measure
     mset = None
     if measure != "burgess":
@@ -255,41 +282,25 @@ def _measure(cfg: SweepConfig, base: ReportRow, ctx: PrimeContext,
         fn = prodset.product_set if measure == "prodset" else prodset.ratio_set
         rep = fn(initial_interval(h, ctx), mset, ctx,
                  epsilon=cfg.epsilon, budget=cfg.budget)
-        return replace(base, H=h, M=m, L=0, value=rep.missing,
-                       envelope=float(p), ratio=rep.missing / p,
-                       flags=rep.hypothesis_branch)
+        return replace(row, L=0, value=rep.missing, envelope=float(p),
+                       ratio=rep.missing / p, flags=rep.hypothesis_branch)
 
-    if measure == "energy_j":
-        val = energy.energy_J(initial_interval(h, ctx), mset, ctx, cfg.budget)
-        env = envelopes.pair_energy_envelope(h, m, p)
-        return replace(base, H=h, M=m, L=0, value=val, envelope=env,
-                       ratio=val / env)
-
-    if measure == "energy_js":
-        val = energy.energy_Js(shift, initial_interval(h, ctx), mset, s, ctx, cfg.budget)
-        env = envelopes.pair_energy_envelope(h, m, p)
-        return replace(base, H=h, M=m, L=shift, value=val, envelope=env,
-                       ratio=val / env)
-
-    if measure == "recip_energy":
-        x = shifted_interval(shift, h, ctx, require_denominator_safe=True)
-        val = energy.additive_energy_recip(x, s, ell, ctx, cfg.budget)
-        env = envelopes.recip_energy_envelope(h, p, ell)
-        return replace(base, H=h, M=m, L=shift, value=val, envelope=env,
-                       ratio=envelopes.value_ratio(val, env))
+    if measure in _ENERGY_KINDS:
+        kind = _ENERGY_KINDS[measure]
+        values = energy_values(kind, ctx, mset, h, shift, s, row.ell, cfg.budget)
+        return replace(row, L=0 if kind == "J" else shift, **values)
 
     if measure == "kloosterman":
         x = shifted_interval(shift, h, ctx, require_denominator_safe=True)
         a = 1 + rng.below(p - 1)
-        res = spectra.kloosterman_frac_sum(a, mset, x, s, ctx, ell=ell)
-        return replace(base, H=h, M=m, L=shift, value=res.value,
-                       envelope=res.envelope, ratio=res.value / res.envelope)
+        res = spectra.kloosterman_frac_sum(a, mset, x, s, ctx, ell=row.ell)
+        return replace(row, value=res.value, envelope=res.envelope,
+                       ratio=res.value / res.envelope)
 
     if measure == "burgess":
         env = envelopes.burgess_envelope(h, p)
         ratio = spectra.burgess_ratio(h, ctx)
-        return replace(base, H=h, M=None, L=0, value=ratio * env,
-                       envelope=env, ratio=ratio)
+        return replace(row, M=None, L=0, value=ratio * env, envelope=env, ratio=ratio)
 
     # tk: k independently seeded factor sets, shifts drawn per factor
     factors = []
@@ -298,9 +309,8 @@ def _measure(cfg: SweepConfig, base: ReportRow, ctx: PrimeContext,
                         _draw_shift(cfg.l_policy, rng, p, h)))
     rep = tkcount.tk_experiment(cfg.k, factors, h, s, ctx,
                                 epsilon=cfg.epsilon, budget=cfg.budget)
-    return replace(base, H=h, M=m, L=factors[0][1], value=rep.max_abs_dev,
-                   envelope=1.0, ratio=rep.max_abs_dev,
-                   flags=rep.flag_bits)
+    return replace(row, L=factors[0][1], value=rep.max_abs_dev,
+                   envelope=1.0, ratio=rep.max_abs_dev, flags=rep.flag_bits)
 
 
 def _grid_rows(cfg: SweepConfig):

@@ -184,6 +184,24 @@ PINNED = {
         "energy,Js,101,8,3,2,2,1,6,68,116.858153074,0.581902059986\n",
         '{"command": "energy", "kind": "Js", "p": 101, "H": 8, "L": 3, "s": 2, "ell": 2, '
         '"Klen": 1, "M": 6, "value": 68, "envelope": 116.858153074, "ratio": 0.581902059986}\n'),
+    # the other energy kinds, recorded before the CLI and the sweep shared
+    # one map from an energy kind to its value and envelope
+    "energy --kind J --p 101 --H 8 --set random:6 --seed 8": (
+        "command,kind,p,H,L,s,ell,Klen,M,value,envelope,ratio\n"
+        "energy,J,101,8,0,1,2,1,6,74,116.858153074,0.633246359396\n",
+        '{"command": "energy", "kind": "J", "p": 101, "H": 8, "L": 0, "s": 1, "ell": 2, '
+        '"Klen": 1, "M": 6, "value": 74, "envelope": 116.858153074, "ratio": 0.633246359396}\n'),
+    "energy --kind R --p 101 --H 8 --Klen 3 --set random:6 --seed 8": (
+        "command,kind,p,H,L,s,ell,Klen,M,value,envelope,ratio\n"
+        "energy,R,101,8,0,1,2,3,6,474,207.36,2.28587962963\n",
+        '{"command": "energy", "kind": "R", "p": 101, "H": 8, "L": 0, "s": 1, "ell": 2, '
+        '"Klen": 3, "M": 6, "value": 474, "envelope": 207.36, "ratio": 2.28587962963}\n'),
+    "energy --kind recip --p 101 --H 8 --L 3 --s 2 --ell 3 --set random:6 --seed 8": (
+        "command,kind,p,H,L,s,ell,Klen,M,value,envelope,ratio\n"
+        "energy,recip,101,8,3,2,3,1,6,4394,14180.7226515,0.309857269477\n",
+        '{"command": "energy", "kind": "recip", "p": 101, "H": 8, "L": 3, "s": 2, "ell": 3, '
+        '"Klen": 1, "M": 6, "value": 4394, "envelope": 14180.7226515, '
+        '"ratio": 0.309857269477}\n'),
     "expsum --p 101 --H 10 --L 2 --s 1 --a 9 --set random:4 --seed 9": (
         "command,p,H,L,s,a,ell,M,value,envelope,trivial,ratio\n"
         "expsum,101,10,2,1,9,2,4,11.1507883645,43.6802364432,40,0.25528223454\n",

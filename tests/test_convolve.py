@@ -13,7 +13,7 @@ from fplab import convolve, countvec, sets, tkcount
 from fplab.convolve import (ConvolutionPlan, k_fold_count,
                             length_p_transform, plan_convolution)
 from fplab.countvec import CountVector
-from fplab.errors import BudgetError, ConsistencyError
+from fplab.errors import BudgetError, ConsistencyError, DomainError
 from fplab.modfield import PrimeContext
 
 import oracles
@@ -179,8 +179,12 @@ def test_strategy_escalation_and_logging(caplog):
 def test_plan_refusals():
     with pytest.raises(BudgetError):
         plan_convolution(101, [10, 10], budget=1)
-    with pytest.raises(BudgetError, match="at least two"):
-        k_fold_count([_cv([1, 2, 3])])
+    # too few factors is a domain error, not a refusal on budget
+    for vectors in ([], [_cv([1, 2, 3])]):
+        with pytest.raises(DomainError, match="at least two"):
+            k_fold_count(vectors)
+    with pytest.raises(DomainError, match="no factors"):
+        plan_convolution(101, [])
 
 
 def test_plans_are_charged_the_transforms_they_run():
@@ -266,6 +270,17 @@ def test_oversize_chains_are_refused_at_their_floor():
     with pytest.raises(BudgetError, match="support-pair convolution needs 5000 ") as exc:
         plan_convolution(100, [50, 100], budget=100)
     assert exc.value.required == 5000
+
+
+def test_float_floor_searches_a_width_only_when_its_sides_change(monkeypatch):
+    # [5]*10000 at n = 101: the accumulator 5^t is capped at 101 * 2^62 from
+    # t = 30 on (5^29 < 101 * 2^62 <= 5^30), so the sides of steps 30 to 9999
+    # repeat and only the first 30 steps search a width; the floors sum to
+    # what a search at every step gave
+    calls, low = [], convolve._low_width
+    monkeypatch.setattr(convolve, "_low_width", lambda *args: calls.append(args) or low(*args))
+    assert sum(convolve._float_floor(101, [5] * 10000, 256)) == 6119722
+    assert len(calls) == 30
 
 
 def test_chains_are_refused_once_a_lower_bound_on_their_need_passes_the_budget(monkeypatch):
@@ -692,9 +707,11 @@ def test_real_transform_mirrors_the_half_it_computes(n, dtype):
 def test_both_row_counts_share_one_chirp():
     # the chirp is cached once per length and each filter per row count
     n = 1009
-    real, complex_ = convolve._chirp_tables(n, n // 2 + 1), convolve._chirp_tables(n, n)
-    assert real[0] is complex_[0]
-    assert real[2] == 1536 and complex_[2] == 2048
+    convolve._chirp.cache_clear()
+    convolve._chirp_filter.cache_clear()
+    real, complex_ = convolve._chirp_filter(n, n // 2 + 1), convolve._chirp_filter(n, n)
+    assert convolve._chirp.cache_info().misses == 1
+    assert real[1] == 1536 and complex_[1] == 2048
 
 
 def test_cold_chirp_tables_build_in_place():
@@ -706,7 +723,7 @@ def test_cold_chirp_tables_build_in_place():
     convolve._chirp_filter.cache_clear()
     tracemalloc.start()
     try:
-        convolve._chirp_tables(p, p // 2 + 1)
+        convolve._chirp_filter(p, p // 2 + 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,19 @@ def test_rejects_negative():
         CountVector([1, -1])
     with pytest.raises(ConsistencyError):
         CountVector([1 << 70, -1])
+
+
+@pytest.mark.parametrize("counts", [
+    np.array([0.5, 1.7, 2.9]), [1.9, 2.2], np.array([1.0, -0.5]), [1 << 70, 0.5],
+    np.array([1 + 0j, 2]), np.array([3, 0.5], dtype=object), np.array([True, False]),
+], ids=["float-array", "float-list", "negative-float", "big-int-and-float", "complex",
+        "object-float", "bool"])
+def test_rejects_entries_that_are_not_integers(counts):
+    # each was once truncated to integers, or held as given
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError, match="integers"):
+            CountVector(counts)
 
 
 def test_sum_of_squares_exact_beyond_int64():

@@ -65,7 +65,7 @@ def test_complete_sum_matches_direct(p, H, L, s):
     t = complete_sum_table(x, s, c)
     x_elems = x.elements().tolist()
     squares = recip_power_counts(x, s, c).sum_of_squares()
-    gate = _row_gate(p, squares, convolve._chirp_tables(p, p // 2 + 1)[2])
+    gate = _row_gate(p, squares, convolve._chirp_filter(p, p // 2 + 1)[1])
     for ci in (0, 1, 2, p // 2, p // 2 + 1, p - 1):
         assert abs(t.W[ci] - oracles.complete_sum(x_elems, s, ci, p)) < gate
     rhs = p * squares

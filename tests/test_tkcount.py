@@ -169,7 +169,7 @@ def test_hermitian_inverse_matches_the_complex_route(p):
         product *= convolve.length_p_transform(rng.integers(0, 3, size=p))
     complex_route = np.conj(convolve.length_p_transform(np.conj(product))).real
     squares = float((np.abs(product) ** 2).sum())
-    gate = _row_gate(p, squares, convolve._chirp_tables(p, p)[2])
+    gate = _row_gate(p, squares, convolve._chirp_filter(p, p)[1])
     assert np.abs(tkcount._hermitian_inverse(product) - complex_route).max() < gate
 
 

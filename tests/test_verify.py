@@ -1,6 +1,7 @@
 import csv
 import io
 import logging
+from dataclasses import replace
 
 import pytest
 
@@ -50,6 +51,38 @@ def test_parse_config_errors():
     ]:
         with pytest.raises(DomainError, match=match):
             parse_config(text)
+
+
+REQUIRED = {"measure": "tk", "primes": "3", "h_exp": "0.5"}
+
+
+def _config(lines: dict) -> SweepConfig:
+    return parse_config("".join(f"{key} = {value}\n" for key, value in lines.items()))
+
+
+def test_the_required_keys_alone_take_every_default():
+    assert _config(REQUIRED) == SweepConfig(measure="tk", primes=(3,), h_exps=(0.5,))
+
+
+@pytest.mark.parametrize("key, text, field, value", [
+    ("measure", "burgess", "measure", "burgess"),
+    ("primes", "5, 7", "primes", (5, 7)),
+    ("h_exp", "0.25 0.75", "h_exps", (0.25, 0.75)),
+    ("m_exp", "0.3,0.7", "m_exps", (0.3, 0.7)),
+    ("s", "2 3", "s_list", (2, 3)),
+    ("ell", "4", "ell_list", (4,)),
+    ("k", "3", "k", 3),
+    ("l_policy", "explicit:7", "l_policy", "explicit:7"),
+    ("epsilon", "0.125", "epsilon", 0.125),
+    ("seed", "42", "seed", 42),
+    ("budget", "12345", "budget", 12345),
+    ("workers", "3", "workers", 3),
+    ("format", "jsonl", "out_format", "jsonl"),
+    ("out", "rows.csv", "out_path", "rows.csv"),
+])
+def test_each_config_key_sets_its_field(key, text, field, value):
+    # the key sets its field, and no other field moves
+    assert _config({**REQUIRED, key: text}) == replace(_config(REQUIRED), **{field: value})
 
 
 def test_empty_grid():
