@@ -24,6 +24,10 @@ from .sets import (ResidueSet, initial_interval, mix_seed, random_subset,
 from .verify import Record, fmt_number
 
 _TK_VALUE_CAP = 128  # emit full T_k vectors only for p at or below this
+_DEFAULTS = {"L": 0, "s": 1, "ell": 2, "Klen": 1}
+# the options each energy kind does not read: a value but the default is refused
+_ENERGY_IGNORES = {"J": ("L", "s", "ell", "Klen"), "Js": ("ell", "Klen"),
+                   "R": ("L", "s", "ell"), "recip": ("Klen",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, *, needs_set=True):
         sp.add_argument("--p", type=int, required=True, help="odd prime modulus")
         sp.add_argument("--H", type=int, required=True, help="interval length")
-        sp.add_argument("--L", type=int, default=0, help="interval shift (default 0)")
+        sp.add_argument("--L", type=int, default=_DEFAULTS["L"], help="interval shift (default 0)")
         sp.add_argument("--eps", type=_epsilon, default=0.05, help="hypothesis epsilon")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         sp.add_argument("--out", default="", help="output path (default stdout)")
@@ -70,21 +74,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("energy", help="pair/triple coincidence counts")
     common(sp)
-    sp.add_argument("--kind", choices=("J", "Js", "R", "recip"), default="Js")
-    sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--ell", type=int, default=2)
-    sp.add_argument("--Klen", type=int, default=1,
+    sp.add_argument("--kind", choices=tuple(_ENERGY_IGNORES), default="Js")
+    sp.add_argument("--s", type=int, default=_DEFAULTS["s"])
+    sp.add_argument("--ell", type=int, default=_DEFAULTS["ell"])
+    sp.add_argument("--Klen", type=int, default=_DEFAULTS["Klen"],
                     help="second interval length for kind R")
 
     sp = sub.add_parser("expsum", help="absolute fractional exponential sum")
     common(sp)
-    sp.add_argument("--s", type=int, default=1)
+    sp.add_argument("--s", type=int, default=_DEFAULTS["s"])
     sp.add_argument("--a", type=int, required=True, help="sum multiplier")
-    sp.add_argument("--ell", type=int, default=2, help="envelope parameter")
+    sp.add_argument("--ell", type=int, default=_DEFAULTS["ell"], help="envelope parameter")
 
     sp = sub.add_parser("tk", help="k-fold congruence count deviations")
     common(sp)
-    sp.add_argument("--s", type=int, default=1)
+    sp.add_argument("--s", type=int, default=_DEFAULTS["s"])
     sp.add_argument("--k", type=int, default=6)
     sp.add_argument("--lambdas", default="",
                     help="comma-separated residues to report deviations at")
@@ -128,6 +132,10 @@ def _cmd_prodset(args) -> Record:
 
 
 def _cmd_energy(args) -> Record:
+    ignored = [f"--{name}" for name in _ENERGY_IGNORES[args.kind]
+               if getattr(args, name) != _DEFAULTS[name]]
+    if ignored:
+        raise DomainError(f"--kind {args.kind} ignores {', '.join(ignored)}")
     ctx = PrimeContext.of(args.p)
     mset = _load_set(args.set_spec, args.seed, ctx)
     return Record(

@@ -67,6 +67,28 @@ rounding residual of each phase of every inverse is still checked, and
 a residual above 0.25, far beyond anything the bound allows in practice,
 raises ConsistencyError.
 
+Packed products. A one-step chain (k = 2) runs as one real FFT product
+at C/2 where its own certificate holds, in place of the phase pairs.
+With x = x_e(t^2) + t x_o(t^2) as above, pack x' = x_e + 2^w x_o into one
+int64 vector of ceil(n/2) entries, and y' likewise (y' = x' when y is
+x, whose spectrum is then squared). Then x'y' = P0 + 2^w P1 + 2^(2w) P2,
+with P0 = x_e y_e, P1 = x_e y_o + x_o y_e and P2 = x_o y_o. Every entry
+of each P is an entry of the linear product x y or a part of one, so by
+Cauchy-Schwarz at most ||x|| ||y||. The radix 2^w, w the bit length of
+ceil(||x|| ||y||) from the exact squared norms, is therefore above every
+entry, and the digits of the rounded x'y' separate exactly: the even
+phase is P0[m] + P2[m-1] and the odd phase is P1[m], which _fold takes
+as it takes the phases. No twiddle is made. The product runs packed only
+where each side's entries have at most 62 - w bits, so x' and y' fit
+int64, and where ||x'|| ||y'|| gamma(C/2) < 1/4, Percival's bound for a
+plain real product at the power-of-two length C/2 under the same
+assumption on pocketfft as below; that bound also keeps x'y' below 2^51,
+exact in float64. The residual of its one inverse is checked against
+0.25 like every other. Each packed real FFT counts as one transform, so
+a packed step runs 3 (2 when y is x) of the 3 (2) a one-limb step is
+charged. Otherwise the step runs as phase pairs; the certificate makes
+the choice, not a setting.
+
 Spectra. One rule, kept by the executor and charged by the planner. A
 side that is one whole factor (the first factor in step 1, factor t in
 step t) carries its array's key, and a key counts as made only when its
@@ -89,8 +111,9 @@ never larger, its width never narrower, its limbs never more, and it
 never runs more transforms than it was charged. The support-pair route
 costs its pairs. Planning logs nothing; the float route logs one line
 when it runs: its length C and phase length C/2, its steps, the limbs
-and width of each, the transforms run against those charged, the largest
-certified bound and the largest rounding residual.
+and width of each (a packed step as packed@2^w, its radix), the
+transforms run against those charged, the largest certified bound and
+the largest rounding residual.
 
 The prime-length Fourier transform (for complete exponential-sum tables)
 uses the chirp factorization c*l = (c^2 + l^2 - (c-l)^2)/2 to reduce a
@@ -147,8 +170,8 @@ class ConvolutionPlan:
     strategy: str                  # "direct" | "float"
     bound: int                     # product of the masses: no coefficient exceeds it
     # C = next_pow2(2n-1) for "float", 0 for "direct": the length the charge
-    # and the certificate are taken at. The chain transforms each operand's
-    # even and odd phases at C/2; gamma(C) bounds each phase (module docstring).
+    # and the certificate are taken at. The chain runs every product at C/2,
+    # as phase pairs or as one packed product (module docstring).
     fft_length: int
     transforms: int = 0            # float transforms charged at the worst-case norms
     moduli: tuple[int, ...] = ()   # always empty: no route works modulo primes
@@ -502,17 +525,71 @@ def _rounded(phase: np.ndarray) -> tuple[np.ndarray, float]:
     return rounded.astype(np.int64), residual
 
 
+def _packed(arrays: list, masses: list[int], n: int,
+            half: int) -> tuple[np.ndarray, int, float, float] | None:
+    """(x * y on Z_n, radix bits w, certified bound, residual) of arrays [x, y], packed.
+
+    One real product of the packed operands; see the module docstring.
+    None where it does not certify, with `arrays` untouched. Otherwise both
+    entries of `arrays` are cleared once packed, so a factor no one else
+    holds is freed before the transforms. When y is x, its one spectrum is
+    squared.
+    """
+    (x_bits, _, x_norm), (y_bits, _, y_norm) = (_side([a], _WORD, m)
+                                                for a, m in zip(arrays, masses))
+    if x_norm is None or y_norm is None:
+        return None
+    w = _ceil_sqrt(x_norm * y_norm).bit_length()
+    if max(x_bits, y_bits) + w > _WORD:  # a packed entry could pass 2^63
+        return None
+    packs = []
+    for i in range(1 if arrays[1] is arrays[0] else 2):
+        pack = np.zeros((n + 1) // 2, dtype=np.int64)
+        pack[:n // 2] = arrays[i][1::2]
+        pack <<= w
+        pack += arrays[i][0::2]
+        packs.append(pack)
+    norms = [sum_of_squares(pack) for pack in packs]
+    bound = _ceil_sqrt(norms[0] * norms[-1]) * _gamma(half)
+    if bound >= 0.25:
+        return None
+    arrays[:] = [None, None]
+    spectrum = np.fft.rfft(packs.pop(0), half)
+    spectrum *= np.fft.rfft(packs.pop(), half) if packs else spectrum
+    z, residual = _rounded(np.fft.irfft(spectrum, half)[:n])
+    spectrum = None
+    mask = (1 << w) - 1
+    odd = z[:n - 1] >> w
+    odd &= mask
+    top = z[:n - 1] >> 2 * w
+    z &= mask
+    z[1:] += top  # P2 lands one place up in the even phase
+    top = None
+    return _fold(z, odd, n), w, bound, residual
+
+
 def _twiddle(half: int) -> np.ndarray:
     """e^(-2 pi i k / half) for k = 0..half//2: a shift by one place at length `half`.
 
-    The angles are formed in the imaginary half of the output, their
-    cosines written to its real half and their sines taken in place.
+    Where 8 divides half, cos and sin are taken for k <= half/8 only: the
+    angles are formed in the imaginary half of those entries, their
+    cosines written to its real half and their sines taken in place. The
+    rest are filled by the exact reflections w_{half/4-k} = -i conj(w_k)
+    and w_{half/2-k} = -conj(w_k), which only swap and negate, so each
+    entry errs exactly as the one it reflects.
     """
     twiddle = np.empty(half // 2 + 1, dtype=np.complex128)
-    angle = twiddle.imag
-    np.multiply(np.arange(half // 2 + 1), -2 * np.pi / half, out=angle)
-    np.cos(angle, out=twiddle.real)
-    np.sin(angle, out=angle)
+    octant = half // 8 if half % 8 == 0 else half // 2
+    head = twiddle[:octant + 1]
+    np.multiply(np.arange(octant + 1), -2 * np.pi / half, out=head.imag)
+    np.cos(head.imag, out=head.real)
+    np.sin(head.imag, out=head.imag)
+    if octant < half // 2:
+        re, im, quarter = twiddle.real, twiddle.imag, half // 4
+        np.negative(im[:octant], out=re[quarter:octant:-1])
+        np.negative(re[:octant], out=im[quarter:octant:-1])
+        np.negative(re[:quarter], out=re[2 * quarter:quarter:-1])
+        im[2 * quarter:quarter:-1] = im[:quarter]
     return twiddle
 
 
@@ -553,9 +630,16 @@ def _float_chain(arrays: list, masses: list[int], n: int,
     keys = [id(a) for a in arrays]
     last = {key: t for t, key in enumerate(keys)}
     kept = {}  # key -> phase spectra of a whole factor that a later operand uses
-    digits, width, x_key, acc = [arrays[0]], _WORD, keys[0], masses[0]
-    arrays[0] = None
     run, steps, certified, residual = 0, [], 0.0, 0.0
+    packed = _packed(arrays, masses, n, half) if len(keys) == 2 else None
+    if packed is not None:  # one forward transform per distinct operand, one inverse
+        z, w, certified, residual = packed
+        digits, width, run, phase_steps = [z], _WORD, 2 if keys[0] == keys[1] else 3, ()
+        steps.append(f"packed@2^{w}")
+    else:
+        digits, width, x_key, acc = [arrays[0]], _WORD, keys[0], masses[0]
+        arrays[0] = None
+        phase_steps = range(1, len(keys))
 
     def spectrum(limb: np.ndarray, key: Hashable | None, at: int) -> tuple:
         """The phase spectra of the limb of operand `at`, kept when its key has a later operand."""
@@ -565,7 +649,7 @@ def _float_chain(arrays: list, masses: list[int], n: int,
             kept[key] = np.fft.rfft(limb[0::2], half), np.fft.rfft(limb[1::2], half)
         return kept[key] if last.get(key, at) > at else kept.pop(key)
 
-    for t in range(1, len(keys)):
+    for t in phase_steps:
         y, arrays[t] = arrays[t], None
         x_side, y_side = _side(digits, width, acc), _side([y], _WORD, masses[t])
         b, bound = _width(x_side, y_side, n, gamma)

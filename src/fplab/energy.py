@@ -40,11 +40,22 @@ def dlog_convolution(factors: list[tuple[np.ndarray, int]], ctx: PrimeContext,
                                  budget=budget)
 
 
-def residue_order(conv: CountVector, ctx: PrimeContext) -> np.ndarray:
-    """A dlog-indexed vector gathered back to residues: entry u is conv[dlog(u)], entry 0 is 0."""
-    out = np.zeros(ctx.p, dtype=conv.counts.dtype)
-    out[1:] = conv.counts[ctx.dlog[1:]]
+def residue_order(values: np.ndarray, ctx: PrimeContext) -> np.ndarray:
+    """A dlog-indexed array gathered back to residues: entry u is values[dlog(u)], entry 0 is 0."""
+    out = np.zeros(ctx.p, dtype=values.dtype)
+    out[1:] = values[ctx.dlog[1:]]
     return out
+
+
+def _dlog_product(interval: Interval, mset: ResidueSet, s: int, ctx: PrimeContext,
+                  budget: int | None) -> CountVector:
+    """The count vector of m * x^(-s) over M x X, dlog-indexed over Z_{p-1}."""
+    if interval.contains_zero:
+        raise ZeroInIntervalError("interval covers 0 mod p: x^(-s) undefined")
+    require_modulus(ctx, mset, interval)
+    if s == 0:
+        raise DomainError("exponent s must be nonzero")
+    return dlog_convolution([(mset.elems, 1), (interval.elements(), -s)], ctx, budget)
 
 
 def count_vector_product(interval: Interval, mset: ResidueSet, s: int,
@@ -53,22 +64,20 @@ def count_vector_product(interval: Interval, mset: ResidueSet, s: int,
 
     Needs p <= MAX_DLOG_PRIME (2^26) for the dlog table.
     """
-    if interval.contains_zero:
-        raise ZeroInIntervalError("interval covers 0 mod p: x^(-s) undefined")
-    require_modulus(ctx, mset, interval)
-    if s == 0:
-        raise DomainError("exponent s must be nonzero")
-    conv = dlog_convolution([(mset.elems, 1), (interval.elements(), -s)], ctx, budget)
-    return CountVector(residue_order(conv, ctx), expected_total=interval.H * mset.M)
+    conv = _dlog_product(interval, mset, s, ctx, budget)
+    return CountVector(residue_order(conv.counts, ctx), expected_total=interval.H * mset.M)
 
 
 def energy_J(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
              budget: int | None = None) -> int:
-    """Coincidences h1*m1 = h2*m2 mod p over an initial interval and a set."""
+    """Coincidences h1*m1 = h2*m2 mod p over an initial interval and a set.
+
+    The sum of squares of the dlog-indexed product counts: a permutation
+    of count_vector_product's, whose one other entry (residue 0) is 0.
+    """
     if interval.L != 0:
         raise DomainError("initial-interval energy requires L = 0 (use energy_Js for shifts)")
-    c = count_vector_product(interval, mset, -1, ctx, budget)
-    return c.sum_of_squares()
+    return _dlog_product(interval, mset, -1, ctx, budget).sum_of_squares()
 
 
 def energy_Js(L: int, interval: Interval, mset: ResidueSet, s: int,
@@ -77,8 +86,7 @@ def energy_Js(L: int, interval: Interval, mset: ResidueSet, s: int,
     if interval.L != 0:
         raise DomainError("pass the base interval {1..H}; the shift goes in L")
     x = shifted_interval(L, interval.H, ctx, require_denominator_safe=True)
-    c = count_vector_product(x, mset, s, ctx, budget)
-    return c.sum_of_squares()
+    return _dlog_product(x, mset, s, ctx, budget).sum_of_squares()
 
 
 def triple_R(j_len: int, k_len: int, mset: ResidueSet, ctx: PrimeContext,
@@ -96,8 +104,7 @@ def triple_R(j_len: int, k_len: int, mset: ResidueSet, ctx: PrimeContext,
     jk = dlog_convolution([(np.arange(1, j_len + 1), 1), (np.arange(1, k_len + 1), 1)],
                           ctx, budget)
     conv = convolve.k_fold_count([jk, dlog_counts(mset.elems, 1, ctx)], budget=budget)
-    return CountVector(residue_order(conv, ctx),
-                       expected_total=j_len * k_len * mset.M).sum_of_squares()
+    return conv.sum_of_squares()  # dlog order: a permutation of the residue-order counts
 
 
 def recip_power_counts(interval: Interval, s: int, ctx: PrimeContext) -> CountVector:

@@ -41,8 +41,8 @@ class ProductSetReport:
 def _occupancy(units: np.ndarray, scale: int, mset: ResidueSet, ctx: PrimeContext,
                budget: int | None) -> np.ndarray:
     """Dense table of the residues u^scale * m, from the support of a dlog convolution."""
-    return residue_order(dlog_convolution([(units, scale), (mset.elems, 1)], ctx, budget),
-                         ctx) > 0
+    conv = dlog_convolution([(units, scale), (mset.elems, 1)], ctx, budget)
+    return residue_order(conv.counts > 0, ctx)
 
 
 def _report(occ: np.ndarray, interval: Interval, mset: ResidueSet,

@@ -76,15 +76,38 @@ def test_prodset_and_ratio(capsys, singleton1):
     assert code == 0
 
 
+# the options each energy kind reads, beside --p, --H and the set
+_ENERGY_READS = {"J": (), "Js": ("--L", "1", "--s", "2"), "R": ("--Klen", "2"),
+                 "recip": ("--L", "1", "--s", "2", "--ell", "2")}
+
+
 def test_energy_kinds(capsys):
-    for kind in ("J", "Js", "R", "recip"):
-        code, out, _ = run_cli(capsys, "energy", "--kind", kind, "--p", "11",
-                               "--H", "3", "--L", "1", "--s", "2", "--ell", "2",
-                               "--Klen", "2", "--set", "random:4", "--seed", "3")
+    for kind, reads in _ENERGY_READS.items():
+        code, out, _ = run_cli(capsys, "energy", "--kind", kind, "--p", "11", "--H", "3",
+                               *reads, "--set", "random:4", "--seed", "3")
         assert code == 0, (kind, out)
         header, row = out.strip().splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
         assert int(cells["value"]) > 0
+
+
+def test_energy_refuses_options_its_kind_ignores(capsys):
+    # a value but the default of an option the kind does not read would be
+    # reported beside a value not taken with it: one line, exit 2
+    ignores = {"J": ("--L", "--s", "--ell", "--Klen"), "Js": ("--ell", "--Klen"),
+               "R": ("--L", "--s", "--ell"), "recip": ("--Klen",)}
+    base = ("energy", "--p", "101", "--H", "8", "--set", "random:6", "--seed", "8")
+    for kind, options in ignores.items():
+        for option in options:
+            code, out, err = run_cli(capsys, *base, "--kind", kind, option, "5")
+            assert (code, out) == (2, "") and err == f"error: --kind {kind} ignores {option}\n"
+        # the default itself, given or not, reports the same bytes
+        defaults = {"--L": "0", "--s": "1", "--ell": "2", "--Klen": "1"}
+        given = [a for option in options for a in (option, defaults[option])]
+        plain = run_cli(capsys, *base, "--kind", kind)
+        assert plain[0] == 0 and run_cli(capsys, *base, "--kind", kind, *given) == plain
+    code, _, err = run_cli(capsys, *base, "--kind", "J", "--L", "5", "--s", "2")
+    assert code == 2 and err == "error: --kind J ignores --L, --s\n"
 
 
 def test_seed_rules(capsys, singleton1):

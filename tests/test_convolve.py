@@ -113,7 +113,7 @@ def _spy_transforms(monkeypatch):
     every transform's length, as they run.
 
     A float chain transforms a limb as two phase views, each with the limb
-    as its base.
+    as its base; a packed product transforms each packed operand once.
     """
     calls = {"rfft": [], "irfft": 0, "lengths": []}
     rfft, irfft = np.fft.rfft, np.fft.irfft
@@ -131,6 +131,13 @@ def _spy_transforms(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", forward)
     monkeypatch.setattr(np.fft, "irfft", inverse)
     return calls
+
+
+def _packed_form(x, norms):
+    """x_e + 2^w x_o as Python ints, w the bit length of the ceiling of sqrt(norms)."""
+    w = convolve._ceil_sqrt(norms).bit_length()
+    odd = x[1::2] + [0] * (len(x) % 2)
+    return [e + (o << w) for e, o in zip(x[0::2], odd)]
 
 
 def _expect(vecs):
@@ -220,8 +227,13 @@ def test_float_route_transforms_a_repeated_factor_once(monkeypatch, k, charge):
     assert plan.strategy == "float" and plan.transforms == charge
     calls = _spy_transforms(monkeypatch)
     assert k_fold_count([u] * k).as_list() == _expect([u] * k)
-    assert [a.base is u.counts for a in calls["rfft"]] == [True, True] + [False, False] * (k - 2)
-    assert calls["irfft"] == 2 * (k - 1)
+    if k == 2:  # one packed product: u packed, transformed once and squared, one inverse
+        (packed,) = calls["rfft"]
+        assert packed.tolist() == _packed_form(u.as_list(), u.sum_of_squares() ** 2)
+        assert calls["irfft"] == 1 and calls["lengths"] == [plan.fft_length // 2] * 2
+    else:
+        assert [a.base is u.counts for a in calls["rfft"]] == [True, True] + [False, False] * (k - 2)
+        assert calls["irfft"] == 2 * (k - 1)
     # the chain refuses to run more transforms than its plan was charged
     short = ConvolutionPlan(211, "float", plan.bound, plan.fft_length, charge - 1)
     with pytest.raises(ConsistencyError, match=f"ran {charge} transforms, {charge - 1} charged"):
@@ -384,6 +396,76 @@ def test_float_paired_plans_match_the_oracle(case, caplog):
     assert run <= charged == plan.transforms and len(steps) == len(vecs) - 1
 
 
+def _float_run(vecs, caplog):
+    """(counts, steps) of a hand-built float plan charged what the planner charges."""
+    n, masses = vecs[0].p, [v.total for v in vecs]
+    size = convolve._next_pow2(2 * n - 1)
+    charge = sum(convolve._chain_transforms(n, masses, [id(v.counts) for v in vecs], size))
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="fplab.convolve"):
+        got = _run(vecs, ConvolutionPlan(n, "float", prod(masses), size, charge))
+    ((run, charged, steps),) = _chain_logs(caplog)
+    assert run <= charged == charge
+    return got, steps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 17, 101, 210, 211])
+def test_packed_products_match_the_oracle(caplog, n):
+    # one-step chains whose packed certificate holds run as one real
+    # product of packed operands, at odd and even n, squared and distinct
+    rng = np.random.default_rng(n)
+    for top in (2, 3, 7):
+        x, y = (_cv(rng.integers(0, top, size=n)) for _ in range(2))
+        for vecs in ([x, y], [x, x]):
+            got, steps = _float_run(vecs, caplog)
+            assert got == oracles.cyclic_convolve(vecs[0].as_list(), vecs[1].as_list(), n)
+            w = convolve._ceil_sqrt(vecs[0].sum_of_squares() * vecs[1].sum_of_squares())
+            assert steps == [f"packed@2^{w.bit_length()}"]
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 16])
+def test_packed_digits_fill_their_radix(caplog, n):
+    # point masses a and b with a * b = 2^w - 1 = ||x|| ||y||: the one
+    # product entry fills its digit, in the even (P0 and P2) and odd (P1)
+    # phases and where it wraps past n
+    for a, b in ((15, 17), (255, 1), (1, 4095), (3, 85), (7, 73)):
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 3), (n - 1, n - 1), (n - 2, n - 1)):
+            x, y = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+            x[i], y[j] = a, b
+            expect = [0] * n
+            expect[(i + j) % n] = a * b
+            got, steps = _float_run([_cv(x), _cv(y)], caplog)
+            assert got == expect and steps == [f"packed@2^{(a * b).bit_length()}"]
+
+
+def test_packed_certificate_that_fails_runs_phase_pairs(monkeypatch, caplog):
+    # dense 10-bit entries at n = 211: ||x|| ||y|| certifies one limb of
+    # phase pairs at C, but ||x'|| ||y'|| at the radix 2^27 is far past
+    # what rounds; and a point mass of 2^40 in an odd place, which one
+    # limb certifies but whose shift by its radix 2^41 would pass 2^63
+    rng = np.random.default_rng(17)
+    dense = [_cv(rng.integers(0, 1 << 10, size=211)) for _ in range(2)]
+    point = np.zeros(211, dtype=np.int64)
+    point[1] = 1 << 40
+    calls = _spy_transforms(monkeypatch)
+    for vecs, step in ((dense, "1x1@10"), ([_cv(point), _cv([1] + [0] * 210)], "1x1@41")):
+        calls.update(rfft=[], irfft=0, lengths=[])
+        got, steps = _float_run(vecs, caplog)
+        assert got == _expect(vecs) and steps == [step]
+        assert [a.base is v.counts for a in calls["rfft"] for v in vecs].count(True) == 4
+        assert calls["irfft"] == 2 and set(calls["lengths"]) == {256}
+
+
+def test_packed_rounding_residual_is_checked(monkeypatch):
+    # the one inverse of a packed product erring by 0.4 cannot round exactly
+    rng = np.random.default_rng(6)
+    vecs = [_cv(rng.integers(0, 3, size=211)) for _ in range(2)]
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a: irfft(*a) + 0.4)
+    with pytest.raises(ConsistencyError, match="residual"):
+        k_fold_count(vecs)
+
+
 def test_l2_certificate_admits_a_pair_the_mass_rule_refused(caplog):
     # 0/1 factors of masses 33 * 2^15 and 32 * 2^15: the mass product is
     # 2^40.04, which a 2^40 mass rule would refuse, but ||a|| ||b|| = 2^20.02
@@ -426,6 +508,23 @@ def test_twiddle_error_fits_the_gap_between_lengths(half):
     assert err < 4
     gap = (convolve._gamma(2 * half) - convolve._gamma(half)) * 2 ** 53
     assert 4 + 5 ** 0.5 + 1 < gap < 13
+
+
+def test_twiddle_takes_cos_and_sin_of_one_octant(monkeypatch):
+    # where 8 divides the length, cos and sin run on k <= half/8 and the
+    # other entries are exact reflections of those
+    sizes, cos = [], np.cos
+    monkeypatch.setattr(np, "cos", lambda a, **kw: sizes.append(a.size) or cos(a, **kw))
+    for half in (1, 2, 4, 8, 16, 1 << 10):
+        sizes.clear()
+        twiddle = convolve._twiddle(half)
+        k = np.arange(half // 2 + 1)
+        assert sizes == [half // 8 + 1 if half % 8 == 0 else half // 2 + 1]
+        assert np.abs(twiddle - np.exp(-2j * np.pi * k / half)).max() < 2 ** -50
+        if half >= 8:
+            octant, quarter = half // 8, half // 4
+            assert np.array_equal(twiddle[quarter:octant:-1], -1j * np.conj(twiddle[:octant]))
+            assert np.array_equal(twiddle[:quarter:-1], -np.conj(twiddle[:quarter]))
 
 
 def test_width_is_the_widest_that_certifies_every_sum():
@@ -609,6 +708,30 @@ def test_factors_are_freed_after_their_last_step(monkeypatch):
     got = k_fold_count(factors())  # no assert: its rewriting would hold the list
     assert got.total == prod(masses)
     assert alive[0] == [False, False] + [True] * 4 and not any(alive[-1])
+
+
+def test_packed_factors_are_freed_before_their_transforms(monkeypatch):
+    # once packed and certified, factors only the convolution holds are
+    # gone before the first forward transform
+    rng = np.random.default_rng(18)
+    supports = [rng.choice(1009, 500, replace=False) for _ in range(2)]
+    refs, alive, rfft = [], [], np.fft.rfft
+
+    def factors():
+        arrays = [np.bincount(support, minlength=1009) for support in supports]
+        refs.extend(weakref.ref(a) for a in arrays)
+        return arrays
+
+    def forward(*args):
+        alive.append([ref() is not None for ref in refs])
+        return rfft(*args)
+
+    monkeypatch.setattr(np.fft, "rfft", forward)
+    plan = plan_convolution(1009, [500, 500])
+    assert plan.strategy == "float"
+    got = convolve._run(factors(), [500, 500], 1009, plan)
+    expect = _expect([_cv(np.bincount(support, minlength=1009)) for support in supports])
+    assert alive == [[False, False]] * 2 and got.tolist() == expect
 
 
 def test_concentrated_factors_agree_with_the_direct_route():

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fplab import convolve
@@ -109,3 +110,36 @@ def test_products_above_the_dlog_cap_fail_at_once():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # nothing of length p was allocated
+
+
+def test_energies_and_occupancy_skip_the_residue_gather(ctx, monkeypatch):
+    # J, J_s and R are sums of squares of the dlog-order counts, a
+    # permutation of the residue-order ones; product and ratio sets gather only the
+    # support's booleans. T_k factors keep residue order.
+    from fplab import energy, prodset
+    p = 1009
+    c = ctx(p)
+    mset = random_subset(300, 5, c)
+    m_elems = mset.elems.tolist()
+    iv = initial_interval(200, c)
+    gathered, gather = [], energy.residue_order
+
+    def spy(values, context):
+        gathered.append(values.dtype)
+        return gather(values, context)
+
+    monkeypatch.setattr(energy, "residue_order", spy)
+    monkeypatch.setattr(prodset, "residue_order", spy)
+    h_elems = range(1, 201)
+    expect = oracles.count_vector(h_elems, m_elems, -1, p)
+    shifted = oracles.count_vector(range(34, 234), m_elems, 2, p)
+    assert energy.energy_J(iv, mset, c) == sum(v * v for v in expect)
+    assert energy.energy_Js(33, iv, mset, 2, c) == sum(v * v for v in shifted)
+    triples = oracles.triple_counts(5, 4, m_elems, p)
+    assert triple_R(5, 4, mset, c) == sum(v * v for v in triples)
+    assert gathered == []
+    assert product_set(iv, mset, c).size == oracles.product_set_size(h_elems, m_elems, p)
+    assert ratio_set(iv, mset, c).size == oracles.ratio_set_size(h_elems, m_elems, p)
+    assert gathered == [np.dtype(bool)] * 2
+    assert count_vector_product(iv, mset, -1, c).as_list() == expect
+    assert gathered[2:] == [np.dtype(np.int64)]

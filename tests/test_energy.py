@@ -32,7 +32,7 @@ def test_residue_order_gathers_object_backing(ctx):
     c = ctx(11)
     conv = CountVector([(1 << 70) + d for d in range(10)])
     assert conv.counts.dtype == object
-    got = residue_order(conv, c)
+    got = residue_order(conv.counts, c)
     assert got.dtype == object
     expect = [0] * 11
     for d in range(10):
