@@ -108,15 +108,19 @@ def _load_set(spec: str, seed, ctx: PrimeContext, factor_index: int | None = Non
             raise DomainError("--seed is meaningless with --set file:... (remove it)")
         return set_from_file(spec[5:], ctx)
     if spec.startswith("random:"):
-        if seed is None:
-            raise DomainError("--set random:M requires --seed")
-        try:
-            m = int(spec[7:])
-        except ValueError:
-            raise DomainError(f"--set random:M needs an integer size, got {spec!r}") from None
         eff = seed if factor_index is None else mix_seed(seed, factor_index)
-        return random_subset(m, eff, ctx)
+        return random_subset(_random_size(spec, seed), eff, ctx)
     raise DomainError(f"--set must be file:PATH or random:M, got {spec!r}")
+
+
+def _random_size(spec: str, seed) -> int:
+    """M of `--set random:M`, which needs a seed."""
+    if seed is None:
+        raise DomainError("--set random:M requires --seed")
+    try:
+        return int(spec[7:])
+    except ValueError:
+        raise DomainError(f"--set random:M needs an integer size, got {spec!r}") from None
 
 
 def _cmd_prodset(args) -> Record:
@@ -158,7 +162,9 @@ def _cmd_expsum(args) -> Record:
 
 def _cmd_tk(args) -> Record:
     ctx = PrimeContext.of(args.p)
-    if args.set_spec.startswith("random:"):
+    if args.set_spec.startswith("random:"):  # refused, if at all, before any set is drawn
+        tkcount.check_tk_budget(args.k, args.H, _random_size(args.set_spec, args.seed), args.p,
+                                args.budget)
         msets = [_load_set(args.set_spec, args.seed, ctx, factor_index=i) for i in range(args.k)]
     else:  # one set M for every factor, read once
         msets = [_load_set(args.set_spec, args.seed, ctx)] * args.k

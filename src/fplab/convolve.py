@@ -7,9 +7,10 @@ Z_{p-1} after reindexing every unit by its discrete log. Two strategies:
           to (i + j) mod n with int64 accumulation; exact below 2^63.
           Chosen when its pair count, weighted by PAIR_COST, undercuts the
           transform work.
-  float   a cyclic chain of certified two-factor float products at
-          C = next_pow2(2n-1). Step t multiplies the accumulator (the
-          first factor, then the product so far) by factor t. Either side
+  float   a chain of certified two-factor float products at
+          C = next_pow2(2n-1), in the order of one step schedule
+          (_schedule): step t multiplies the accumulator (the first
+          factor, then the product so far) by factor t. Either side
           may be split into b-bit limbs, x = sum_i x_i 2^(b i) with
           0 <= x_i < 2^b; a side whose entries are below 2^b stays one
           limb. Each limb is transformed once, and for each limb-index
@@ -67,8 +68,10 @@ rounding residual of each phase of every inverse is still checked, and
 a residual above 0.25, far beyond anything the bound allows in practice,
 raises ConsistencyError.
 
-Packed products. A one-step chain (k = 2) runs as one real FFT product
-at C/2 where its own certificate holds, in place of the phase pairs.
+Packed products. The only step of a one-step chain (k = 2) runs as one
+real FFT product at C/2 where its own certificate holds, in place of the
+phase pairs. It is a branch of the executor's step loop, fed the two
+sides (bits, mass, exact squared norm) the step has already taken.
 With x = x_e(t^2) + t x_o(t^2) as above, pack x' = x_e + 2^w x_o into one
 int64 vector of ceil(n/2) entries, and y' likewise (y' = x' when y is
 x, whose spectrum is then squared). Then x'y' = P0 + 2^w P1 + 2^(2w) P2,
@@ -86,19 +89,28 @@ assumption on pocketfft as below; that bound also keeps x'y' below 2^51,
 exact in float64. The residual of its one inverse is checked against
 0.25 like every other. Each packed real FFT counts as one transform, so
 a packed step runs 3 (2 when y is x) of the 3 (2) a one-limb step is
-charged. Otherwise the step runs as phase pairs; the certificate makes
-the choice, not a setting.
+charged. Otherwise the step runs as phase pairs, from the same two
+sides; the certificate makes the choice, not a setting.
 
-Spectra. One rule, kept by the executor and charged by the planner. A
-side that is one whole factor (the first factor in step 1, factor t in
-step t) carries its array's key, and a key counts as made only when its
-side is whole (one limb): that spectrum is made once and kept while a
-later operand uses it. The first factor's is made before factor 1's, so
-[u]*2 transforms u once. The accumulator after step 1, and every limb,
-carry no key: their spectra are streamed, each made when the first sum
-that needs it comes up. A spectrum is multiplied in place on its last
-sum exactly when it is not kept. A one-limb accumulator's int64 array
-is dropped once its phases are transformed, before the factor's are.
+The schedule. One generator, _schedule, yields the chain's steps in
+order, each as (x, y, id of their product). An operand carries an id (an
+input array's is the first position of that array in the layout, the
+product of step t's is k - 1 + t), its mass, and whether a later operand
+reads the same id. The planner's floors and its charges and the executor
+all walk it, so none of them keeps its own running product or key
+bookkeeping; its one order today is the cyclic one above.
+
+Spectra. One rule, _spectrum_key, charged by the planner and kept by the
+executor. An operand that is one whole array (one limb) carries its id,
+and its spectrum, once made, is kept while a later operand reads that
+id; its id's last read ends it, also when that read is split. So [u]*2
+transforms u once: x's spectrum is made first and y finds it. A split
+operand carries no key: the spectra of its limbs are streamed, each made
+when the first sum that needs it comes up. A spectrum is multiplied in
+place on its last sum exactly when its id is not kept. The executor
+holds each input array and each product by its id and drops it at the
+id's last read, so a factor no one else holds is freed as the chain
+goes.
 
 One work model prices every plan, and plan_convolution is the only budget
 gate and the only source of a plan: k_fold_count plans every call itself.
@@ -106,14 +118,15 @@ A float plan is charged its transforms times C * log2(C). Each step is
 charged the transforms it would run at the worst case its masses allow:
 the planner bounds the norms from each side's mass and the mass's bit
 length alone. The executor bounds them by the same rule from its sides'
-real bits, the same masses and the exact norms it has, so its bounds are
-never larger, its width never narrower, its limbs never more, and it
-never runs more transforms than it was charged. The support-pair route
-costs its pairs. Planning logs nothing; the float route logs one line
-when it runs: its length C and phase length C/2, its steps, the limbs
-and width of each (a packed step as packed@2^w, its radix), the
-transforms run against those charged, the largest certified bound and
-the largest rounding residual.
+real bits, the same masses and the exact norms it has, each side's taken
+once per step, so its bounds are never larger, its width never narrower,
+its limbs never more, and, since both read one schedule and one spectrum
+rule, it never runs more transforms than it was charged. The
+support-pair route costs its pairs. Planning logs nothing; the float
+route logs one line when it runs: its length C and phase length C/2,
+its steps, the limbs and width of each (a packed step as packed@2^w, its
+radix), the transforms run against those charged, the largest certified
+bound and the largest rounding residual.
 
 The prime-length Fourier transform (for complete exponential-sum tables)
 uses the chirp factorization c*l = (c^2 + l^2 - (c-l)^2)/2 to reduce a
@@ -140,7 +153,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from math import isqrt, prod
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,24 +194,28 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
                      layout: Sequence[Hashable] | None = None) -> ConvolutionPlan:
     """Select the cheapest exact strategy for a k-fold length-n convolution.
 
-    This is the one place that prices work. The coefficient bound is the
-    product of all masses (safe: every output entry is at most the total
-    number of tuples). `layout` names each factor's array, equal names
-    marking one array (default: k distinct arrays); a float plan
-    transforms an array held whole once. The float route costs the
-    transforms _chain_transforms charges times C*log2(C). The support-pair
-    route (bound < 2^63) costs pair_work, the pairs it visits at most, each
-    support being capped by its mass and by n; it is chosen when PAIR_COST
-    * pair_work is no larger than the transform work. A route whose own
-    work exceeds the budget is passed over; the call is refused only when
-    none fits, with `required` the smaller need. Where the pair route is
-    not available, the step-by-step charge, which grows with the masses'
-    bits, is priced against a lower bound on the whole: the charges of
-    the steps priced so far plus the floors (_float_floor) of the rest.
-    Once that bound exceeds the budget, the request is refused with it as
-    `required` ("needs at least"), before any further step is priced; a
-    request is refused on its floors alone before the first. So a refusal
-    of thousands of factors takes no step-by-step pricing. Below 2^63 the
+    This is the one place that prices work. `layout` names each factor's
+    array, equal names marking one array (default: k distinct arrays);
+    the float chain walks the steps of _schedule, and a float plan costs
+    the transforms _charges prices along that walk, times C*log2(C). The
+    support-pair route exists where the coefficient bound, the product of
+    all masses (every output entry is at most the total number of tuples),
+    is below 2^63; it costs pair_work, the pairs it visits at most, each
+    support being capped by its mass and by n, and it is chosen when
+    PAIR_COST * pair_work is no larger than the transform work. A route
+    whose own work exceeds the budget is passed over; the call is refused
+    only when none fits, with `required` the smaller need. Where the pair
+    route is not available, the step-by-step charge, which grows with the
+    masses' bits, is priced against a lower bound on the whole: the
+    charges of the steps priced so far plus the floors (_floors) of the
+    rest. Once that bound exceeds the budget, the request is refused with
+    it as `required` ("needs at least"), before any further step is
+    priced; a request is refused on its floors alone before the first. So
+    a refusal of thousands of factors takes no step-by-step pricing.
+    Whether the bound reaches 2^63 is read from a product capped there
+    (_pair_work), and the bound is formed only for a plan that is
+    admitted: a refusal forms the product of the masses only in the
+    schedule's walk, whose floors read its bit lengths. Below 2^63 the
     charge is cheap, and the refusal names the same need as it always
     did. Planning has no side effects: it logs nothing and allocates
     nothing of length n.
@@ -208,40 +225,102 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
         raise DomainError("no factors to convolve")
     masses = [int(m) for m in masses]
     keys = list(range(k)) if layout is None else list(layout)
-    bound = prod(masses)
     size = _next_pow2(2 * n - 1)
     unit = size * (size.bit_length() - 1)  # work of one float transform
     limit = DEFAULT_BUDGET if budget is None else budget
-    pair_work = _pair_work(n, masses) if bound < 1 << 63 else None  # int64 accumulation is exact
-    steps = _chain_transforms(n, masses, keys, size)
+    pair_work = _pair_work(n, masses)
+    charges = _charges(n, masses, keys, size)
     if pair_work is None:  # the chain is the only route: refuse as soon as it cannot fit
-        floors = _float_floor(n, masses, size)
+        floors = list(_floors(n, masses, keys, size))
         transforms, least = 0, sum(floors)
         for floor in floors:
             if least * unit > limit:
                 raise BudgetError(f"float transform convolution needs at least {least * unit} "
                                   f"operations, budget is {limit}", required=least * unit)
-            charge = next(steps)
+            charge = next(charges)
             transforms += charge
             least += charge - floor
     else:
-        transforms = sum(steps)
+        transforms = sum(charges)
     transform_work = transforms * unit
     if pair_work is not None:
         if pair_work <= limit and (PAIR_COST * pair_work <= transform_work
                                    or transform_work > limit):
-            return ConvolutionPlan(n, "direct", bound, 0)
+            return ConvolutionPlan(n, "direct", prod(masses), 0)
         if pair_work < transform_work:  # neither fits: refuse with the smaller need
             check_budget(pair_work, budget, "support-pair convolution")
     check_budget(transform_work, budget, "float transform convolution")
-    return ConvolutionPlan(n, "float", bound, size, transforms)
+    return ConvolutionPlan(n, "float", prod(masses), size, transforms)
 
 
-def _float_floor(n: int, masses: list[int], size: int) -> list[int]:
+def _pair_work(n: int, masses: Sequence[int]) -> int | None:
+    """Upper bound on the support pairs the direct route visits, factor by factor.
+
+    None where the product of the masses reaches 2^63, past which int64
+    accumulation is not exact. That product is formed capped at 2^63, so
+    this test never multiplies out many masses.
+    """
+    support, work, bound = min(masses[0], n), 0, min(masses[0], 1 << 63)
+    for m in masses[1:]:
+        pairs = support * min(m, n)
+        work += pairs
+        support, bound = min(pairs, n), min(bound * m, 1 << 63)
+    return work if bound < 1 << 63 else None
+
+
+# ---------------------------------------------------------------------------
+# the float chain's one schedule, and the one spectrum rule
+
+
+# One side of a step (see _schedule): its id, its mass, and whether a later operand has its id.
+_Operand = NamedTuple("_Operand", [("id", int), ("mass", int), ("later", bool)])
+
+
+def _ids(keys: Iterable[Hashable]) -> list[int]:
+    """Each factor's operand id: the first position of its array (its key) in the layout."""
+    first = {}
+    return [first.setdefault(key, i) for i, key in enumerate(keys)]
+
+
+def _schedule(keys: list, masses: list[int]) -> Iterator[tuple[_Operand, _Operand, int]]:
+    """The float chain's steps (x, y, id of x * y), in the order they run.
+
+    The planner's floors (_floors), its charges (_charges) and the executor
+    (_float_chain) all walk it. The order is cyclic: step t, for t = 1 to
+    k - 1, multiplies the accumulator (input 0 in step 1, then the product
+    of step t - 1) by input t. Each operand is an _Operand: its id (an
+    input's is the first position of its array in the layout, _ids; the
+    product of step t's is k - 1 + t), its mass (a product's is the product
+    of its operands' masses, formed exactly as its step is drawn), and
+    `later`, whether an operand read after it, in the order x before y,
+    step by step, has the same id.
+    """
+    ids = _ids(keys)
+    k, final = len(ids), {i: t for t, i in enumerate(ids)}
+    x = _Operand(ids[0], masses[0], final[ids[0]] > 0)
+    for t in range(1, k):
+        y = _Operand(ids[t], masses[t], final[ids[t]] > t)
+        yield x, y, k - 1 + t
+        x = _Operand(k - 1 + t, x.mass * y.mass, False)
+
+
+def _spectrum_key(op: _Operand, limbs: int) -> tuple[int | None, bool]:
+    """(key, keep): the spectrum rule, which the planner charges and the executor keeps.
+
+    An operand that is one whole array (one limb) carries its id as the key
+    of its spectrum, which is made only when no spectrum under that key is
+    kept. A spectrum made under a key is kept while a later operand reads
+    that id. Split operands carry no key (None): each limb's spectrum is
+    made when needed and not kept.
+    """
+    return (op.id, op.later) if limbs == 1 else (None, False)
+
+
+def _floors(n: int, masses: list[int], keys: list, size: int) -> Iterator[int]:
     """Transforms each step of the float chain is charged at least, whatever its sides' norms.
 
-    Each step transforms every limb of the accumulator (in step 1 the
-    first factor, which nothing has made yet) and inverts at least once
+    Each step transforms every limb of x, which no earlier step has made
+    (in step 1 input 0, then the accumulator), and inverts at least once
     per limb. Its width is at most the widest at which the low limbs'
     term of the certificate passes (_low_width), so it has at least as
     many limbs as at that width. That term needs only limb 0 of each
@@ -250,57 +329,34 @@ def _float_floor(n: int, masses: list[int], size: int) -> list[int]:
     the accumulator is capped, a run of equal masses repeats its sides,
     and the width is searched again only when the sides change.
     """
-    gamma, cap = _gamma(size), n << _WORD
-
-    def side(mass: int) -> tuple[int, int, None]:
-        mass = min(mass, cap)
-        return mass.bit_length(), mass, None
-
-    floors, acc, last, b = [], masses[0], None, 0
-    for mass in masses[1:]:
-        sides = side(acc), side(mass)
+    gamma, cap, last, b = _gamma(size), n << _WORD, None, 0
+    for x, y, _ in _schedule(keys, masses):
+        sides = tuple((m.bit_length(), m, None) for m in (min(x.mass, cap), min(y.mass, cap)))
         if sides != last:
             b, last = _low_width(*sides, n, gamma), sides
-        floors.append(2 * _limb_count(acc.bit_length(), max(1, b)))
-        acc *= mass
-    return floors
+        yield 2 * _limb_count(x.mass.bit_length(), max(1, b))
 
 
-def _pair_work(n: int, masses: Sequence[int]) -> int:
-    """Upper bound on the support pairs the direct route visits, factor by factor."""
-    support, work = min(masses[0], n), 0
-    for m in masses[1:]:
-        pairs = support * min(m, n)
-        work += pairs
-        support = min(pairs, n)
-    return work
-
-
-def _chain_transforms(n: int, masses: list[int], keys: list, size: int) -> Iterator[int]:
+def _charges(n: int, masses: list[int], keys: list, size: int) -> Iterator[int]:
     """The transforms charged to each step of the float chain: what it runs at worst-case norms.
 
     Each step takes its width from _width, each side given by its mass
     and the mass's bit length alone, and inverts once per limb-index sum.
-    Its forward transforms follow the module's spectrum rule: a side that
-    is one whole factor (the first factor in step 1, factor t in step t)
-    carries its array's key, and a key counts as made only when its side
-    is whole (one limb); a made key is not charged again. The accumulator
-    after step 1, and every limb, carry no key and are charged every time.
-    Steps are priced as they are drawn.
+    It is charged each side's limbs as forward transforms, except a side
+    whose spectrum the rule (_spectrum_key) has kept. Steps are priced as
+    they are drawn.
     """
-    gamma = _gamma(size)
-    made, acc, x_key = set(), masses[0], keys[0]
-    for y_key, mass in zip(keys[1:], masses[1:]):
-        b, _ = _width((acc.bit_length(), acc, None), (mass.bit_length(), mass, None), n, gamma)
-        x_limbs, y_limbs = _limb_count(acc.bit_length(), b), _limb_count(mass.bit_length(), b)
-        transforms = x_limbs + y_limbs - 1
-        for key, limbs in ((x_key, x_limbs), (y_key, y_limbs)):
-            whole = limbs == 1 and key is not None
-            transforms += 0 if whole and key in made else limbs
-            if whole:
-                made.add(key)
+    gamma, kept = _gamma(size), set()
+    for x, y, _ in _schedule(keys, masses):
+        b, _ = _width(*((op.mass.bit_length(), op.mass, None) for op in (x, y)), n, gamma)
+        limbs = [_limb_count(op.mass.bit_length(), b) for op in (x, y)]
+        transforms = sum(limbs) - 1
+        for op, count in zip((x, y), limbs):
+            key, keep = _spectrum_key(op, count)
+            transforms += 0 if key in kept else count
+            if keep:
+                kept.add(key)
         yield transforms
-        acc, x_key = acc * mass, None
 
 
 # ---------------------------------------------------------------------------
@@ -525,35 +581,33 @@ def _rounded(phase: np.ndarray) -> tuple[np.ndarray, float]:
     return rounded.astype(np.int64), residual
 
 
-def _packed(arrays: list, masses: list[int], n: int,
+def _packed(x: list[np.ndarray], y: list[np.ndarray], x_side: tuple, y_side: tuple, n: int,
             half: int) -> tuple[np.ndarray, int, float, float] | None:
-    """(x * y on Z_n, radix bits w, certified bound, residual) of arrays [x, y], packed.
+    """(x * y on Z_n, radix bits w, certified bound, residual) of one-array sides, packed.
 
-    One real product of the packed operands; see the module docstring.
-    None where it does not certify, with `arrays` untouched. Otherwise both
-    entries of `arrays` are cleared once packed, so a factor no one else
-    holds is freed before the transforms. When y is x, its one spectrum is
-    squared.
+    One real product of the packed operands; see the module docstring. x
+    and y each hold their side's one int64 array, and x_side and y_side
+    are their (bits, mass, exact squared norm), as _side gives them. None
+    where it does not certify, with x and y untouched. Otherwise both are
+    cleared once packed, so a factor no one else holds is freed before the
+    transforms. When y is x, its one spectrum is squared.
     """
-    (x_bits, _, x_norm), (y_bits, _, y_norm) = (_side([a], _WORD, m)
-                                                for a, m in zip(arrays, masses))
-    if x_norm is None or y_norm is None:
-        return None
-    w = _ceil_sqrt(x_norm * y_norm).bit_length()
+    (x_bits, _, x_norm), (y_bits, _, y_norm) = x_side, y_side
+    w = _ceil_sqrt((x_norm or 0) * (y_norm or 0)).bit_length()  # no norm: past 62 bits
     if max(x_bits, y_bits) + w > _WORD:  # a packed entry could pass 2^63
         return None
     packs = []
-    for i in range(1 if arrays[1] is arrays[0] else 2):
+    for side in (x, y)[:1 if y[0] is x[0] else 2]:
         pack = np.zeros((n + 1) // 2, dtype=np.int64)
-        pack[:n // 2] = arrays[i][1::2]
+        pack[:n // 2] = side[0][1::2]
         pack <<= w
-        pack += arrays[i][0::2]
+        pack += side[0][0::2]
         packs.append(pack)
     norms = [sum_of_squares(pack) for pack in packs]
     bound = _ceil_sqrt(norms[0] * norms[-1]) * _gamma(half)
     if bound >= 0.25:
         return None
-    arrays[:] = [None, None]
+    del x[:], y[:]
     spectrum = np.fft.rfft(packs.pop(0), half)
     spectrum *= np.fft.rfft(packs.pop(), half) if packs else spectrum
     z, residual = _rounded(np.fft.irfft(spectrum, half)[:n])
@@ -620,59 +674,59 @@ def _float_chain(arrays: list, masses: list[int], n: int,
                  plan: ConvolutionPlan) -> np.ndarray:
     """The chain of certified two-factor float products; see the module docstring.
 
-    masses[t] is the sum of arrays[t]. A factor's entry in `arrays` is
-    cleared once its step has read it, so a factor no one else holds is
-    freed as the chain goes. Logs what it ran.
+    masses[t] is the sum of arrays[t]. The steps are _schedule's. `arrays`
+    is emptied at once: each operand is held by its id and dropped at its
+    last read, so a factor no one else holds is freed as the chain goes.
+    Logs what it ran.
     """
     size = plan.fft_length
     half = max(1, size // 2)  # the phase length; C = 1 only at n = 1
     gamma = _gamma(size)
     keys = [id(a) for a in arrays]
-    last = {key: t for t, key in enumerate(keys)}
-    kept = {}  # key -> phase spectra of a whole factor that a later operand uses
+    held = {i: ([a], _WORD) for i, a in zip(_ids(keys), arrays)}  # id -> (digits, width)
+    arrays.clear()
+    kept = {}  # id -> phase spectra of an operand read whole that a later operand reads
     run, steps, certified, residual = 0, [], 0.0, 0.0
-    packed = _packed(arrays, masses, n, half) if len(keys) == 2 else None
-    if packed is not None:  # one forward transform per distinct operand, one inverse
-        z, w, certified, residual = packed
-        digits, width, run, phase_steps = [z], _WORD, 2 if keys[0] == keys[1] else 3, ()
-        steps.append(f"packed@2^{w}")
-    else:
-        digits, width, x_key, acc = [arrays[0]], _WORD, keys[0], masses[0]
-        arrays[0] = None
-        phase_steps = range(1, len(keys))
 
-    def spectrum(limb: np.ndarray, key: Hashable | None, at: int) -> tuple:
-        """The phase spectra of the limb of operand `at`, kept when its key has a later operand."""
+    def spectrum(limb: np.ndarray, op: _Operand, limbs: int) -> tuple:
+        """The phase spectra of a limb of operand op, made and kept as _spectrum_key says."""
         nonlocal run
+        key, keep = _spectrum_key(op, limbs)
         if key not in kept:
             run += 1
             kept[key] = np.fft.rfft(limb[0::2], half), np.fft.rfft(limb[1::2], half)
-        return kept[key] if last.get(key, at) > at else kept.pop(key)
+        return kept[key] if keep else kept.pop(key)
 
-    for t in phase_steps:
-        y, arrays[t] = arrays[t], None
-        x_side, y_side = _side(digits, width, acc), _side([y], _WORD, masses[t])
+    for x, y, out in _schedule(keys, masses):
+        (x_digits, x_width), (y_digits, y_width) = (held[op.id] if op.later else held.pop(op.id)
+                                                    for op in (x, y))
+        x_side, y_side = _side(x_digits, x_width, x.mass), _side(y_digits, y_width, y.mass)
+        if len(masses) == 2 and (packed := _packed(x_digits, y_digits, x_side, y_side, n, half)):
+            # the only step of a one-step chain: one forward transform per operand, one inverse
+            z, w, certified, residual = packed
+            held[out], run = ([z], _WORD), 2 if x.id == y.id else 3
+            steps.append(f"packed@2^{w}")
+            continue
         b, bound = _width(x_side, y_side, n, gamma)
         x_limbs, y_limbs = _limb_count(x_side[0], b), _limb_count(y_side[0], b)
-        x_key = x_key if x_limbs == 1 else None
-        live = {0: spectrum(_limb(digits, width, b, 0, x_limbs), x_key, t - 1)}
-        if x_limbs == 1:  # the accumulator's array is not held beside y's transforms
-            digits = None
-        ys = [spectrum(_limb([y], _WORD, b, j, y_limbs), keys[t] if y_limbs == 1 else None, t)
+        live = {0: spectrum(_limb(x_digits, x_width, b, 0, x_limbs), x, x_limbs)}
+        if x_limbs == 1:  # x's array is not held here beside y's transforms
+            x_digits = None
+        ys = [spectrum(_limb(y_digits, y_width, b, j, y_limbs), y, y_limbs)
               for j in range(y_limbs)]
-        y, twiddle = None, _twiddle(half)
-        kept = {k: v for k, v in kept.items() if last[k] > t}  # none outlives its last use
+        y_digits, twiddle = None, _twiddle(half)
+        kept = {i: v for i, v in kept.items() if i in held}  # none outlives its id's last read
         parts = []
         for s in range(x_limbs + y_limbs - 1):
             if 0 < s < x_limbs:
-                live[s] = spectrum(_limb(digits, width, b, s, x_limbs), None, t - 1)
+                live[s] = spectrum(_limb(x_digits, x_width, b, s, x_limbs), x, x_limbs)
             z = None
             for i in range(max(0, s - y_limbs + 1), min(s, x_limbs - 1) + 1):
                 final = i == s - y_limbs + 1  # the last sum that uses x_i
-                x = live.pop(i) if final else live[i]
-                term = _phase_product(x, ys[s - i], twiddle, final and x_key not in kept)
+                x_spec = live.pop(i) if final else live[i]
+                term = _phase_product(x_spec, ys[s - i], twiddle, final and x.id not in kept)
                 z = term if z is None else tuple(np.add(a, c, out=a) for a, c in zip(z, term))
-                term = None
+                term = x_spec = None
             if s == x_limbs + y_limbs - 2:  # the factor spectra and the twiddle are spent
                 ys = twiddle = None
             (even, odd), z = z, None
@@ -682,8 +736,8 @@ def _float_chain(arrays: list, masses: list[int], n: int,
             parts.append(_fold(even, odd, n))
             even = odd = None
             residual = max(residual, res_even, res_odd)
-        digits = parts if len(parts) == 1 else _carry(parts, b)
-        width, x_key, acc = b, None, acc * masses[t]
+        held[out] = (parts if len(parts) == 1 else _carry(parts, b), b)
+        parts = None  # the product is held by its id alone, and dropped at its read
         steps.append(f"{x_limbs}x{y_limbs}@{b}")
         certified = max(certified, bound)
     if run > plan.transforms:
@@ -692,7 +746,7 @@ def _float_chain(arrays: list, masses: list[int], n: int,
              "(limbs x limbs @ width), %d of %d charged transforms, certified bound %.3g, "
              "largest residual %.3g",
              size, half, len(steps), " ".join(steps), run, plan.transforms, certified, residual)
-    return _join(digits, width, plan.bound)
+    return _join(*held.pop(out), plan.bound)
 
 
 def _run(arrays: list, masses: list[int], n: int, plan: ConvolutionPlan) -> np.ndarray:

@@ -18,7 +18,7 @@ from . import convolve
 from .countvec import CountVector
 from .energy import count_vector_product
 from .envelopes import tk_hypotheses, tk_main_term
-from .errors import DomainError
+from .errors import DEFAULT_BUDGET, BudgetError, DomainError
 from .modfield import PrimeContext
 from .sets import ResidueSet, shifted_interval
 
@@ -71,6 +71,27 @@ def _dev_stats(counts: CountVector, p: int,
     dev_at = {int(lam): float(Fraction(counts[lam] * p - mass, mass))
               for lam in sample_lambdas}
     return max_dev, mean_dev, dev_at
+
+
+def check_tk_budget(k: int, H: int, M: int, p: int, budget: int | None) -> None:
+    """Refuse T_k over k sets of M elements each, before any set is drawn.
+
+    The convolution is planned for k factors of mass H * M as one array k
+    times: equal factors share their spectra, so that is the least any
+    draw of the sets can be charged, and a request refused here would be
+    refused whatever was drawn, while every request admitted after the
+    draw is admitted here. The refusal names that charge as a lower bound
+    ("needs at least"). A k, H or M out of range is left to the
+    DomainErrors of tk_experiment and of the set and interval builders.
+    """
+    if k < 2 or not (0 < H < p and 0 < M < p):
+        return
+    try:
+        convolve.plan_convolution(p, [H * M] * k, budget, layout=[0] * k)
+    except BudgetError as exc:
+        limit = DEFAULT_BUDGET if budget is None else budget
+        raise BudgetError(f"T_{k} over sets of {M} elements needs at least {exc.required} "
+                          f"operations, budget is {limit}", required=exc.required) from None
 
 
 def _factor_counts(factors: list[tuple[ResidueSet, int]], H: int, s: int,

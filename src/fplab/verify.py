@@ -275,7 +275,7 @@ def _measure(cfg: SweepConfig, row: ReportRow, ctx: PrimeContext,
     p, h, m, shift, s = ctx.p, row.H, row.M, row.L, row.s
     measure = cfg.measure
     mset = None
-    if measure != "burgess":
+    if measure not in ("burgess", "tk"):  # tk draws one set per factor, below
         mset = random_subset(m, set_seed, ctx)
 
     if measure in ("prodset", "ratio"):
@@ -302,7 +302,9 @@ def _measure(cfg: SweepConfig, row: ReportRow, ctx: PrimeContext,
         ratio = spectra.burgess_ratio(h, ctx)
         return replace(row, M=None, L=0, value=ratio * env, envelope=env, ratio=ratio)
 
-    # tk: k independently seeded factor sets, shifts drawn per factor
+    # tk: k independently seeded factor sets, shifts drawn per factor, once the
+    # request has passed the budget gate that needs no set
+    tkcount.check_tk_budget(cfg.k, h, m, p, cfg.budget)
     factors = []
     for _ in range(cfg.k):
         factors.append((random_subset(m, rng.next_u64(), ctx),

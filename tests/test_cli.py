@@ -135,6 +135,22 @@ def test_budget_exit_code(capsys):
     assert code == 3 and "needs 240648192" in err
 
 
+def test_tk_is_refused_before_any_set_is_drawn(capsys, monkeypatch):
+    # 20000 random sets: T_20000 planned as one array 20000 times, the least
+    # any draw can be charged, already passes the budget, so the request is
+    # refused with that lower bound before a set is drawn; a k below 2 is
+    # still the experiment's own domain error
+    draws, random_subset = [], cli.random_subset
+    monkeypatch.setattr(cli, "random_subset", lambda *a: draws.append(a) or random_subset(*a))
+    code, out, err = run_cli(capsys, "tk", "--p", "10007", "--H", "100", "--k", "20000",
+                             "--set", "random:100", "--seed", "1")
+    assert code == 3 and out == "" and err.count("\n") == 1 and "needs at least" in err
+    assert draws == []
+    code, _, err = run_cli(capsys, "tk", "--p", "101", "--H", "5", "--k", "1",
+                           "--set", "random:5", "--seed", "1")
+    assert code == 2 and "k must be >= 2" in err
+
+
 def test_oversize_chain_is_refused_before_it_is_priced(capsys, monkeypatch):
     # E_10000 at p = 101 with H = 5: 5^10000 rules out the pair route and
     # the float floors alone exceed the budget, so no step's width is

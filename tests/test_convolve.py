@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import re
 import tracemalloc
@@ -74,7 +75,7 @@ def test_float_chain_matches_the_pair_oracle(data):
     assert k_fold_count(vecs).as_list() == expect
     masses, keys = [v.total for v in vecs], [id(v.counts) for v in vecs]
     size = convolve._next_pow2(2 * n - 1)
-    charge = sum(convolve._chain_transforms(n, masses, keys, size))
+    charge = sum(convolve._charges(n, masses, keys, size))
     plan = ConvolutionPlan(n, "float", prod(masses), size, charge)
     assert _run(vecs, plan) == expect
 
@@ -217,6 +218,32 @@ def test_plans_are_charged_the_transforms_they_run():
                             layout=[0, 0]).strategy == "float"
 
 
+def test_plans_are_pinned_over_a_grid():
+    # every plan or refusal over n, k, masses, layouts and budgets: the
+    # strategy, transforms, length and bound, or the refusal's message and
+    # `required` (2646 cases: 1175 direct, 1217 float, 254 refused). A
+    # change to the schedule or the spectrum rule that moves any of them
+    # changes the digest
+    masses = (0, 1, 5, 600, 563 ** 2, (1 << 23) - 1, 1 << 40)
+    lines = []
+    for n in (1, 2, 7, 101, 211, 1009, 100003):
+        for k in (2, 3, 6):
+            cases = [(m,) * k for m in masses]
+            cases += [tuple(masses[(3 * i + j) % 7] for i in range(k)) for j in range(7)]
+            for case in cases:
+                for layout in (None, [0] * k, [i % 2 for i in range(k)]):
+                    for budget in (None, 10 ** 4, 10 ** 12):
+                        try:
+                            plan = plan_convolution(n, case, budget, layout=layout)
+                            out = (f"{plan.strategy} {plan.transforms} {plan.fft_length} "
+                                   f"{plan.bound}")
+                        except BudgetError as exc:
+                            out = f"refused {exc} | {exc.required}"
+                        lines.append(f"{n} {case} {layout} {budget}: {out}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "c61f9930475490467f33d203e01413351ea894eca699b2b5de8eb8c93e91f8ff"
+
+
 @pytest.mark.parametrize("k,charge", [(2, 2), (3, 4)])
 def test_float_route_transforms_a_repeated_factor_once(monkeypatch, k, charge):
     # [u]*k: u's spectrum is made once, as the first factor, and serves
@@ -267,14 +294,19 @@ def test_float_floor_never_exceeds_the_charge():
                 masses = [int(m) for m in rng.integers(0, top, size=k, endpoint=True)]
                 size = convolve._next_pow2(2 * n - 1)
                 for keys in (list(range(k)), [0] * k):
-                    charge = sum(convolve._chain_transforms(n, masses, keys, size))
-                    assert 2 * (k - 1) <= sum(convolve._float_floor(n, masses, size)) <= charge
+                    charge = sum(convolve._charges(n, masses, keys, size))
+                    assert 2 * (k - 1) <= sum(convolve._floors(n, masses, keys, size)) <= charge
 
 
-def test_oversize_chains_are_refused_at_their_floor():
+def test_oversize_chains_are_refused_at_their_floor(monkeypatch):
     # [u]*10000 with a mass of 5: no pair route (5^10000 > 2^63), and the
-    # float floor alone exceeds the budget
-    floor = sum(convolve._float_floor(101, [5] * 10000, 256)) * 256 * 8
+    # float floor alone exceeds the budget. No product of all the masses is
+    # formed before the refusal
+    def no_product(values):
+        raise AssertionError("the product of the masses was formed")
+
+    monkeypatch.setattr(convolve, "prod", no_product)
+    floor = sum(convolve._floors(101, [5] * 10000, [0] * 10000, 256)) * 256 * 8
     with pytest.raises(BudgetError, match=f"needs at least {floor} ") as exc:
         plan_convolution(101, [5] * 10000, budget=floor - 1, layout=[0] * 10000)
     assert exc.value.required == floor
@@ -291,7 +323,7 @@ def test_float_floor_searches_a_width_only_when_its_sides_change(monkeypatch):
     # what a search at every step gave
     calls, low = [], convolve._low_width
     monkeypatch.setattr(convolve, "_low_width", lambda *args: calls.append(args) or low(*args))
-    assert sum(convolve._float_floor(101, [5] * 10000, 256)) == 6119722
+    assert sum(convolve._floors(101, [5] * 10000, [0] * 10000, 256)) == 6119722
     assert len(calls) == 30
 
 
@@ -302,8 +334,9 @@ def test_chains_are_refused_once_a_lower_bound_on_their_need_passes_the_budget(m
     # floors of the rest pass it; a budget one unit below the charge is
     # refused only when every step is priced, with the exact need
     masses, unit = [1 << 40] * 50, 512 * 9
-    charge = sum(convolve._chain_transforms(211, masses, list(range(50)), 512))
-    assert (sum(convolve._float_floor(211, masses, 512)), charge) == (5498, 5743)
+    keys = list(range(50))
+    charge = sum(convolve._charges(211, masses, keys, 512))
+    assert (sum(convolve._floors(211, masses, keys, 512)), charge) == (5498, 5743)
     widths, width = [], convolve._width
     monkeypatch.setattr(convolve, "_width", lambda *args: widths.append(args) or width(*args))
     with pytest.raises(BudgetError, match="needs at least") as exc:
@@ -400,7 +433,7 @@ def _float_run(vecs, caplog):
     """(counts, steps) of a hand-built float plan charged what the planner charges."""
     n, masses = vecs[0].p, [v.total for v in vecs]
     size = convolve._next_pow2(2 * n - 1)
-    charge = sum(convolve._chain_transforms(n, masses, [id(v.counts) for v in vecs], size))
+    charge = sum(convolve._charges(n, masses, [id(v.counts) for v in vecs], size))
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="fplab.convolve"):
         got = _run(vecs, ConvolutionPlan(n, "float", prod(masses), size, charge))
@@ -447,11 +480,17 @@ def test_packed_certificate_that_fails_runs_phase_pairs(monkeypatch, caplog):
     dense = [_cv(rng.integers(0, 1 << 10, size=211)) for _ in range(2)]
     point = np.zeros(211, dtype=np.int64)
     point[1] = 1 << 40
-    calls = _spy_transforms(monkeypatch)
-    for vecs, step in ((dense, "1x1@10"), ([_cv(point), _cv([1] + [0] * 210)], "1x1@41")):
+    calls, norms, sum_of_squares = _spy_transforms(monkeypatch), [], convolve.sum_of_squares
+    monkeypatch.setattr(convolve, "sum_of_squares", lambda a: norms.append(a.size)
+                        or sum_of_squares(a))
+    # the phase step reuses the sides the packed certificate took: each
+    # side's exact norm once, and the packed norms only where w fits
+    for vecs, step, sizes in ((dense, "1x1@10", [211, 211, 106, 106]),
+                              ([_cv(point), _cv([1] + [0] * 210)], "1x1@41", [211, 211])):
         calls.update(rfft=[], irfft=0, lengths=[])
+        norms.clear()
         got, steps = _float_run(vecs, caplog)
-        assert got == _expect(vecs) and steps == [step]
+        assert got == _expect(vecs) and steps == [step] and norms == sizes
         assert [a.base is v.counts for a in calls["rfft"] for v in vecs].count(True) == 4
         assert calls["irfft"] == 2 and set(calls["lengths"]) == {256}
 
@@ -654,6 +693,69 @@ def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch, caplog):
     assert len(calls["rfft"]) + calls["irfft"] == 2 * 16
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_planner_and_executor_agree_on_the_spectrum_rule_for_every_layout(data):
+    # point masses of 2^a - 1, every bit set, are the worst case of their
+    # masses: each step's sides, width and limbs are the ones the planner
+    # priced, so the chain runs every transform it is charged, for any
+    # pattern of repeated arrays
+    n = data.draw(st.sampled_from([5, 16, 17, 64, 101, 211]))
+    k = data.draw(st.integers(2, 5))
+    layout = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    arrays = []
+    for _ in range(k):
+        counts = np.zeros(n, dtype=np.int64)
+        counts[data.draw(st.integers(0, n - 1))] = (1 << data.draw(st.integers(1, 62))) - 1
+        arrays.append(_cv(counts))
+    vecs = [arrays[i] for i in layout]
+    masses, size = [v.total for v in vecs], convolve._next_pow2(2 * n - 1)
+    plan = ConvolutionPlan(n, "float", prod(masses), size,
+                           sum(convolve._charges(n, masses, layout, size)))
+    records, logger = [], logging.getLogger("fplab.convolve")
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger.addHandler(handler)
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    try:
+        assert _run(vecs, plan) == _expect(vecs)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    (record,) = records
+    run, charged = re.search(r"(\d+) of (\d+) charged", record.getMessage()).groups()
+    assert int(run) == int(charged) == plan.transforms
+    auto = plan_convolution(n, masses, budget=10 ** 15, layout=layout)
+    assert auto.strategy == "direct" or auto.transforms == plan.transforms
+
+
+def test_spectra_are_dropped_at_their_ids_last_read(monkeypatch, caplog):
+    # [u, v, u]: u is one whole array in step 1, whose spectrum is kept for
+    # step 2, where u is read split. That read is u's last, so its kept
+    # spectrum is gone before step 2 inverts anything
+    rng = np.random.default_rng(19)
+    u, v = _cv(rng.integers(0, 1 << 20, size=211)), _cv(rng.integers(0, 16, size=211))
+    spectra, inverses, rfft, irfft = [], [], np.fft.rfft, np.fft.irfft
+
+    def forward(a, n):
+        out = rfft(a, n)
+        if a.base is u.counts:
+            spectra.append(weakref.ref(out))
+        return out
+
+    def inverse(a, n):
+        inverses.append(sum(ref() is not None for ref in spectra))
+        return irfft(a, n)
+
+    monkeypatch.setattr(np.fft, "rfft", forward)
+    monkeypatch.setattr(np.fft, "irfft", inverse)
+    got, steps = _float_run([u, v, u], caplog)
+    assert got == _expect([u, v, u])
+    assert steps[0] == "1x1@20" and steps[1].split("x")[1].split("@")[0] != "1"
+    assert inverses[:2] == [2, 2] and inverses[2:] == [0] * (len(inverses) - 2)
+
+
 def test_budget_below_a_paired_plan_is_refused_before_any_transform(monkeypatch):
     # [u]*4 at n = 1009: u is transformed once, and the plan is charged
     # its worst-case steps at 2048
@@ -708,6 +810,35 @@ def test_factors_are_freed_after_their_last_step(monkeypatch):
     got = k_fold_count(factors())  # no assert: its rewriting would hold the list
     assert got.total == prod(masses)
     assert alive[0] == [False, False] + [True] * 4 and not any(alive[-1])
+
+
+def test_products_are_dropped_at_their_read(monkeypatch):
+    # step 1's product is one limb in step 2, so its array is gone once its
+    # phases are transformed, before factor 2's are; so are the spectra of
+    # step 1's last sum once its phases are inverted
+    rng = np.random.default_rng(3)
+    vecs = [_cv(rng.integers(0, 3, size=211)) for _ in range(3)]
+    refs, alive, fold, rfft = [], [], convolve._fold, np.fft.rfft
+
+    def spy_fold(*args):
+        out = fold(*args)
+        refs.append(weakref.ref(out))
+        return out
+
+    def forward(a, n):
+        if a.base is vecs[2].counts:
+            alive.append([ref() is not None for ref in refs])
+        out = rfft(a, n)
+        if a.base is vecs[0].counts:  # step 1's x, multiplied in place into its last sum
+            refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(convolve, "_fold", spy_fold)
+    monkeypatch.setattr(np.fft, "rfft", forward)
+    masses = [v.total for v in vecs]
+    plan = ConvolutionPlan(211, "float", prod(masses), 512, 6)
+    assert _run(vecs, plan) == _expect(vecs)
+    assert alive == [[False] * 3] * 2
 
 
 def test_packed_factors_are_freed_before_their_transforms(monkeypatch):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from fplab import verify
 from fplab.errors import DomainError
 from fplab.modfield import PrimeContext
 from fplab.sets import SplitMix64, initial_interval, mix_seed, random_subset
@@ -153,6 +154,16 @@ def test_skip_reasons():
     assert rows[0].H == 5 and rows[0].skip_reason == "" and 0 < rows[0].ratio < 2
     assert rows[1].skip_reason == ("domain:recip energy envelope exceeds the float range "
                                    "at H=5 and ell=222")
+
+
+def test_tk_sweep_is_refused_before_any_set_is_drawn(monkeypatch):
+    # k = 20000: refused on the charge of one array 20000 times, before the
+    # point draws its sets
+    draws, random_subset_ = [], verify.random_subset
+    monkeypatch.setattr(verify, "random_subset", lambda *a: draws.append(a) or random_subset_(*a))
+    cfg = parse_config("measure = tk\nprimes = 10007\nh_exp = 0.5\nm_exp = 0.5\nk = 20000\n")
+    assert [row.skip_reason for row in run_sweep(cfg)] == ["budget_exceeded"]
+    assert draws == []
 
 
 def test_workers_preserve_order():
