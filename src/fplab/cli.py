@@ -170,7 +170,7 @@ def _cmd_tk(args) -> Record:
         msets = [_load_set(args.set_spec, args.seed, ctx)] * args.k
     factors = [(mset, args.L) for mset in msets]
     try:
-        lambdas = [int(t) % args.p for t in args.lambdas.split(",") if t.strip()]
+        lambdas = [int(t) for t in args.lambdas.split(",") if t.strip()]
     except ValueError:
         raise DomainError(f"--lambdas needs comma-separated integers, "
                           f"got {args.lambdas!r}") from None

@@ -17,8 +17,6 @@ from .errors import DomainError, ZeroInIntervalError
 from .modfield import PrimeContext
 from .sets import Interval, ResidueSet, require_modulus
 
-_MISSING_LIST_CAP = 1 << 16
-
 
 @dataclass(frozen=True)
 class ProductSetReport:
@@ -31,7 +29,6 @@ class ProductSetReport:
     missing: int
     hypothesis_branch: str    # "A" | "B" | "none"
     epsilon: float
-    missing_residues: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not 0 <= self.size <= self.p or self.missing != self.p - self.size:
@@ -46,37 +43,30 @@ def _occupancy(units: np.ndarray, scale: int, mset: ResidueSet, ctx: PrimeContex
 
 
 def _report(occ: np.ndarray, interval: Interval, mset: ResidueSet,
-            epsilon: float, list_missing: bool) -> ProductSetReport:
+            epsilon: float) -> ProductSetReport:
     p = interval.p
     size = int(occ.sum())
-    missing = None
-    if list_missing:
-        if p > _MISSING_LIST_CAP:
-            raise DomainError(f"missing-residue listing capped at p <= {_MISSING_LIST_CAP}")
-        missing = tuple(int(v) for v in np.nonzero(~occ)[0])
     return ProductSetReport(
         p=p, H=interval.H, M=mset.M, size=size, missing=p - size,
         hypothesis_branch=product_set_branch(interval.H, mset.M, p, epsilon),
-        epsilon=epsilon, missing_residues=missing)
+        epsilon=epsilon)
 
 
 def product_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
-                epsilon: float = 0.05, budget: int | None = None,
-                list_missing: bool = False) -> ProductSetReport:
+                epsilon: float = 0.05, budget: int | None = None) -> ProductSetReport:
     """Exact size of {h*m mod p}; 0 is a product exactly when the interval covers it."""
     require_modulus(ctx, interval, mset)
     elems = interval.elements()
     occ = _occupancy(elems[elems != 0], 1, mset, ctx, budget)
     occ[0] = interval.contains_zero
-    return _report(occ, interval, mset, epsilon, list_missing)
+    return _report(occ, interval, mset, epsilon)
 
 
 def ratio_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
-              epsilon: float = 0.05, budget: int | None = None,
-              list_missing: bool = False) -> ProductSetReport:
+              epsilon: float = 0.05, budget: int | None = None) -> ProductSetReport:
     """Exact size of {m/h mod p}: the product set of the inverted interval."""
     require_modulus(ctx, interval, mset)
     if interval.contains_zero:
         raise ZeroInIntervalError("ratio set needs a denominator-safe interval (0 not in H)")
     occ = _occupancy(interval.elements(), -1, mset, ctx, budget)
-    return _report(occ, interval, mset, epsilon, list_missing)
+    return _report(occ, interval, mset, epsilon)

@@ -77,17 +77,13 @@ def complete_sum_table(interval_x: Interval, s: int, ctx: PrimeContext) -> Compl
 
 
 def kloosterman_frac_sum(a: int, mset: ResidueSet, interval_x: Interval, s: int,
-                         ctx: PrimeContext, ell: int = 2,
-                         table: CompleteSumTable | None = None) -> FracSumResult:
+                         ctx: PrimeContext, ell: int = 2) -> FracSumResult:
     """S = sum over m of |W[a*m mod p]|, with the ell-parameterized envelope."""
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
     require_modulus(ctx, mset, interval_x)
     p = ctx.p
-    if table is None:
-        table = complete_sum_table(interval_x, s, ctx)
-    elif (table.p, table.H, table.L, table.s) != (p, interval_x.H, interval_x.L, s):
-        raise DomainError("complete-sum table was built for another p, interval or s")
+    table = complete_sum_table(interval_x, s, ctx)
     idx = (a % p) * mset.elems % p
     value = float(np.abs(table.W[idx]).sum())
     h, m = interval_x.H, mset.M

@@ -69,8 +69,13 @@ def _dev_stats(counts: CountVector, p: int,
     max_dev = float(Fraction(max_num, mass))
     mean_dev = float(Fraction(sum_num, mass * p))
     dev_at = {int(lam): float(Fraction(counts[lam] * p - mass, mass))
-              for lam in sample_lambdas}
+              for lam in _residues(sample_lambdas, p)}
     return max_dev, mean_dev, dev_at
+
+
+def _residues(sample_lambdas, p: int) -> list[int]:
+    """The sampled lam as residues 0..p-1, so lam and lam + p name one point."""
+    return [lam % p for lam in sample_lambdas]
 
 
 def check_tk_budget(k: int, H: int, M: int, p: int, budget: int | None) -> None:
@@ -119,17 +124,15 @@ def _factor_counts(factors: list[tuple[ResidueSet, int]], H: int, s: int,
 
 def tk_experiment(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: int,
                   ctx: PrimeContext, epsilon: float = 0.05,
-                  budget: int | None = None, sample_lambdas=(),
-                  allow_unequal: bool = False) -> TkReport:
+                  budget: int | None = None, sample_lambdas=()) -> TkReport:
     """T_k over the given (set, shift) factors, all sharing interval length H."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     if len(factors) != k:
         raise DomainError(f"expected {k} factors, got {len(factors)}")
     sizes = [mset.M for mset, _ in factors]
-    if not allow_unequal and len(set(sizes)) > 1:
-        raise DomainError(
-            f"factor sets have unequal sizes {sizes}; pass allow_unequal to override")
+    if len(set(sizes)) > 1:
+        raise DomainError(f"factor sets have unequal sizes {sizes}")
     # each factor's mass is H * M; no list of factors outlives the convolution,
     # which frees each one after its last step
     main_term = tk_main_term([H * m for m in sizes], ctx.p)
@@ -166,7 +169,8 @@ def tk_spectral_check(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: 
         for _ in range(uses):
             product *= spectrum
     spectral = _hermitian_inverse(product) / ctx.p
-    return [abs(float(spectral[lam]) - exact[lam]) for lam in sample_lambdas]
+    return [abs(float(spectral[lam]) - exact[lam])
+            for lam in _residues(sample_lambdas, ctx.p)]
 
 
 def _hermitian_inverse(product: np.ndarray) -> np.ndarray:

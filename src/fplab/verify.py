@@ -35,8 +35,6 @@ def fmt_number(x) -> str:
     """Canonical text form: ints verbatim, floats at 12 significant digits."""
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".12g")

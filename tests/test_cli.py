@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -165,7 +167,7 @@ def test_oversize_chain_is_refused_before_it_is_priced(capsys, monkeypatch):
         assert code == 3 and "needs at least" in err and widths == []
 
 
-def test_domain_error_exit_code(capsys, singleton1):
+def test_domain_error_exit_code(capsys, singleton1, tmp_path):
     # interval through 0 for a denominator map
     code, _, err = run_cli(capsys, "expsum", "--p", "7", "--H", "3", "--L", "5",
                            "--s", "1", "--a", "1", "--set", f"file:{singleton1}")
@@ -205,6 +207,30 @@ def test_domain_error_exit_code(capsys, singleton1):
                                         "--set", "random:5", "--seed", "1")
         assert (code, out) == (3, "") and err.count("\n") == 1, err
         assert err.startswith("budget refusal: out of memory")
+    # each input refusal below names its own check: --ell 0 would exit 2
+    # without it too, through the convolution's "needs at least two factors"
+    comments = tmp_path / "comments"
+    comments.write_text("# no residues here\n\n")
+    sweep = "measure = prodset\nprimes = 101\nh_exp = 0.5\nm_exp = 0.5\n"
+    xml, sometimes = tmp_path / "xml.cfg", tmp_path / "sometimes.cfg"
+    xml.write_text(sweep + "format = xml\n")
+    sometimes.write_text(sweep + "l_policy = sometimes\n")
+    rand = ("--p", "101", "--H", "5", "--set", "random:3", "--seed", "1")
+    for argv, message in (
+            (("prodset", "--p", "101", "--H", "3", "--set", "random:x", "--seed", "1"),
+             "needs an integer size"),
+            (("energy", "--kind", "Js", "--s", "0", *rand), "exponent s must be nonzero"),
+            (("energy", "--kind", "R", "--Klen", "0", *rand),
+             "interval lengths must lie in 1..p-1"),
+            (("energy", "--kind", "recip", "--ell", "0", *rand), "ell must be >= 1"),
+            (("expsum", "--a", "1", "--ell", "0", *rand), "ell must be >= 1"),
+            (("prodset", "--p", "101", "--H", "3", "--set", f"file:{comments}"),
+             "file holds no residues"),
+            (("sweep", "--config", str(xml)), "format must be csv or jsonl"),
+            (("sweep", "--config", str(sometimes)), "bad L policy 'sometimes'")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1, argv
+        assert message in err, (argv, err)
 
 
 # Report bytes recorded before the CLI and the sweep shared one report
@@ -274,6 +300,20 @@ PINNED = {
         '"ell": 2, "k": 6, "epsilon": 0.05, "seed": 16171810823986729605, "value": null, '
         '"envelope": null, "ratio": null, "flags": "", "skip_reason": "m_exceeds_field"}\n'),
 }
+
+
+def test_readme_cli_examples_run(capsys):
+    # each `fplab` line in the fenced block under the README's "## CLI" but
+    # the sweep, which needs a config file, writes one header and one record
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("fplab ") and not line.startswith("fplab sweep")]
+    assert len(examples) == 5
+    for argv in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.count("\n") == 2 and out.startswith("command,"), argv
 
 
 def test_reproducible_outputs(capsys, tmp_path):

@@ -34,13 +34,6 @@ def test_ratio_set_examples(ctx):
     assert rep.size == 3  # division by 1
 
 
-def test_missing_residue_listing(ctx):
-    c7 = ctx(7)
-    rep = product_set(initial_interval(2, c7), residue_set([1, 3], c7), c7,
-                      list_missing=True)
-    assert rep.missing_residues == (0, 4, 5)
-
-
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_matches_hash_set_oracle(data):
@@ -117,7 +110,6 @@ def test_product_set_with_zero_in_interval(ctx):
     for L, H in [(95, 10), (100, 1), (100, 30), (50, 100)]:
         iv = shifted_interval(L, H, c)
         assert iv.contains_zero
-        rep = product_set(iv, mset, c, list_missing=True)
+        rep = product_set(iv, mset, c)
         assert rep.size == oracles.product_set_size(iv.elements().tolist(),
                                                     mset.elems.tolist(), 101)
-        assert 0 not in rep.missing_residues

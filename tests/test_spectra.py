@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from fplab import convolve
-from fplab.energy import recip_power_counts
-from fplab.errors import DomainError
+from fplab.countvec import CountVector
+from fplab.energy import energy_Js, recip_power_counts
+from fplab.errors import ConsistencyError, DomainError
 from fplab.modfield import PrimeContext
-from fplab.sets import initial_interval, random_subset, residue_set, shifted_interval
+from fplab.sets import (ResidueSet, initial_interval, random_subset, residue_set,
+                        shifted_interval)
 from fplab.spectra import (burgess_ratio, char_spectrum, complete_sum_table,
                            kloosterman_frac_sum, weighted_frac_sum)
+from fplab.tkcount import tk_spectral_check
 
 import oracles
 
@@ -138,9 +141,8 @@ def test_kloosterman_dilation_invariance(ctx):
     inv_scale = pow(scale, 99, 101)
     scaled = residue_set(sorted(inv_scale * m % 101 for m in m_elems), c)
     a = 29
-    t = complete_sum_table(x, 2, c)
-    lhs = kloosterman_frac_sum(a, mset, x, 2, c, table=t).value
-    rhs = kloosterman_frac_sum(a * scale % 101, scaled, x, 2, c, table=t).value
+    lhs = kloosterman_frac_sum(a, mset, x, 2, c).value
+    rhs = kloosterman_frac_sum(a * scale % 101, scaled, x, 2, c).value
     assert abs(lhs - rhs) < 1e-9 * max(1.0, lhs)
 
 
@@ -294,16 +296,6 @@ _FOREIGN_MODULUS = {
     "complete_sum_table": lambda: complete_sum_table(_IV101, 1, _C1009),
     "kloosterman_set": lambda: kloosterman_frac_sum(1, _SET101, _IV1009, 1, _C1009),
     "kloosterman_interval": lambda: kloosterman_frac_sum(1, _SET1009, _IV101, 1, _C1009),
-    "kloosterman_table_p": lambda: kloosterman_frac_sum(
-        1, _SET1009, _IV1009, 1, _C1009, table=complete_sum_table(_IV101, 1, _C101)),
-    "kloosterman_table_s": lambda: kloosterman_frac_sum(
-        1, _SET1009, _IV1009, 1, _C1009, table=complete_sum_table(_IV1009, 2, _C1009)),
-    "kloosterman_table_H": lambda: kloosterman_frac_sum(
-        1, _SET1009, _IV1009, 1, _C1009,
-        table=complete_sum_table(initial_interval(21, _C1009), 1, _C1009)),
-    "kloosterman_table_L": lambda: kloosterman_frac_sum(
-        1, _SET1009, _IV1009, 1, _C1009,
-        table=complete_sum_table(shifted_interval(1, 20, _C1009), 1, _C1009)),
     "weighted_set": lambda: weighted_frac_sum(np.ones(3), np.ones(20), 1, _SET101, _IV1009,
                                               1, _C1009),
     "weighted_interval": lambda: weighted_frac_sum(np.ones(3), np.ones(20), 1, _SET1009,
@@ -315,9 +307,33 @@ _FOREIGN_MODULUS = {
 
 @pytest.mark.parametrize("case", sorted(_FOREIGN_MODULUS))
 def test_spectral_entry_points_refuse_another_modulus(case):
-    # each input, or a passed table, built for another p, interval or s is
-    # refused instead of giving a value; the matching inputs still run
-    with pytest.raises(DomainError, match="modulus does not match|another p, interval or s"):
+    # each input built for another modulus is refused instead of giving a
+    # value; the matching inputs still run
+    with pytest.raises(DomainError, match="modulus does not match"):
         _FOREIGN_MODULUS[case]()
-    table = complete_sum_table(_IV1009, 1, _C1009)
-    assert kloosterman_frac_sum(1, _SET1009, _IV1009, 1, _C1009, table=table).value > 0
+    assert kloosterman_frac_sum(1, _SET1009, _IV1009, 1, _C1009).value > 0
+
+
+_REFUSED_INPUTS = {
+    "energy_Js_shifted_base": (
+        lambda: energy_Js(0, shifted_interval(3, 5, _C101), _SET101, 1, _C101),
+        DomainError, "pass the base interval"),
+    "weighted_beta_length": (
+        lambda: weighted_frac_sum(np.ones(3), np.ones(19), 1, _SET1009, _IV1009, 1, _C1009),
+        DomainError, "one weight per interval element"),
+    "tk_spectral_factor_count": (
+        lambda: tk_spectral_check(3, [(_SET101, 0)] * 2, 4, 1, _C101, [0]),
+        DomainError, "factor list does not match k"),
+    "k_fold_lengths": (
+        lambda: convolve.k_fold_count([CountVector([1, 0, 0]), CountVector([1, 0, 0, 0, 0])]),
+        ConsistencyError, "mismatched lengths"),
+    "residue_set_order": (
+        lambda: ResidueSet(np.array([3, 2]), 101), DomainError, "strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_INPUTS))
+def test_library_entry_points_refuse_bad_inputs(case):
+    call, error, message = _REFUSED_INPUTS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -87,8 +87,6 @@ def test_unequal_sizes_guard(ctx):
     b = residue_set([3], c)
     with pytest.raises(DomainError, match="unequal"):
         tk_experiment(2, [(a, 0), (b, 0)], 2, 1, c)
-    rep = tk_experiment(2, [(a, 0), (b, 0)], 2, 1, c, allow_unequal=True)
-    assert rep.total == (2 * 2) * (2 * 1)
 
 
 def test_k_validation(ctx):
@@ -125,6 +123,19 @@ def test_dev_at_sampling(ctx):
     rep = tk_experiment(6, [(ms, 0)] * 6, 2, 1, c, sample_lambdas=[0, 1])
     assert rep.dev_at[0] == float(Fraction(22 * 3 - 64, 64))
     assert rep.dev_at[1] == float(Fraction(21 * 3 - 64, 64))
+
+
+def test_sample_lambdas_are_reduced_mod_p(ctx):
+    # lam and lam + p name one point: p, -1 and 2p + 3 sample 0, p - 1 and 3
+    p = 101
+    c = ctx(p)
+    factors = [(random_subset(5, 3, c), 2)] * 3
+    raw, reduced = [p, -1, 2 * p + 3], [0, p - 1, 3]
+    rep = tk_experiment(3, factors, 4, 1, c, sample_lambdas=raw)
+    assert rep.dev_at == tk_experiment(3, factors, 4, 1, c, sample_lambdas=reduced).dev_at
+    assert list(rep.dev_at) == reduced
+    assert (tk_spectral_check(3, factors, 4, 1, c, sample_lambdas=raw)
+            == tk_spectral_check(3, factors, 4, 1, c, sample_lambdas=reduced))
 
 
 def test_spectral_check_small(ctx):

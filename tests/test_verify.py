@@ -156,6 +156,20 @@ def test_skip_reasons():
                                    "at H=5 and ell=222")
 
 
+def test_explicit_shift_policy_end_to_end():
+    # L = 95 puts 0 inside 95 + {1..11} mod 101, which is skipped; mod 1009
+    # the interval 96..127 is denominator-safe and the energy is computed
+    cfg = parse_config("measure = energy_js\nprimes = 101 1009\nh_exp = 0.5\n"
+                       "l_policy = explicit:95\n")
+    sink = io.StringIO()
+    run_sweep(cfg, sink=sink)
+    assert sink.getvalue().splitlines()[1:] == [
+        "0,energy_js,101,11,11,95,1,2,6,0.05,6791897765849424158,,,,,interval_covers_zero",
+        "1,energy_js,1009,32,32,95,1,2,6,0.05,16860738450190168606,2000,4507.72078224,"
+        "0.443683204133,,",
+    ]
+
+
 def test_tk_sweep_is_refused_before_any_set_is_drawn(monkeypatch):
     # k = 20000: refused on the charge of one array 20000 times, before the
     # point draws its sets
@@ -217,6 +231,8 @@ def test_fmt_number_stability():
     assert fmt_number(0.1 + 0.2) == "0.3"
     assert fmt_number(1234567.891234567) == "1234567.89123"
     assert fmt_number(None) == ""
+    assert fmt_number(True) == "1"
+    assert fmt_number(False) == "0"
 
 
 def test_csv_quotes_a_skip_reason_with_a_comma():
