@@ -11,8 +11,7 @@ from .prodset import ProductSetReport, product_set, ratio_set
 from .sets import (Interval, ResidueSet, initial_interval, random_subset,
                    residue_set, set_from_file, shifted_interval)
 from .spectra import (CharSpectrum, CompleteSumTable, burgess_ratio,
-                      char_spectrum, complete_sum_table, kloosterman_frac_sum,
-                      weighted_frac_sum)
+                      char_spectrum, complete_sum_table, kloosterman_frac_sum)
 from .tkcount import TkReport, tk_experiment, tk_spectral_check
 from .verify import ReportRow, SweepConfig, fit_exponent, parse_config, run_sweep
 

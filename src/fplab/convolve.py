@@ -130,18 +130,16 @@ bound and the largest rounding residual.
 
 The prime-length Fourier transform (for complete exponential-sum tables)
 uses the chirp factorization c*l = (c^2 + l^2 - (c-l)^2)/2 to reduce a
-length-p transform to one circular convolution, at every length p >= 2.
-Computing rows 0..R-1 takes a circular length L >= p + R - 1, the
-smallest 2^a * 3^b at least that (pocketfft's radix 3 runs about as fast
-as its radix 2). A complex input needs all R = p rows, so L >= 2p-1. A
-real input needs only R = p//2 + 1: its transform has
-hat_u[p-c] = conj hat_u[c], so L >= p + p//2 and the other rows are
-filled as conjugates. The row count comes from the input's dtype.
-Buffers: the chirp is cached once per length p and the transformed
-filter once per (p, rows), each built in place (a first build holds the
-chirp and the filter). A call allocates one work buffer of length L,
-runs both FFTs in it, writes its rows into its head and returns it
-shrunk to length p, so it holds that buffer beside the caller's input.
+length-p transform to one circular convolution, at every length p >= 1.
+Its input is real, so hat_u[p-c] = conj hat_u[c]: only rows
+0..p//2 are convolved, at the smallest 2^a * 3^b length L >= p + p//2
+(pocketfft's radix 3 runs about as fast as its radix 2), and the other
+rows are filled as conjugates. A complex input is refused.
+Buffers: the chirp and the transformed filter are cached once per
+length p, each built in place (a first build holds the chirp and the
+filter). A call allocates one work buffer of length L, runs both FFTs
+in it, writes its rows into its head and returns it shrunk to length p,
+so it holds that buffer beside the caller's input.
 """
 
 from __future__ import annotations
@@ -798,7 +796,7 @@ def _smooth_length(n: int) -> int:
 
 @lru_cache(maxsize=4)
 def _chirp(n: int) -> np.ndarray:
-    """chirp[t] = exp(i*pi*t^2/n), one per length n, shared by every row count.
+    """chirp[t] = exp(i*pi*t^2/n), one per length n.
 
     t^2 is reduced mod 2n before the angle is formed, which keeps the
     sin/cos arguments small. The angle i*pi*t^2/n is formed in the output
@@ -814,16 +812,17 @@ def _chirp(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _chirp_filter(n: int, rows: int) -> tuple[np.ndarray, int]:
-    """(transformed filter, fft length L) for rows 0..rows-1 of a length-n transform.
+def _chirp_filter(n: int) -> tuple[np.ndarray, int]:
+    """(transformed filter, fft length L) for rows 0..n//2 of a length-n transform.
 
-    The filter holds conj(chirp[d]) at every offset d = c - lam in
-    [-(n-1), rows-1], at d mod L; these n + rows - 1 offsets are distinct
-    modulo L >= n + rows - 1, so the circular convolution at L equals the
-    linear one on rows 0..rows-1. It is conjugated into place and
-    transformed in place: a build holds the chirp and this one array.
+    With R = n//2 + 1 rows, the filter holds conj(chirp[d]) at every
+    offset d = c - lam in [-(n-1), R-1], at d mod L; these n + R - 1
+    offsets are distinct modulo L >= n + R - 1, so the circular
+    convolution at L equals the linear one on rows 0..R-1. It is
+    conjugated into place and transformed in place: a build holds the
+    chirp and this one array.
     """
-    chirp = _chirp(n)
+    chirp, rows = _chirp(n), n // 2 + 1
     m = _smooth_length(n + rows - 1)
     filt = np.zeros(m, dtype=np.complex128)
     np.conj(chirp[:rows], out=filt[:rows])
@@ -832,25 +831,24 @@ def _chirp_filter(n: int, rows: int) -> tuple[np.ndarray, int]:
 
 
 def length_p_transform(u: np.ndarray) -> np.ndarray:
-    """hat_u[c] = sum_lam u[lam] * exp(2*pi*i*c*lam/n) for n = len(u).
+    """hat_u[c] = sum_lam u[lam] * exp(2*pi*i*c*lam/n) for a real u of length n.
 
     Chirp reduction to one circular convolution at a 3-smooth length L.
-    A complex u needs all n rows, so L >= 2n - 1. A real u has
-    hat_u[n-c] = conj hat_u[c], so only rows 0..n//2 are convolved, at
-    L >= n + n//2, and the rest are their conjugates (row n/2 of an even
-    n is its own mirror and is kept real).
+    A real u has hat_u[n-c] = conj hat_u[c], so only rows 0..n//2 are
+    convolved, at L >= n + n//2, and the rest are their conjugates (row
+    n/2 of an even n is its own mirror and is kept real). A complex u is
+    a ConsistencyError: its upper rows are not these conjugates.
 
     One work buffer of length L is allocated. Both FFTs run in it, the
     rows are written back into its head, and it is shrunk to length n
     and returned, so a call holds that buffer and the caller's u.
     """
     u = np.asarray(u)
+    if np.iscomplexobj(u):
+        raise ConsistencyError("the prime-length transform takes a real input")
     n = u.size
-    if n == 1:
-        return u.astype(np.complex128)
-    real = not np.iscomplexobj(u)
-    rows = n // 2 + 1 if real else n
-    chirp, (filt_hat, m) = _chirp(n), _chirp_filter(n, rows)
+    rows = n // 2 + 1
+    chirp, (filt_hat, m) = _chirp(n), _chirp_filter(n)
     a = np.zeros(m, dtype=np.complex128)
     np.multiply(u, chirp, out=a[:n])
     np.fft.fft(a, out=a)
@@ -858,7 +856,7 @@ def length_p_transform(u: np.ndarray) -> np.ndarray:
     np.fft.ifft(a, out=a)
     np.multiply(chirp[:rows], a[:rows], out=a[:rows])
     np.conj(a[n - rows:0:-1], out=a[rows:n])
-    if real and n % 2 == 0:
+    if n % 2 == 0:
         a[n // 2] = a[n // 2].real  # its own mirror, so real
     a.resize(n, refcheck=False)  # no view of `a` is alive; shrinking keeps the head
     return a

@@ -56,22 +56,6 @@ def frac_sum_envelope(H: int, M: int, p: int, ell: int) -> float:
     return H * M * inner ** (1 / (2 * ell))
 
 
-def holder_norm(alpha, ell: int) -> float:
-    """l_(ell/(ell-1)) norm of the weights; the sup norm when ell = 1."""
-    import numpy as np
-    mags = np.abs(np.asarray(alpha, dtype=np.complex128))
-    if ell == 1:
-        return float(mags.max()) if mags.size else 0.0
-    q = ell / (ell - 1)
-    return float((mags ** q).sum() ** (1 / q))
-
-
-def weighted_frac_sum_envelope(alpha, H: int, M: int, p: int, ell: int) -> float:
-    """Envelope for the weighted double sum with |beta_x| <= 1."""
-    inner = p / (M * H ** (2 * ell / (ell + 1))) + 1 / M
-    return holder_norm(alpha, ell) * H * M ** (1 / ell) * inner ** (1 / (2 * ell))
-
-
 def triple_main_term(j_len: int, k_len: int, M: int, p: int) -> Fraction:
     """Expected value of the triple-product coincidence count R."""
     return Fraction(j_len * j_len * k_len * k_len * M * M, p - 1)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import operator
+
 
 class DomainError(ValueError):
     """An input is outside the mathematical domain of the operation."""
@@ -34,6 +36,16 @@ def check_budget(work: int, budget: int | None, what: str) -> None:
     if work > limit:
         raise BudgetError(
             f"{what} needs {work} operations, budget is {limit}", required=work)
+
+
+def integer(name: str, value) -> int:
+    """value as a Python int; a DomainError naming the argument for a bool or a non-integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 class SetFileError(ValueError):

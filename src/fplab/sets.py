@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SetFileError, ZeroInIntervalError
+from .errors import DomainError, SetFileError, ZeroInIntervalError, integer
 from .modfield import PrimeContext
 
 
@@ -58,9 +58,10 @@ class Interval:
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "H", integer("H", self.H))
         if not 1 <= self.H <= self.p - 1:
             raise DomainError(f"interval length H={self.H} out of range 1..{self.p - 1}")
-        object.__setattr__(self, "L", self.L % self.p)
+        object.__setattr__(self, "L", integer("L", self.L) % self.p)
 
     @property
     def contains_zero(self) -> bool:

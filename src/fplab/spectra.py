@@ -23,12 +23,10 @@ import numpy as np
 
 from .convolve import length_p_transform
 from .energy import recip_power_counts
-from .envelopes import frac_sum_envelope, weighted_frac_sum_envelope
-from .errors import DomainError
-from .modfield import PrimeContext, recip_power_values
+from .envelopes import frac_sum_envelope
+from .errors import DomainError, integer
+from .modfield import PrimeContext
 from .sets import Interval, ResidueSet, initial_interval, require_modulus
-
-_BETA_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,13 +59,6 @@ class FracSumResult:
     ell: int
 
 
-@dataclass(frozen=True)
-class WeightedFracSumResult:
-    value: complex
-    envelope: float
-    ell: int
-
-
 def complete_sum_table(interval_x: Interval, s: int, ctx: PrimeContext) -> CompleteSumTable:
     """All p complete sums at once: the transform of the x^(-s) fiber counts."""
     u = recip_power_counts(interval_x, s, ctx)
@@ -81,6 +72,7 @@ def kloosterman_frac_sum(a: int, mset: ResidueSet, interval_x: Interval, s: int,
     """S = sum over m of |W[a*m mod p]|, with the ell-parameterized envelope."""
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
+    a = integer("a", a)
     require_modulus(ctx, mset, interval_x)
     p = ctx.p
     table = complete_sum_table(interval_x, s, ctx)
@@ -90,36 +82,6 @@ def kloosterman_frac_sum(a: int, mset: ResidueSet, interval_x: Interval, s: int,
     return FracSumResult(value=value,
                          envelope=frac_sum_envelope(h, m, p, ell),
                          trivial_bound=float(h * m), ell=ell)
-
-
-def weighted_frac_sum(alpha, beta, a: int, mset: ResidueSet, interval_x: Interval,
-                      s: int, ctx: PrimeContext, ell: int = 2) -> WeightedFracSumResult:
-    """sum_m sum_x alpha_m * beta_x * e_p(a*m*x^(-s)), |beta_x| <= 1.
-
-    alpha is indexed by mset.elems order, beta by interval order
-    (L+1, ..., L+H).
-    """
-    require_modulus(ctx, mset, interval_x)
-    p = ctx.p
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    beta = np.asarray(beta, dtype=np.complex128)
-    if alpha.shape != (mset.M,):
-        raise DomainError(f"alpha must have one weight per set element ({mset.M})")
-    if beta.shape != (interval_x.H,):
-        raise DomainError(f"beta must have one weight per interval element ({interval_x.H})")
-    bad = np.abs(beta) > 1 + _BETA_SLACK
-    if bool(bad.any()):
-        raise DomainError(f"|beta| exceeds 1 at position {int(np.argmax(bad))}")
-    vals = recip_power_values(interval_x.elements(), s, ctx)
-    u = np.zeros(p, dtype=np.complex128)
-    np.add.at(u, vals, beta)
-    w = length_p_transform(u)
-    idx = (a % p) * mset.elems % p
-    value = complex(np.dot(alpha, w[idx]))
-    return WeightedFracSumResult(
-        value=value,
-        envelope=weighted_frac_sum_envelope(alpha, interval_x.H, mset.M, p, ell),
-        ell=ell)
 
 
 def char_spectrum(u_set: ResidueSet | Interval, ctx: PrimeContext) -> CharSpectrum:

@@ -18,7 +18,7 @@ from . import convolve
 from .countvec import CountVector
 from .energy import count_vector_product
 from .envelopes import tk_hypotheses, tk_main_term
-from .errors import DEFAULT_BUDGET, BudgetError, DomainError
+from .errors import DEFAULT_BUDGET, BudgetError, DomainError, integer
 from .modfield import PrimeContext
 from .sets import ResidueSet, shifted_interval
 
@@ -53,8 +53,10 @@ class TkReport:
 
 
 def _dev_stats(counts: CountVector, p: int,
-               sample_lambdas) -> tuple[float, float, dict[int, float]]:
+               lambdas: list[int]) -> tuple[float, float, dict[int, float]]:
     """max/mean of |T(lam)*p/mass - 1|, mass = counts.total, from exact integer numerators.
+
+    dev_at holds the deviation at each residue of `lambdas`.
 
     The entries t >= tau = ceil(mass/p) are those with t*p >= mass, so with
     S_a their sum and N_a their number, sum_t |t*p - mass| is
@@ -68,14 +70,13 @@ def _dev_stats(counts: CountVector, p: int,
     sum_num = p * (2 * s_above - mass) + mass * (counts.p - 2 * int(above.sum()))
     max_dev = float(Fraction(max_num, mass))
     mean_dev = float(Fraction(sum_num, mass * p))
-    dev_at = {int(lam): float(Fraction(counts[lam] * p - mass, mass))
-              for lam in _residues(sample_lambdas, p)}
+    dev_at = {lam: float(Fraction(counts[lam] * p - mass, mass)) for lam in lambdas}
     return max_dev, mean_dev, dev_at
 
 
 def _residues(sample_lambdas, p: int) -> list[int]:
     """The sampled lam as residues 0..p-1, so lam and lam + p name one point."""
-    return [lam % p for lam in sample_lambdas]
+    return [integer("sample lambda", lam) % p for lam in sample_lambdas]
 
 
 def check_tk_budget(k: int, H: int, M: int, p: int, budget: int | None) -> None:
@@ -126,8 +127,10 @@ def tk_experiment(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: int,
                   ctx: PrimeContext, epsilon: float = 0.05,
                   budget: int | None = None, sample_lambdas=()) -> TkReport:
     """T_k over the given (set, shift) factors, all sharing interval length H."""
+    k, H = integer("k", k), integer("H", H)
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
+    lambdas = _residues(sample_lambdas, ctx.p)
     if len(factors) != k:
         raise DomainError(f"expected {k} factors, got {len(factors)}")
     sizes = [mset.M for mset, _ in factors]
@@ -137,7 +140,7 @@ def tk_experiment(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: int,
     # which frees each one after its last step
     main_term = tk_main_term([H * m for m in sizes], ctx.p)
     counts = convolve.k_fold_count(_factor_counts(factors, H, s, ctx, budget), budget=budget)
-    max_dev, mean_dev, dev_at = _dev_stats(counts, ctx.p, sample_lambdas)
+    max_dev, mean_dev, dev_at = _dev_stats(counts, ctx.p, lambdas)
     flags, margins = tk_hypotheses(H, min(sizes), ctx.p, epsilon)
     return TkReport(
         k=k, p=ctx.p, H=H, s=s, set_sizes=tuple(sizes),
@@ -161,6 +164,7 @@ def tk_spectral_check(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: 
     """
     if len(factors) != k or k < 2:
         raise DomainError("factor list does not match k")
+    lambdas = _residues(sample_lambdas, ctx.p)
     vectors = _factor_counts(factors, H, s, ctx, budget)
     exact = convolve.k_fold_count(vectors, budget=budget)
     product = np.ones(ctx.p, dtype=np.complex128)
@@ -169,8 +173,7 @@ def tk_spectral_check(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: 
         for _ in range(uses):
             product *= spectrum
     spectral = _hermitian_inverse(product) / ctx.p
-    return [abs(float(spectral[lam]) - exact[lam])
-            for lam in _residues(sample_lambdas, ctx.p)]
+    return [abs(float(spectral[lam]) - exact[lam]) for lam in lambdas]
 
 
 def _hermitian_inverse(product: np.ndarray) -> np.ndarray:

@@ -1,12 +1,18 @@
+import argparse
+import importlib
 import json
+import operator
 import os
 import pathlib
+import pkgutil
+import re
 import shlex
 import subprocess
 import sys
 
 import pytest
 
+import fplab
 from fplab import cli, convolve, tkcount
 from fplab.cli import main
 from fplab.convolve import plan_convolution
@@ -314,6 +320,30 @@ def test_readme_cli_examples_run(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert out.count("\n") == 2 and out.startswith("command,"), argv
+
+
+def test_readme_package_map_matches_the_code():
+    # every backticked name in a module row of the README's package map
+    # resolves in that module (`PrimeContext.of(p)` as PrimeContext.of), the
+    # cli row names the parser's subcommands, and every module has a row
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Package map\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for module, contents in re.findall(r"^\| `(\w+)` +\| (.*) \|$", table, re.MULTILINE):
+        rows[module] = re.findall(r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`", contents)
+    missing = []
+    for module, names in rows.items():
+        if module != "cli":
+            for name in names:
+                try:
+                    operator.attrgetter(name)(importlib.import_module(f"fplab.{module}"))
+                except AttributeError:
+                    missing.append(f"{module}.{name}")
+    assert missing == []
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert rows["cli"] == ["fplab", *subparsers.choices]
+    assert set(rows) == {m.name for m in pkgutil.iter_modules(fplab.__path__)} - {"__main__"}
 
 
 def test_reproducible_outputs(capsys, tmp_path):

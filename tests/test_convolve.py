@@ -927,17 +927,19 @@ def test_transform_examples():
 
 
 def test_transform_round_trip():
+    # the transform f of a real u is Hermitian, and sum_a f[a] * e_p(-a*lam) = p * u[lam]
     rng = np.random.default_rng(1)
     u = rng.integers(0, 2, size=101).astype(float)
     f = length_p_transform(u)
-    back = np.conj(length_p_transform(np.conj(f)))
+    back = tkcount._hermitian_inverse(f)
     assert np.abs(back - 101 * u).max() < 1e-6
 
 
 @pytest.mark.parametrize("n", [31, 127, 131, 211, 1009])
 def test_transform_matches_direct_dft(n):
+    # real inputs that are not integers, against the direct DFT
     rng = np.random.default_rng(n)
-    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    u = rng.normal(size=n)
     got = length_p_transform(u)
     expect = np.asarray(oracles.dft(u.tolist()))
     assert np.abs(got - expect).max() < 1e-6
@@ -947,25 +949,32 @@ def test_transform_matches_direct_dft(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 31, 64, 101, 1009])
 def test_real_transform_mirrors_the_half_it_computes(n, dtype):
     # a real input convolves rows 0..n//2 only; the rest, at odd and even n
-    # alike, must match the DFT and the all-rows path of the same input as complex
+    # alike, must match the DFT and be the conjugates of the rows computed
     rng = np.random.default_rng(n)
     u = rng.integers(-50, 100, size=n).astype(dtype)
     got = length_p_transform(u)
     gate = 1e-9 * (1 + np.abs(u).sum())
     assert got.dtype == np.complex128 and got.shape == (n,)
     assert np.abs(got - np.asarray(oracles.dft(u.tolist()))).max() < gate
-    assert np.abs(got - length_p_transform(u + 0j)).max() < gate
     assert all(got[n - c] == np.conj(got[c]) for c in range(1, n))
 
 
-def test_both_row_counts_share_one_chirp():
-    # the chirp is cached once per length and each filter per row count
+def test_transform_refuses_a_complex_input():
+    # the upper rows are filled as conjugates, which holds for a real input only
+    with pytest.raises(ConsistencyError, match="real input"):
+        length_p_transform(np.ones(5) + 1j)
+
+
+def test_one_chirp_and_one_filter_per_length():
+    # the chirp and the transformed filter are cached once per length, the
+    # filter at the smallest 2^a * 3^b >= n + n//2
     n = 1009
     convolve._chirp.cache_clear()
     convolve._chirp_filter.cache_clear()
-    real, complex_ = convolve._chirp_filter(n, n // 2 + 1), convolve._chirp_filter(n, n)
+    first, again = convolve._chirp_filter(n), convolve._chirp_filter(n)
+    assert first is again and first[1] == 1536
     assert convolve._chirp.cache_info().misses == 1
-    assert real[1] == 1536 and complex_[1] == 2048
+    assert convolve._chirp_filter.cache_info().misses == 1
 
 
 def test_cold_chirp_tables_build_in_place():
@@ -977,7 +986,7 @@ def test_cold_chirp_tables_build_in_place():
     convolve._chirp_filter.cache_clear()
     tracemalloc.start()
     try:
-        convolve._chirp_filter(p, p // 2 + 1)
+        convolve._chirp_filter(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

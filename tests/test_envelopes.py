@@ -1,9 +1,8 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from fplab.envelopes import (burgess_envelope, frac_sum_envelope, holder_norm,
+from fplab.envelopes import (burgess_envelope, frac_sum_envelope,
                              pair_energy_envelope, product_set_branch,
                              recip_energy_envelope, tk_hypotheses,
                              tk_main_term, triple_main_term, value_ratio)
@@ -41,12 +40,6 @@ def test_recip_and_frac_envelopes():
         value_ratio(10 ** 400, 1e300)
     env = frac_sum_envelope(10, 10, 101, 2)
     assert env == 100 * (101 / (10 * 10 ** (4 / 3)) + 0.1) ** 0.25
-
-
-def test_holder_norm():
-    alpha = np.array([3.0, 4.0])
-    assert holder_norm(alpha, 1) == 4.0          # sup norm at ell = 1
-    assert abs(holder_norm(alpha, 2) - 5.0) < 1e-12  # l2 at ell = 2
 
 
 def test_main_terms_are_exact_rationals():

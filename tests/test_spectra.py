@@ -13,8 +13,8 @@ from fplab.modfield import PrimeContext
 from fplab.sets import (ResidueSet, initial_interval, random_subset, residue_set,
                         shifted_interval)
 from fplab.spectra import (burgess_ratio, char_spectrum, complete_sum_table,
-                           kloosterman_frac_sum, weighted_frac_sum)
-from fplab.tkcount import tk_spectral_check
+                           kloosterman_frac_sum)
+from fplab.tkcount import tk_experiment, tk_spectral_check
 
 import oracles
 
@@ -68,7 +68,7 @@ def test_complete_sum_matches_direct(p, H, L, s):
     t = complete_sum_table(x, s, c)
     x_elems = x.elements().tolist()
     squares = recip_power_counts(x, s, c).sum_of_squares()
-    gate = _row_gate(p, squares, convolve._chirp_filter(p, p // 2 + 1)[1])
+    gate = _row_gate(p, squares, convolve._chirp_filter(p)[1])
     for ci in (0, 1, 2, p // 2, p // 2 + 1, p - 1):
         assert abs(t.W[ci] - oracles.complete_sum(x_elems, s, ci, p)) < gate
     rhs = p * squares
@@ -153,40 +153,6 @@ def test_kloosterman_trivial_bound(ctx):
     for a in (1, 5, 1008):
         res = kloosterman_frac_sum(a, mset, x, 2, c)
         assert res.value <= res.trivial_bound
-
-
-def test_weighted_reductions(ctx):
-    c = ctx(101)
-    x = shifted_interval(3, 20, c, require_denominator_safe=True)
-    mset = random_subset(8, 11, c)
-    ones_a = np.ones(8)
-    ones_b = np.ones(20)
-    a = 7
-    plain = kloosterman_frac_sum(a, mset, x, 1, c)
-    weighted = weighted_frac_sum(ones_a, ones_b, a, mset, x, 1, c)
-    # alpha = beta = 1 collapses to the plain double sum: |value| <= S
-    assert abs(weighted.value) <= plain.value + 1e-9
-    direct = sum(oracles.complete_sum(x.elements().tolist(), 1, a * m % 101, 101)
-                 for m in mset.elems.tolist())
-    assert abs(weighted.value - direct) < 1e-6
-
-    res0 = weighted_frac_sum(ones_a, ones_b, 0, mset, x, 1, c)
-    assert abs(res0.value - 8 * 20) < 1e-9  # (sum alpha)(sum beta)
-
-    zero_b = np.zeros(20)
-    assert abs(weighted_frac_sum(ones_a, zero_b, a, mset, x, 1, c).value) < 1e-12
-
-
-def test_weighted_beta_validation(ctx):
-    c = ctx(101)
-    x = initial_interval(5, c)
-    mset = residue_set([1, 2], c)
-    beta = np.ones(5)
-    beta[3] = 1.5
-    with pytest.raises(DomainError, match="position 3"):
-        weighted_frac_sum(np.ones(2), beta, 1, mset, x, 1, c)
-    with pytest.raises(DomainError):
-        weighted_frac_sum(np.ones(3), np.ones(5), 1, mset, x, 1, c)
 
 
 def test_char_spectrum_basics(ctx):
@@ -296,10 +262,6 @@ _FOREIGN_MODULUS = {
     "complete_sum_table": lambda: complete_sum_table(_IV101, 1, _C1009),
     "kloosterman_set": lambda: kloosterman_frac_sum(1, _SET101, _IV1009, 1, _C1009),
     "kloosterman_interval": lambda: kloosterman_frac_sum(1, _SET1009, _IV101, 1, _C1009),
-    "weighted_set": lambda: weighted_frac_sum(np.ones(3), np.ones(20), 1, _SET101, _IV1009,
-                                              1, _C1009),
-    "weighted_interval": lambda: weighted_frac_sum(np.ones(3), np.ones(20), 1, _SET1009,
-                                                   _IV101, 1, _C1009),
     "char_spectrum_set": lambda: char_spectrum(_SET101, _C1009),
     "char_spectrum_interval": lambda: char_spectrum(_IV101, _C1009),
 }
@@ -318,9 +280,6 @@ _REFUSED_INPUTS = {
     "energy_Js_shifted_base": (
         lambda: energy_Js(0, shifted_interval(3, 5, _C101), _SET101, 1, _C101),
         DomainError, "pass the base interval"),
-    "weighted_beta_length": (
-        lambda: weighted_frac_sum(np.ones(3), np.ones(19), 1, _SET1009, _IV1009, 1, _C1009),
-        DomainError, "one weight per interval element"),
     "tk_spectral_factor_count": (
         lambda: tk_spectral_check(3, [(_SET101, 0)] * 2, 4, 1, _C101, [0]),
         DomainError, "factor list does not match k"),
@@ -329,6 +288,37 @@ _REFUSED_INPUTS = {
         ConsistencyError, "mismatched lengths"),
     "residue_set_order": (
         lambda: ResidueSet(np.array([3, 2]), 101), DomainError, "strictly increasing"),
+    "tk_lambda_float": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 4, 1, _C101, sample_lambdas=[1.5]),
+        DomainError, "sample lambda must be an integer, got 1.5"),
+    "tk_lambda_numpy_float": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 4, 1, _C101,
+                              sample_lambdas=[np.float64(2.0)]),
+        DomainError, "sample lambda must be an integer"),
+    "tk_lambda_str": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 4, 1, _C101, sample_lambdas=["a"]),
+        DomainError, "sample lambda must be an integer"),
+    "tk_lambda_bool": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 4, 1, _C101, sample_lambdas=[True]),
+        DomainError, "sample lambda must be an integer, got True"),
+    "tk_shift_float": (
+        lambda: tk_experiment(3, [(_SET101, 0.5)] * 3, 4, 1, _C101),
+        DomainError, "L must be an integer, got 0.5"),
+    "tk_spectral_lambda_float": (
+        lambda: tk_spectral_check(3, [(_SET101, 0)] * 3, 4, 1, _C101, [1.5]),
+        DomainError, "sample lambda must be an integer"),
+    "kloosterman_a_float": (
+        lambda: kloosterman_frac_sum(1.5, _SET101, _IV101, 1, _C101),
+        DomainError, "a must be an integer"),
+    "kloosterman_a_bool": (
+        lambda: kloosterman_frac_sum(True, _SET101, _IV101, 1, _C101),
+        DomainError, "a must be an integer"),
+    "burgess_k_len_float": (
+        lambda: burgess_ratio(2.5, _C101), DomainError, "H must be an integer, got 2.5"),
+    "shifted_interval_L_float": (
+        lambda: shifted_interval(1.5, 3, _C101), DomainError, "L must be an integer"),
+    "initial_interval_H_float": (
+        lambda: initial_interval(2.5, _C101), DomainError, "H must be an integer"),
 }
 
 

@@ -172,16 +172,33 @@ def test_spectral_check_two_fold_hand_case(ctx):
 @pytest.mark.parametrize("p", [7, 101, 1009, 10007, 100003])
 def test_hermitian_inverse_matches_the_complex_route(p):
     # the spectral check's product of real-input transforms is Hermitian;
-    # its inverse from one real-input transform must match the all-rows
-    # complex inverse within the row gate of that complex transform
+    # its inverse from one real-input transform must match numpy's complex
+    # FFT of the product, sum_a P[a] * e_p(-a*lam), within the row gate of
+    # the real transform's length
     rng = np.random.default_rng(p)
     product = np.ones(p, dtype=np.complex128)
     for _ in range(3):
         product *= convolve.length_p_transform(rng.integers(0, 3, size=p))
-    complex_route = np.conj(convolve.length_p_transform(np.conj(product))).real
+    complex_route = np.fft.fft(product).real
     squares = float((np.abs(product) ** 2).sum())
-    gate = _row_gate(p, squares, convolve._chirp_filter(p, p)[1])
+    gate = _row_gate(p, squares, convolve._chirp_filter(p)[1])
     assert np.abs(tkcount._hermitian_inverse(product) - complex_route).max() < gate
+
+
+@pytest.mark.parametrize("k, H", [(3.0, 4), (np.float64(3.0), 4), (3, 4.5), (3, np.float64(4.0))],
+                         ids=["k_float", "k_numpy_float", "H_float", "H_numpy_float"])
+def test_tk_experiment_refuses_non_integer_k_and_H(ctx, k, H):
+    c = ctx(101)
+    with pytest.raises(DomainError, match="must be an integer"):
+        tk_experiment(k, [(residue_set([2, 3, 5], c), 0)] * 3, H, 1, c)
+
+
+def test_tk_experiment_takes_numpy_integers(ctx):
+    c = ctx(101)
+    rep = tk_experiment(np.int64(3), [(residue_set([2, 3, 5], c), 0)] * 3, np.int64(4), 1, c,
+                        sample_lambdas=[np.int64(5)])
+    assert (rep.k, rep.H, list(rep.dev_at)) == (3, 4, [5])
+    assert type(rep.k) is int and type(rep.H) is int and type(next(iter(rep.dev_at))) is int
 
 
 def test_hypothesis_flags(ctx):
