@@ -152,7 +152,7 @@ def _cmd_energy(args) -> Record:
 def _cmd_expsum(args) -> Record:
     ctx = PrimeContext.of(args.p)
     mset = _load_set(args.set_spec, args.seed, ctx)
-    x = shifted_interval(args.L, args.H, ctx, require_denominator_safe=True)
+    x = shifted_interval(args.L, args.H, ctx)
     res = spectra.kloosterman_frac_sum(args.a, mset, x, args.s, ctx, ell=args.ell)
     return Record(
         command="expsum", p=args.p, H=args.H, L=args.L, s=args.s, a=args.a,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import convolve
 from .countvec import CountVector, from_bincount
-from .errors import DomainError, ZeroInIntervalError
+from .errors import DomainError, integer
 from .modfield import PrimeContext, recip_power_values
 from .sets import Interval, ResidueSet, require_modulus, shifted_interval
 
@@ -50,12 +50,12 @@ def residue_order(values: np.ndarray, ctx: PrimeContext) -> np.ndarray:
 def _dlog_product(interval: Interval, mset: ResidueSet, s: int, ctx: PrimeContext,
                   budget: int | None) -> CountVector:
     """The count vector of m * x^(-s) over M x X, dlog-indexed over Z_{p-1}."""
-    if interval.contains_zero:
-        raise ZeroInIntervalError("interval covers 0 mod p: x^(-s) undefined")
+    units = interval.units()
     require_modulus(ctx, mset, interval)
+    s = integer("s", s)
     if s == 0:
         raise DomainError("exponent s must be nonzero")
-    return dlog_convolution([(mset.elems, 1), (interval.elements(), -s)], ctx, budget)
+    return dlog_convolution([(mset.elems, 1), (units, -s)], ctx, budget)
 
 
 def count_vector_product(interval: Interval, mset: ResidueSet, s: int,
@@ -85,7 +85,7 @@ def energy_Js(L: int, interval: Interval, mset: ResidueSet, s: int,
     """Coincidences m1*x1^(-s) = m2*x2^(-s) over the shifted interval L + {1..H}."""
     if interval.L != 0:
         raise DomainError("pass the base interval {1..H}; the shift goes in L")
-    x = shifted_interval(L, interval.H, ctx, require_denominator_safe=True)
+    x = shifted_interval(L, interval.H, ctx)
     return _dlog_product(x, mset, s, ctx, budget).sum_of_squares()
 
 
@@ -110,17 +110,14 @@ def triple_R(j_len: int, k_len: int, mset: ResidueSet, ctx: PrimeContext,
 def recip_power_counts(interval: Interval, s: int, ctx: PrimeContext) -> CountVector:
     """u[lam] = #{x in X : x^(-s) = lam mod p} (fiber sizes of the power map)."""
     require_modulus(ctx, interval)
-    if interval.contains_zero:
-        raise ZeroInIntervalError("interval covers 0 mod p: x^(-s) undefined")
-    vals = recip_power_values(interval.elements(), s, ctx)
+    vals = recip_power_values(interval.units(), s, ctx)
     return from_bincount(vals, ctx.p, expected_total=interval.H)
 
 
 def additive_energy_recip(interval_x: Interval, s: int, ell: int,
                           ctx: PrimeContext, budget: int | None = None) -> int:
     """Solutions of x1^(-s)+...+xl^(-s) = x(l+1)^(-s)+...+x(2l)^(-s) over X^(2l)."""
-    if ell < 1:
-        raise DomainError(f"ell must be >= 1, got {ell}")
+    ell = integer("ell", ell, low=1)
     u = recip_power_counts(interval_x, s, ctx)
     if ell == 1:
         return u.sum_of_squares()

@@ -1,6 +1,9 @@
 """Exception types shared across the package."""
 
+import math
 import operator
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -38,14 +41,38 @@ def check_budget(work: int, budget: int | None, what: str) -> None:
             f"{what} needs {work} operations, budget is {limit}", required=work)
 
 
-def integer(name: str, value) -> int:
-    """value as a Python int; a DomainError naming the argument for a bool or a non-integer."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
+def integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """value as a Python int in low..high (a missing bound is open).
+
+    A bool, a non-integer or a value out of range is a DomainError naming
+    the argument.
+    """
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= index <= high:
+        raise DomainError(f"{name} must lie in {low}..{high}, got {index}")
+    if low is not None and index < low:
+        raise DomainError(f"{name} must be >= {low}, got {index}")
+    return index
+
+
+def integer_array(name: str, values) -> np.ndarray:
+    """values as an int64 array; non-integer entries are a DomainError naming the argument."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise DomainError(f"{name} must be integers, got {arr.dtype} entries")
+    return arr.astype(np.int64, copy=False)
+
+
+def check_epsilon(epsilon) -> float:
+    """epsilon when it is a finite number >= 0; else a DomainError."""
+    if not 0 <= epsilon < math.inf:
+        raise DomainError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+    return epsilon
 
 
 class SetFileError(ValueError):

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, integer, integer_array
 
 # Witness set proving primality for all n < 3.3 * 10^24 (covers 2^64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -130,10 +130,9 @@ class PrimeContext:
     __slots__ = ("p", "g", "_dlog")
 
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise DomainError(f"p={p} is not prime")
-        if p < 3 or p % 2 == 0:
-            raise DomainError(f"p={p} must be an odd prime >= 3")
+        p = integer("p", p)
+        if p < 3 or not is_prime(p):
+            raise DomainError(f"p={p} is not an odd prime")
         if p >= MAX_PRIME:
             raise DomainError(f"p={p} exceeds the supported range (< 2^31)")
         self.p = p
@@ -181,10 +180,11 @@ def recip_power_values(elements: Sequence[int] | np.ndarray, s: int,
     e = -s mod (p-1); one square-and-multiply runs over the whole array,
     and every product of two residues stays below p^2 < 2^62 in uint64.
     """
+    s = integer("s", s)
     if s == 0:
         raise DomainError("exponent s must be nonzero")
     p = ctx.p
-    x = (np.asarray(elements, dtype=np.int64) % p).astype(np.uint64)
+    x = (integer_array("elements", elements) % p).astype(np.uint64)
     zeros = np.flatnonzero(x == 0)
     if zeros.size:
         raise DomainError(f"value at index {zeros[0]} is zero mod {p}: no inverse")

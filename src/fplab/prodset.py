@@ -13,7 +13,7 @@ import numpy as np
 
 from .energy import dlog_convolution, residue_order
 from .envelopes import product_set_branch
-from .errors import DomainError, ZeroInIntervalError
+from .errors import DomainError, check_epsilon
 from .modfield import PrimeContext
 from .sets import Interval, ResidueSet, require_modulus
 
@@ -55,6 +55,7 @@ def _report(occ: np.ndarray, interval: Interval, mset: ResidueSet,
 def product_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
                 epsilon: float = 0.05, budget: int | None = None) -> ProductSetReport:
     """Exact size of {h*m mod p}; 0 is a product exactly when the interval covers it."""
+    check_epsilon(epsilon)
     require_modulus(ctx, interval, mset)
     elems = interval.elements()
     occ = _occupancy(elems[elems != 0], 1, mset, ctx, budget)
@@ -65,8 +66,7 @@ def product_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
 def ratio_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
               epsilon: float = 0.05, budget: int | None = None) -> ProductSetReport:
     """Exact size of {m/h mod p}: the product set of the inverted interval."""
+    check_epsilon(epsilon)
     require_modulus(ctx, interval, mset)
-    if interval.contains_zero:
-        raise ZeroInIntervalError("ratio set needs a denominator-safe interval (0 not in H)")
-    occ = _occupancy(interval.elements(), -1, mset, ctx, budget)
+    occ = _occupancy(interval.units(), -1, mset, ctx, budget)
     return _report(occ, interval, mset, epsilon)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SetFileError, ZeroInIntervalError, integer
+from .errors import DomainError, SetFileError, ZeroInIntervalError, integer, integer_array
 from .modfield import PrimeContext
 
 
@@ -26,7 +26,7 @@ class SplitMix64:
     MASK = 0xFFFFFFFFFFFFFFFF
 
     def __init__(self, seed: int):
-        self.state = seed & self.MASK
+        self.state = integer("seed", seed) & self.MASK
 
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
@@ -58,9 +58,7 @@ class Interval:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "H", integer("H", self.H))
-        if not 1 <= self.H <= self.p - 1:
-            raise DomainError(f"interval length H={self.H} out of range 1..{self.p - 1}")
+        object.__setattr__(self, "H", integer("H", self.H, 1, self.p - 1))
         object.__setattr__(self, "L", integer("L", self.L) % self.p)
 
     @property
@@ -71,6 +69,12 @@ class Interval:
     def elements(self) -> np.ndarray:
         """All H elements, reduced mod p, in shift order."""
         return (np.arange(self.L + 1, self.L + self.H + 1, dtype=np.int64)) % self.p
+
+    def units(self) -> np.ndarray:
+        """elements(), refused when one of them is 0 mod p: the x of every map x^(-s)."""
+        if self.contains_zero:
+            raise ZeroInIntervalError(f"interval L={self.L}, H={self.H} covers 0 mod {self.p}")
+        return self.elements()
 
     def __len__(self):
         return self.H
@@ -85,7 +89,7 @@ class ResidueSet:
     M: int = field(init=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.elems, dtype=np.int64)
+        arr = integer_array("residue set elements", self.elems)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("residue set must be a nonempty 1-d collection")
         if bool((arr <= 0).any()) or bool((arr >= self.p).any()):
@@ -110,17 +114,18 @@ def initial_interval(H: int, ctx: PrimeContext) -> Interval:
     return Interval(0, H, ctx.p)
 
 
-def shifted_interval(L: int, H: int, ctx: PrimeContext, require_denominator_safe: bool = False) -> Interval:
-    """The interval {L+1, ..., L+H} mod p, optionally required to avoid 0."""
-    iv = Interval(L, H, ctx.p)
-    if require_denominator_safe and iv.contains_zero:
-        raise ZeroInIntervalError(f"interval L={L}, H={H} covers 0 mod {ctx.p}")
-    return iv
+def shifted_interval(L: int, H: int, ctx: PrimeContext) -> Interval:
+    """The interval {L+1, ..., L+H} mod p, which may cover 0.
+
+    Every map with x in a denominator reads it through Interval.units,
+    which refuses an interval through 0.
+    """
+    return Interval(L, H, ctx.p)
 
 
 def residue_set(values, ctx: PrimeContext) -> ResidueSet:
     """A ResidueSet from already-reduced, distinct values (sorted here)."""
-    return ResidueSet(np.sort(np.asarray(list(values), dtype=np.int64)), ctx.p)
+    return ResidueSet(np.sort(list(values)), ctx.p)
 
 
 def random_subset(M: int, seed: int, ctx: PrimeContext) -> ResidueSet:
@@ -130,8 +135,7 @@ def random_subset(M: int, seed: int, ctx: PrimeContext) -> ResidueSet:
     in a dict so only O(M) state is touched.
     """
     n = ctx.p - 1
-    if not 1 <= M <= n:
-        raise DomainError(f"subset size M={M} out of range 1..{n}")
+    M = integer("M", M, 1, n)
     rng = SplitMix64(seed)
     swapped: dict[int, int] = {}
     picks = np.empty(M, dtype=np.int64)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .convolve import length_p_transform
 from .energy import recip_power_counts
-from .envelopes import frac_sum_envelope
-from .errors import DomainError, integer
+from .envelopes import burgess_envelope, frac_sum_envelope
+from .errors import integer
 from .modfield import PrimeContext
 from .sets import Interval, ResidueSet, initial_interval, require_modulus
 
@@ -70,8 +70,7 @@ def complete_sum_table(interval_x: Interval, s: int, ctx: PrimeContext) -> Compl
 def kloosterman_frac_sum(a: int, mset: ResidueSet, interval_x: Interval, s: int,
                          ctx: PrimeContext, ell: int = 2) -> FracSumResult:
     """S = sum over m of |W[a*m mod p]|, with the ell-parameterized envelope."""
-    if ell < 1:
-        raise DomainError(f"ell must be >= 1, got {ell}")
+    ell = integer("ell", ell, low=1)
     a = integer("a", a)
     require_modulus(ctx, mset, interval_x)
     p = ctx.p
@@ -96,12 +95,7 @@ def char_spectrum(u_set: ResidueSet | Interval, ctx: PrimeContext) -> CharSpectr
     """
     require_modulus(ctx, u_set)
     p = ctx.p
-    if isinstance(u_set, Interval):
-        if u_set.contains_zero:
-            raise DomainError("character sums need 0 not in U")
-        elems = u_set.elements()
-    else:
-        elems = u_set.elems
+    elems = u_set.units() if isinstance(u_set, Interval) else u_set.elems
     n = elems.size
     s = np.zeros(p - 1, dtype=np.complex128)
     if n == p - 1:  # full group: orthogonality is exact
@@ -134,4 +128,4 @@ def burgess_ratio(k_len: int, ctx: PrimeContext) -> float:
     """max over t != 0 of |S_K(chi_t)| / (K^(1/2) * p^(3/16)) for K = {1..k_len}."""
     spec = char_spectrum(initial_interval(k_len, ctx), ctx)
     top = float(np.abs(spec.S[1:]).max())
-    return top / (k_len ** 0.5 * ctx.p ** 0.1875)
+    return top / burgess_envelope(k_len, ctx.p)

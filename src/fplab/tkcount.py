@@ -18,7 +18,7 @@ from . import convolve
 from .countvec import CountVector
 from .energy import count_vector_product
 from .envelopes import tk_hypotheses, tk_main_term
-from .errors import DEFAULT_BUDGET, BudgetError, DomainError, integer
+from .errors import DEFAULT_BUDGET, BudgetError, DomainError, check_epsilon, integer
 from .modfield import PrimeContext
 from .sets import ResidueSet, shifted_interval
 
@@ -79,6 +79,14 @@ def _residues(sample_lambdas, p: int) -> list[int]:
     return [integer("sample lambda", lam) % p for lam in sample_lambdas]
 
 
+def _tk_args(k: int, factors: list, H: int) -> tuple[int, int]:
+    """k and H as ints, k >= 2, with one factor per k."""
+    k, H = integer("k", k, low=2), integer("H", H)
+    if len(factors) != k:
+        raise DomainError("factor list does not match k")
+    return k, H
+
+
 def check_tk_budget(k: int, H: int, M: int, p: int, budget: int | None) -> None:
     """Refuse T_k over k sets of M elements each, before any set is drawn.
 
@@ -117,7 +125,7 @@ def _factor_counts(factors: list[tuple[ResidueSet, int]], H: int, s: int,
     vectors = []
     for (mset, shift), key in zip(factors, keys):
         if key not in built:
-            x = shifted_interval(shift, H, ctx, require_denominator_safe=True)
+            x = shifted_interval(shift, H, ctx)
             built[key] = count_vector_product(x, mset, s, ctx, budget)
         vectors.append(built[key])
     return vectors
@@ -127,12 +135,9 @@ def tk_experiment(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: int,
                   ctx: PrimeContext, epsilon: float = 0.05,
                   budget: int | None = None, sample_lambdas=()) -> TkReport:
     """T_k over the given (set, shift) factors, all sharing interval length H."""
-    k, H = integer("k", k), integer("H", H)
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
+    check_epsilon(epsilon)
+    k, H = _tk_args(k, factors, H)
     lambdas = _residues(sample_lambdas, ctx.p)
-    if len(factors) != k:
-        raise DomainError(f"expected {k} factors, got {len(factors)}")
     sizes = [mset.M for mset, _ in factors]
     if len(set(sizes)) > 1:
         raise DomainError(f"factor sets have unequal sizes {sizes}")
@@ -162,8 +167,7 @@ def tk_spectral_check(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: 
     share its transform, which is made once and multiplied in once per
     factor.
     """
-    if len(factors) != k or k < 2:
-        raise DomainError("factor list does not match k")
+    k, H = _tk_args(k, factors, H)
     lambdas = _residues(sample_lambdas, ctx.p)
     vectors = _factor_counts(factors, H, s, ctx, budget)
     exact = convolve.k_fold_count(vectors, budget=budget)

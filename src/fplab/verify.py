@@ -19,8 +19,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import energy, envelopes, prodset, spectra, tkcount
-from .errors import DEFAULT_BUDGET, BudgetError, DomainError, ZeroInIntervalError
-from .modfield import MAX_PRIME, PrimeContext, is_prime
+from .errors import DEFAULT_BUDGET, BudgetError, DomainError, ZeroInIntervalError, check_epsilon
+from .modfield import PrimeContext
 from .sets import (ResidueSet, SplitMix64, initial_interval, mix_seed, random_subset,
                    shifted_interval)
 
@@ -80,13 +80,9 @@ class SweepConfig:
             _number(int, "l_policy", self.l_policy[len("explicit:"):])
         elif self.l_policy not in ("zero", "random"):
             raise DomainError(f"bad L policy {self.l_policy!r}")
-        if not 0 <= self.epsilon < math.inf:
-            raise DomainError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
-        for p in self.primes:
-            if not is_prime(p) or p < 3:
-                raise DomainError(f"{p} is not an odd prime")
-            if p >= MAX_PRIME:  # refused before any row is written
-                raise DomainError(f"p={p} exceeds the supported range (< 2^31)")
+        check_epsilon(self.epsilon)
+        for p in self.primes:  # refused before any row is written
+            PrimeContext.of(p)
 
 
 class _Record:
@@ -235,7 +231,7 @@ def energy_values(kind: str, ctx: PrimeContext, mset: ResidueSet, h: int, shift:
         value = energy.triple_R(h, k_len, mset, ctx, budget)
         envelope = float(envelopes.triple_main_term(h, k_len, mset.M, p))
     else:
-        x = shifted_interval(shift, h, ctx, require_denominator_safe=True)
+        x = shifted_interval(shift, h, ctx)
         value = energy.additive_energy_recip(x, s, ell, ctx, budget)
         envelope = envelopes.recip_energy_envelope(h, p, ell)
     return dict(value=value, envelope=envelope, ratio=envelopes.value_ratio(value, envelope))
@@ -289,7 +285,7 @@ def _measure(cfg: SweepConfig, row: ReportRow, ctx: PrimeContext,
         return replace(row, L=0 if kind == "J" else shift, **values)
 
     if measure == "kloosterman":
-        x = shifted_interval(shift, h, ctx, require_denominator_safe=True)
+        x = shifted_interval(shift, h, ctx)
         a = 1 + rng.below(p - 1)
         res = spectra.kloosterman_frac_sum(a, mset, x, s, ctx, ell=row.ell)
         return replace(row, value=res.value, envelope=res.envelope,

@@ -75,7 +75,7 @@ def test_criterion_01_oracle_equivalence_counts():
             oracles.energy_Js(x_elems, m_elems, s, p)
         assert energy.triple_R(h, k_len, mset, ctx) == \
             oracles.triple_R(h, k_len, m_elems, p)
-        x = shifted_interval(shift, h, ctx, require_denominator_safe=True)
+        x = shifted_interval(shift, h, ctx)
         assert energy.additive_energy_recip(x, s, ell, ctx) == \
             oracles.recip_energy(x_elems, s, ell, p)
 
@@ -149,7 +149,7 @@ def test_criterion_04_parseval_identities():
         shift = rng.below(p - h)
         s = 1 + rng.below(3)
         m = 1 + rng.below(p // 2)
-        x = shifted_interval(shift, h, ctx, require_denominator_safe=True)
+        x = shifted_interval(shift, h, ctx)
         table = spectra.complete_sum_table(x, s, ctx)
         u = energy.recip_power_counts(x, s, ctx)
         lhs = float((np.abs(table.W) ** 2).sum())
@@ -235,7 +235,7 @@ def test_criterion_08_frac_sum_envelope_sanity():
                 idx += 1
                 mset = random_subset(n, rng.next_u64(), ctx)
                 shift = rng.below(p - n)
-                x = shifted_interval(shift, n, ctx, require_denominator_safe=True)
+                x = shifted_interval(shift, n, ctx)
                 a = 1 + rng.below(p - 1)
                 res = spectra.kloosterman_frac_sum(a, mset, x, s, ctx, ell=ell)
                 assert res.value <= res.trivial_bound

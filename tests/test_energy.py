@@ -143,7 +143,7 @@ def test_triple_matches_enumeration(ctx):
 def test_recip_energy_matches_enumeration(ctx):
     c = ctx(13)
     for H, s, ell, L in [(3, 1, 2, 0), (4, 2, 2, 3), (3, 3, 3, 1), (5, 1, 1, 2)]:
-        x = shifted_interval(L, H, c, require_denominator_safe=True)
+        x = shifted_interval(L, H, c)
         x_elems = x.elements().tolist()
         assert additive_energy_recip(x, s, ell, c) == \
             oracles.recip_energy(x_elems, s, ell, 13)
@@ -171,7 +171,7 @@ def test_interval_covering_zero_is_typed(ctx):
     c = ctx(11)
     unsafe = shifted_interval(9, 3, c)
     m = residue_set([1], c)
-    for call in (lambda: shifted_interval(9, 3, c, require_denominator_safe=True),
+    for call in (unsafe.units,
                  lambda: count_vector_product(unsafe, m, 1, c),
                  lambda: recip_power_counts(unsafe, 1, c),
                  lambda: ratio_set(unsafe, m, c)):

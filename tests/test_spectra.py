@@ -7,9 +7,10 @@ import pytest
 
 from fplab import convolve
 from fplab.countvec import CountVector
-from fplab.energy import energy_Js, recip_power_counts
-from fplab.errors import ConsistencyError, DomainError
-from fplab.modfield import PrimeContext
+from fplab.energy import additive_energy_recip, energy_Js, recip_power_counts
+from fplab.errors import ConsistencyError, DomainError, ZeroInIntervalError
+from fplab.modfield import PrimeContext, batch_inverse
+from fplab.prodset import product_set, ratio_set
 from fplab.sets import (ResidueSet, initial_interval, random_subset, residue_set,
                         shifted_interval)
 from fplab.spectra import (burgess_ratio, char_spectrum, complete_sum_table,
@@ -64,7 +65,7 @@ def test_complete_sum_matches_direct(p, H, L, s):
     # and Parseval over the whole table:
     # sum_c |W[c]|^2 = p * sum_lam u[lam]^2 for the fibre counts u
     c = PrimeContext.of(p)
-    x = shifted_interval(L, H, c, require_denominator_safe=True)
+    x = shifted_interval(L, H, c)
     t = complete_sum_table(x, s, c)
     x_elems = x.elements().tolist()
     squares = recip_power_counts(x, s, c).sum_of_squares()
@@ -82,7 +83,7 @@ def test_complete_sum_table_memory():
     # that buffer, and its head is the table. Measured 2.16 * 16p bytes
     p = 100003
     c = PrimeContext.of(p)
-    x = shifted_interval(12345, 3163, c, require_denominator_safe=True)
+    x = shifted_interval(12345, 3163, c)
     complete_sum_table(x, 1, c)
     tracemalloc.start()
     try:
@@ -97,7 +98,7 @@ def test_complete_sum_all_entries_vs_direct():
     # full-table comparison against an O(pH) evaluation with its own phases
     p, H, L, s = 499, 200, 61, 2
     c = PrimeContext.of(p)
-    x = shifted_interval(L, H, c, require_denominator_safe=True)
+    x = shifted_interval(L, H, c)
     t = complete_sum_table(x, s, c)
     vals = np.asarray(oracles.recip_values(x.elements().tolist(), s, p))
     phases = np.exp(2j * np.pi * np.arange(p) / p)
@@ -108,7 +109,7 @@ def test_complete_sum_all_entries_vs_direct():
 @pytest.mark.parametrize("p,H,L,s", [(101, 40, 7, 1), (997, 300, 100, 2)])
 def test_complete_sum_parseval(p, H, L, s):
     c = PrimeContext.of(p)
-    x = shifted_interval(L, H, c, require_denominator_safe=True)
+    x = shifted_interval(L, H, c)
     t = complete_sum_table(x, s, c)
     from fplab.energy import additive_energy_recip, recip_power_counts
     u = recip_power_counts(x, s, c)
@@ -134,7 +135,7 @@ def test_kloosterman_examples(ctx):
 
 def test_kloosterman_dilation_invariance(ctx):
     c = ctx(101)
-    x = shifted_interval(13, 30, c, require_denominator_safe=True)
+    x = shifted_interval(13, 30, c)
     m_elems = random_subset(12, 5, c).elems.tolist()
     mset = residue_set(m_elems, c)
     scale = 17
@@ -148,7 +149,7 @@ def test_kloosterman_dilation_invariance(ctx):
 
 def test_kloosterman_trivial_bound(ctx):
     c = ctx(1009)
-    x = shifted_interval(44, 100, c, require_denominator_safe=True)
+    x = shifted_interval(44, 100, c)
     mset = random_subset(60, 3, c)
     for a in (1, 5, 1008):
         res = kloosterman_frac_sum(a, mset, x, 2, c)
@@ -319,6 +320,46 @@ _REFUSED_INPUTS = {
         lambda: shifted_interval(1.5, 3, _C101), DomainError, "L must be an integer"),
     "initial_interval_H_float": (
         lambda: initial_interval(2.5, _C101), DomainError, "H must be an integer"),
+    "tk_s_float": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 4, 1.5, _C101),
+        DomainError, "s must be an integer, got 1.5"),
+    "complete_sum_s_float": (
+        lambda: complete_sum_table(_IV101, 1.5, _C101), DomainError, "s must be an integer"),
+    "residue_set_float": (
+        lambda: residue_set([1.5, 2.9], _C101),
+        DomainError, "residue set elements must be integers, got float64 entries"),
+    "residue_set_array_float": (
+        lambda: ResidueSet(np.array([1.5, 2.9]), 101),
+        DomainError, "residue set elements must be integers"),
+    "batch_inverse_float": (
+        lambda: batch_inverse([1.5], _C101), DomainError, "elements must be integers"),
+    "prime_context_float": (
+        lambda: PrimeContext(101.0), DomainError, "p must be an integer, got 101.0"),
+    "random_subset_seed_float": (
+        lambda: random_subset(3, 1.5, _C101), DomainError, "seed must be an integer"),
+    "random_subset_M_float": (
+        lambda: random_subset(2.5, 1, _C101), DomainError, "M must be an integer, got 2.5"),
+    "kloosterman_ell_float": (
+        lambda: kloosterman_frac_sum(1, _SET101, _IV101, 1, _C101, ell=1.5),
+        DomainError, "ell must be an integer, got 1.5"),
+    "recip_energy_ell_float": (
+        lambda: additive_energy_recip(_IV101, 1, 1.5, _C101),
+        DomainError, "ell must be an integer, got 1.5"),
+    "char_spectrum_interval_through_zero": (
+        lambda: char_spectrum(shifted_interval(99, 4, _C101), _C101),
+        ZeroInIntervalError, "interval L=99, H=4 covers 0 mod 101"),
+    "product_set_epsilon_negative": (
+        lambda: product_set(_IV101, _SET101, _C101, epsilon=-1),
+        DomainError, "epsilon must be a finite number >= 0, got -1"),
+    "product_set_epsilon_nan": (
+        lambda: product_set(_IV101, _SET101, _C101, epsilon=math.nan),
+        DomainError, "epsilon must be a finite number >= 0, got nan"),
+    "ratio_set_epsilon_nan": (
+        lambda: ratio_set(_IV101, _SET101, _C101, epsilon=math.nan),
+        DomainError, "epsilon must be a finite number >= 0"),
+    "tk_epsilon_nan": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 4, 1, _C101, epsilon=math.nan),
+        DomainError, "epsilon must be a finite number >= 0"),
 }
 
 

@@ -170,6 +170,33 @@ def test_explicit_shift_policy_end_to_end():
     ]
 
 
+# one fault per config, at p = 101 with H = M = 11; L = 95 puts 0 inside
+# 95 + {1..11} mod 101
+_REFUSAL_ROWS = {
+    "measure = recip_energy\nl_policy = explicit:95\n":
+        "0,recip_energy,101,11,11,95,1,2,6,0.05,6791897765849424158,,,,,interval_covers_zero",
+    "measure = kloosterman\nl_policy = explicit:95\n":
+        "0,kloosterman,101,11,11,95,1,2,6,0.05,6791897765849424158,,,,,interval_covers_zero",
+    "measure = tk\nk = 3\nl_policy = explicit:95\n":
+        "0,tk,101,11,11,95,1,2,3,0.05,6791897765849424158,,,,,interval_covers_zero",
+    "measure = recip_energy\nell = 0\n":
+        '0,recip_energy,101,11,11,0,1,0,6,0.05,6791897765849424158,,,,,'
+        '"domain:ell must be >= 1, got 0"',
+    "measure = energy_js\ns = 0\n":
+        "0,energy_js,101,11,11,0,0,2,6,0.05,6791897765849424158,,,,,"
+        "domain:exponent s must be nonzero",
+    "measure = tk\nk = 1\n":
+        '0,tk,101,11,11,0,1,2,1,0.05,6791897765849424158,,,,,"domain:k must be >= 2, got 1"',
+}
+
+
+@pytest.mark.parametrize("text", sorted(_REFUSAL_ROWS))
+def test_refusal_rows_are_pinned(text):
+    sink = io.StringIO()
+    run_sweep(parse_config(text + "primes = 101\nh_exp = 0.5\n"), sink=sink)
+    assert sink.getvalue().splitlines()[1:] == [_REFUSAL_ROWS[text]]
+
+
 def test_tk_sweep_is_refused_before_any_set_is_drawn(monkeypatch):
     # k = 20000: refused on the charge of one array 20000 times, before the
     # point draws its sets
