@@ -129,17 +129,18 @@ radix), the transforms run against those charged, the largest certified
 bound and the largest rounding residual.
 
 The prime-length Fourier transform (for complete exponential-sum tables)
-uses the chirp factorization c*l = (c^2 + l^2 - (c-l)^2)/2 to reduce a
-length-p transform to one circular convolution, at every length p >= 1.
-Its input is real, so hat_u[p-c] = conj hat_u[c]: only rows
-0..p//2 are convolved, at the smallest 2^a * 3^b length L >= p + p//2
-(pocketfft's radix 3 runs about as fast as its radix 2), and the other
-rows are filled as conjugates. A complex input is refused.
-Buffers: the chirp and the transformed filter are cached once per
-length p, each built in place (a first build holds the chirp and the
-filter). A call allocates one work buffer of length L, runs both FFTs
-in it, writes its rows into its head and returns it shrunk to length p,
-so it holds that buffer beside the caller's input.
+runs Rader's algorithm at an odd prime length n: numbering the units by
+the powers of a primitive root turns it into two real correlations of
+length h = (n-1)/2, a cyclic one for the real parts and a negacyclic one
+for the imaginary parts. Each is read off a linear correlation with a
+kernel of length n - 2, by real FFTs at the smallest 2^a * 3^b length
+L >= n - 2 (pocketfft's radix 3 runs about as fast as its radix 2).
+Its input is real, so hat_u[n-c] = conj hat_u[c], and a complex input is
+refused; a length that is not an odd prime is a DomainError.
+Buffers: the powers of the root and the spectra of the two kernels are
+cached once per length. A call gathers its two sides as h floats each,
+runs one rfft and one irfft for each, keeps the h rows of each and
+allocates its output last.
 """
 
 from __future__ import annotations
@@ -157,6 +158,7 @@ import numpy as np
 
 from .countvec import CountVector, sum_of_squares
 from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, DomainError, check_budget
+from .modfield import find_primitive_root, is_prime, power_table
 
 log = logging.getLogger(__name__)
 
@@ -795,68 +797,93 @@ def _smooth_length(n: int) -> int:
 
 
 @lru_cache(maxsize=4)
-def _chirp(n: int) -> np.ndarray:
-    """chirp[t] = exp(i*pi*t^2/n), one per length n.
+def _rader_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(e - 1, cos kernel spectrum, sin kernel spectrum, L) for an odd prime n.
 
-    t^2 is reduced mod 2n before the angle is formed, which keeps the
-    sin/cos arguments small. The angle i*pi*t^2/n is formed in the output
-    and the exponential taken in place, so a build holds the chirp and
-    one int64 array of length n.
+    e[m] = g^m mod n for m < h = (n-1)/2, g = find_primitive_root(n); the
+    table keeps e - 1, so that x[1:][e - 1] = x[e] and x[:0:-1][e - 1] =
+    x[n - e] index without a temporary. The kernels have length n - 2:
+    cos(2*pi*e[j mod h]/n), and sigma(j) = sin(2*pi*e[j]/n) for j < h,
+    -sin(2*pi*e[j-h]/n) for j >= h. Each is laid into one zeroed float
+    array of length L = _smooth_length(n - 2) and its rfft kept.
     """
-    sq = np.arange(n, dtype=np.int64)
-    sq *= sq
-    sq %= 2 * n
-    chirp = np.multiply(1j * np.pi, sq)
-    chirp /= n
-    return np.exp(chirp, out=chirp)
+    h, size = (n - 1) // 2, _smooth_length(n - 2)
+    e = power_table(find_primitive_root(n), h, n).view(np.int64)
+    kernel, spectra = np.zeros(size), []
+    for trig, sign in ((np.cos, 1.0), (np.sin, -1.0)):
+        np.multiply(e, 2 * np.pi / n, out=kernel[:h])
+        trig(kernel[:h], out=kernel[:h])
+        np.multiply(kernel[:h - 1], sign, out=kernel[h:n - 2])
+        spectra.append(np.fft.rfft(kernel))
+    e -= 1
+    return e, spectra[0], spectra[1], size
 
 
-@lru_cache(maxsize=4)
-def _chirp_filter(n: int) -> tuple[np.ndarray, int]:
-    """(transformed filter, fft length L) for rows 0..n//2 of a length-n transform.
+def _correlation_rows(spec: np.ndarray, kernel_hat: np.ndarray, size: int, h: int) -> np.ndarray:
+    """c[a] = sum_m x[m] * K[a + m] for a < h, from the rffts of x and K at size.
 
-    With R = n//2 + 1 rows, the filter holds conj(chirp[d]) at every
-    offset d = c - lam in [-(n-1), R-1], at d mod L; these n + R - 1
-    offsets are distinct modulo L >= n + R - 1, so the circular
-    convolution at L equals the linear one on rows 0..R-1. It is
-    conjugated into place and transformed in place: a build holds the
-    chirp and this one array.
+    spec, the rfft X of x, is turned into conj(X) * K's spectrum in place.
+    Every a + m <= 2h - 2 = n - 3 < size, so no term wraps around.
     """
-    chirp, rows = _chirp(n), n // 2 + 1
-    m = _smooth_length(n + rows - 1)
-    filt = np.zeros(m, dtype=np.complex128)
-    np.conj(chirp[:rows], out=filt[:rows])
-    np.conj(chirp[:0:-1], out=filt[m - n + 1:])
-    return np.fft.fft(filt, out=filt), m
+    np.conjugate(spec, out=spec)
+    spec *= kernel_hat
+    return np.fft.irfft(spec, size)[:h].copy()
 
 
 def length_p_transform(u: np.ndarray) -> np.ndarray:
-    """hat_u[c] = sum_lam u[lam] * exp(2*pi*i*c*lam/n) for a real u of length n.
+    """W[c] = sum_lam u[lam] * exp(2*pi*i*c*lam/n) for a real u of odd prime length n.
 
-    Chirp reduction to one circular convolution at a 3-smooth length L.
-    A real u has hat_u[n-c] = conj hat_u[c], so only rows 0..n//2 are
-    convolved, at L >= n + n//2, and the rest are their conjugates (row
-    n/2 of an even n is its own mirror and is kept real). A complex u is
-    a ConsistencyError: its upper rows are not these conjugates.
+    Rader's algorithm. Let g be a primitive root mod n, h = (n-1)/2 and
+    e[m] = g^m mod n for m < h. g^h is a square root of 1 other than 1,
+    so g^h = -1 and g^(m+h) = n - e[m]: the units are e and n - e, each
+    once. With z(j) = exp(2*pi*i*g^j/n), z(j+h) = conj z(j), so for c = e[a]
 
-    One work buffer of length L is allocated. Both FFTs run in it, the
-    rows are written back into its head, and it is shrunk to length n
-    and returned, so a call holds that buffer and the caller's u.
+        W[c] = u[0] + sum_m u[e[m]] z(a+m) + u[n-e[m]] conj z(a+m)
+             = u[0] + sum_m P[m] Re z(a+m) + i * sum_m Q[m] Im z(a+m),
+
+    P = u[e] + u[n-e] and Q = u[e] - u[n-e] real. Re z(j) =
+    cos(2*pi*e[j mod h]/n) is h-periodic and Im z(j) = sigma(j) changes
+    sign at j = h, so these are the real and imaginary parts of W[e[a]]:
+    a cyclic and a negacyclic correlation of length h. Both read kernels
+    at a + m <= n - 3 only, so each is one linear correlation with a
+    kernel of length n - 2, exact through real FFTs at any L >= n - 2.
+    The other rows need no work. For real u, conj W[c] = sum_lam u[lam]
+    * exp(-2*pi*i*c*lam/n) = W[n-c], so W[n - e[a]] = conj W[e[a]]; and
+    W[0] = sum_lam u[lam], every phase being 1.
+
+    A complex u is a ConsistencyError (its rows n - e are not these
+    conjugates) and a length that is not an odd prime a DomainError, both
+    before any table is built.
     """
     u = np.asarray(u)
     if np.iscomplexobj(u):
         raise ConsistencyError("the prime-length transform takes a real input")
     n = u.size
-    rows = n // 2 + 1
-    chirp, (filt_hat, m) = _chirp(n), _chirp_filter(n)
-    a = np.zeros(m, dtype=np.complex128)
-    np.multiply(u, chirp, out=a[:n])
-    np.fft.fft(a, out=a)
-    a *= filt_hat
-    np.fft.ifft(a, out=a)
-    np.multiply(chirp[:rows], a[:rows], out=a[:rows])
-    np.conj(a[n - rows:0:-1], out=a[rows:n])
-    if n % 2 == 0:
-        a[n // 2] = a[n // 2].real  # its own mirror, so real
-    a.resize(n, refcheck=False)  # no view of `a` is alive; shrinking keeps the head
-    return a
+    if n % 2 == 0 or not is_prime(n):
+        raise DomainError(f"the prime-length transform needs an odd prime length, got {n}")
+    e1, cos_hat, sin_hat, size = _rader_tables(n)
+    h = e1.size
+    # each array goes at its last read and the output comes last: that
+    # order sets the call's peak
+    plus = u[1:][e1].astype(np.float64, copy=False)
+    mirror = u[:0:-1][e1]
+    minus = plus - mirror
+    plus += mirror
+    del mirror
+    spec = np.fft.rfft(plus, size)
+    del plus
+    re = _correlation_rows(spec, cos_hat, size, h)
+    np.fft.rfft(minus, size, out=spec)
+    del minus
+    im = _correlation_rows(spec, sin_hat, size, h)
+    del spec
+    re += u[0]
+    w = np.empty(n, dtype=np.complex128)
+    w[0] = u.sum()
+    up, down = w[1:], w[:0:-1]  # up[e1] is W[e], down[e1] is W[n - e]
+    up.real[e1] = re
+    up.imag[e1] = im
+    down.real[e1] = re
+    np.negative(im, out=im)
+    down.imag[e1] = im
+    return w

@@ -99,6 +99,7 @@ def triple_R(j_len: int, k_len: int, mset: ResidueSet, ctx: PrimeContext,
     most j_len*k_len support pairs, takes the support-pair route when the
     intervals are short.
     """
+    j_len, k_len = integer("j_len", j_len), integer("k_len", k_len)
     if not (1 <= j_len <= ctx.p - 1 and 1 <= k_len <= ctx.p - 1):
         raise DomainError("interval lengths must lie in 1..p-1")
     jk = dlog_convolution([(np.arange(1, j_len + 1), 1), (np.arange(1, k_len + 1), 1)],

@@ -159,6 +159,7 @@ class PrimeContext:
 def mod_pow(base: int, exp: int, ctx: PrimeContext) -> int:
     """base^exp mod p; negative exp means the inverse of the positive power."""
     p = ctx.p
+    base, exp = integer("base", base), integer("exp", exp)
     if not 0 <= base < p:
         raise DomainError(f"base {base} not reduced mod {p}")
     if exp < 0 and base == 0:

@@ -15,7 +15,7 @@ from fplab.convolve import (ConvolutionPlan, k_fold_count,
                             length_p_transform, plan_convolution)
 from fplab.countvec import CountVector
 from fplab.errors import BudgetError, ConsistencyError, DomainError
-from fplab.modfield import PrimeContext
+from fplab.modfield import PrimeContext, is_prime
 
 import oracles
 
@@ -946,17 +946,37 @@ def test_transform_matches_direct_dft(n):
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 31, 64, 101, 1009])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 1009] + list(filter(is_prime, range(3, 200, 2))))
 def test_real_transform_mirrors_the_half_it_computes(n, dtype):
-    # a real input convolves rows 0..n//2 only; the rest, at odd and even n
-    # alike, must match the DFT and be the conjugates of the rows computed
+    # a real input of odd prime length correlates the rows e = g^m, m < n//2,
+    # only; the rest must match the DFT and be the conjugates of the rows
+    # computed. Any other length is refused
     rng = np.random.default_rng(n)
     u = rng.integers(-50, 100, size=n).astype(dtype)
+    if n % 2 == 0 or not is_prime(n):
+        with pytest.raises(DomainError, match="odd prime length"):
+            length_p_transform(u)
+        return
     got = length_p_transform(u)
     gate = 1e-9 * (1 + np.abs(u).sum())
     assert got.dtype == np.complex128 and got.shape == (n,)
     assert np.abs(got - np.asarray(oracles.dft(u.tolist()))).max() < gate
     assert all(got[n - c] == np.conj(got[c]) for c in range(1, n))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 101, 1009])
+def test_rader_rows_and_their_mirrors_are_the_units(n):
+    # e = g^m mod n for m < (n-1)/2 and n - e together are 1..n-1, each once
+    e = convolve._rader_tables(n)[0] + 1
+    assert sorted(np.concatenate([e, n - e]).tolist()) == list(range(1, n))
+
+
+def test_transform_refuses_a_length_that_is_not_an_odd_prime():
+    convolve._rader_tables.cache_clear()
+    for n in (1, 2, 4, 8, 9, 64, 1001):
+        with pytest.raises(DomainError, match=f"odd prime length, got {n}"):
+            length_p_transform(np.ones(n))
+    assert convolve._rader_tables.cache_info().misses == 0
 
 
 def test_transform_refuses_a_complex_input():
@@ -965,30 +985,28 @@ def test_transform_refuses_a_complex_input():
         length_p_transform(np.ones(5) + 1j)
 
 
-def test_one_chirp_and_one_filter_per_length():
-    # the chirp and the transformed filter are cached once per length, the
-    # filter at the smallest 2^a * 3^b >= n + n//2
+def test_one_table_build_per_length():
+    # the powers of the root and both kernel spectra are built once per
+    # length, the kernels at the smallest 2^a * 3^b >= n - 2
     n = 1009
-    convolve._chirp.cache_clear()
-    convolve._chirp_filter.cache_clear()
-    first, again = convolve._chirp_filter(n), convolve._chirp_filter(n)
-    assert first is again and first[1] == 1536
-    assert convolve._chirp.cache_info().misses == 1
-    assert convolve._chirp_filter.cache_info().misses == 1
+    convolve._rader_tables.cache_clear()
+    first = convolve._rader_tables(n)
+    length_p_transform(np.ones(n))
+    assert convolve._rader_tables(n) is first and first[3] == 1024
+    assert convolve._rader_tables.cache_info().misses == 1
+    assert [convolve._smooth_length(p - 2) for p in (100003, 1000003)] == [104976, 1 << 20]
 
 
-def test_cold_chirp_tables_build_in_place():
-    # a first build at p = 100003 holds the chirp and the one filter array,
-    # conjugated into place and transformed in place: 2.58 * 16p bytes at
-    # its traced peak, where full-length temporaries took 5.15 * 16p
+def test_cold_rader_tables_build_in_place():
+    # a first build at p = 100003 holds the powers of the root, one kernel
+    # array of length L = 104976 and the two kernel spectra: 1.90 * 16p
+    # bytes at its traced peak
     p = 100003
-    convolve._chirp.cache_clear()
-    convolve._chirp_filter.cache_clear()
+    convolve._rader_tables.cache_clear()
     tracemalloc.start()
     try:
-        convolve._chirp_filter(p)
+        convolve._rader_tables(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2.83 * 16 * p
-

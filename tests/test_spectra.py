@@ -9,7 +9,7 @@ from fplab import convolve
 from fplab.countvec import CountVector
 from fplab.energy import additive_energy_recip, energy_Js, recip_power_counts
 from fplab.errors import ConsistencyError, DomainError, ZeroInIntervalError
-from fplab.modfield import PrimeContext, batch_inverse
+from fplab.modfield import PrimeContext, batch_inverse, mod_pow
 from fplab.prodset import product_set, ratio_set
 from fplab.sets import (ResidueSet, initial_interval, random_subset, residue_set,
                         shifted_interval)
@@ -49,9 +49,10 @@ def test_complete_sum_squares_structure(ctx):
 def _row_gate(p, sum_of_squares, size):
     """Rounding gate of one transform row: log2(L) * 2^-53 * sqrt(p) * ||u||_2.
 
-    L is the length of the FFT behind the row (the chirp's 2^a * 3^b
-    length, or a power of two), or a bound on it, and u the transformed
-    vector; every sampled row error measured here is below a tenth of it.
+    L is the length of the FFT behind the row (the 2^a * 3^b length of
+    the prime-length transform's correlations, or a power of two), or a
+    bound on it, and u the transformed vector; every sampled row error
+    measured here is below a tenth of it.
     """
     return math.log2(size) * 2.0 ** -53 * math.sqrt(p) * math.sqrt(sum_of_squares)
 
@@ -59,17 +60,16 @@ def _row_gate(p, sum_of_squares, size):
 @pytest.mark.parametrize("p,H,L,s", [(101, 40, 7, 1), (499, 200, 0, 2), (1999, 500, 300, 3),
                                      (1000003, 15849, 12345, 1)])
 def test_complete_sum_matches_direct(p, H, L, s):
-    # sampled rows, the first mirrored row p//2 + 1 among them, against
-    # direct summation within the chirp's rounding gate at the length L it
-    # convolves at (the smallest 2^a * 3^b >= p + p//2 for a real input),
-    # and Parseval over the whole table:
+    # sampled rows, rows c and p - c among them, against direct summation
+    # within the rounding gate at the length L the transform correlates at
+    # (the smallest 2^a * 3^b >= p - 2), and Parseval over the whole table:
     # sum_c |W[c]|^2 = p * sum_lam u[lam]^2 for the fibre counts u
     c = PrimeContext.of(p)
     x = shifted_interval(L, H, c)
     t = complete_sum_table(x, s, c)
     x_elems = x.elements().tolist()
     squares = recip_power_counts(x, s, c).sum_of_squares()
-    gate = _row_gate(p, squares, convolve._chirp_filter(p)[1])
+    gate = _row_gate(p, squares, convolve._rader_tables(p)[3])
     for ci in (0, 1, 2, p // 2, p // 2 + 1, p - 1):
         assert abs(t.W[ci] - oracles.complete_sum(x_elems, s, ci, p)) < gate
     rhs = p * squares
@@ -77,10 +77,10 @@ def test_complete_sum_matches_direct(p, H, L, s):
 
 
 def test_complete_sum_table_memory():
-    # with the chirp tables warm, one table at p = 100003 holds the int64
-    # fibre counts and the transform's one work buffer at its peak: the
-    # real input's chirp runs at L = 165888 >= p + p//2, both FFTs run in
-    # that buffer, and its head is the table. Measured 2.16 * 16p bytes
+    # with the transform's tables warm, one table at p = 100003 holds the
+    # int64 fibre counts, the h = (p-1)/2 rows of each correlation and the
+    # table itself at its peak; the correlations run at L = 104976 >= p - 2.
+    # Measured 2.05 * 16p bytes
     p = 100003
     c = PrimeContext.of(p)
     x = shifted_interval(12345, 3163, c)
@@ -333,6 +333,12 @@ _REFUSED_INPUTS = {
         DomainError, "residue set elements must be integers"),
     "batch_inverse_float": (
         lambda: batch_inverse([1.5], _C101), DomainError, "elements must be integers"),
+    "mod_pow_base_float": (
+        lambda: mod_pow(2.5, 3, _C101), DomainError, "base must be an integer, got 2.5"),
+    "mod_pow_exp_float": (
+        lambda: mod_pow(2, 1.5, _C101), DomainError, "exp must be an integer, got 1.5"),
+    "mod_pow_base_bool": (
+        lambda: mod_pow(True, 3, _C101), DomainError, "base must be an integer, got True"),
     "prime_context_float": (
         lambda: PrimeContext(101.0), DomainError, "p must be an integer, got 101.0"),
     "random_subset_seed_float": (

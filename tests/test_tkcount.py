@@ -181,7 +181,7 @@ def test_hermitian_inverse_matches_the_complex_route(p):
         product *= convolve.length_p_transform(rng.integers(0, 3, size=p))
     complex_route = np.fft.fft(product).real
     squares = float((np.abs(product) ** 2).sum())
-    gate = _row_gate(p, squares, convolve._chirp_filter(p)[1])
+    gate = _row_gate(p, squares, convolve._rader_tables(p)[3])
     assert np.abs(tkcount._hermitian_inverse(product) - complex_route).max() < gate
 
 
