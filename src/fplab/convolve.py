@@ -157,7 +157,8 @@ from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .countvec import CountVector, sum_of_squares
-from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, DomainError, check_budget
+from .errors import (DEFAULT_BUDGET, BudgetError, ConsistencyError, DomainError, check_budget,
+                     integer)
 from .modfield import find_primitive_root, is_prime, power_table
 
 log = logging.getLogger(__name__)
@@ -227,7 +228,7 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     keys = list(range(k)) if layout is None else list(layout)
     size = _next_pow2(2 * n - 1)
     unit = size * (size.bit_length() - 1)  # work of one float transform
-    limit = DEFAULT_BUDGET if budget is None else budget
+    limit = DEFAULT_BUDGET if budget is None else integer("budget", budget, low=0)
     pair_work = _pair_work(n, masses)
     charges = _charges(n, masses, keys, size)
     if pair_work is None:  # the chain is the only route: refuse as soon as it cannot fit

@@ -34,8 +34,12 @@ DEFAULT_BUDGET = 1_000_000_000
 
 
 def check_budget(work: int, budget: int | None, what: str) -> None:
-    """Refuse computations whose elementary-operation count exceeds the budget."""
-    limit = DEFAULT_BUDGET if budget is None else budget
+    """Refuse computations whose elementary-operation count exceeds the budget.
+
+    A budget is an integer >= 0 (None: DEFAULT_BUDGET); any other value is
+    a DomainError.
+    """
+    limit = DEFAULT_BUDGET if budget is None else integer("budget", budget, low=0)
     if work > limit:
         raise BudgetError(
             f"{what} needs {work} operations, budget is {limit}", required=work)

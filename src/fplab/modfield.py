@@ -35,6 +35,7 @@ CONTEXT_CACHE_SIZE = 8
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 2^64."""
+    n = integer("n", n)
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -75,6 +76,7 @@ def prime_factors(n: int) -> list[int]:
 
 def find_primitive_root(p: int) -> int:
     """Smallest g >= 2 generating the full multiplicative group mod p."""
+    p = integer("p", p)
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p == 2:
@@ -109,6 +111,7 @@ def build_dlog_table(p: int, g: int) -> np.ndarray:
     Raises ConsistencyError when g is not primitive (table would not be
     a bijection onto 0..p-2).
     """
+    p, g = integer("p", p), integer("g", g)
     if p > MAX_DLOG_PRIME:
         raise DomainError(f"dense dlog table capped at p <= 2^26, got p={p}")
     n = p - 1

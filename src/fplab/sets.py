@@ -151,8 +151,12 @@ def set_from_file(path: str | os.PathLike, ctx: PrimeContext) -> ResidueSet:
     """Parse a set file: one decimal residue per line, '#' comments ignored.
 
     Residues must already be reduced to 1..p-1; anything else is rejected
-    with its line number. Duplicates are merged.
+    with its line number. Duplicates are merged. A path that is neither a
+    str nor an os.PathLike (an integer file descriptor among them) is a
+    DomainError.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise DomainError(f"set file path must be a str or os.PathLike, got {path!r}")
     values = set()
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):

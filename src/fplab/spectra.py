@@ -7,9 +7,13 @@ the dlog-reindexed indicator v. Since v is real and p-1 is even, that
 transform is one complex FFT of half length M = (p-1)/2: v is packed as
 z[j] = v[2j] + i*v[2j+1], and the spectra of its even and odd halves are
 untangled from Z = fft(z) by the conjugate symmetry of a real input.
-The FFT runs in place in z, and the upper half of the output array holds
-the mirror conj Z[-k mod M] and then the twiddles until it is written, so
-a call holds its output, z and one float array of M angles.
+The FFT runs in place in z, split by one Cooley-Tukey step at the largest
+prime factor q of M (_split_fft), so that where q is large numpy runs
+Bluestein's algorithm on rows of length q, not on the whole length M. The
+upper half of the output array is the scratch: it holds the split's
+twiddles and its read-out of Z, then the mirror conj Z[-k mod M] and the
+untangle's twiddles until it is written, so a call holds its output, z
+and one float array of M angles.
 Entries that are integers by symmetry (the c = 0 / principal-character
 slots, and the full-group spectrum) are snapped to their exact values
 after the float transform.
@@ -25,7 +29,7 @@ from .convolve import length_p_transform
 from .energy import recip_power_counts
 from .envelopes import burgess_envelope, frac_sum_envelope
 from .errors import integer
-from .modfield import PrimeContext
+from .modfield import PrimeContext, prime_factors
 from .sets import Interval, ResidueSet, initial_interval, require_modulus
 
 
@@ -83,6 +87,36 @@ def kloosterman_frac_sum(a: int, mset: ResidueSet, interval_x: Interval, s: int,
                          trivial_bound=float(h * m), ell=ell)
 
 
+def _split_fft(z: np.ndarray, scratch: np.ndarray) -> None:
+    """z = fft(z) in place; scratch is overwritten (M = z.size entries).
+
+    With q the largest prime factor of M and r = M/q, z is read as r rows
+    of q: length-r DFTs down the columns, row k1 times e^(-2 pi i k1*n2/M),
+    length-q DFTs along the rows, and Z[k1 + r*k2] = a[k1, k2] read back
+    through scratch. The angles k1*n2 <= (r-1)(q-1) < M < 2^53 are exact
+    integers. A prime M (r = 1) is one length-M FFT. Past 64 rows, q <= M/64
+    and the row transforms run in one call.
+    """
+    m = z.size
+    q = max(prime_factors(m), default=1)
+    r = m // q
+    rows = z.reshape(r, q)
+    np.fft.fft(rows, axis=0, out=rows)
+    twiddle = scratch.reshape(r, q)
+    angle = twiddle.real
+    np.multiply.outer(np.arange(r, dtype=np.float64), np.arange(q, dtype=np.float64), out=angle)
+    angle *= -2 * np.pi / m
+    np.sin(angle, out=twiddle.imag)
+    np.cos(angle, out=angle)
+    rows *= twiddle
+    # numpy's FFT of several rows in one call holds a second Bluestein work
+    # buffer (+15 MB at q = 166667): up to 64 rows, each row is one call
+    for block in rows if r <= 64 else (rows,):
+        np.fft.fft(block, out=block)
+    scratch.reshape(q, r)[...] = rows.T
+    z[...] = scratch
+
+
 def char_spectrum(u_set: ResidueSet | Interval, ctx: PrimeContext) -> CharSpectrum:
     """All p-1 character sums of a subset of the multiplicative group.
 
@@ -104,8 +138,8 @@ def char_spectrum(u_set: ResidueSet | Interval, ctx: PrimeContext) -> CharSpectr
     m = (p - 1) // 2  # PrimeContext refuses p = 2, so p - 1 is even
     z = np.zeros(m, dtype=np.complex128)
     z.view(np.float64)[ctx.dlog[elems]] = 1.0  # z[j] = v[2j] + i*v[2j+1]
-    np.fft.fft(z, out=z)
     low, high = s[:m], s[m:]
+    _split_fft(z, high)
     np.conj(z[:0:-1], out=high[1:])  # high is scratch: conj Z[-k mod M]
     high[0] = np.conj(z[0])
     np.add(z, high, out=low)  # 2E

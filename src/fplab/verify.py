@@ -19,7 +19,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import energy, envelopes, prodset, spectra, tkcount
-from .errors import DEFAULT_BUDGET, BudgetError, DomainError, ZeroInIntervalError, check_epsilon
+from .errors import (DEFAULT_BUDGET, BudgetError, DomainError, ZeroInIntervalError, check_epsilon,
+                     integer)
 from .modfield import PrimeContext
 from .sets import (ResidueSet, SplitMix64, initial_interval, mix_seed, random_subset,
                    shifted_interval)
@@ -81,6 +82,7 @@ class SweepConfig:
         elif self.l_policy not in ("zero", "random"):
             raise DomainError(f"bad L policy {self.l_policy!r}")
         check_epsilon(self.epsilon)
+        integer("budget", self.budget, low=0)
         for p in self.primes:  # refused before any row is written
             PrimeContext.of(p)
 

@@ -135,6 +135,11 @@ def test_budget_exit_code(capsys):
                            "--H", "50", "--set", "random:50", "--seed", "1",
                            "--budget", "10")
     assert code == 3 and "budget" in err.lower()
+    # a budget below 0 is a bad value, not a refusal
+    code, _, err = run_cli(capsys, "energy", "--kind", "J", "--p", "101",
+                           "--H", "50", "--set", "random:50", "--seed", "1",
+                           "--budget", "-1")
+    assert code == 2 and err == "error: budget must be >= 0, got -1\n"
     # the README's worked example: T_6 at p = 100003, H = 563 is charged 51
     # float transforms at 2^18, 51 * 2^18 * 18 = 240648192 units
     assert plan_convolution(100003, [563 * 563] * 6).transforms == 51

@@ -495,6 +495,50 @@ def test_packed_certificate_that_fails_runs_phase_pairs(monkeypatch, caplog):
         assert calls["irfft"] == 2 and set(calls["lengths"]) == {256}
 
 
+def test_width_steps_down_from_a_low_width_whose_full_certificate_fails():
+    # 29-bit sides of mass 2^43 at n = 2^15: the low limbs' term certifies
+    # at width 14, but the full certificate there is 0.40, in [1/4, 1/2),
+    # so the width steps down to 13
+    n = 1 << 15
+    gamma, side = convolve._gamma(1 << 16), (29, 1 << 43, None)
+    low = convolve._low_width(side, side, n, gamma)
+    assert low == 14 and 0.25 <= convolve._certified(side, side, n, gamma, low) < 0.5
+    b, worst = convolve._width(side, side, n, gamma)
+    assert b == low - 1 and worst < 0.25
+
+
+def _even_sides(n, count, top):
+    """Two equal int64 arrays of length n holding `top` at the first `count`
+    even places, and their _side: packing leaves them unshifted."""
+    arrays = [np.zeros(n, dtype=np.int64) for _ in range(2)]
+    for a in arrays:
+        a[:2 * count:2] = top
+    side = convolve._side(arrays[:1], convolve._WORD, count * top)
+    return arrays, side
+
+
+def test_packed_refuses_a_bound_between_a_quarter_and_a_half():
+    # 1000 entries of 2^17 - 1 at n = 2^14: the packed bound is 0.34 and
+    # the radix fits (17 + 44 bits), so only the 1/4 gate refuses
+    n, half = 1 << 14, 1 << 14
+    (x, y), side = _even_sides(n, 1000, (1 << 17) - 1)
+    w = side[2].bit_length()
+    assert side[0] + w <= convolve._WORD
+    assert 0.25 <= side[2] * convolve._gamma(half) < 0.5
+    assert convolve._packed([x], [y], side, side, n, half) is None
+    assert x.any() and y.any()
+
+
+def test_packed_refuses_entries_that_could_reach_2_to_63():
+    # 6 entries of 2^20 - 1 at n = 16: bits + w = 20 + 43 = 63, where the
+    # packed bound, 0.039, would certify
+    n, half = 16, 16
+    (x, y), side = _even_sides(n, 6, (1 << 20) - 1)
+    assert side[0] + side[2].bit_length() == 63
+    assert side[2] * convolve._gamma(half) < 0.25
+    assert convolve._packed([x], [y], side, side, n, half) is None
+
+
 def test_packed_rounding_residual_is_checked(monkeypatch):
     # the one inverse of a packed product erring by 0.4 cannot round exactly
     rng = np.random.default_rng(6)

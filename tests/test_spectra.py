@@ -1,18 +1,23 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fplab import convolve
+from fplab import convolve, spectra
 from fplab.countvec import CountVector
 from fplab.energy import additive_energy_recip, energy_Js, recip_power_counts
-from fplab.errors import ConsistencyError, DomainError, ZeroInIntervalError
-from fplab.modfield import PrimeContext, batch_inverse, mod_pow
+from fplab.errors import ConsistencyError, DomainError, ZeroInIntervalError, check_budget
+from fplab.modfield import (PrimeContext, batch_inverse, build_dlog_table, find_primitive_root,
+                            is_prime, mod_pow)
 from fplab.prodset import product_set, ratio_set
 from fplab.sets import (ResidueSet, initial_interval, random_subset, residue_set,
-                        shifted_interval)
+                        set_from_file, shifted_interval)
 from fplab.spectra import (burgess_ratio, char_spectrum, complete_sum_table,
                            kloosterman_frac_sum)
 from fplab.tkcount import tk_experiment, tk_spectral_check
@@ -181,12 +186,15 @@ def test_char_spectrum_matches_direct(ctx):
 
 
 @pytest.mark.parametrize("p,kind", [(3, "set"), (5, "set"), (101, "set"), (499, "set"),
-                                    (499, "interval")])
+                                    (499, "interval"), (1019, "set"), (607, "set"),
+                                    (211, "set"), (257, "set"), (521, "set")])
 def test_char_spectrum_all_entries_vs_direct(p, kind):
     # full-spectrum comparison, independent exponent sums; the packed
-    # transform runs at half length M = (p-1)/2 = 1, 2, 50 (even) and 249
-    # (odd). L = 2^20 bounds every transform length these gates cover,
-    # numpy's Bluestein padding at p = 1000003 included
+    # transform runs at half length M = (p-1)/2, split as r rows of its
+    # largest prime factor q: M = 1, 2, 50 (even), 249 (odd), 509 (prime:
+    # r = 1, one FFT), 303 = 3 * 101, 105 = 3 * 5 * 7, 128 = 2^7 (q = 2)
+    # and 260 = 20 * 13 (more rows than columns, r = 20 > q = 13).
+    # L = 2^20 bounds every transform length these gates cover
     c = PrimeContext.of(p)
     if kind == "interval":
         u_set = shifted_interval(100, 150, c)
@@ -234,6 +242,50 @@ def test_char_spectrum_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1.93 * 16 * p
+
+
+@pytest.mark.parametrize("m", [1, 2, 303, 260, 2 * 3 * 5 * 7 * 13, 17 * 17 * 3, 6007 * 2])
+def test_split_fft_matches_numpy(m):
+    # the split transform against numpy's whole-length one
+    z = np.random.default_rng(m).integers(0, 2, size=2 * m).astype(np.float64).view(np.complex128)
+    expect, squares = np.fft.fft(z), float((np.abs(z) ** 2).sum())
+    spectra._split_fft(z, np.full(m, np.nan, dtype=np.complex128))
+    assert np.abs(z - expect).max() < _row_gate(m, squares, 1 << 20)
+
+
+# Child run: the growth of the child's peak RSS over one char_spectrum call
+# at p = 1000003, dlog table and set built first, printed in MB. The peak is
+# the child's own VmHWM: its ru_maxrss would start at the launching
+# process's peak, which Linux carries over exec.
+_SPECTRUM_GROWTH = """
+import math
+from fplab.modfield import PrimeContext
+from fplab.sets import random_subset
+from fplab.spectra import char_spectrum
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+c = PrimeContext.of(1000003)
+u = random_subset(math.ceil(c.p ** 0.7), 29, c)
+c.dlog
+before = peak_kb()
+char_spectrum(u, c)
+print((peak_kb() - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM (Linux)")
+def test_char_spectrum_rss_growth():
+    # M = 3 * 166667: the split runs three length-166667 row transforms,
+    # one call each, where numpy's whole-length Bluestein grew the peak by
+    # 52-53 MB. The first verified run grew it by 19.8 MB (later runs
+    # 21.6-21.7 MB); the ceiling is that run with 1.5x headroom
+    env = {**os.environ, "PYTHONPATH": str(Path(spectra.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _SPECTRUM_GROWTH], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert float(done.stdout) < 1.5 * 19.8
 
 
 def test_char_spectrum_accepts_intervals(ctx):
@@ -366,6 +418,35 @@ _REFUSED_INPUTS = {
     "tk_epsilon_nan": (
         lambda: tk_experiment(3, [(_SET101, 0)] * 3, 4, 1, _C101, epsilon=math.nan),
         DomainError, "epsilon must be a finite number >= 0"),
+    "tk_budget_nan": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 5, 1, _C101, budget=math.nan),
+        DomainError, "budget must be an integer, got nan"),
+    "tk_budget_str": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 5, 1, _C101, budget="a"),
+        DomainError, "budget must be an integer, got 'a'"),
+    "tk_budget_float": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 5, 1, _C101, budget=1.5),
+        DomainError, "budget must be an integer, got 1.5"),
+    "tk_budget_bool": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 5, 1, _C101, budget=True),
+        DomainError, "budget must be an integer, got True"),
+    "tk_budget_negative": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 5, 1, _C101, budget=-1),
+        DomainError, "budget must be >= 0, got -1"),
+    "check_budget_nan": (
+        lambda: check_budget(1, math.nan, "one step"),
+        DomainError, "budget must be an integer, got nan"),
+    "is_prime_float": (
+        lambda: is_prime(7.5), DomainError, "n must be an integer, got 7.5"),
+    "find_primitive_root_float": (
+        lambda: find_primitive_root(101.0), DomainError, "p must be an integer, got 101.0"),
+    "build_dlog_table_g_float": (
+        lambda: build_dlog_table(101, 2.5), DomainError, "g must be an integer, got 2.5"),
+    "build_dlog_table_p_float": (
+        lambda: build_dlog_table(101.0, 2), DomainError, "p must be an integer, got 101.0"),
+    "set_from_file_descriptor": (
+        lambda: set_from_file(123, _C101),
+        DomainError, "set file path must be a str or os.PathLike, got 123"),
 }
 
 

@@ -49,6 +49,7 @@ def test_parse_config_errors():
         (tk3 + "l_policy = explicit:x\n", "l_policy: 'x' is not an integer"),
         (tk3 + "epsilon = -1\n", "epsilon must be a finite number >= 0"),
         (tk3 + "epsilon = inf\n", "epsilon: 'inf' is not a finite number"),
+        (tk3 + "budget = -1\n", "budget must be >= 0, got -1"),
     ]:
         with pytest.raises(DomainError, match=match):
             parse_config(text)
