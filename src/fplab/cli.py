@@ -14,13 +14,10 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import convolve, prodset, spectra, tkcount, verify
 from .errors import DEFAULT_BUDGET, BudgetError, DomainError, SetFileError
-from .modfield import PrimeContext, batch_inverse, mod_pow
-from .sets import (ResidueSet, initial_interval, mix_seed, random_subset,
-                   residue_set, set_from_file, shifted_interval)
+from .modfield import PrimeContext
+from .sets import ResidueSet, mix_seed, random_subset, set_from_file, shifted_interval
 from .verify import Record, fmt_number
 
 _TK_VALUE_CAP = 128  # emit full T_k vectors only for p at or below this
@@ -98,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="override config output path")
     sp.add_argument("--format", choices=("csv", "jsonl"), default=None)
 
-    sub.add_parser("selftest", help="run the embedded small-instance oracle suite")
+    sub.add_parser("selftest", help="measure the installed FFT's error against the certificate")
     return parser
 
 
@@ -211,83 +208,16 @@ def _report(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    ctx7 = PrimeContext.of(7)
-    ctx101 = PrimeContext.of(101)
-
-    def check_modfield():
-        vals = list(range(1, 101))
-        inv = batch_inverse(vals, ctx101)
-        assert inv == [mod_pow(v, -1, ctx101) for v in vals]
-        return "batch inverse of 100 units matches mod_pow"
-
-    def check_sets():
-        a = random_subset(10, 42, ctx101)
-        b = random_subset(10, 42, ctx101)
-        assert a.elems.tolist() == b.elems.tolist()
-        return "seeded subset generation is reproducible"
-
-    def check_prodset():
-        iv = initial_interval(2, ctx7)
-        ms = residue_set([1, 3], ctx7)
-        rep = prodset.product_set(iv, ms, ctx7)
-        naive = {h * m % 7 for h in (1, 2) for m in (1, 3)}
-        assert rep.size == len(naive) == 4
-        return "occupancy size matches hash-set oracle"
-
-    def check_energy():
-        ms = residue_set([1, 3], ctx7)
-        brute = sum(1 for h1 in (1, 2) for h2 in (1, 2) for m1 in (1, 3)
-                    for m2 in (1, 3) if h1 * m1 % 7 == h2 * m2 % 7)
-        assert verify.energy_values("J", ctx7, ms, 2, 0, 1, 2, None)["value"] == brute == 4
-        return "pair energy matches quadruple enumeration"
-
-    def check_convolve():
-        from .countvec import CountVector
-        u = CountVector(np.array([0, 1, 1], dtype=np.int64))
-        w = convolve.k_fold_count([u, u])
-        assert w.as_list() == [2, 1, 1]
-        return "cyclic convolution matches pair enumeration"
-
-    def check_spectra():
-        iv = initial_interval(100, ctx101)
-        table = spectra.complete_sum_table(iv, 1, ctx101)
-        direct = sum(np.exp(2j * np.pi * (pow(x, 99, 101)) / 101) for x in range(1, 101))
-        assert abs(table.W[1] - direct) < 1e-6
-        return "complete-sum table matches direct evaluation"
-
-    def check_tkcount():
-        ctx3 = PrimeContext.of(3)
-        ms = residue_set([1], ctx3)
-        rep = tkcount.tk_experiment(6, [(ms, 0)] * 6, 2, 1, ctx3)
-        assert rep.counts.as_list() == [22, 21, 21]
-        return "6-fold count matches full enumeration"
-
-    def check_verify():
-        rows = [{"p": 10, "value": 1000, "skip_reason": ""},
-                {"p": 100, "value": 1000000, "skip_reason": ""},
-                {"p": 1000, "value": 1000000000, "skip_reason": ""}]
-        slope, _, resid = verify.fit_exponent(rows, "p", "value")
-        assert abs(slope - 3.0) < 1e-9 and resid < 1e-9
-        return "exponent fit recovers a cubic trend"
-
-    return [("modfield", check_modfield), ("sets", check_sets),
-            ("prodset", check_prodset), ("energy", check_energy),
-            ("convolve", check_convolve), ("spectra", check_spectra),
-            ("tkcount", check_tkcount), ("verify", check_verify)]
-
-
 def _cmd_selftest() -> int:
-    failures = 0
-    for name, check in _selftest_checks():
-        try:
-            detail = check()
-            print(f"ok {name}: {detail}")
-        except Exception as exc:
-            failures += 1
-            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
-    if failures:
-        print(f"{failures} selftest check(s) failed")
+    """One line per length of convolve.fft_error_ratios; a ratio that reaches 1 fails (exit 1)."""
+    failed = False
+    for size, phase, packed in convolve.fft_error_ratios():
+        ok = phase < 1 and packed < 1
+        failed = failed or not ok
+        print(f"{'ok' if ok else 'FAIL'} C=2^{size.bit_length() - 1}: worst FFT error over "
+              f"Percival's bound {phase:.3g} (phase pair), {packed:.3g} (packed)")
+    if failed:
+        print("an FFT product erred beyond Percival's bound")
         return 1
     print("all selftest checks passed")
     return 0

@@ -63,10 +63,11 @@ exactly, and the fold adds integers. The limb width b of a step is the
 widest that certifies every sum under these bounds; it is not a setting.
 What is assumed of numpy's pocketfft: at the power-of-two length C/2 its
 real transforms err no more than Percival's radix-2 transform with
-correctly rounded twiddles (beta = eps). That is not proved here, so the
-rounding residual of each phase of every inverse is still checked, and
-a residual above 0.25, far beyond anything the bound allows in practice,
-raises ConsistencyError.
+correctly rounded twiddles (beta = eps). That is not proved here. It is
+measured by fft_error_ratios, which `fplab selftest` runs on the
+installed numpy, and the rounding residual of each phase of every
+inverse is still checked: a residual above 0.25, far beyond anything the
+bound allows in practice, raises ConsistencyError.
 
 Packed products. The only step of a one-step chain (k = 2) runs as one
 real FFT product at C/2 where its own certificate holds, in place of the
@@ -623,6 +624,11 @@ def _packed(x: list[np.ndarray], y: list[np.ndarray], x_side: tuple, y_side: tup
     return _fold(z, odd, n), w, bound, residual
 
 
+def _phases(limb: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """A limb's phase spectra: the real FFTs at `half` of its even and of its odd entries."""
+    return np.fft.rfft(limb[0::2], half), np.fft.rfft(limb[1::2], half)
+
+
 def _twiddle(half: int) -> np.ndarray:
     """e^(-2 pi i k / half) for k = 0..half//2: a shift by one place at length `half`.
 
@@ -695,7 +701,7 @@ def _float_chain(arrays: list, masses: list[int], n: int,
         key, keep = _spectrum_key(op, limbs)
         if key not in kept:
             run += 1
-            kept[key] = np.fft.rfft(limb[0::2], half), np.fft.rfft(limb[1::2], half)
+            kept[key] = _phases(limb, half)
         return kept[key] if keep else kept.pop(key)
 
     for x, y, out in _schedule(keys, masses):
@@ -782,6 +788,49 @@ def k_fold_count(vectors: Sequence[CountVector], *, budget: int | None = None) -
     arrays = [v.counts for v in vectors]
     del vectors  # a factor the caller holds no more is freed after its step
     return CountVector(_run(arrays, masses, n, plan), expected_total=plan.bound)
+
+
+def fft_error_ratios() -> list[tuple[int, float, float]]:
+    """(C, phase-pair ratio, packed ratio) for C = 2^8..2^12: pocketfft against Percival's bound.
+
+    The certificate's one assumption (module docstring), measured on the
+    installed numpy against the exact int64 np.convolve. A ratio is the
+    worst error of a length's products over the bound the certificate
+    takes for them, over three seeded families of sides: random 20-bit
+    entries, the constant 2^20 - 1, and random entries from {0, 2^20 - 1}.
+    The phase pair multiplies two sides of n = C/2 entries as the chain
+    does, with _phases, _twiddle and _phase_product, against
+    ||x|| ||y|| gamma(C).
+    The packed product is one real product at C/2 of sides of
+    ceil(n/2) = n/2 entries, as _packed runs it, against
+    ||x'|| ||y'|| gamma(C/2). Every certified product assumes both ratios
+    below 1.
+    """
+    rng, top = np.random.default_rng(0), (1 << 20) - 1
+    families = (lambda size: rng.integers(0, top + 1, size),
+                lambda size: np.full(size, top, dtype=np.int64),
+                lambda size: rng.integers(0, 2, size) * top)
+
+    def ratio(z: np.ndarray, x: np.ndarray, y: np.ndarray, length: int) -> float:
+        error = float(np.abs(z - np.convolve(x, y)).max())
+        return error / (math.sqrt(sum_of_squares(x) * sum_of_squares(y)) * _gamma(length))
+
+    rows = []
+    for size in (1 << m for m in range(8, 13)):
+        half = n = size // 2
+        phase = packed = 0.0
+        for draw in families:
+            x, y = draw(n), draw(n)
+            even, odd = _phase_product(_phases(x, half), _phases(y, half), _twiddle(half), False)
+            z = np.empty(2 * n - 1)
+            z[0::2], z[1::2] = np.fft.irfft(even, half)[:n], np.fft.irfft(odd, half)[:n - 1]
+            phase = max(phase, ratio(z, x, y, size))
+            x, y = x[:n // 2], y[:n // 2]
+            spectrum = np.fft.rfft(x, half)
+            spectrum *= np.fft.rfft(y, half)
+            packed = max(packed, ratio(np.fft.irfft(spectrum, half)[:n - 1], x, y, half))
+        rows.append((size, phase, packed))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -73,8 +74,9 @@ def integer_array(name: str, values) -> np.ndarray:
 
 
 def check_epsilon(epsilon) -> float:
-    """epsilon when it is a finite number >= 0; else a DomainError."""
-    if not 0 <= epsilon < math.inf:
+    """epsilon when it is a finite real number >= 0 (not a bool); else a DomainError."""
+    if isinstance(epsilon, bool) or not (isinstance(epsilon, numbers.Real)
+                                         and 0 <= epsilon < math.inf):
         raise DomainError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
     return epsilon
 

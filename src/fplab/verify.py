@@ -83,6 +83,8 @@ class SweepConfig:
             raise DomainError(f"bad L policy {self.l_policy!r}")
         check_epsilon(self.epsilon)
         integer("budget", self.budget, low=0)
+        integer("workers", self.workers, low=1)
+        integer("k", self.k)  # k < 2 is each tk row's own domain skip
         for p in self.primes:  # refused before any row is written
             PrimeContext.of(p)
 

@@ -68,8 +68,32 @@ def test_expsum_a_zero(capsys, singleton1):
 def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
-    assert out.count("ok ") == 8
-    assert "all selftest checks passed" in out
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"ok C=2^{m}" for m in range(8, 13)]
+    assert lines[-1] == "all selftest checks passed"
+
+
+def test_selftest_fails_under_a_tightened_bound(capsys, monkeypatch):
+    gamma = convolve._gamma
+    monkeypatch.setattr(convolve, "_gamma", lambda length: gamma(length) / 1e3)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert out.startswith("FAIL C=2^8:") and "all selftest checks passed" not in out
+
+
+def test_fft_error_ratios_are_measured_and_below_the_bound():
+    # a broken oracle reading no error fails here as surely as one reading too much
+    rows = convolve.fft_error_ratios()
+    assert [size for size, _, _ in rows] == [1 << m for m in range(8, 13)]
+    assert all(0 < ratio < 1 for _, *ratios in rows for ratio in ratios)
+
+
+def test_selftest_does_not_rest_on_assert():
+    # under python -O every assert is stripped; the check must print and exit alike
+    runs = [subprocess.run([sys.executable, *flag, "-m", "fplab", "selftest"],
+                           capture_output=True, timeout=120) for flag in ((), ("-O",))]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_prodset_and_ratio(capsys, singleton1):
@@ -231,8 +255,7 @@ def test_domain_error_exit_code(capsys, singleton1, tmp_path):
             (("prodset", "--p", "101", "--H", "3", "--set", "random:x", "--seed", "1"),
              "needs an integer size"),
             (("energy", "--kind", "Js", "--s", "0", *rand), "exponent s must be nonzero"),
-            (("energy", "--kind", "R", "--Klen", "0", *rand),
-             "interval lengths must lie in 1..p-1"),
+            (("energy", "--kind", "R", "--Klen", "0", *rand), "k_len must lie in 1..100, got 0"),
             (("energy", "--kind", "recip", "--ell", "0", *rand), "ell must be >= 1"),
             (("expsum", "--a", "1", "--ell", "0", *rand), "ell must be >= 1"),
             (("prodset", "--p", "101", "--H", "3", "--set", f"file:{comments}"),

@@ -71,12 +71,11 @@ def test_triple_R_examples(ctx):
 @pytest.mark.parametrize("j_len, k_len, name", [(2.5, 3, "j_len"), (3, 1.5, "k_len"),
                                                 (True, 3, "j_len")])
 def test_triple_R_refuses_non_integer_lengths(ctx, j_len, k_len, name):
-    # checked as integers before the range check, which still names both lengths
     c = ctx(101)
     m = residue_set([1, 3], c)
     with pytest.raises(DomainError, match=f"{name} must be an integer"):
         triple_R(j_len, k_len, m, c)
-    with pytest.raises(DomainError, match="interval lengths must lie in 1..p-1"):
+    with pytest.raises(DomainError, match="j_len must lie in 1..100, got 101"):
         triple_R(101, 3, m, c)
 
 

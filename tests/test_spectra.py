@@ -415,6 +415,15 @@ _REFUSED_INPUTS = {
     "ratio_set_epsilon_nan": (
         lambda: ratio_set(_IV101, _SET101, _C101, epsilon=math.nan),
         DomainError, "epsilon must be a finite number >= 0"),
+    "tk_epsilon_str": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 4, 1, _C101, epsilon="a"),
+        DomainError, "epsilon must be a finite number >= 0, got 'a'"),
+    "tk_epsilon_bool": (
+        lambda: tk_experiment(3, [(_SET101, 0)] * 3, 4, 1, _C101, epsilon=True),
+        DomainError, "epsilon must be a finite number >= 0, got True"),
+    "product_set_epsilon_none": (
+        lambda: product_set(_IV101, _SET101, _C101, epsilon=None),
+        DomainError, "epsilon must be a finite number >= 0, got None"),
     "tk_epsilon_nan": (
         lambda: tk_experiment(3, [(_SET101, 0)] * 3, 4, 1, _C101, epsilon=math.nan),
         DomainError, "epsilon must be a finite number >= 0"),

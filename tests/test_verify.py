@@ -50,9 +50,18 @@ def test_parse_config_errors():
         (tk3 + "epsilon = -1\n", "epsilon must be a finite number >= 0"),
         (tk3 + "epsilon = inf\n", "epsilon: 'inf' is not a finite number"),
         (tk3 + "budget = -1\n", "budget must be >= 0, got -1"),
+        (tk3 + "workers = 0\n", "workers must be >= 1, got 0"),
+        (tk3 + "workers = -3\n", "workers must be >= 1, got -3"),
     ]:
         with pytest.raises(DomainError, match=match):
             parse_config(text)
+
+
+@pytest.mark.parametrize("field, value", [("workers", 2.5), ("workers", True), ("k", 2.5),
+                                          ("k", "6")])
+def test_library_config_refuses_non_integer_counts(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be an integer, got {value!r}"):
+        SweepConfig(measure="tk", primes=(3,), h_exps=(0.5,), **{field: value})
 
 
 REQUIRED = {"measure": "tk", "primes": "3", "h_exp": "0.5"}
