@@ -6,7 +6,7 @@ from .energy import (additive_energy_recip, count_vector_product, energy_J,
 from .errors import (BudgetError, ConsistencyError, DomainError, SetFileError,
                      ZeroInIntervalError)
 from .modfield import (PrimeContext, batch_inverse, build_dlog_table,
-                       find_primitive_root, is_prime, mod_pow)
+                       find_primitive_root, is_prime)
 from .prodset import ProductSetReport, product_set, ratio_set
 from .sets import (Interval, ResidueSet, initial_interval, random_subset,
                    residue_set, set_from_file, shifted_interval)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
 from dataclasses import replace
 
 from . import convolve, prodset, spectra, tkcount, verify
-from .errors import DEFAULT_BUDGET, BudgetError, DomainError, SetFileError
+from .errors import DEFAULT_BUDGET, BudgetError, DomainError, SetFileError, check_epsilon
 from .modfield import PrimeContext
 from .sets import ResidueSet, mix_seed, random_subset, set_from_file, shifted_interval
 from .verify import Record, fmt_number
@@ -34,15 +33,12 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _epsilon(text: str) -> float:
-    """--eps: a finite number >= 0."""
+def _eps(text: str) -> float:
+    """--eps, read through errors.check_epsilon; argparse shows the refusal as one line."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"needs a finite number >= 0, got {text!r}")
-    return value
+        return check_epsilon(float(text))
+    except ValueError:  # not a number, or check_epsilon's DomainError
+        raise argparse.ArgumentTypeError(f"needs a finite number >= 0, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,26 +47,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Counting problems and exponential sums in prime fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, needs_set=True):
+    def common(sp):  # the flags every report command reads
         sp.add_argument("--p", type=int, required=True, help="odd prime modulus")
         sp.add_argument("--H", type=int, required=True, help="interval length")
         sp.add_argument("--L", type=int, default=_DEFAULTS["L"], help="interval shift (default 0)")
-        sp.add_argument("--eps", type=_epsilon, default=0.05, help="hypothesis epsilon")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         sp.add_argument("--out", default="", help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        if needs_set:
-            sp.add_argument("--set", required=True, dest="set_spec",
-                            help="file:PATH or random:M")
-            sp.add_argument("--seed", type=int, default=None,
-                            help="required with random sets, forbidden with file sets")
+        sp.add_argument("--set", required=True, dest="set_spec", help="file:PATH or random:M")
+        sp.add_argument("--seed", type=int, default=None,
+                        help="required with random sets, forbidden with file sets")
 
     sp = sub.add_parser("prodset", help="product/ratio set cardinality")
     common(sp)
+    sp.add_argument("--eps", type=_eps, default=0.05, help="hypothesis epsilon")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--ratio", action="store_true", help="ratio set m/h instead of h*m")
 
     sp = sub.add_parser("energy", help="pair/triple coincidence counts")
     common(sp)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--kind", choices=tuple(_ENERGY_IGNORES), default="Js")
     sp.add_argument("--s", type=int, default=_DEFAULTS["s"])
     sp.add_argument("--ell", type=int, default=_DEFAULTS["ell"])
@@ -85,6 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tk", help="k-fold congruence count deviations")
     common(sp)
+    sp.add_argument("--eps", type=_eps, default=0.05, help="hypothesis epsilon")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--s", type=int, default=_DEFAULTS["s"])
     sp.add_argument("--k", type=int, default=6)
     sp.add_argument("--lambdas", default="",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ConsistencyError
@@ -12,43 +10,33 @@ from .errors import ConsistencyError
 class CountVector:
     """counts[lam] = how many input tuples land on residue lam.
 
-    `counts` is always a numpy array: int64 while every entry fits, and
-    dtype object, holding Python ints, when entries can pass 2^63 (the
-    exact convolution route's output above a coefficient bound of 2^62).
-    `total` is always an exact Python int. The counts are taken through
-    np.asarray once, a sequence as Python ints (dtype object): an integer
-    dtype or Python ints are accepted, and anything else, like a negative
+    `counts` is what the library builds: an int64 array while every entry
+    fits, and an array of dtype object, holding Python ints, when entries
+    can pass 2^63 (the exact convolution route's output above a
+    coefficient bound of 2^62). `total` is always an exact Python int.
+    Anything else, like a list, another dtype, a float entry or a negative
     entry, raises ConsistencyError.
     """
 
     __slots__ = ("counts", "p", "total")
 
-    def __init__(self, counts: np.ndarray | Sequence[int], *, expected_total: int | None = None):
-        listed = not isinstance(counts, np.ndarray)
-        counts = np.asarray(counts, dtype=object if listed else None)
-        if counts.dtype != object and not np.issubdtype(counts.dtype, np.integer):
-            raise ConsistencyError(f"count vector entries must be integers, got {counts.dtype}")
+    def __init__(self, counts: np.ndarray, *, expected_total: int | None = None):
+        kind = counts.dtype if isinstance(counts, np.ndarray) else type(counts).__name__
+        if kind not in (np.int64, object):
+            raise ConsistencyError(
+                f"count vector entries must be integers in an int64 or object array, got {kind}")
         if counts.size and counts.min() < 0:
             raise ConsistencyError("negative entry in count vector")
         # int64 partial sums can overflow silently; sum Python ints when in doubt.
-        exact = counts.dtype == object or (
-            counts.size and counts.size * int(counts.max()) >= 1 << 62)
+        exact = kind == object or (counts.size and counts.size * int(counts.max()) >= 1 << 62)
         total = counts.sum(dtype=object if exact else np.int64)
         # a sum of Python numbers is an integer only when every entry is one
         if not isinstance(total, (int, np.integer)):
             raise ConsistencyError("count vector entries must be integers")
-        if listed or counts.dtype == np.uint64:  # int64 where every entry fits, else Python ints
-            wide = counts.size and counts.max() >= 1 << 63
-            counts = counts.astype(object if wide else np.int64, copy=False)
-        elif counts.dtype != object:
-            counts = counts.astype(np.int64, copy=False)
-        total = int(total)
-        self.counts = counts
-        self.p = len(counts)
-        self.total = total
-        if expected_total is not None and total != expected_total:
+        self.counts, self.p, self.total = counts, len(counts), int(total)
+        if expected_total is not None and self.total != expected_total:
             raise ConsistencyError(
-                f"count vector mass {total} != expected {expected_total}")
+                f"count vector mass {self.total} != expected {expected_total}")
 
     def __getitem__(self, lam: int) -> int:
         return int(self.counts[lam])

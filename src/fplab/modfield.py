@@ -1,7 +1,7 @@
 """Exact modular arithmetic for a fixed odd prime p.
 
 Provides deterministic primality testing, primitive roots, dense
-discrete-log tables, modular exponentiation and batched inversion.
+discrete-log tables, array exponentiation and batched inversion.
 Everything here is exact integer arithmetic; PrimeContext is immutable
 after construction and safe to share across threads.
 """
@@ -157,17 +157,6 @@ class PrimeContext:
     def of(p: int) -> PrimeContext:
         """The shared context for p; the most recently used ones stay cached."""
         return PrimeContext(p)
-
-
-def mod_pow(base: int, exp: int, ctx: PrimeContext) -> int:
-    """base^exp mod p; negative exp means the inverse of the positive power."""
-    p = ctx.p
-    base, exp = integer("base", base), integer("exp", exp)
-    if not 0 <= base < p:
-        raise DomainError(f"base {base} not reduced mod {p}")
-    if exp < 0 and base == 0:
-        raise DomainError("zero base with negative exponent has no inverse")
-    return pow(base, exp, p)
 
 
 def batch_inverse(values: Sequence[int] | np.ndarray, ctx: PrimeContext) -> list[int]:

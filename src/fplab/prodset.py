@@ -2,7 +2,9 @@
 
 A product h*m of units is the sum dlog(h) + dlog(m) over Z_{p-1}, so the
 product set is the support of one convolution of dlog-indexed count
-vectors; a ratio m/h negates dlog(h). Both need p <= MAX_DLOG_PRIME (2^26).
+vectors, counted in dlog order: dlog is a bijection from the units onto
+Z_{p-1}, so no entry is gathered back to residues. A ratio m/h negates
+dlog(h). Both need p <= MAX_DLOG_PRIME (2^26).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import dlog_convolution, residue_order
+from .energy import dlog_convolution
 from .envelopes import product_set_branch
 from .errors import DomainError, check_epsilon
 from .modfield import PrimeContext
@@ -35,17 +37,16 @@ class ProductSetReport:
             raise DomainError("inconsistent product-set report")
 
 
-def _occupancy(units: np.ndarray, scale: int, mset: ResidueSet, ctx: PrimeContext,
-               budget: int | None) -> np.ndarray:
-    """Dense table of the residues u^scale * m, from the support of a dlog convolution."""
+def _support(units: np.ndarray, scale: int, mset: ResidueSet, ctx: PrimeContext,
+             budget: int | None) -> int:
+    """The number of distinct u^scale * m: the support of their dlog-indexed counts."""
     conv = dlog_convolution([(units, scale), (mset.elems, 1)], ctx, budget)
-    return residue_order(conv.counts > 0, ctx)
+    return np.count_nonzero(conv.counts)
 
 
-def _report(occ: np.ndarray, interval: Interval, mset: ResidueSet,
+def _report(size: int, interval: Interval, mset: ResidueSet,
             epsilon: float) -> ProductSetReport:
     p = interval.p
-    size = int(occ.sum())
     return ProductSetReport(
         p=p, H=interval.H, M=mset.M, size=size, missing=p - size,
         hypothesis_branch=product_set_branch(interval.H, mset.M, p, epsilon),
@@ -58,9 +59,8 @@ def product_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
     check_epsilon(epsilon)
     require_modulus(ctx, interval, mset)
     elems = interval.elements()
-    occ = _occupancy(elems[elems != 0], 1, mset, ctx, budget)
-    occ[0] = interval.contains_zero
-    return _report(occ, interval, mset, epsilon)
+    size = _support(elems[elems != 0], 1, mset, ctx, budget) + interval.contains_zero
+    return _report(size, interval, mset, epsilon)
 
 
 def ratio_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
@@ -68,5 +68,4 @@ def ratio_set(interval: Interval, mset: ResidueSet, ctx: PrimeContext,
     """Exact size of {m/h mod p}: the product set of the inverted interval."""
     check_epsilon(epsilon)
     require_modulus(ctx, interval, mset)
-    occ = _occupancy(interval.units(), -1, mset, ctx, budget)
-    return _report(occ, interval, mset, epsilon)
+    return _report(_support(interval.units(), -1, mset, ctx, budget), interval, mset, epsilon)

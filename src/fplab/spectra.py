@@ -66,8 +66,7 @@ class FracSumResult:
 def complete_sum_table(interval_x: Interval, s: int, ctx: PrimeContext) -> CompleteSumTable:
     """All p complete sums at once: the transform of the x^(-s) fiber counts."""
     u = recip_power_counts(interval_x, s, ctx)
-    w = length_p_transform(u.counts)
-    w[0] = complex(interval_x.H)  # exact: all phases are 1 at c = 0
+    w = length_p_transform(u.counts)  # W[0] is u's mass, checked to be H
     return CompleteSumTable(W=w, p=ctx.p, H=interval_x.H, L=interval_x.L, s=s)
 
 

@@ -12,6 +12,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
@@ -85,6 +86,13 @@ class SweepConfig:
         integer("budget", self.budget, low=0)
         integer("workers", self.workers, low=1)
         integer("k", self.k)  # k < 2 is each tk row's own domain skip
+        for name in ("h_exps", "m_exps"):
+            for v in getattr(self, name):
+                if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                    raise DomainError(f"{name} entry must be a finite number, got {v!r}")
+        for name in ("s_list", "ell_list"):  # s = 0 and ell = 0 are per-row domain skips
+            for v in getattr(self, name):
+                integer(f"{name} entry", v)
         for p in self.primes:  # refused before any row is written
             PrimeContext.of(p)
 

@@ -172,6 +172,19 @@ def test_budget_exit_code(capsys):
     assert code == 3 and "needs 240648192" in err
 
 
+def test_flags_a_command_does_not_read_are_refused(capsys):
+    # energy never read --eps, nor expsum --eps or --budget: each was once
+    # accepted and ignored
+    rand = ("--p", "101", "--H", "5", "--set", "random:5", "--seed", "1")
+    for argv in (("energy", "--kind", "J", *rand, "--eps", "7"),
+                 ("expsum", "--a", "3", *rand, "--eps", "0"),
+                 ("expsum", "--a", "3", *rand, "--budget", "1")):
+        assert run_cli(capsys, *argv[:-2])[0] == 0
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+
+
 def test_tk_is_refused_before_any_set_is_drawn(capsys, monkeypatch):
     # 20000 random sets: T_20000 planned as one array 20000 times, the least
     # any draw can be charged, already passes the budget, so the request is
@@ -202,7 +215,7 @@ def test_oversize_chain_is_refused_before_it_is_priced(capsys, monkeypatch):
         assert code == 3 and "needs at least" in err and widths == []
 
 
-def test_domain_error_exit_code(capsys, singleton1, tmp_path):
+def test_domain_error_exit_code(capsys, singleton1, tmp_path, monkeypatch):
     # interval through 0 for a denominator map
     code, _, err = run_cli(capsys, "expsum", "--p", "7", "--H", "3", "--L", "5",
                            "--s", "1", "--a", "1", "--set", f"file:{singleton1}")
@@ -211,11 +224,16 @@ def test_domain_error_exit_code(capsys, singleton1, tmp_path):
     code, _, err = run_cli(capsys, "tk", "--p", "31", "--H", "3", "--k", "3",
                            "--set", "random:3", "--seed", "1", "--lambdas", "0,x")
     assert code == 2 and err.count("\n") == 1 and "--lambdas" in err
-    # an epsilon that is not a finite number >= 0
-    for eps in ("nan", "inf", "-1"):
-        code, _, err = run_cli(capsys, "prodset", "--p", "101", "--H", "3",
-                               "--set", "random:3", "--seed", "1", "--eps", eps)
-        assert code == 2 and err.count("\n") == 1 and "--eps" in err
+    # an epsilon that is not a finite number >= 0, refused before any set is drawn
+    draws, random_subset = [], cli.random_subset
+    monkeypatch.setattr(cli, "random_subset", lambda *a: draws.append(a) or random_subset(*a))
+    for command in ("prodset", "tk"):
+        for eps in ("nan", "inf", "-1", "x"):
+            code, _, err = run_cli(capsys, command, "--p", "101", "--H", "3",
+                                   "--set", "random:3", "--seed", "1", "--eps", eps)
+            assert code == 2 and err.count("\n") == 1
+            assert "--eps" in err and "finite number >= 0" in err
+    assert draws == []
     # argparse usage errors: one line, no usage block
     code, _, err = run_cli(capsys, "prodset", "--p", "x", "--H", "3",
                            "--set", "random:3", "--seed", "1")

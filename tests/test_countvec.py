@@ -23,13 +23,14 @@ def test_rejects_negative():
     with pytest.raises(ConsistencyError):
         CountVector(np.array([1, -1], dtype=np.int64))
     with pytest.raises(ConsistencyError):
-        CountVector([1, -1])
+        CountVector(np.array([1, -1], dtype=object))
     with pytest.raises(ConsistencyError):
-        CountVector([1 << 70, -1])
+        CountVector(np.array([1 << 70, -1], dtype=object))
 
 
 @pytest.mark.parametrize("counts", [
-    np.array([0.5, 1.7, 2.9]), [1.9, 2.2], np.array([1.0, -0.5]), [1 << 70, 0.5],
+    np.array([0.5, 1.7, 2.9]), np.array([1.9, 2.2], dtype=object), np.array([1.0, -0.5]),
+    np.array([1 << 70, 0.5], dtype=object),
     np.array([1 + 0j, 2]), np.array([3, 0.5], dtype=object), np.array([True, False]),
 ], ids=["float-array", "float-list", "negative-float", "big-int-and-float", "complex",
         "object-float", "bool"])
@@ -43,7 +44,7 @@ def test_rejects_entries_that_are_not_integers(counts):
 
 def test_sum_of_squares_exact_beyond_int64():
     big = 1 << 40
-    cv = CountVector([big, big, 0])
+    cv = CountVector(np.array([big, big, 0], dtype=np.int64))
     assert cv.sum_of_squares() == 2 * big * big  # 2^81: exact
     arr = CountVector(np.full(7, 1 << 30, dtype=np.int64))
     assert arr.sum_of_squares() == 7 * (1 << 60)
@@ -65,30 +66,28 @@ def test_sum_of_squares_matches_python_ints(top, n):
 
 
 def test_python_int_backing():
-    cv = CountVector([1 << 70, 2])
+    cv = CountVector(np.array([1 << 70, 2], dtype=object))
     assert cv.counts.dtype == object
     assert cv.total == (1 << 70) + 2
     assert cv[0] == 1 << 70
-    small = CountVector([3, 2])
+    small = CountVector(np.array([3, 2], dtype=np.int64))
     assert small.counts.dtype == np.int64
     for v in (cv, small):
         assert all(type(t) is int for t in v.as_list())
-    # numpy alone would read [2^63, 1] as float64; the entries must stay exact ints
-    edge = CountVector([1 << 63, 1])
+    # past 2^63 the entries stay exact ints
+    edge = CountVector(np.array([1 << 63, 1], dtype=object))
     assert edge.counts.dtype == object and edge.total == (1 << 63) + 1
 
 
-def test_uint64_beyond_int64_is_held_exactly():
-    # a cast to int64 would wrap 2^63 to a negative entry
-    big = CountVector(np.array([1 << 63, 1], dtype=np.uint64))
-    assert big.counts.dtype == object and big.as_list() == [1 << 63, 1]
-    assert big.total == (1 << 63) + 1
-    assert type(big[0]) is int
-    top = CountVector(np.array([(1 << 64) - 1, 0, 5], dtype=np.uint64), expected_total=(1 << 64) + 4)
-    assert top.as_list() == [(1 << 64) - 1, 0, 5]
-    small = CountVector(np.array([(1 << 63) - 1, 2], dtype=np.uint64))
-    assert small.counts.dtype == np.int64 and small.as_list() == [(1 << 63) - 1, 2]
-    assert CountVector(np.array([], dtype=np.uint64)).total == 0
+@pytest.mark.parametrize("counts", [
+    [3, 0, 2], (3, 0, 2), np.array([3, 0, 2], dtype=np.uint64),
+    np.array([3, 0, 2], dtype=np.int32), np.array([1 << 63, 1], dtype=np.uint64),
+], ids=["list", "tuple", "uint64", "int32", "uint64-beyond-int64"])
+def test_takes_only_what_the_library_builds(counts):
+    # an int64 array or an object array of Python ints; a list or another
+    # integer dtype was once converted
+    with pytest.raises(ConsistencyError, match="int64 or object array"):
+        CountVector(counts)
 
 
 def test_from_bincount():

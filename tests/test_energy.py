@@ -30,7 +30,7 @@ def test_count_vector_example(ctx):
 def test_residue_order_gathers_object_backing(ctx):
     # entry u of the result is the dlog-indexed entry d with g^d = u
     c = ctx(11)
-    conv = CountVector([(1 << 70) + d for d in range(10)])
+    conv = CountVector(np.array([(1 << 70) + d for d in range(10)], dtype=object))
     assert conv.counts.dtype == object
     got = residue_order(conv.counts, c)
     assert got.dtype == object

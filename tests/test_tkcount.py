@@ -216,14 +216,14 @@ def test_dev_stats_matches_python_int_oracle(m, dtype):
     # m = 2^61 puts mass*p above 2^62 and the int64 total above 2^63
     p = 7
     t_values = [m, m - 1, m + 1, m, m - 5, m + 5, m]
-    cv = CountVector(t_values)
+    cv = CountVector(np.array(t_values, dtype=dtype))
     assert cv.counts.dtype == dtype and cv.total == 7 * m
     assert _dev_stats(cv, p, [0, 1, 5]) == \
         oracles.dev_stats(t_values, cv.total, p, [0, 1, 5])
     # a mass that p does not divide: tau = ceil(mass/p) falls between entries
     p = 101
     t_values = [m + v for v in np.random.default_rng(4).integers(0, 50, size=p).tolist()]
-    cv = CountVector(t_values)
+    cv = CountVector(np.array(t_values, dtype=dtype))
     assert cv.counts.dtype == dtype and cv.total % p
     assert _dev_stats(cv, p, [3, 100]) == \
         oracles.dev_stats(t_values, cv.total, p, [3, 100])

@@ -1,6 +1,8 @@
 import csv
 import io
 import logging
+import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -62,6 +64,23 @@ def test_parse_config_errors():
 def test_library_config_refuses_non_integer_counts(field, value):
     with pytest.raises(DomainError, match=f"{field} must be an integer, got {value!r}"):
         SweepConfig(measure="tk", primes=(3,), h_exps=(0.5,), **{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("h_exps", "a", "h_exps entry must be a finite number, got 'a'"),
+    ("h_exps", True, "h_exps entry must be a finite number, got True"),
+    ("m_exps", math.nan, "m_exps entry must be a finite number, got nan"),
+    ("m_exps", -math.inf, "m_exps entry must be a finite number, got -inf"),
+    ("s_list", 1.5, "s_list entry must be an integer, got 1.5"),
+    ("ell_list", 2.5, "ell_list entry must be an integer, got 2.5"),
+    ("ell_list", True, "ell_list entry must be an integer, got True"),
+])
+def test_library_config_refuses_bad_grid_entries(field, value, message):
+    # each once ran: a bare TypeError or ValueError from run_sweep, a bool
+    # as exponent 1, or a tk sweep reporting ell = 2.5
+    grid = {"h_exps": (0.5,), field: (0.5, value) if field.endswith("exps") else (1, value)}
+    with pytest.raises(DomainError, match=re.escape(message)):
+        SweepConfig(measure="tk", primes=(101,), k=3, **grid)
 
 
 REQUIRED = {"measure": "tk", "primes": "3", "h_exp": "0.5"}
