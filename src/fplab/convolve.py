@@ -142,12 +142,26 @@ Buffers: the powers of the root and the spectra of the two kernels are
 cached once per length. A call gathers its two sides as h floats each,
 runs one rfft and one irfft for each, keeps the h rows of each and
 allocates its output last.
+
+Buffers on glibc. numpy's FFT allocates its scratch on every call, and
+glibc maps a request above its mmap threshold afresh, so every call at
+2^20 mapped and faulted in 16 MiB. Once per process, before the first
+transform whose float64 input is 4 MiB or more, _hold_heap sets glibc's
+M_MMAP_THRESHOLD to 32 MiB (its own cap on 64-bit) and M_TRIM_THRESHOLD
+to 64 MiB, so scratch below 2^21 comes from pages the process holds.
+Smaller runs never switch: set from the start, the thresholds raised the
+T_6 fixture's peak. Nor do a sweep's worker threads: glibc gives each
+thread an arena, and with the thresholds held each keeps its freed
+scratch. Once switched, _join trims the heap before it builds its object
+array, whose Python ints live outside it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -171,10 +185,44 @@ PAIR_COST = 10
 _PAIR_BLOCK = 1 << 22          # support pairs scattered per block
 _WORD = 62                     # widest limb or digit: every one is an int64 array
 _BLOCK = 1 << 16               # spectrum entries multiplied per block
+_HEAP_SWITCH = 4 << 20         # bytes of transform input that switch the heap policy on
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+# the heap policy's state: process-wide, as the thresholds it sets are
+_heap_switched = False
+_libc = None                   # the C library, once the policy has set its thresholds
 
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
+
+
+def _hold_heap(nbytes: int) -> None:
+    """The heap policy (module docstring), switched on by the first transform of `nbytes` >= 4 MiB.
+
+    It switches once per process, on the main thread alone, and logs one
+    INFO line with mallopt's two return values (1 where a value is taken).
+    Where the C library is not glibc or has no mallopt, nothing is set and
+    nothing is logged.
+    """
+    global _heap_switched, _libc
+    if (_heap_switched or nbytes < _HEAP_SWITCH
+            or threading.current_thread() is not threading.main_thread()):
+        return
+    _heap_switched = True
+    try:
+        import ctypes
+        os.confstr("CS_GNU_LIBC_VERSION")  # defined on glibc alone
+        libc = ctypes.CDLL(None)
+        libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        libc.malloc_trim.argtypes, libc.malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+        mmap = libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        trim = libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    except (OSError, AttributeError, TypeError, ValueError):
+        return
+    _libc = libc
+    log.info("heap held for transforms of %d bytes and more: mallopt(M_MMAP_THRESHOLD, "
+             "32 MiB) returned %d, mallopt(M_TRIM_THRESHOLD, 64 MiB) returned %d",
+             _HEAP_SWITCH, mmap, trim)
 
 
 @dataclass(frozen=True)
@@ -526,6 +574,8 @@ def _join(digits: list[np.ndarray], width: int, bound: int) -> np.ndarray:
     """
     if bound < 1 << _WORD:
         return _limb(digits, width, _WORD, 0, 1)
+    if _libc is not None:  # the Python ints live outside the heap: return its free pages first
+        _libc.malloc_trim(0)
     count = _limb_count(_bits(digits, width), _WORD)
     out = _limb(digits, width, _WORD, count - 1, count).astype(object)
     for j in range(count - 2, -1, -1):
@@ -688,6 +738,7 @@ def _float_chain(arrays: list, masses: list[int], n: int,
     """
     size = plan.fft_length
     half = max(1, size // 2)  # the phase length; C = 1 only at n = 1
+    _hold_heap(8 * half)
     gamma = _gamma(size)
     keys = [id(a) for a in arrays]
     held = {i: ([a], _WORD) for i, a in zip(_ids(keys), arrays)}  # id -> (digits, width)
@@ -912,6 +963,7 @@ def length_p_transform(u: np.ndarray) -> np.ndarray:
     if n % 2 == 0 or not is_prime(n):
         raise DomainError(f"the prime-length transform needs an odd prime length, got {n}")
     e1, cos_hat, sin_hat, size = _rader_tables(n)
+    _hold_heap(8 * size)
     h = e1.size
     # each array goes at its last read and the output comes last: that
     # order sets the call's peak

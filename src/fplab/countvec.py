@@ -25,7 +25,11 @@ class CountVector:
         if kind not in (np.int64, object):
             raise ConsistencyError(
                 f"count vector entries must be integers in an int64 or object array, got {kind}")
-        if counts.size and counts.min() < 0:
+        try:
+            negative = counts.size and counts.min() < 0
+        except TypeError:  # an object entry that is not a real number: complex, None, str
+            raise ConsistencyError("count vector entries must be integers") from None
+        if negative:
             raise ConsistencyError("negative entry in count vector")
         # int64 partial sums can overflow silently; sum Python ints when in doubt.
         exact = kind == object or (counts.size and counts.size * int(counts.max()) >= 1 << 62)

@@ -32,8 +32,10 @@ def test_rejects_negative():
     np.array([0.5, 1.7, 2.9]), np.array([1.9, 2.2], dtype=object), np.array([1.0, -0.5]),
     np.array([1 << 70, 0.5], dtype=object),
     np.array([1 + 0j, 2]), np.array([3, 0.5], dtype=object), np.array([True, False]),
+    np.array([1j, 2], dtype=object), np.array([None, 2], dtype=object),
+    np.array(["a", 2], dtype=object),
 ], ids=["float-array", "float-list", "negative-float", "big-int-and-float", "complex",
-        "object-float", "bool"])
+        "object-float", "bool", "object-complex", "object-none", "object-str"])
 def test_rejects_entries_that_are_not_integers(counts):
     # each was once truncated to integers, or held as given
     with warnings.catch_warnings():

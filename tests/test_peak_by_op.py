@@ -14,7 +14,9 @@ def test_peaks_follow_the_steps_of_each_pass_and_never_fall(tmp_path):
                                            "1.tk_p101", "1.check"]
     peaks = [step[1] for step in steps]
     assert 0 < peaks[0] and peaks == sorted(peaks)
-    # each step's minor page faults and system milliseconds
-    counts = [value for step in steps for value in step[2:]]
+    # each step's minor page faults and system milliseconds, then its wall milliseconds
+    counts = [value for step in steps for value in step[2:4]]
     assert len(counts) == 2 * len(steps)
     assert all(type(value) is int and value >= 0 for value in counts)
+    walls = [step[4] for step in steps]
+    assert len(walls) == len(steps) and all(type(ms) is float and ms >= 0 for ms in walls)

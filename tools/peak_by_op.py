@@ -4,12 +4,13 @@
 
 Runs WORKLOAD's passes in this process as perfbench/run.py does at its
 default 15 s (the same number of passes, each pass's outputs and contexts
-dropped after its check), untimed and untraced, with the workloads of
-perfbench/workloads.py read as they are. After the set-up, after each op
-and after each pass's check it prints one line: the step (`setup`,
-`PASS.OP` or `PASS.check`), this process's ru_maxrss in MB, and the
-minor page faults (ru_minflt) and system CPU milliseconds (ru_stime)
-the step took. Child processes (cli_sweep's) are not counted.
+dropped after its check), untraced and outside run.py's timers, with the
+workloads of perfbench/workloads.py read as they are. After the set-up,
+after each op and after each pass's check it prints one line: the step
+(`setup`, `PASS.OP` or `PASS.check`), this process's ru_maxrss in MB, and
+the minor page faults (ru_minflt), system CPU milliseconds (ru_stime) and
+wall milliseconds the step took. Child processes (cli_sweep's) are not
+counted.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import resource
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -45,14 +47,14 @@ def _steps(workload, seed: int, passes: int, workdir: str):
 
 
 def probe(workload, seed: int, passes: int, workdir: str):
-    """Yield (step, peak RSS in MB, minor faults, system ms) after the set-up, each op
-    and each check; the last two count the step alone."""
-    last = resource.getrusage(resource.RUSAGE_SELF)
+    """Yield (step, peak RSS in MB, minor faults, system ms, wall ms) after the set-up,
+    each op and each check; the last three count the step alone."""
+    last, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
     for step in _steps(workload, seed, passes, workdir):
-        now = resource.getrusage(resource.RUSAGE_SELF)
+        now, end = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
         yield (step, now.ru_maxrss / 1024, now.ru_minflt - last.ru_minflt,
-               round((now.ru_stime - last.ru_stime) * 1000))
-        last = now
+               round((now.ru_stime - last.ru_stime) * 1000), (end - start) * 1000)
+        last, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -63,8 +65,10 @@ def main(argv: list[str] | None = None) -> None:
     workload = workloads.WORKLOADS[args.workload]
     passes = max(1, round(SECONDS / workload.nominal_pass_s))
     with tempfile.TemporaryDirectory() as workdir:
-        for step, peak, faults, system_ms in probe(workload, args.seed, passes, workdir):
-            print(f"{step}\t{peak:.1f} MB\t{faults} faults\t{system_ms} ms sys", flush=True)
+        for step, peak, faults, system_ms, wall_ms in probe(workload, args.seed, passes,
+                                                            workdir):
+            print(f"{step}\t{peak:.1f} MB\t{faults} faults\t{system_ms} ms sys\t"
+                  f"{wall_ms:.1f} ms wall", flush=True)
 
 
 if __name__ == "__main__":
