@@ -35,11 +35,10 @@ entries 2m of the linear product, the odd phase its n-1 entries 2m+1,
 and neither wraps, since C/2 >= n (the phase length is 1 at n = 1,
 where C = 1). The rounded phases are then folded onto Z_n exactly, in
 int64. One phase pair, forward or inverse, is one transform wherever
-transforms are counted: the charge, the log line and the check of run
-against charged. Each step makes the twiddle after its factor's forward
-transforms and drops it with the factor spectra, before its last
-inverse, and the products are formed in blocks over x's spectra where
-they are not kept.
+transforms are counted: the floors, the meter and the log line. Each
+step makes the twiddle after its factor's forward transforms and drops
+it with the factor spectra, before its last inverse, and the products
+are formed in blocks over x's spectra where they are not kept.
 
 The certificate. Percival (C. Percival, Math. Comp. 72 (2003), 387-395)
 bounds the error of a radix-2 float convolution of length N = 2^m by
@@ -89,22 +88,21 @@ plain real product at the power-of-two length C/2 under the same
 assumption on pocketfft as below; that bound also keeps x'y' below 2^51,
 exact in float64. The residual of its one inverse is checked against
 0.25 like every other. Each packed real FFT counts as one transform, so
-a packed step runs 3 (2 when y is x) of the 3 (2) a one-limb step is
-charged. Otherwise the step runs as phase pairs, from the same two
-sides; the certificate makes the choice, not a setting.
+a packed step runs 3 (2 when y is x), its floor. Otherwise the step runs
+as phase pairs, from the same two sides; the certificate makes the
+choice, not a setting.
 
 The schedule. One generator, _schedule, yields the chain's steps in
 order, each as (x, y, id of their product). An operand carries an id (an
 input array's is the first position of that array in the layout, the
 product of step t's is k - 1 + t), its mass, and whether a later operand
-reads the same id. The planner's floors and its charges and the executor
-all walk it, so none of them keeps its own running product or key
-bookkeeping; its one order today is the cyclic one above.
+reads the same id. The executor walks it, and the planner's floors take
+its one order today, the cyclic one above.
 
-Spectra. One rule, _spectrum_key, charged by the planner and kept by the
-executor. An operand that is one whole array (one limb) carries its id,
-and its spectrum, once made, is kept while a later operand reads that
-id; its id's last read ends it, also when that read is split. So [u]*2
+Spectra. One rule, _spectrum_key, kept and metered by the executor. An
+operand that is one whole array (one limb) carries its id, and its
+spectrum, once made, is kept while a later operand reads that id; its
+id's last read ends it, also when that read is split. So [u]*2
 transforms u once: x's spectrum is made first and y finds it. A split
 operand carries no key: the spectra of its limbs are streamed, each made
 when the first sum that needs it comes up. A spectrum is multiplied in
@@ -113,21 +111,25 @@ holds each input array and each product by its id and drops it at the
 id's last read, so a factor no one else holds is freed as the chain
 goes.
 
-One work model prices every plan, and plan_convolution is the only budget
-gate and the only source of a plan: k_fold_count plans every call itself.
-A float plan is charged its transforms times C * log2(C). Each step is
-charged the transforms it would run at the worst case its masses allow:
-the planner bounds the norms from each side's mass and the mass's bit
-length alone. The executor bounds them by the same rule from its sides'
-real bits, the same masses and the exact norms it has, each side's taken
-once per step, so its bounds are never larger, its width never narrower,
-its limbs never more, and, since both read one schedule and one spectrum
-rule, it never runs more transforms than it was charged. The
-support-pair route costs its pairs. Planning logs nothing; the float
-route logs one line when it runs: its length C and phase length C/2,
-its steps, the limbs and width of each (a packed step as packed@2^w, its
-radix), the transforms run against those charged, the largest certified
-bound and the largest rounding residual.
+One work model: a transform costs C * log2(C) units, and each step of
+the chain has a run floor (_floors), the transforms it runs at least
+whatever its sides hold, from the executor's own width rule at the least
+its masses allow. plan_convolution is the only source of a plan, and
+k_fold_count plans every call itself. The planner refuses a request
+whose floors' work passes the budget ("needs at least"), and picks the
+support-pair route, which costs its pairs, where PAIR_COST times those is
+no more than the floors' work. The chain meters what it runs: before
+each step it knows the step's width and limbs from its real sides, and
+so the transforms the step runs, and it refuses when those run so far,
+plus this step's, plus the floors of the rest, pass the budget. So no
+run passes the budget: a request is refused before any transform when
+its floors pass it, and otherwise at the latest before the step that
+would. A step that runs fewer transforms than its floor is a
+ConsistencyError. Planning logs nothing; the float route logs one line
+when it runs: its length C and phase length C/2, its steps, the limbs
+and width of each (a packed step as packed@2^w, its radix), the
+transforms run and the sum of the floors, the largest certified bound
+and the largest rounding residual.
 
 The prime-length Fourier transform (for complete exponential-sum tables)
 runs Rader's algorithm at an odd prime length n: numbering the units by
@@ -227,16 +229,17 @@ def _hold_heap(nbytes: int) -> None:
 
 @dataclass(frozen=True)
 class ConvolutionPlan:
-    """How a convolution will run: strategy, coefficient bound, length, charge."""
+    """How a convolution will run: strategy, coefficient bound, length, floors and budget."""
 
     n: int                         # length of the index group Z_n
     strategy: str                  # "direct" | "float"
     bound: int                     # product of the masses: no coefficient exceeds it
-    # C = next_pow2(2n-1) for "float", 0 for "direct": the length the charge
+    # C = next_pow2(2n-1) for "float", 0 for "direct": the length the work
     # and the certificate are taken at. The chain runs every product at C/2,
     # as phase pairs or as one packed product (module docstring).
     fft_length: int
-    transforms: int = 0            # float transforms charged at the worst-case norms
+    floors: tuple[int, ...] = ()   # each float step's run floor (_floors)
+    budget: int = DEFAULT_BUDGET   # the work the float chain's meter allows
     moduli: tuple[int, ...] = ()   # always empty: no route works modulo primes
 
 
@@ -244,30 +247,22 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
                      layout: Sequence[Hashable] | None = None) -> ConvolutionPlan:
     """Select the cheapest exact strategy for a k-fold length-n convolution.
 
-    This is the one place that prices work. `layout` names each factor's
-    array, equal names marking one array (default: k distinct arrays);
-    the float chain walks the steps of _schedule, and a float plan costs
-    the transforms _charges prices along that walk, times C*log2(C). The
-    support-pair route exists where the coefficient bound, the product of
-    all masses (every output entry is at most the total number of tuples),
-    is below 2^63; it costs pair_work, the pairs it visits at most, each
-    support being capped by its mass and by n, and it is chosen when
-    PAIR_COST * pair_work is no larger than the transform work. A route
-    whose own work exceeds the budget is passed over; the call is refused
-    only when none fits, with `required` the smaller need. Where the pair
-    route is not available, the step-by-step charge, which grows with the
-    masses' bits, is priced against a lower bound on the whole: the
-    charges of the steps priced so far plus the floors (_floors) of the
-    rest. Once that bound exceeds the budget, the request is refused with
-    it as `required` ("needs at least"), before any further step is
-    priced; a request is refused on its floors alone before the first. So
-    a refusal of thousands of factors takes no step-by-step pricing.
-    Whether the bound reaches 2^63 is read from a product capped there
-    (_pair_work), and the bound is formed only for a plan that is
-    admitted: a refusal forms the product of the masses only in the
-    schedule's walk, whose floors read its bit lengths. Below 2^63 the
-    charge is cheap, and the refusal names the same need as it always
-    did. Planning has no side effects: it logs nothing and allocates
+    This is the one source of a plan. `layout` names each factor's array,
+    equal names marking one array (default: k distinct arrays). The float
+    chain's work is priced at its run floors (_floors), the transforms
+    each step runs at least, times C*log2(C). The support-pair route exists
+    where the coefficient bound, the product of all masses (every output
+    entry is at most the total number of tuples), is below 2^63; it costs
+    pair_work, the pairs it visits at most, each support being capped by
+    its mass and by n, and it is chosen when PAIR_COST * pair_work is no
+    larger than the floors' work. A route whose own work exceeds the
+    budget is passed over; the call is refused only when none fits, with
+    `required` the smaller need, the floors' work being a lower bound
+    ("needs at least", naming C and the floors by step). An admitted float
+    plan carries its floors and the budget, which the chain meters as it
+    runs. Whether the bound reaches 2^63 is read from a product capped
+    there (_pair_work), and the bound is formed only for a plan that is
+    admitted. Planning has no side effects: it logs nothing and allocates
     nothing of length n.
     """
     k = len(masses)
@@ -276,31 +271,22 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     masses = [int(m) for m in masses]
     keys = list(range(k)) if layout is None else list(layout)
     size = _next_pow2(2 * n - 1)
-    unit = size * (size.bit_length() - 1)  # work of one float transform
     limit = DEFAULT_BUDGET if budget is None else integer("budget", budget, low=0)
     pair_work = _pair_work(n, masses)
-    charges = _charges(n, masses, keys, size)
-    if pair_work is None:  # the chain is the only route: refuse as soon as it cannot fit
-        floors = list(_floors(n, masses, keys, size))
-        transforms, least = 0, sum(floors)
-        for floor in floors:
-            if least * unit > limit:
-                raise BudgetError(f"float transform convolution needs at least {least * unit} "
-                                  f"operations, budget is {limit}", required=least * unit)
-            charge = next(charges)
-            transforms += charge
-            least += charge - floor
-    else:
-        transforms = sum(charges)
-    transform_work = transforms * unit
-    if pair_work is not None:
-        if pair_work <= limit and (PAIR_COST * pair_work <= transform_work
-                                   or transform_work > limit):
-            return ConvolutionPlan(n, "direct", prod(masses), 0)
-        if pair_work < transform_work:  # neither fits: refuse with the smaller need
-            check_budget(pair_work, budget, "support-pair convolution")
-    check_budget(transform_work, budget, "float transform convolution")
-    return ConvolutionPlan(n, "float", prod(masses), size, transforms)
+    floors = tuple(_floors(n, masses, keys, size))
+    floor_work = sum(floors) * size * (size.bit_length() - 1)
+    if pair_work is not None and pair_work <= limit and (PAIR_COST * pair_work <= floor_work
+                                                         or floor_work > limit):
+        return ConvolutionPlan(n, "direct", prod(masses), 0)
+    if floor_work > limit:  # neither route fits: refuse with the smaller need
+        if pair_work is not None and pair_work < floor_work:
+            check_budget(pair_work, limit, "support-pair convolution")
+        shown = [str(f) for f in floors]
+        shown[6:-6] = ["..."] if k > 13 else shown[6:-6]  # a long chain's first and last six
+        raise BudgetError(f"float transform convolution needs at least {floor_work} operations: "
+                          f"{sum(floors)} transforms ({', '.join(shown)}) at "
+                          f"2^{size.bit_length() - 1}, budget is {limit}", required=floor_work)
+    return ConvolutionPlan(n, "float", prod(masses), size, floors, limit)
 
 
 def _pair_work(n: int, masses: Sequence[int]) -> int | None:
@@ -335,10 +321,10 @@ def _ids(keys: Iterable[Hashable]) -> list[int]:
 def _schedule(keys: list, masses: list[int]) -> Iterator[tuple[_Operand, _Operand, int]]:
     """The float chain's steps (x, y, id of x * y), in the order they run.
 
-    The planner's floors (_floors), its charges (_charges) and the executor
-    (_float_chain) all walk it. The order is cyclic: step t, for t = 1 to
-    k - 1, multiplies the accumulator (input 0 in step 1, then the product
-    of step t - 1) by input t. Each operand is an _Operand: its id (an
+    The executor (_float_chain) walks it; the planner's floors (_floors)
+    take the same order, with the product of the masses capped. The order
+    is cyclic: step t, for t = 1 to k - 1, multiplies the accumulator
+    (input 0 in step 1, then the product of step t - 1) by input t. Each operand is an _Operand: its id (an
     input's is the first position of its array in the layout, _ids; the
     product of step t's is k - 1 + t), its mass (a product's is the product
     of its operands' masses, formed exactly as its step is drawn), and
@@ -355,7 +341,7 @@ def _schedule(keys: list, masses: list[int]) -> Iterator[tuple[_Operand, _Operan
 
 
 def _spectrum_key(op: _Operand, limbs: int) -> tuple[int | None, bool]:
-    """(key, keep): the spectrum rule, which the planner charges and the executor keeps.
+    """(key, keep): the spectrum rule, which the executor keeps and meters.
 
     An operand that is one whole array (one limb) carries its id as the key
     of its spectrum, which is made only when no spectrum under that key is
@@ -366,47 +352,61 @@ def _spectrum_key(op: _Operand, limbs: int) -> tuple[int | None, bool]:
     return (op.id, op.later) if limbs == 1 else (None, False)
 
 
+def _least(mass: int, n: int) -> tuple[int, int, int]:
+    """The side (bits, mass, whole) at the least a mass on Z_n allows, as _limb_norms takes it.
+
+    Some entry is at least ceil(mass/n), so the largest has at least its
+    bits, and by Cauchy-Schwarz the squared norm is at least ceil(mass^2/n).
+    """
+    return (-(-mass // n)).bit_length(), mass, -(-mass * mass // n)
+
+
 def _floors(n: int, masses: list[int], keys: list, size: int) -> Iterator[int]:
-    """Transforms each step of the float chain is charged at least, whatever its sides' norms.
+    """Each step's run floor: the transforms the float chain runs at least at that step.
 
-    Each step transforms every limb of x, which no earlier step has made
-    (in step 1 input 0, then the accumulator), and inverts at least once
-    per limb. Its width is at most the widest at which the low limbs'
-    term of the certificate passes (_low_width), so it has at least as
-    many limbs as at that width. That term needs only limb 0 of each
-    side, whose bound from a mass m is the same for every m >= n * 2^62,
-    so each mass is capped there and the bound stays cheap at any k. Once
-    the accumulator is capped, a run of equal masses repeats its sides,
-    and the width is searched again only when the sides change.
+    The floor of step t is 2 * ceil(bits(ceil(m_x/n)) / b_max) transforms,
+    m_x the mass of x (input 0 in step 1, then the product so far), plus
+    one when no earlier operand read y's array. The proof, for any sides
+    of these masses:
+    - The executor takes the width from its sides (bits, mass, exact
+      squared norm). Every term of limb 0's bound (_limb_norms) is
+      nondecreasing in the bits and the norm (a side with no exact norm
+      drops that term), so from the least sides (_least) the bound is at
+      most the executor's at every width, and so is the low limbs' term
+      (s = 0) of the certificate.
+    - That term never falls as the width grows. So at every width past
+      b_max, the widest at which it passes from the least sides
+      (_low_width), it fails from the executor's sides too, and the full
+      certificate, never below it, fails: the executor's width is at most
+      b_max, or b_max spans the least bits of both sides and the floor
+      counts x as one limb.
+    - So x has at least ceil(bits(ceil(m_x/n)) / b_max) limbs. No spectrum
+      of x exists before its step, so each limb is transformed, and each
+      limb-index sum is inverted: at least as many inverses as x has
+      limbs. y's spectrum can be kept only if an earlier operand read its
+      array; otherwise y is transformed at least once. A packed step runs
+      2 or 3 transforms, which is this floor at one limb.
+    Cost at any k: limb 0's bound from a mass m is the same for every
+    m >= n * 2^62, so each mass is capped there for the width, and a run of
+    equal capped sides searches the width once. The product of the masses
+    is carried as mant * 2^shift, mant truncated to its top bits once it
+    passes 2^64 times the cap: exact until then, and after it a lower bound
+    above the cap, whose ceil(m_x/n) has at least the bits of
+    floor(mant/n) * 2^shift. So a floor stays a floor, and no product of
+    many masses is formed.
     """
-    gamma, cap, last, b = _gamma(size), n << _WORD, None, 0
-    for x, y, _ in _schedule(keys, masses):
-        sides = tuple((m.bit_length(), m, None) for m in (min(x.mass, cap), min(y.mass, cap)))
-        if sides != last:
-            b, last = _low_width(*sides, n, gamma), sides
-        yield 2 * _limb_count(x.mass.bit_length(), max(1, b))
-
-
-def _charges(n: int, masses: list[int], keys: list, size: int) -> Iterator[int]:
-    """The transforms charged to each step of the float chain: what it runs at worst-case norms.
-
-    Each step takes its width from _width, each side given by its mass
-    and the mass's bit length alone, and inverts once per limb-index sum.
-    It is charged each side's limbs as forward transforms, except a side
-    whose spectrum the rule (_spectrum_key) has kept. Steps are priced as
-    they are drawn.
-    """
-    gamma, kept = _gamma(size), set()
-    for x, y, _ in _schedule(keys, masses):
-        b, _ = _width(*((op.mass.bit_length(), op.mass, None) for op in (x, y)), n, gamma)
-        limbs = [_limb_count(op.mass.bit_length(), b) for op in (x, y)]
-        transforms = sum(limbs) - 1
-        for op, count in zip((x, y), limbs):
-            key, keep = _spectrum_key(op, count)
-            transforms += 0 if key in kept else count
-            if keep:
-                kept.add(key)
-        yield transforms
+    ids, gamma, cap = _ids(keys), _gamma(size), n << _WORD
+    top = cap.bit_length() + 64  # mant's bits once it is truncated
+    mant, shift, last, b = masses[0], 0, None, 1
+    for t in range(1, len(ids)):
+        capped = (cap if shift else min(mant, cap), min(masses[t], cap))
+        if capped != last:
+            b, last = max(1, _low_width(*(_least(m, n) for m in capped), n, gamma)), capped
+        bits = (mant // n if shift else -(-mant // n)).bit_length() + shift
+        yield 2 * _limb_count(bits, b) + (ids[t] == t)
+        mant *= masses[t]
+        drop = max(0, mant.bit_length() - top)
+        mant, shift = mant >> drop, shift + drop
 
 
 # ---------------------------------------------------------------------------
@@ -734,17 +734,22 @@ def _float_chain(arrays: list, masses: list[int], n: int,
     masses[t] is the sum of arrays[t]. The steps are _schedule's. `arrays`
     is emptied at once: each operand is held by its id and dropped at its
     last read, so a factor no one else holds is freed as the chain goes.
+    Before each step the meter knows the transforms it will run, from its
+    width and limbs: it raises BudgetError when those run so far, plus
+    this step's, plus the floors of the steps after it, pass plan.budget.
+    A step that runs fewer transforms than its floor is a ConsistencyError.
     Logs what it ran.
     """
     size = plan.fft_length
     half = max(1, size // 2)  # the phase length; C = 1 only at n = 1
     _hold_heap(8 * half)
-    gamma = _gamma(size)
+    gamma, unit = _gamma(size), size * (size.bit_length() - 1)
     keys = [id(a) for a in arrays]
     held = {i: ([a], _WORD) for i, a in zip(_ids(keys), arrays)}  # id -> (digits, width)
     arrays.clear()
     kept = {}  # id -> phase spectra of an operand read whole that a later operand reads
     run, steps, certified, residual = 0, [], 0.0, 0.0
+    rest = sum(plan.floors)  # the floors of the steps not yet begun
 
     def spectrum(limb: np.ndarray, op: _Operand, limbs: int) -> tuple:
         """The phase spectra of a limb of operand op, made and kept as _spectrum_key says."""
@@ -755,18 +760,34 @@ def _float_chain(arrays: list, masses: list[int], n: int,
             kept[key] = _phases(limb, half)
         return kept[key] if keep else kept.pop(key)
 
-    for x, y, out in _schedule(keys, masses):
+    def meter(step: int, transforms: int) -> None:
+        """Refuse step `step` before it runs if its `transforms` would pass the budget."""
+        if (need := (run + transforms + rest) * unit) > plan.budget:
+            raise BudgetError(f"float transform convolution needs at least {need} operations "
+                              f"before step {step} of {len(plan.floors)}: {run} transforms run, "
+                              f"{transforms} in this step and {rest} at the floors of the rest at "
+                              f"2^{size.bit_length() - 1}, budget is {plan.budget}", required=need)
+
+    schedule = zip(_schedule(keys, masses), plan.floors, strict=True)
+    for step, ((x, y, out), floor) in enumerate(schedule, 1):
+        rest -= floor
+        start = run
         (x_digits, x_width), (y_digits, y_width) = (held[op.id] if op.later else held.pop(op.id)
                                                     for op in (x, y))
         x_side, y_side = _side(x_digits, x_width, x.mass), _side(y_digits, y_width, y.mass)
+        if len(masses) == 2:  # the only step; packed, each operand is transformed once
+            meter(step, 2 if x.id == y.id else 3)
         if len(masses) == 2 and (packed := _packed(x_digits, y_digits, x_side, y_side, n, half)):
-            # the only step of a one-step chain: one forward transform per operand, one inverse
             z, w, certified, residual = packed
             held[out], run = ([z], _WORD), 2 if x.id == y.id else 3
-            steps.append(f"packed@2^{w}")
+            steps.append((f"packed@2^{w}", run))
             continue
         b, bound = _width(x_side, y_side, n, gamma)
         x_limbs, y_limbs = _limb_count(x_side[0], b), _limb_count(y_side[0], b)
+        # each limb of x is transformed (none is kept before its step), and y's unless its
+        # spectrum is kept or is x's; each limb-index sum is inverted once
+        found = y_limbs == 1 and (y.id in kept or y.id == x.id)
+        meter(step, 2 * x_limbs + y_limbs - 1 + (0 if found else y_limbs))
         live = {0: spectrum(_limb(x_digits, x_width, b, 0, x_limbs), x, x_limbs)}
         if x_limbs == 1:  # x's array is not held here beside y's transforms
             x_digits = None
@@ -796,14 +817,15 @@ def _float_chain(arrays: list, masses: list[int], n: int,
             residual = max(residual, res_even, res_odd)
         held[out] = (parts if len(parts) == 1 else _carry(parts, b), b)
         parts = None  # the product is held by its id alone, and dropped at its read
-        steps.append(f"{x_limbs}x{y_limbs}@{b}")
+        steps.append((f"{x_limbs}x{y_limbs}@{b}", run - start))
         certified = max(certified, bound)
-    if run > plan.transforms:
-        raise ConsistencyError(f"float chain ran {run} transforms, {plan.transforms} charged")
+    if any(ran < floor for (_, ran), floor in zip(steps, plan.floors)):
+        raise ConsistencyError(f"float chain steps ran {[ran for _, ran in steps]} transforms, "
+                               f"under their floors {list(plan.floors)}")
     log.info("float convolution at length %d (phases at %d): %d step(s) %s "
-             "(limbs x limbs @ width), %d of %d charged transforms, certified bound %.3g, "
-             "largest residual %.3g",
-             size, half, len(steps), " ".join(steps), run, plan.transforms, certified, residual)
+             "(limbs x limbs @ width), %d transforms run, floor %d, certified bound %.3g, "
+             "largest residual %.3g", size, half, len(steps),
+             " ".join(text for text, _ in steps), run, sum(plan.floors), certified, residual)
     return _join(*held.pop(out), plan.bound)
 
 
@@ -823,7 +845,8 @@ def k_fold_count(vectors: Sequence[CountVector], *, budget: int | None = None) -
 
     plan_convolution plans the call for the vectors' masses and distinct
     arrays, refusing it before any transform runs when no route fits the
-    budget; the plan then runs as support pairs or as the float chain.
+    budget; the plan then runs as support pairs or as the float chain,
+    whose meter refuses before a step that would pass the budget.
     Total mass is verified against the product of input masses on every
     call. Fewer than two factors is a DomainError.
     """

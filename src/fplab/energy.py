@@ -32,8 +32,10 @@ def dlog_convolution(factors: list[tuple[np.ndarray, int]], ctx: PrimeContext,
     """The convolution over Z_{p-1} of dlog_counts(units, scale) for each factor.
 
     Planned from the factor sizes before the dlog table or any count vector
-    is built, so a refused call allocates nothing of length p; k_fold_count
-    then plans the same masses again and runs its plan.
+    is built, so a call refused at its floors allocates nothing of length
+    p; k_fold_count then plans the same masses again and runs its plan,
+    whose meter may still stop the chain before a step that would pass
+    the budget.
     """
     convolve.plan_convolution(ctx.p - 1, [len(units) for units, _ in factors], budget)
     return convolve.k_fold_count([dlog_counts(units, scale, ctx) for units, scale in factors],

@@ -18,7 +18,7 @@ from . import convolve
 from .countvec import CountVector
 from .energy import count_vector_product
 from .envelopes import tk_hypotheses, tk_main_term
-from .errors import DEFAULT_BUDGET, BudgetError, DomainError, check_epsilon, integer
+from .errors import DomainError, check_epsilon, integer
 from .modfield import PrimeContext
 from .sets import ResidueSet, shifted_interval
 
@@ -91,21 +91,18 @@ def check_tk_budget(k: int, H: int, M: int, p: int, budget: int | None) -> None:
     """Refuse T_k over k sets of M elements each, before any set is drawn.
 
     The convolution is planned for k factors of mass H * M as one array k
-    times: equal factors share their spectra, so that is the least any
-    draw of the sets can be charged, and a request refused here would be
-    refused whatever was drawn, while every request admitted after the
-    draw is admitted here. The refusal names that charge as a lower bound
-    ("needs at least"). A k, H or M out of range is left to the
-    DomainErrors of tk_experiment and of the set and interval builders.
+    times. The floors depend only on the masses and on which factors are
+    one array, and equal factors floor lowest (no later factor is
+    transformed), so a request refused here would be refused whatever was
+    drawn, while every request the planner admits after the draw is
+    admitted here; the chain's meter may still stop it mid-chain. The
+    refusal is the planner's ("needs at least" where the floors refuse).
+    A k, H or M out of range is left to the DomainErrors of tk_experiment
+    and of the set and interval builders.
     """
     if k < 2 or not (0 < H < p and 0 < M < p):
         return
-    try:
-        convolve.plan_convolution(p, [H * M] * k, budget, layout=[0] * k)
-    except BudgetError as exc:
-        limit = DEFAULT_BUDGET if budget is None else budget
-        raise BudgetError(f"T_{k} over sets of {M} elements needs at least {exc.required} "
-                          f"operations, budget is {limit}", required=exc.required) from None
+    convolve.plan_convolution(p, [H * M] * k, budget, layout=[0] * k)
 
 
 def _factor_counts(factors: list[tuple[ResidueSet, int]], H: int, s: int,
@@ -116,8 +113,9 @@ def _factor_counts(factors: list[tuple[ResidueSet, int]], H: int, s: int,
     vector, so the paper's T_k over one set M and one interval X builds
     one vector, which k_fold_count then transforms once. The k-fold
     convolution of the vectors is planned first, from their masses H * M
-    and this sharing, as k_fold_count will plan it: a call it refuses
-    builds no vector and no dlog table.
+    and this sharing, as k_fold_count will plan it: a call whose floors
+    pass the budget builds no vector and no dlog table. A call admitted
+    here can still be stopped by the chain's meter, after the vectors.
     """
     keys = [(mset.elems.tobytes(), shift % ctx.p) for mset, shift in factors]
     convolve.plan_convolution(ctx.p, [H * mset.M for mset, _ in factors], budget, layout=keys)

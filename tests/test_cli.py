@@ -164,12 +164,30 @@ def test_budget_exit_code(capsys):
                            "--H", "50", "--set", "random:50", "--seed", "1",
                            "--budget", "-1")
     assert code == 2 and err == "error: budget must be >= 0, got -1\n"
-    # the README's worked example: T_6 at p = 100003, H = 563 is charged 51
-    # float transforms at 2^18, 51 * 2^18 * 18 = 240648192 units
-    assert plan_convolution(100003, [563 * 563] * 6).transforms == 51
+    # the README's worked example: T_6 at p = 100003 over six sets of
+    # H = M = 563 floors at 27 float transforms at 2^18, 27 * 2^18 * 18 =
+    # 127401984 units, which its chain runs
+    assert plan_convolution(100003, [563 * 563] * 6).floors == (3, 3, 5, 7, 9)
     code, _, err = run_cli(capsys, "tk", "--p", "100003", "--H", "563", "--k", "6",
-                           "--set", "random:563", "--seed", "1", "--budget", "240648191")
-    assert code == 3 and "needs 240648192" in err
+                           "--set", "random:563", "--seed", "1", "--budget", "127401983")
+    assert code == 3 and err.count("\n") == 1
+    assert "needs at least 127401984 operations: 27 transforms (3, 3, 5, 7, 9) at 2^18" in err
+
+
+def test_budget_refusal_mid_chain(capsys, singleton1):
+    # T_8 at p = 101 over M = {1} and X = {1..100}, s = 50: x^(-50) is the
+    # quadratic character, so each factor is two point masses of 50. Its
+    # floors are 16 transforms at 2^8 (32768 units), but steps 6 and 7 run
+    # split (2x1), 18 in all: at a budget between the two the meter stops
+    # the chain before step 6, with 10 transforms run
+    argv = ("tk", "--p", "101", "--H", "100", "--k", "8", "--s", "50",
+            "--set", f"file:{singleton1}")
+    assert run_cli(capsys, *argv, "--budget", "36864")[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--budget", "35000")
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    assert err == ("budget refusal: float transform convolution needs at least 36864 operations "
+                   "before step 6 of 7: 10 transforms run, 4 in this step and 4 at the floors of "
+                   "the rest at 2^8, budget is 35000\n")
 
 
 def test_flags_a_command_does_not_read_are_refused(capsys):
@@ -186,10 +204,10 @@ def test_flags_a_command_does_not_read_are_refused(capsys):
 
 
 def test_tk_is_refused_before_any_set_is_drawn(capsys, monkeypatch):
-    # 20000 random sets: T_20000 planned as one array 20000 times, the least
-    # any draw can be charged, already passes the budget, so the request is
-    # refused with that lower bound before a set is drawn; a k below 2 is
-    # still the experiment's own domain error
+    # 20000 random sets: T_20000 planned as one array 20000 times, the
+    # lowest floors of any draw, already passes the budget, so the request
+    # is refused with that lower bound before a set is drawn; a k below 2
+    # is still the experiment's own domain error
     draws, random_subset = [], cli.random_subset
     monkeypatch.setattr(cli, "random_subset", lambda *a: draws.append(a) or random_subset(*a))
     code, out, err = run_cli(capsys, "tk", "--p", "10007", "--H", "100", "--k", "20000",
@@ -203,9 +221,8 @@ def test_tk_is_refused_before_any_set_is_drawn(capsys, monkeypatch):
 
 def test_oversize_chain_is_refused_before_it_is_priced(capsys, monkeypatch):
     # E_10000 at p = 101 with H = 5: 5^10000 rules out the pair route and
-    # the float floors alone exceed the budget, so no step's width is
-    # scanned, at a budget far below the charge (12533190656) and at one
-    # between the 62-bit-limb floor (7689576448) and the charge
+    # the float floors alone (11900755968) exceed the budget, so no step's
+    # width is scanned, at a budget far below them and at one just below
     widths = []
     monkeypatch.setattr(convolve, "_width", lambda *args: widths.append(args))
     for budget in ("1000", "10000000000"):

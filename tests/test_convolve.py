@@ -3,6 +3,7 @@ import logging
 import re
 import tracemalloc
 import weakref
+from dataclasses import replace
 from math import prod
 
 import numpy as np
@@ -28,6 +29,14 @@ def _run(vecs, plan):
     """The counts a hand-built plan gives, run by k_fold_count's executor."""
     return convolve._run([v.counts for v in vecs], [v.total for v in vecs], vecs[0].p,
                          plan).tolist()
+
+
+def _float_plan(vecs, budget=10 ** 15):
+    """A hand-built float plan for these factors, at the planner's floors and this budget."""
+    n, masses = vecs[0].p, [v.total for v in vecs]
+    size = convolve._next_pow2(2 * n - 1)
+    floors = tuple(convolve._floors(n, masses, [id(v.counts) for v in vecs], size))
+    return ConvolutionPlan(n, "float", prod(masses), size, floors, budget)
 
 
 def test_identity_element():
@@ -73,11 +82,7 @@ def test_float_chain_matches_the_pair_oracle(data):
                                                   max_size=k))]
     expect = _expect(vecs)
     assert k_fold_count(vecs).as_list() == expect
-    masses, keys = [v.total for v in vecs], [id(v.counts) for v in vecs]
-    size = convolve._next_pow2(2 * n - 1)
-    charge = sum(convolve._charges(n, masses, keys, size))
-    plan = ConvolutionPlan(n, "float", prod(masses), size, charge)
-    assert _run(vecs, plan) == expect
+    assert _run(vecs, _float_plan(vecs)) == expect
 
 
 def test_kfold_matches_enumeration_small():
@@ -99,14 +104,46 @@ def test_kfold_matches_enumeration_small():
 
 
 def _chain_logs(caplog):
-    """(transforms run, transforms charged, steps) of each float chain's log line."""
-    out = []
-    for record in caplog.records:
-        m = re.search(r"\d+ step\(s\) (.*) \(limbs x limbs @ width\), (\d+) of (\d+) charged",
-                      record.getMessage())
-        if m:
-            out.append((int(m[2]), int(m[3]), m[1].split()))
-    return out
+    """(transforms run, sum of the floors, steps) of each float chain's log line."""
+    return [line for line in (_chain_line(r.getMessage()) for r in caplog.records) if line]
+
+
+def _chain_line(message):
+    """(transforms run, sum of the floors, steps) of a float chain's log line, else None."""
+    m = re.search(r"\d+ step\(s\) (.*) \(limbs x limbs @ width\), (\d+) transforms run, "
+                  r"floor (\d+),", message)
+    return (int(m[2]), int(m[3]), m[1].split()) if m else None
+
+
+def _step_runs(monkeypatch):
+    """The transforms each float step runs, appended as the chain walks _schedule.
+
+    Counted from numpy's calls: a packed step makes one call per transform,
+    a phase-pair step two (its log line's step text tells them apart).
+    """
+    calls, runs, schedule = [0], [], convolve._schedule
+
+    def count(fft):
+        def call(*args, **kwargs):
+            calls[0] += 1
+            return fft(*args, **kwargs)
+        return call
+
+    def spy(*args):
+        for step in schedule(*args):
+            start = calls[0]
+            yield step
+            runs.append(calls[0] - start)
+
+    monkeypatch.setattr(np.fft, "rfft", count(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", count(np.fft.irfft))
+    monkeypatch.setattr(convolve, "_schedule", spy)
+    return runs
+
+
+def _per_step(runs, steps):
+    """Transforms by step, from _step_runs' calls and the log line's steps."""
+    return [calls if step.startswith("packed") else calls // 2 for calls, step in zip(runs, steps)]
 
 
 def _spy_transforms(monkeypatch):
@@ -169,17 +206,16 @@ def test_strategy_escalation_and_logging(caplog):
         assert plan.fft_length == 2048 and plan.moduli == ()
         assert caplog.records == []
         assert k_fold_count(vecs).as_list() == _expect(vecs)
-    # the worst case of these masses splits the second step, but the
-    # actual norms certify both steps whole: 3 + 3 transforms
-    ((run, charged, steps),) = _chain_logs(caplog)
-    assert run == 6 < charged == plan.transforms
+    # both steps are one limb, at their floors: 3 + 3 transforms
+    ((run, floor, steps),) = _chain_logs(caplog)
+    assert run == 6 == floor and plan.floors == (3, 3)
     assert [step.split("@")[0] for step in steps] == ["1x1", "1x1"]
     # few support pairs: the pair route undercuts any transform
     small = plan_convolution(1009, [4, 4])
     assert small.strategy == "direct"
-    # full supports: 1922 pairs cost more than six length-64 transforms
+    # full supports: 1922 pairs cost more than the floors' six length-64 transforms
     tiny = plan_convolution(31, [1000, 1000, 1000])
-    assert tiny.strategy == "float" and tiny.transforms == 6
+    assert tiny.strategy == "float" and tiny.floors == (3, 3)
     dense = plan_convolution(1009, [600, 600])
     assert dense.strategy == "float"
 
@@ -196,15 +232,17 @@ def test_plan_refusals():
 
 
 def test_plans_are_charged_the_transforms_they_run():
-    # T_6 at n = 100003 with masses 1000: at worst-case norms steps 1-2
-    # stay one limb (3 + 2 transforms), steps 3-5 split the accumulator
-    # into two limbs (2 + 1 forward, 2 inverse each): 21 transforms at 2^18
+    # T_6 at n = 100003 with masses 1000, six arrays: at its floor every
+    # step transforms x and y once and inverts once, but in step 5 the
+    # accumulator of mass 10^15 has an entry of at least 10^10 (34 bits),
+    # which its least sides certify only as two limbs: 3 + 3 + 3 + 3 + 5
     units = (1 << 18) * 18
-    charge = 21 * units
-    assert charge == 99_090_432
+    charge = 17 * units
+    assert charge == 80_216_064
     plan = plan_convolution(100003, [1000] * 6, budget=charge)
-    assert plan == ConvolutionPlan(100003, "float", 1000 ** 6, 1 << 18, 21)
-    with pytest.raises(BudgetError) as exc:
+    assert plan == ConvolutionPlan(100003, "float", 1000 ** 6, 1 << 18, (3, 3, 3, 3, 5), charge)
+    message = "needs at least 80216064 operations: 17 transforms (3, 3, 3, 3, 5) at 2^18, budget"
+    with pytest.raises(BudgetError, match=re.escape(message)) as exc:
         plan_convolution(100003, [1000] * 6, budget=charge - 1)
     assert exc.value.required == charge
     # one step: 2 forward transforms and 1 inverse at 2048, or 1 forward
@@ -220,9 +258,9 @@ def test_plans_are_charged_the_transforms_they_run():
 
 def test_plans_are_pinned_over_a_grid():
     # every plan or refusal over n, k, masses, layouts and budgets: the
-    # strategy, transforms, length and bound, or the refusal's message and
-    # `required` (2646 cases: 1175 direct, 1217 float, 254 refused). A
-    # change to the schedule or the spectrum rule that moves any of them
+    # strategy, floors, length and bound, or the refusal's message and
+    # `required` (2646 cases: 1157 direct, 1244 float, 245 refused).
+    # A change to the floors or the schedule that moves any of them
     # changes the digest
     masses = (0, 1, 5, 600, 563 ** 2, (1 << 23) - 1, 1 << 40)
     lines = []
@@ -235,23 +273,23 @@ def test_plans_are_pinned_over_a_grid():
                     for budget in (None, 10 ** 4, 10 ** 12):
                         try:
                             plan = plan_convolution(n, case, budget, layout=layout)
-                            out = (f"{plan.strategy} {plan.transforms} {plan.fft_length} "
+                            out = (f"{plan.strategy} {plan.floors} {plan.fft_length} "
                                    f"{plan.bound}")
                         except BudgetError as exc:
                             out = f"refused {exc} | {exc.required}"
                         lines.append(f"{n} {case} {layout} {budget}: {out}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "c61f9930475490467f33d203e01413351ea894eca699b2b5de8eb8c93e91f8ff"
+    assert digest == "3c67b3cc1052c4ef00d04baf767582b10d0d530160837c25a330d25b33028c92"
 
 
-@pytest.mark.parametrize("k,charge", [(2, 2), (3, 4)])
-def test_float_route_transforms_a_repeated_factor_once(monkeypatch, k, charge):
+@pytest.mark.parametrize("k,floor", [(2, 2), (3, 4)])
+def test_float_route_transforms_a_repeated_factor_once(monkeypatch, k, floor):
     # [u]*k: u's spectrum is made once, as the first factor, and serves
     # every step; each later step transforms only the accumulator
     rng = np.random.default_rng(2)
     u = _cv(rng.integers(0, 3, size=211))
     plan = plan_convolution(211, [u.total] * k, layout=[0] * k)
-    assert plan.strategy == "float" and plan.transforms == charge
+    assert plan.strategy == "float" and sum(plan.floors) == floor
     calls = _spy_transforms(monkeypatch)
     assert k_fold_count([u] * k).as_list() == _expect([u] * k)
     if k == 2:  # one packed product: u packed, transformed once and squared, one inverse
@@ -261,55 +299,86 @@ def test_float_route_transforms_a_repeated_factor_once(monkeypatch, k, charge):
     else:
         assert [a.base is u.counts for a in calls["rfft"]] == [True, True] + [False, False] * (k - 2)
         assert calls["irfft"] == 2 * (k - 1)
-    # the chain refuses to run more transforms than its plan was charged
-    short = ConvolutionPlan(211, "float", plan.bound, plan.fft_length, charge - 1)
-    with pytest.raises(ConsistencyError, match=f"ran {charge} transforms, {charge - 1} charged"):
-        _run([u] * k, short)
+    # a step that runs fewer transforms than its floor is a bug the chain reports
+    high = replace(plan, floors=plan.floors[:-1] + (plan.floors[-1] + 1,))
+    runs = [2] * (k - 1)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            f"steps ran {runs} transforms, under their floors {list(high.floors)}")):
+        _run([u] * k, high)
 
 
-def test_planner_charges_worst_case_limbs():
+def test_planner_floors_each_step():
     # [u]*4 at n = 100003 with a mass of 3163 (the recip_e4 energy): at
-    # worst-case norms steps 1 and 2 are one limb (u transformed once,
-    # then one accumulator transform and one inverse each) and step 3
-    # splits the accumulator in two: 2 + 2 + 4 transforms
+    # the least its masses allow every step is one limb, and u, made in
+    # step 1, is kept for the later steps: 2 + 2 + 2 transforms
     power = plan_convolution(100003, [3163] * 4, layout=[0] * 4)
-    assert power.strategy == "float" and power.transforms == 8
-    # four distinct factors transform each of them: 3 + 3 + 5
-    assert plan_convolution(100003, [3163] * 4).transforms == 11
-    # point masses of 2^23 - 1: every step splits both sides, so one array
-    # three times is charged as much as three arrays
-    assert plan_convolution(211, [(1 << 23) - 1] * 3).transforms == 16
-    assert plan_convolution(211, [(1 << 23) - 1] * 3, layout=[0] * 3).transforms == 16
+    assert power.strategy == "float" and power.floors == (2, 2, 2)
+    # four distinct factors transform each of them: 3 + 3 + 3
+    assert plan_convolution(100003, [3163] * 4).floors == (3, 3, 3)
+    # masses of 2^23 - 1: x floors at two limbs in step 2; one array three
+    # times floors one transform a step below three arrays
+    assert plan_convolution(211, [(1 << 23) - 1] * 3).floors == (3, 5)
+    assert plan_convolution(211, [(1 << 23) - 1] * 3, layout=[0] * 3).floors == (2, 4)
     # a zero mass certifies one limb at once
     assert plan_convolution(211, [0, 5, 5]).strategy == "direct"
 
 
-def test_float_floor_never_exceeds_the_charge():
-    # the floor that refuses a request before its step-by-step charge is a
-    # lower bound on that charge, for any masses and any sharing of arrays
+def test_the_papers_t6_is_admitted_at_its_run_floors():
+    # the paper's T_6 at p = 1000003 over one set M and one interval X,
+    # H = #M = 1083: admitted at the default budget at the 22 transforms
+    # its chain runs at 2^21 (968,884,224 units); over six sets it floors
+    # at 27 and is refused by planning alone, before any transform
+    one = plan_convolution(1000003, [1083 * 1083] * 6, layout=[0] * 6)
+    assert one.strategy == "float" and one.floors == (2, 2, 4, 6, 8)
+    assert sum(one.floors) * one.fft_length * 21 == 968_884_224
+    with pytest.raises(BudgetError, match=r"needs at least 1189085184 operations: 27 transforms "
+                                          r"\(3, 3, 5, 7, 9\) at 2\^21, budget is 1000000000"):
+        plan_convolution(1000003, [1083 * 1083] * 6)
+
+
+def test_float_floor_never_exceeds_the_run(monkeypatch, caplog):
+    # each step's floor is a lower bound on what it runs, whatever its
+    # sides hold: point masses, flat and sparse sides of random masses, as
+    # distinct arrays and as one array k times
     rng = np.random.default_rng(16)
-    for n in (7, 211, 100003):
-        for k in (2, 3, 6, 12):
-            for top in (1, 1 << 10, 1 << 40):
-                masses = [int(m) for m in rng.integers(0, top, size=k, endpoint=True)]
-                size = convolve._next_pow2(2 * n - 1)
-                for keys in (list(range(k)), [0] * k):
-                    charge = sum(convolve._charges(n, masses, keys, size))
-                    assert 2 * (k - 1) <= sum(convolve._floors(n, masses, keys, size)) <= charge
+    runs = _step_runs(monkeypatch)
+    caplog.set_level(logging.INFO, logger="fplab.convolve")
+    for n in (2, 3, 7, 211, 1009):
+        for k in (2, 3, 6):
+            for shape in ("point", "flat", "sparse"):
+                arrays = []
+                for top in rng.integers(1, 40, size=k):
+                    counts = np.zeros(n, dtype=np.int64)
+                    where = {"point": [rng.integers(n)], "flat": slice(None),
+                             "sparse": rng.choice(n, max(1, n // 16), replace=False)}[shape]
+                    counts[where] = rng.integers(1, 1 << int(top), size=counts[where].size)
+                    arrays.append(_cv(counts))
+                for vecs in (arrays, [arrays[0]] * k):
+                    plan = _float_plan(vecs)
+                    runs.clear()
+                    caplog.clear()
+                    assert sum(_run(vecs, plan)) == plan.bound
+                    ((run, floor, steps),) = _chain_logs(caplog)
+                    assert 2 * (k - 1) <= floor == sum(plan.floors) <= run
+                    assert all(f <= r for f, r in zip(plan.floors, _per_step(runs, steps)))
 
 
 def test_oversize_chains_are_refused_at_their_floor(monkeypatch):
     # [u]*10000 with a mass of 5: no pair route (5^10000 > 2^63), and the
-    # float floor alone exceeds the budget. No product of all the masses is
-    # formed before the refusal
+    # float floors alone exceed the budget. No product of all the masses is
+    # formed before the refusal, and the floors of a long chain are named
+    # by their first and last six steps
     def no_product(values):
         raise AssertionError("the product of the masses was formed")
 
     monkeypatch.setattr(convolve, "prod", no_product)
-    floor = sum(convolve._floors(101, [5] * 10000, [0] * 10000, 256)) * 256 * 8
-    with pytest.raises(BudgetError, match=f"needs at least {floor} ") as exc:
+    floors = list(convolve._floors(101, [5] * 10000, [0] * 10000, 256))
+    floor = sum(floors) * 256 * 8
+    named = ", ".join(map(str, floors[:6] + ["..."] + floors[-6:]))
+    message = f"needs at least {floor} operations: {sum(floors)} transforms ({named}) at 2^8,"
+    with pytest.raises(BudgetError, match=re.escape(message)) as exc:
         plan_convolution(101, [5] * 10000, budget=floor - 1, layout=[0] * 10000)
-    assert exc.value.required == floor
+    assert exc.value.required == floor and floors[:6] == [2] * 6
     # the pair route's work is exact where it exists: refusals keep their need
     with pytest.raises(BudgetError, match="support-pair convolution needs 5000 ") as exc:
         plan_convolution(100, [50, 100], budget=100)
@@ -319,32 +388,59 @@ def test_oversize_chains_are_refused_at_their_floor(monkeypatch):
 def test_float_floor_searches_a_width_only_when_its_sides_change(monkeypatch):
     # [5]*10000 at n = 101: the accumulator 5^t is capped at 101 * 2^62 from
     # t = 30 on (5^29 < 101 * 2^62 <= 5^30), so the sides of steps 30 to 9999
-    # repeat and only the first 30 steps search a width; the floors sum to
-    # what a search at every step gave
+    # repeat and only the first 30 steps search a width. From t = 98 on
+    # (5^98 passes 2^64 times the cap) the product is carried as a
+    # truncated lower bound; the floors sum to those of the exact product
     calls, low = [], convolve._low_width
     monkeypatch.setattr(convolve, "_low_width", lambda *args: calls.append(args) or low(*args))
-    assert sum(convolve._floors(101, [5] * 10000, [0] * 10000, 256)) == 6119722
-    assert len(calls) == 30
+    floors = list(convolve._floors(101, [5] * 10000, [0] * 10000, 256))
+    assert sum(floors) == 5810916 and len(calls) == 30
+    b = low(*(convolve._least(m, 101) for m in (101 << 62, 5)), 101, convolve._gamma(256))
+    mass, exact = 1, []
+    for _ in floors:
+        mass *= 5
+        exact.append(2 * convolve._limb_count((-(-mass // 101)).bit_length(), b))
+    assert floors[29:] == exact[29:]
 
 
-def test_chains_are_refused_once_a_lower_bound_on_their_need_passes_the_budget(monkeypatch):
-    # 50 distinct factors of mass 2^40 at n = 211 (no pair route): charged
-    # 5743 transforms, with floors summing to 5498. A budget between the two
-    # is refused after pricing a few steps, once the steps priced plus the
-    # floors of the rest pass it; a budget one unit below the charge is
-    # refused only when every step is priced, with the exact need
-    masses, unit = [1 << 40] * 50, 512 * 9
-    keys = list(range(50))
-    charge = sum(convolve._charges(211, masses, keys, 512))
-    assert (sum(convolve._floors(211, masses, keys, 512)), charge) == (5498, 5743)
-    widths, width = [], convolve._width
-    monkeypatch.setattr(convolve, "_width", lambda *args: widths.append(args) or width(*args))
-    with pytest.raises(BudgetError, match="needs at least") as exc:
-        plan_convolution(211, masses, budget=5600 * unit)
-    assert 5600 * unit < exc.value.required <= charge * unit and 0 < len(widths) < 25
-    with pytest.raises(BudgetError, match=f"convolution needs {charge * unit} "):
-        plan_convolution(211, masses, budget=charge * unit - 1)
-    assert plan_convolution(211, masses, budget=charge * unit).transforms == charge
+def test_chains_are_refused_once_a_lower_bound_on_their_need_passes_the_budget(monkeypatch,
+                                                                               caplog):
+    # three distinct point masses of 2^40 - 1 at n = 211 (no pair route):
+    # their floors are 5 + 11 transforms at 512 (4608 units each), but the
+    # chain runs 3x3@18 (11) and 5x3@18 (15). A budget of 16 * 4608 - 1 is
+    # refused by planning, before any transform; at 110000 the meter stops
+    # before step 2, which with step 1's 11 would pass it, and before that
+    # step's first transform; at 26 * 4608 the chain runs
+    n, unit = 211, 512 * 9
+    vecs = []
+    for i in range(3):
+        counts = np.zeros(n, dtype=np.int64)
+        counts[3 + 70 * i] = (1 << 40) - 1
+        vecs.append(_cv(counts))
+    plan = plan_convolution(n, [v.total for v in vecs])
+    assert plan.floors == (5, 11) and plan.budget == 10 ** 9
+    runs = _step_runs(monkeypatch)
+    with pytest.raises(BudgetError, match=f"needs at least {16 * unit} operations: 16 transforms"):
+        k_fold_count(vecs, budget=16 * unit - 1)
+    assert runs == []
+    with pytest.raises(BudgetError, match=re.escape(
+            "needs at least 119808 operations before step 2 of 2: 11 transforms run, 15 in this "
+            "step and 0 at the floors of the rest at 2^9, budget is 110000")) as exc:
+        k_fold_count(vecs, budget=110000)
+    assert exc.value.required == 119808 == 26 * unit and runs == [2 * 11]
+    runs.clear()
+    with caplog.at_level(logging.INFO, logger="fplab.convolve"):
+        assert k_fold_count(vecs, budget=26 * unit).as_list() == _expect(vecs)
+    assert _chain_logs(caplog) == [(26, 16, ["3x3@18", "5x3@18"])] and runs == [22, 30]
+    # 50 distinct factors of mass 2^40: planning alone refuses one unit
+    # below the floors' work, and the plan carries the floors it admits
+    masses = [1 << 40] * 50
+    floors = list(convolve._floors(n, masses, list(range(50)), 512))
+    assert sum(floors) == 5505
+    with pytest.raises(BudgetError, match=f"needs at least {5505 * unit} operations") as exc:
+        plan_convolution(n, masses, budget=5505 * unit - 1)
+    assert exc.value.required == 5505 * unit
+    assert plan_convolution(n, masses, budget=5505 * unit).floors == tuple(floors)
 
 
 @pytest.mark.parametrize("n", [210, 211])
@@ -359,10 +455,10 @@ def test_float_chain_transforms_run_at_half_length(monkeypatch, caplog, n):
     calls = _spy_transforms(monkeypatch)
     with caplog.at_level(logging.INFO, logger="fplab.convolve"):
         assert k_fold_count(vecs).as_list() == _expect(vecs)
-    ((run, charged, steps),) = _chain_logs(caplog)
+    ((run, floor, steps),) = _chain_logs(caplog)
     assert plan.fft_length == 512 and "at length 512 (phases at 256)" in caplog.text
     assert set(calls["lengths"]) == {plan.fft_length // 2}
-    assert len(calls["lengths"]) == 2 * run and run <= charged
+    assert len(calls["lengths"]) == 2 * run and run >= floor == sum(plan.floors)
     assert any(not step.startswith("1x1@") for step in steps)
 
 
@@ -380,10 +476,10 @@ def test_kfold_plans_for_its_distinct_factors(caplog, monkeypatch):
         calls["irfft"] = 0
         with caplog.at_level(logging.INFO, logger="fplab.convolve"):
             assert k_fold_count(factors).as_list() == expect
-        ((run, charged, steps),) = _chain_logs(caplog)
-        assert 2 * run == len(calls["rfft"]) + calls["irfft"] and run <= charged
-        assert charged == plan_convolution(n, [v.total for v in factors],
-                                           layout=[id(v.counts) for v in factors]).transforms
+        ((run, floor, steps),) = _chain_logs(caplog)
+        assert 2 * run == len(calls["rfft"]) + calls["irfft"] and run >= floor
+        assert floor == sum(plan_convolution(n, [v.total for v in factors],
+                                             layout=[id(v.counts) for v in factors]).floors)
         assert steps[0].startswith("1x1@")
         assert sum(a.base is factors[0].counts for a in calls["rfft"]) == 2
 
@@ -425,20 +521,18 @@ def test_float_paired_plans_match_the_oracle(case, caplog):
     assert got.as_list() == _expect(vecs)
     assert got.counts.dtype == (object if plan.bound >= 1 << 62 else np.int64)
     assert (got.counts.dtype == object) == (case in ("mixed", "some", "object"))
-    ((run, charged, steps),) = _chain_logs(caplog)
-    assert run <= charged == plan.transforms and len(steps) == len(vecs) - 1
+    ((run, floor, steps),) = _chain_logs(caplog)
+    assert run >= floor == sum(plan.floors) and len(steps) == len(vecs) - 1
 
 
 def _float_run(vecs, caplog):
-    """(counts, steps) of a hand-built float plan charged what the planner charges."""
-    n, masses = vecs[0].p, [v.total for v in vecs]
-    size = convolve._next_pow2(2 * n - 1)
-    charge = sum(convolve._charges(n, masses, [id(v.counts) for v in vecs], size))
+    """(counts, steps) of a hand-built float plan at the planner's floors."""
+    plan = _float_plan(vecs)
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="fplab.convolve"):
-        got = _run(vecs, ConvolutionPlan(n, "float", prod(masses), size, charge))
-    ((run, charged, steps),) = _chain_logs(caplog)
-    assert run <= charged == charge
+        got = _run(vecs, plan)
+    ((run, floor, steps),) = _chain_logs(caplog)
+    assert run >= floor == sum(plan.floors)
     return got, steps
 
 
@@ -683,8 +777,8 @@ def test_t6_widths_come_from_the_limb_norm_bounds(monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="fplab.convolve"):
         tkcount.tk_experiment(6, factors, h, 1, c, epsilon=0.02)
     assert calls == [p] * 9
-    ((run, charged, steps),) = _chain_logs(caplog)
-    assert (run, charged, steps) == (27, 51, ["1x1@4", "1x1@20", "2x1@24", "3x1@24", "4x1@24"])
+    ((run, floor, steps),) = _chain_logs(caplog)
+    assert (run, floor, steps) == (27, 27, ["1x1@4", "1x1@20", "2x1@24", "3x1@24", "4x1@24"])
 
 
 def test_uncertified_products_are_never_run_unsplit(monkeypatch, caplog):
@@ -699,14 +793,14 @@ def test_uncertified_products_are_never_run_unsplit(monkeypatch, caplog):
         assert k_fold_count(vecs).as_list() == _expect(vecs)
     assert calls["rfft"] and not any(a.base is v.counts for a in calls["rfft"] for v in vecs)
     assert all(int(a.max()) < 1 << 26 for a in calls["rfft"])
-    ((run, charged, (step,)),) = _chain_logs(caplog)
-    assert not step.startswith("1x1@") and run <= charged
+    ((run, floor, (step,)),) = _chain_logs(caplog)
+    assert not step.startswith("1x1@") and run >= floor
 
 
 def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch, caplog):
-    # point masses of 2^23 - 1, every bit set: the worst case of their
-    # masses, so each step's norm bounds, width and split are exactly
-    # those the planner charged, and the chain runs every charged transform
+    # point masses of 2^23 - 1, every bit set: the chain's meter charges
+    # each step the transforms it runs, 7 (2x2@21) and 9 (3x2@19), above
+    # their floors of 3 and 5
     n = 211
     vecs = []
     for i in range(3):
@@ -716,23 +810,26 @@ def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch, caplog):
     masses = [v.total for v in vecs]
     caplog.set_level(logging.INFO, logger="fplab.convolve")
     plan = plan_convolution(n, masses)
-    assert plan.transforms == 16 and plan.fft_length == 512
-    charge = plan.transforms * 512 * 9
+    assert plan.floors == (3, 5) and plan.fft_length == 512
+    charge = 16 * 512 * 9
     calls = _spy_transforms(monkeypatch)
     assert caplog.records == []  # planning alone logs nothing
     expect = k_fold_count(vecs, budget=charge).as_list()
     assert expect == _expect(vecs)
-    ((run, charged, steps),) = _chain_logs(caplog)
-    assert run == charged == 16 and len(calls["rfft"]) + calls["irfft"] == 2 * 16
+    ((run, floor, steps),) = _chain_logs(caplog)
+    assert (run, floor) == (16, 8) and len(calls["rfft"]) + calls["irfft"] == 2 * 16
     assert steps == ["2x2@21", "3x2@19"]
-    # the planner refuses one unit less before any transform runs
-    calls["rfft"].clear()
+    # the meter refuses one unit less before step 2: step 1's 7 transforms
+    # ran, and none of step 2's
+    calls.update(rfft=[], irfft=0)
     caplog.clear()
-    with pytest.raises(BudgetError) as exc:
+    with pytest.raises(BudgetError, match="before step 2 of 2: 7 transforms run, 9 in this step") \
+            as exc:
         k_fold_count(vecs, budget=charge - 1)
-    assert exc.value.required == charge and calls["rfft"] == [] and caplog.records == []
+    assert exc.value.required == charge and len(calls["rfft"]) + calls["irfft"] == 2 * 7
+    assert caplog.records == []
     # one of them three times splits like three: no spectrum is reused
-    calls["irfft"] = 0
+    calls.update(rfft=[], irfft=0)
     assert k_fold_count([vecs[0]] * 3, budget=charge).as_list() == _expect([vecs[0]] * 3)
     assert len(calls["rfft"]) + calls["irfft"] == 2 * 16
 
@@ -741,21 +838,26 @@ def test_paired_plans_run_the_transforms_they_are_charged(monkeypatch, caplog):
 @settings(max_examples=60, deadline=None)
 def test_planner_and_executor_agree_on_the_spectrum_rule_for_every_layout(data):
     # point masses of 2^a - 1, every bit set, are the worst case of their
-    # masses: each step's sides, width and limbs are the ones the planner
-    # priced, so the chain runs every transform it is charged, for any
-    # pattern of repeated arrays
+    # masses, and flat sides with entries near the mean the least, for any
+    # pattern of repeated arrays: every step runs at least its floor, the
+    # meter charges what the chain runs (its run's work is admitted and
+    # one unit less is refused), and the planner's floors are the plan's
     n = data.draw(st.sampled_from([5, 16, 17, 64, 101, 211]))
     k = data.draw(st.integers(2, 5))
     layout = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
     arrays = []
     for _ in range(k):
         counts = np.zeros(n, dtype=np.int64)
-        counts[data.draw(st.integers(0, n - 1))] = (1 << data.draw(st.integers(1, 62))) - 1
+        top = (1 << data.draw(st.integers(1, 62))) - 1
+        if data.draw(st.booleans()):
+            counts[data.draw(st.integers(0, n - 1))] = top
+        else:
+            counts[:] = top // n + np.arange(n) % 2
         arrays.append(_cv(counts))
     vecs = [arrays[i] for i in layout]
-    masses, size = [v.total for v in vecs], convolve._next_pow2(2 * n - 1)
-    plan = ConvolutionPlan(n, "float", prod(masses), size,
-                           sum(convolve._charges(n, masses, layout, size)))
+    plan = _float_plan(vecs)
+    size = plan.fft_length
+    unit = size * (size.bit_length() - 1)
     records, logger = [], logging.getLogger("fplab.convolve")
     handler = logging.Handler()
     handler.emit = records.append
@@ -763,15 +865,22 @@ def test_planner_and_executor_agree_on_the_spectrum_rule_for_every_layout(data):
     level = logger.level
     logger.setLevel(logging.INFO)
     try:
-        assert _run(vecs, plan) == _expect(vecs)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = _step_runs(mp)
+            assert _run(vecs, plan) == _expect(vecs)
+        (record,) = records
+        run, floor, steps = _chain_line(record.getMessage())
+        assert all(f <= r for f, r in zip(plan.floors, _per_step(runs, steps)))
+        assert floor == sum(plan.floors) <= run == sum(_per_step(runs, steps))
+        assert _run(vecs, replace(plan, budget=run * unit)) == _expect(vecs)
+        with pytest.raises(BudgetError) as exc:
+            _run(vecs, replace(plan, budget=run * unit - 1))
+        assert exc.value.required <= run * unit
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
-    (record,) = records
-    run, charged = re.search(r"(\d+) of (\d+) charged", record.getMessage()).groups()
-    assert int(run) == int(charged) == plan.transforms
-    auto = plan_convolution(n, masses, budget=10 ** 15, layout=layout)
-    assert auto.strategy == "direct" or auto.transforms == plan.transforms
+    auto = plan_convolution(n, [v.total for v in vecs], budget=10 ** 15, layout=layout)
+    assert auto.strategy == "direct" or auto.floors == plan.floors
 
 
 def test_spectra_are_dropped_at_their_ids_last_read(monkeypatch, caplog):
@@ -802,12 +911,12 @@ def test_spectra_are_dropped_at_their_ids_last_read(monkeypatch, caplog):
 
 def test_budget_below_a_paired_plan_is_refused_before_any_transform(monkeypatch):
     # [u]*4 at n = 1009: u is transformed once, and the plan is charged
-    # its worst-case steps at 2048
+    # its floors at 2048, which are what it runs
     rng = np.random.default_rng(12)
     u = _cv(rng.integers(0, 50, size=1009))
     plan = plan_convolution(1009, [u.total] * 4, layout=[0] * 4)
-    assert plan.strategy == "float" and plan.fft_length == 2048
-    charge = plan.transforms * 2048 * 11
+    assert plan.strategy == "float" and plan.fft_length == 2048 and plan.floors == (2, 2, 4)
+    charge = sum(plan.floors) * 2048 * 11
 
     def refuse(*args, **kwargs):
         raise AssertionError("a transform ran before the budget check")
@@ -879,9 +988,7 @@ def test_products_are_dropped_at_their_read(monkeypatch):
 
     monkeypatch.setattr(convolve, "_fold", spy_fold)
     monkeypatch.setattr(np.fft, "rfft", forward)
-    masses = [v.total for v in vecs]
-    plan = ConvolutionPlan(211, "float", prod(masses), 512, 6)
-    assert _run(vecs, plan) == _expect(vecs)
+    assert _run(vecs, _float_plan(vecs)) == _expect(vecs)
     assert alive == [[False] * 3] * 2
 
 

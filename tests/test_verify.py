@@ -227,7 +227,7 @@ def test_refusal_rows_are_pinned(text):
 
 
 def test_tk_sweep_is_refused_before_any_set_is_drawn(monkeypatch):
-    # k = 20000: refused on the charge of one array 20000 times, before the
+    # k = 20000: refused on the floors of one array 20000 times, before the
     # point draws its sets
     draws, random_subset_ = [], verify.random_subset
     monkeypatch.setattr(verify, "random_subset", lambda *a: draws.append(a) or random_subset_(*a))
