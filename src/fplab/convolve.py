@@ -238,8 +238,8 @@ class ConvolutionPlan:
     # and the certificate are taken at. The chain runs every product at C/2,
     # as phase pairs or as one packed product (module docstring).
     fft_length: int
-    floors: tuple[int, ...] = ()   # each float step's run floor (_floors)
-    budget: int = DEFAULT_BUDGET   # the work the float chain's meter allows
+    floors: tuple[int, ...]        # each float step's run floor (_floors), () for "direct"
+    budget: int                    # the budget the plan was admitted under, which the chain meters
     moduli: tuple[int, ...] = ()   # always empty: no route works modulo primes
 
 
@@ -277,7 +277,7 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     floor_work = sum(floors) * size * (size.bit_length() - 1)
     if pair_work is not None and pair_work <= limit and (PAIR_COST * pair_work <= floor_work
                                                          or floor_work > limit):
-        return ConvolutionPlan(n, "direct", prod(masses), 0)
+        return ConvolutionPlan(n, "direct", prod(masses), 0, (), limit)
     if floor_work > limit:  # neither route fits: refuse with the smaller need
         if pair_work is not None and pair_work < floor_work:
             check_budget(pair_work, limit, "support-pair convolution")
@@ -392,8 +392,9 @@ def _floors(n: int, masses: list[int], keys: list, size: int) -> Iterator[int]:
     is carried as mant * 2^shift, mant truncated to its top bits once it
     passes 2^64 times the cap: exact until then, and after it a lower bound
     above the cap, whose ceil(m_x/n) has at least the bits of
-    floor(mant/n) * 2^shift. So a floor stays a floor, and no product of
-    many masses is formed.
+    floor(mant/n) * 2^shift. A zero mass makes the product exact again:
+    mant = 0, shift = 0. So a floor stays a floor, and no product of many
+    masses is formed.
     """
     ids, gamma, cap = _ids(keys), _gamma(size), n << _WORD
     top = cap.bit_length() + 64  # mant's bits once it is truncated
@@ -406,7 +407,7 @@ def _floors(n: int, masses: list[int], keys: list, size: int) -> Iterator[int]:
         yield 2 * _limb_count(bits, b) + (ids[t] == t)
         mant *= masses[t]
         drop = max(0, mant.bit_length() - top)
-        mant, shift = mant >> drop, shift + drop
+        mant, shift = mant >> drop, shift + drop if mant else 0  # a zero product is exact
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +735,10 @@ def _float_chain(arrays: list, masses: list[int], n: int,
     masses[t] is the sum of arrays[t]. The steps are _schedule's. `arrays`
     is emptied at once: each operand is held by its id and dropped at its
     last read, so a factor no one else holds is freed as the chain goes.
-    Before each step the meter knows the transforms it will run, from its
-    width and limbs: it raises BudgetError when those run so far, plus
-    this step's, plus the floors of the steps after it, pass plan.budget.
+    Before each phase-pair step the meter knows the transforms it will
+    run, from its width and limbs: it raises BudgetError when those run so
+    far, plus this step's, plus the floors of the steps after it, pass
+    plan.budget. A packed step runs its floor, which the planner admitted.
     A step that runs fewer transforms than its floor is a ConsistencyError.
     Logs what it ran.
     """
@@ -775,8 +777,6 @@ def _float_chain(arrays: list, masses: list[int], n: int,
         (x_digits, x_width), (y_digits, y_width) = (held[op.id] if op.later else held.pop(op.id)
                                                     for op in (x, y))
         x_side, y_side = _side(x_digits, x_width, x.mass), _side(y_digits, y_width, y.mass)
-        if len(masses) == 2:  # the only step; packed, each operand is transformed once
-            meter(step, 2 if x.id == y.id else 3)
         if len(masses) == 2 and (packed := _packed(x_digits, y_digits, x_side, y_side, n, half)):
             z, w, certified, residual = packed
             held[out], run = ([z], _WORD), 2 if x.id == y.id else 3

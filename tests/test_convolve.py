@@ -191,7 +191,7 @@ def test_strategies_agree_on_medium_instance():
     vecs = [_cv(rng.integers(0, 3, size=p)) for _ in range(3)]
     auto = plan_convolution(p, [v.total for v in vecs])
     assert auto.strategy == "float"
-    direct = ConvolutionPlan(p, "direct", auto.bound, 0)
+    direct = ConvolutionPlan(p, "direct", auto.bound, 0, (), auto.budget)
     assert k_fold_count(vecs).as_list() == _run(vecs, direct) == _expect(vecs)
 
 
@@ -338,29 +338,44 @@ def test_the_papers_t6_is_admitted_at_its_run_floors():
 
 def test_float_floor_never_exceeds_the_run(monkeypatch, caplog):
     # each step's floor is a lower bound on what it runs, whatever its
-    # sides hold: point masses, flat and sparse sides of random masses, as
-    # distinct arrays and as one array k times
+    # sides hold: point masses, flat and sparse sides of random masses,
+    # about one in ten of them zero, as distinct arrays and as one array k
+    # times
     rng = np.random.default_rng(16)
     runs = _step_runs(monkeypatch)
     caplog.set_level(logging.INFO, logger="fplab.convolve")
+
+    def check(vecs):
+        plan = _float_plan(vecs)
+        runs.clear()
+        caplog.clear()
+        assert sum(_run(vecs, plan)) == plan.bound
+        ((run, floor, steps),) = _chain_logs(caplog)
+        assert 2 * (len(vecs) - 1) <= floor == sum(plan.floors) <= run
+        assert all(f <= r for f, r in zip(plan.floors, _per_step(runs, steps)))
+
     for n in (2, 3, 7, 211, 1009):
-        for k in (2, 3, 6):
+        for k in (2, 3, 6, 12):
             for shape in ("point", "flat", "sparse"):
                 arrays = []
-                for top in rng.integers(1, 40, size=k):
+                for top in rng.integers(1, 40, size=k) * (rng.random(k) >= 0.1):
                     counts = np.zeros(n, dtype=np.int64)
                     where = {"point": [rng.integers(n)], "flat": slice(None),
                              "sparse": rng.choice(n, max(1, n // 16), replace=False)}[shape]
-                    counts[where] = rng.integers(1, 1 << int(top), size=counts[where].size)
+                    if top:
+                        counts[where] = rng.integers(1, 1 << int(top), size=counts[where].size)
                     arrays.append(_cv(counts))
                 for vecs in (arrays, [arrays[0]] * k):
-                    plan = _float_plan(vecs)
-                    runs.clear()
-                    caplog.clear()
-                    assert sum(_run(vecs, plan)) == plan.bound
-                    ((run, floor, steps),) = _chain_logs(caplog)
-                    assert 2 * (k - 1) <= floor == sum(plan.floors) <= run
-                    assert all(f <= r for f, r in zip(plan.floors, _per_step(runs, steps)))
+                    check(vecs)
+    # a zero mass after a product carried truncated (2^160 passes 2^64
+    # times the cap 211 * 2^62): the product is 0 again, and its side one limb
+    point = np.zeros(211, dtype=np.int64)
+    point[3] = 1 << 40
+    vecs = [_cv(point)] * 4 + [_cv(np.zeros(211, dtype=np.int64)), _cv(point)]
+    assert convolve._pair_work(211, [v.total for v in vecs]) is not None
+    assert plan_convolution(211, [v.total for v in vecs]).floors == (5, 11, 15, 7, 3)
+    check(vecs)
+    assert k_fold_count(vecs).as_list() == [0] * 211
 
 
 def test_oversize_chains_are_refused_at_their_floor(monkeypatch):
@@ -841,7 +856,8 @@ def test_planner_and_executor_agree_on_the_spectrum_rule_for_every_layout(data):
     # masses, and flat sides with entries near the mean the least, for any
     # pattern of repeated arrays: every step runs at least its floor, the
     # meter charges what the chain runs (its run's work is admitted and
-    # one unit less is refused), and the planner's floors are the plan's
+    # one unit less is refused; a packed step runs its floor, so there the
+    # planner refuses the float route), and the planner's floors are the plan's
     n = data.draw(st.sampled_from([5, 16, 17, 64, 101, 211]))
     k = data.draw(st.integers(2, 5))
     layout = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
@@ -873,9 +889,18 @@ def test_planner_and_executor_agree_on_the_spectrum_rule_for_every_layout(data):
         assert all(f <= r for f, r in zip(plan.floors, _per_step(runs, steps)))
         assert floor == sum(plan.floors) <= run == sum(_per_step(runs, steps))
         assert _run(vecs, replace(plan, budget=run * unit)) == _expect(vecs)
-        with pytest.raises(BudgetError) as exc:
-            _run(vecs, replace(plan, budget=run * unit - 1))
-        assert exc.value.required <= run * unit
+        if steps[0].startswith("packed"):  # the one step runs its floor, which the planner gates
+            assert run == floor
+            try:
+                below = plan_convolution(n, [v.total for v in vecs], budget=run * unit - 1,
+                                         layout=layout).strategy
+            except BudgetError:
+                below = None
+            assert below in (None, "direct")
+        else:
+            with pytest.raises(BudgetError) as exc:
+                _run(vecs, replace(plan, budget=run * unit - 1))
+            assert exc.value.required <= run * unit
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
@@ -1031,7 +1056,8 @@ def test_concentrated_factors_agree_with_the_direct_route():
         assert auto.strategy == "float"
         assert auto.bound < 1 << 40 <= 4 * auto.bound
         got = k_fold_count(vecs)
-        assert got.as_list() == _run(vecs, ConvolutionPlan(p, "direct", auto.bound, 0))
+        direct = ConvolutionPlan(p, "direct", auto.bound, 0, (), auto.budget)
+        assert got.as_list() == _run(vecs, direct)
         assert max(got.as_list()) >= auto.bound >> 4
 
 
