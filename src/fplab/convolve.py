@@ -8,19 +8,19 @@ Z_{p-1} after reindexing every unit by its discrete log. Two strategies:
           Chosen when its pair count, weighted by PAIR_COST, undercuts the
           transform work.
   float   a chain of certified two-factor float products at
-          C = next_pow2(2n-1), in the order of one step schedule
-          (_schedule): step t multiplies the accumulator (the first
-          factor, then the product so far) by factor t. Either side
-          may be split into b-bit limbs, x = sum_i x_i 2^(b i) with
-          0 <= x_i < 2^b; a side whose entries are below 2^b stays one
-          limb. Each limb is transformed once, and for each limb-index
-          sum s the products of the limb spectra with i + j = s are added
-          and inverted once. Each inverse is rounded, folded onto Z_n,
-          and the parts are carry-normalised into base-2^b int64 digits,
-          which the next step splits at its own width. After the last
-          step the digits join into an int64 array when the coefficient
-          bound (the product of the masses) is below 2^62, and into an
-          object array of Python ints otherwise.
+          C = next_pow2(2n-1), in the cyclic order: step t multiplies
+          the accumulator (the first factor, then the product so far)
+          by factor t. Either side may be split into b-bit limbs,
+          x = sum_i x_i 2^(b i) with 0 <= x_i < 2^b; a side whose
+          entries are below 2^b stays one limb. Each limb is
+          transformed once, and for each limb-index sum s the products
+          of the limb spectra with i + j = s are added and inverted
+          once. Each inverse is rounded, folded onto Z_n, and the parts
+          are carry-normalised into base-2^b int64 digits, which the
+          next step splits at its own width. After the last step the
+          digits join into an int64 array when the coefficient bound
+          (the product of the masses) is below 2^62, and into an object
+          array of Python ints otherwise.
 
 Phases. Every product runs at half length, C/2. Write a limb as
 x(t) = x_e(t^2) + t x_o(t^2), x_e its even entries and x_o its odd ones.
@@ -92,24 +92,22 @@ a packed step runs 3 (2 when y is x), its floor. Otherwise the step runs
 as phase pairs, from the same two sides; the certificate makes the
 choice, not a setting.
 
-The schedule. One generator, _schedule, yields the chain's steps in
-order, each as (x, y, id of their product). An operand carries an id (an
-input array's is the first position of that array in the layout, the
-product of step t's is k - 1 + t), its mass, and whether a later operand
-reads the same id. The executor walks it, and the planner's floors take
-its one order today, the cyclic one above.
+The order. _float_chain walks the cyclic order in place: step t, for
+t = 1 to k - 1, multiplies x (input 0 in step 1, then the product so far,
+which lives in a local) by y, input t, and the planner's floors (_floors)
+take the same order. One function, _transforms, gives the transforms a
+phase-pair step runs from x's limbs, y's limbs and whether y's spectrum
+is already made; the floors, the meter and the packed step all read it.
 
-Spectra. One rule, _spectrum_key, kept and metered by the executor. An
-operand that is one whole array (one limb) carries its id, and its
-spectrum, once made, is kept while a later operand reads that id; its
-id's last read ends it, also when that read is split. So [u]*2
-transforms u once: x's spectrum is made first and y finds it. A split
-operand carries no key: the spectra of its limbs are streamed, each made
-when the first sum that needs it comes up. A spectrum is multiplied in
-place on its last sum exactly when its id is not kept. The executor
-holds each input array and each product by its id and drops it at the
-id's last read, so a factor no one else holds is freed as the chain
-goes.
+Spectra. An input array carries an id, the first position of that array
+in the layout (_ids). The executor holds each input array by its id and
+drops it at the id's last read, so a factor no one else holds is freed as
+the chain goes. An input read whole (one limb) keeps its phase spectra
+while a later factor reads its id; its id's last read ends them, also
+when that read is split. So [u]*2 transforms u once: x's spectrum is made
+first and y finds it. The spectra of a split side's limbs are streamed,
+each made when the first sum that needs it comes up, and x's are
+multiplied in place on their last sum unless they are kept.
 
 One work model: a transform costs C * log2(C) units, and each step of
 the chain has a run floor (_floors), the transforms it runs at least
@@ -169,13 +167,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from math import isqrt, prod
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .countvec import CountVector, sum_of_squares
-from .errors import (DEFAULT_BUDGET, BudgetError, ConsistencyError, DomainError, check_budget,
-                     integer)
+from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, DomainError, integer
 from .modfield import find_primitive_root, is_prime, power_table
 
 log = logging.getLogger(__name__)
@@ -280,7 +277,8 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
         return ConvolutionPlan(n, "direct", prod(masses), 0, (), limit)
     if floor_work > limit:  # neither route fits: refuse with the smaller need
         if pair_work is not None and pair_work < floor_work:
-            check_budget(pair_work, limit, "support-pair convolution")
+            raise BudgetError(f"support-pair convolution needs {pair_work} operations, budget is "
+                              f"{limit}", required=pair_work)
         shown = [str(f) for f in floors]
         shown[6:-6] = ["..."] if k > 13 else shown[6:-6]  # a long chain's first and last six
         raise BudgetError(f"float transform convolution needs at least {floor_work} operations: "
@@ -294,10 +292,13 @@ def _pair_work(n: int, masses: Sequence[int]) -> int | None:
 
     None where the product of the masses reaches 2^63, past which int64
     accumulation is not exact. That product is formed capped at 2^63, so
-    this test never multiplies out many masses.
+    this test never multiplies out many masses, and once it reaches 2^63
+    the walk stops, unless a zero mass would bring it back to 0.
     """
-    support, work, bound = min(masses[0], n), 0, min(masses[0], 1 << 63)
+    support, work, bound, zero = min(masses[0], n), 0, min(masses[0], 1 << 63), 0 in masses
     for m in masses[1:]:
+        if bound == 1 << 63 and not zero:
+            return None
         pairs = support * min(m, n)
         work += pairs
         support, bound = min(pairs, n), min(bound * m, 1 << 63)
@@ -305,51 +306,24 @@ def _pair_work(n: int, masses: Sequence[int]) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# the float chain's one schedule, and the one spectrum rule
-
-
-# One side of a step (see _schedule): its id, its mass, and whether a later operand has its id.
-_Operand = NamedTuple("_Operand", [("id", int), ("mass", int), ("later", bool)])
+# the float chain's steps: ids, transforms and floors
 
 
 def _ids(keys: Iterable[Hashable]) -> list[int]:
-    """Each factor's operand id: the first position of its array (its key) in the layout."""
+    """Each factor's id: the first position of its array (its key) in the layout."""
     first = {}
     return [first.setdefault(key, i) for i, key in enumerate(keys)]
 
 
-def _schedule(keys: list, masses: list[int]) -> Iterator[tuple[_Operand, _Operand, int]]:
-    """The float chain's steps (x, y, id of x * y), in the order they run.
+def _transforms(x_limbs: int, y_limbs: int, y_made: bool) -> int:
+    """The transforms a phase-pair step runs, with y's spectrum already made or not.
 
-    The executor (_float_chain) walks it; the planner's floors (_floors)
-    take the same order, with the product of the masses capped. The order
-    is cyclic: step t, for t = 1 to k - 1, multiplies the accumulator
-    (input 0 in step 1, then the product of step t - 1) by input t. Each operand is an _Operand: its id (an
-    input's is the first position of its array in the layout, _ids; the
-    product of step t's is k - 1 + t), its mass (a product's is the product
-    of its operands' masses, formed exactly as its step is drawn), and
-    `later`, whether an operand read after it, in the order x before y,
-    step by step, has the same id.
+    Each limb of x is transformed (no spectrum of x is made before its
+    step), and each of y's unless its spectrum is made; each of the
+    x_limbs + y_limbs - 1 limb-index sums is inverted once. A packed step
+    runs it at one limb each: 3, or 2 when y is x.
     """
-    ids = _ids(keys)
-    k, final = len(ids), {i: t for t, i in enumerate(ids)}
-    x = _Operand(ids[0], masses[0], final[ids[0]] > 0)
-    for t in range(1, k):
-        y = _Operand(ids[t], masses[t], final[ids[t]] > t)
-        yield x, y, k - 1 + t
-        x = _Operand(k - 1 + t, x.mass * y.mass, False)
-
-
-def _spectrum_key(op: _Operand, limbs: int) -> tuple[int | None, bool]:
-    """(key, keep): the spectrum rule, which the executor keeps and meters.
-
-    An operand that is one whole array (one limb) carries its id as the key
-    of its spectrum, which is made only when no spectrum under that key is
-    kept. A spectrum made under a key is kept while a later operand reads
-    that id. Split operands carry no key (None): each limb's spectrum is
-    made when needed and not kept.
-    """
-    return (op.id, op.later) if limbs == 1 else (None, False)
+    return 2 * x_limbs + y_limbs - 1 + (0 if y_made else y_limbs)
 
 
 def _least(mass: int, n: int) -> tuple[int, int, int]:
@@ -364,10 +338,11 @@ def _least(mass: int, n: int) -> tuple[int, int, int]:
 def _floors(n: int, masses: list[int], keys: list, size: int) -> Iterator[int]:
     """Each step's run floor: the transforms the float chain runs at least at that step.
 
-    The floor of step t is 2 * ceil(bits(ceil(m_x/n)) / b_max) transforms,
-    m_x the mass of x (input 0 in step 1, then the product so far), plus
-    one when no earlier operand read y's array. The proof, for any sides
-    of these masses:
+    The floor of step t is _transforms at x's least limbs,
+    L = ceil(bits(ceil(m_x/n)) / b_max), m_x the mass of x (input 0 in
+    step 1, then the product so far), with y as one limb, made when an
+    earlier factor read y's array: 2L, plus one when none did. The proof,
+    for any sides of these masses:
     - The executor takes the width from its sides (bits, mass, exact
       squared norm). Every term of limb 0's bound (_limb_norms) is
       nondecreasing in the bits and the norm (a side with no exact norm
@@ -380,12 +355,12 @@ def _floors(n: int, masses: list[int], keys: list, size: int) -> Iterator[int]:
       certificate, never below it, fails: the executor's width is at most
       b_max, or b_max spans the least bits of both sides and the floor
       counts x as one limb.
-    - So x has at least ceil(bits(ceil(m_x/n)) / b_max) limbs. No spectrum
-      of x exists before its step, so each limb is transformed, and each
-      limb-index sum is inverted: at least as many inverses as x has
-      limbs. y's spectrum can be kept only if an earlier operand read its
-      array; otherwise y is transformed at least once. A packed step runs
-      2 or 3 transforms, which is this floor at one limb.
+    - So x has at least L limbs. No spectrum of x exists before its step,
+      so each limb is transformed, and each limb-index sum is inverted:
+      at least as many inverses as x has limbs. y's spectrum can be kept
+      only if an earlier factor read its array; otherwise y is
+      transformed at least once, and more limbs of y only add
+      transforms. A packed step runs this floor at one limb.
     Cost at any k: limb 0's bound from a mass m is the same for every
     m >= n * 2^62, so each mass is capped there for the width, and a run of
     equal capped sides searches the width once. The product of the masses
@@ -404,7 +379,7 @@ def _floors(n: int, masses: list[int], keys: list, size: int) -> Iterator[int]:
         if capped != last:
             b, last = max(1, _low_width(*(_least(m, n) for m in capped), n, gamma)), capped
         bits = (mant // n if shift else -(-mant // n)).bit_length() + shift
-        yield 2 * _limb_count(bits, b) + (ids[t] == t)
+        yield _transforms(_limb_count(bits, b), 1, ids[t] < t)
         mant *= masses[t]
         drop = max(0, mant.bit_length() - top)
         mant, shift = mant >> drop, shift + drop if mant else 0  # a zero product is exact
@@ -732,78 +707,69 @@ def _float_chain(arrays: list, masses: list[int], n: int,
                  plan: ConvolutionPlan) -> np.ndarray:
     """The chain of certified two-factor float products; see the module docstring.
 
-    masses[t] is the sum of arrays[t]. The steps are _schedule's. `arrays`
-    is emptied at once: each operand is held by its id and dropped at its
-    last read, so a factor no one else holds is freed as the chain goes.
-    Before each phase-pair step the meter knows the transforms it will
-    run, from its width and limbs: it raises BudgetError when those run so
-    far, plus this step's, plus the floors of the steps after it, pass
-    plan.budget. A packed step runs its floor, which the planner admitted.
-    A step that runs fewer transforms than its floor is a ConsistencyError.
-    Logs what it ran.
+    masses[t] is the sum of arrays[t]. Step t multiplies x, arrays[0] in
+    step 1 and then the product so far, by y = arrays[t]. `arrays` is
+    emptied at once: each input array is held by its id (_ids) and dropped
+    at its last read, so a factor no one else holds is freed as the chain
+    goes. Before each phase-pair step the meter knows the transforms it
+    will run (_transforms, from its width and limbs): it raises BudgetError
+    when those run so far, plus this step's, plus the floors of the steps
+    after it, pass plan.budget. A packed step runs its floor, which the
+    planner admitted. A step that runs fewer transforms than its floor is
+    a ConsistencyError. Logs what it ran.
     """
     size = plan.fft_length
     half = max(1, size // 2)  # the phase length; C = 1 only at n = 1
     _hold_heap(8 * half)
     gamma, unit = _gamma(size), size * (size.bit_length() - 1)
-    keys = [id(a) for a in arrays]
-    held = {i: ([a], _WORD) for i, a in zip(_ids(keys), arrays)}  # id -> (digits, width)
+    ids = _ids(id(a) for a in arrays)
+    last = {i: t for t, i in enumerate(ids)}  # each id's last read
+    held = dict(zip(ids, arrays))  # id -> input array, until its last read
     arrays.clear()
-    kept = {}  # id -> phase spectra of an operand read whole that a later operand reads
+    kept = {}  # id -> phase spectra of an input read whole that a later factor reads
+    x_id, x_mass, x_width = 0, masses[0], _WORD  # x_id: None once x is a product
+    x_digits = [held[0] if last[0] else held.pop(0)]
     run, steps, certified, residual = 0, [], 0.0, 0.0
     rest = sum(plan.floors)  # the floors of the steps not yet begun
-
-    def spectrum(limb: np.ndarray, op: _Operand, limbs: int) -> tuple:
-        """The phase spectra of a limb of operand op, made and kept as _spectrum_key says."""
-        nonlocal run
-        key, keep = _spectrum_key(op, limbs)
-        if key not in kept:
-            run += 1
-            kept[key] = _phases(limb, half)
-        return kept[key] if keep else kept.pop(key)
-
-    def meter(step: int, transforms: int) -> None:
-        """Refuse step `step` before it runs if its `transforms` would pass the budget."""
-        if (need := (run + transforms + rest) * unit) > plan.budget:
-            raise BudgetError(f"float transform convolution needs at least {need} operations "
-                              f"before step {step} of {len(plan.floors)}: {run} transforms run, "
-                              f"{transforms} in this step and {rest} at the floors of the rest at "
-                              f"2^{size.bit_length() - 1}, budget is {plan.budget}", required=need)
-
-    schedule = zip(_schedule(keys, masses), plan.floors, strict=True)
-    for step, ((x, y, out), floor) in enumerate(schedule, 1):
+    for t, floor in zip(range(1, len(masses)), plan.floors, strict=True):
         rest -= floor
-        start = run
-        (x_digits, x_width), (y_digits, y_width) = (held[op.id] if op.later else held.pop(op.id)
-                                                    for op in (x, y))
-        x_side, y_side = _side(x_digits, x_width, x.mass), _side(y_digits, y_width, y.mass)
+        y_id = ids[t]
+        y_digits = [held[y_id] if last[y_id] > t else held.pop(y_id)]
+        x_side, y_side = _side(x_digits, x_width, x_mass), _side(y_digits, _WORD, masses[t])
         if len(masses) == 2 and (packed := _packed(x_digits, y_digits, x_side, y_side, n, half)):
             z, w, certified, residual = packed
-            held[out], run = ([z], _WORD), 2 if x.id == y.id else 3
+            x_digits, x_width, run = [z], _WORD, _transforms(1, 1, y_id == x_id)
             steps.append((f"packed@2^{w}", run))
             continue
         b, bound = _width(x_side, y_side, n, gamma)
         x_limbs, y_limbs = _limb_count(x_side[0], b), _limb_count(y_side[0], b)
-        # each limb of x is transformed (none is kept before its step), and y's unless its
-        # spectrum is kept or is x's; each limb-index sum is inverted once
-        found = y_limbs == 1 and (y.id in kept or y.id == x.id)
-        meter(step, 2 * x_limbs + y_limbs - 1 + (0 if found else y_limbs))
-        live = {0: spectrum(_limb(x_digits, x_width, b, 0, x_limbs), x, x_limbs)}
+        y_made = y_limbs == 1 and (y_id in kept or y_id == x_id)
+        transforms = _transforms(x_limbs, y_limbs, y_made)
+        if (need := (run + transforms + rest) * unit) > plan.budget:
+            raise BudgetError(f"float transform convolution needs at least {need} operations "
+                              f"before step {t} of {len(plan.floors)}: {run} transforms run, "
+                              f"{transforms} in this step and {rest} at the floors of the rest at "
+                              f"2^{size.bit_length() - 1}, budget is {plan.budget}", required=need)
+        live = {0: _phases(_limb(x_digits, x_width, b, 0, x_limbs), half)}
         if x_limbs == 1:  # x's array is not held here beside y's transforms
             x_digits = None
-        ys = [spectrum(_limb(y_digits, y_width, b, j, y_limbs), y, y_limbs)
+            if x_id is not None and last[x_id]:  # input 0 read whole, and read again
+                kept[x_id] = live[0]
+        ys = [kept[y_id] if y_made else _phases(_limb(y_digits, _WORD, b, j, y_limbs), half)
               for j in range(y_limbs)]
+        if y_limbs == 1 and last[y_id] > t:
+            kept[y_id] = ys[0]
         y_digits, twiddle = None, _twiddle(half)
         kept = {i: v for i, v in kept.items() if i in held}  # none outlives its id's last read
         parts = []
         for s in range(x_limbs + y_limbs - 1):
             if 0 < s < x_limbs:
-                live[s] = spectrum(_limb(x_digits, x_width, b, s, x_limbs), x, x_limbs)
+                live[s] = _phases(_limb(x_digits, x_width, b, s, x_limbs), half)
             z = None
             for i in range(max(0, s - y_limbs + 1), min(s, x_limbs - 1) + 1):
                 final = i == s - y_limbs + 1  # the last sum that uses x_i
                 x_spec = live.pop(i) if final else live[i]
-                term = _phase_product(x_spec, ys[s - i], twiddle, final and x.id not in kept)
+                term = _phase_product(x_spec, ys[s - i], twiddle, final and x_id not in kept)
                 z = term if z is None else tuple(np.add(a, c, out=a) for a, c in zip(z, term))
                 term = x_spec = None
             if s == x_limbs + y_limbs - 2:  # the factor spectra and the twiddle are spent
@@ -811,13 +777,13 @@ def _float_chain(arrays: list, masses: list[int], n: int,
             (even, odd), z = z, None
             even, res_even = _rounded(np.fft.irfft(even, half)[:n])
             odd, res_odd = _rounded(np.fft.irfft(odd, half)[:n - 1])
-            run += 1
             parts.append(_fold(even, odd, n))
             even = odd = None
             residual = max(residual, res_even, res_odd)
-        held[out] = (parts if len(parts) == 1 else _carry(parts, b), b)
-        parts = None  # the product is held by its id alone, and dropped at its read
-        steps.append((f"{x_limbs}x{y_limbs}@{b}", run - start))
+        x_digits = parts if len(parts) == 1 else _carry(parts, b)
+        x_id, x_mass, x_width, parts = None, x_mass * masses[t], b, None
+        run += transforms
+        steps.append((f"{x_limbs}x{y_limbs}@{b}", transforms))
         certified = max(certified, bound)
     if any(ran < floor for (_, ran), floor in zip(steps, plan.floors)):
         raise ConsistencyError(f"float chain steps ran {[ran for _, ran in steps]} transforms, "
@@ -826,7 +792,7 @@ def _float_chain(arrays: list, masses: list[int], n: int,
              "(limbs x limbs @ width), %d transforms run, floor %d, certified bound %.3g, "
              "largest residual %.3g", size, half, len(steps),
              " ".join(text for text, _ in steps), run, sum(plan.floors), certified, residual)
-    return _join(*held.pop(out), plan.bound)
+    return _join(x_digits, x_width, plan.bound)
 
 
 def _run(arrays: list, masses: list[int], n: int, plan: ConvolutionPlan) -> np.ndarray:

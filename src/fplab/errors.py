@@ -34,18 +34,6 @@ class ConsistencyError(RuntimeError):
 DEFAULT_BUDGET = 1_000_000_000
 
 
-def check_budget(work: int, budget: int | None, what: str) -> None:
-    """Refuse computations whose elementary-operation count exceeds the budget.
-
-    A budget is an integer >= 0 (None: DEFAULT_BUDGET); any other value is
-    a DomainError.
-    """
-    limit = DEFAULT_BUDGET if budget is None else integer("budget", budget, low=0)
-    if work > limit:
-        raise BudgetError(
-            f"{what} needs {work} operations, budget is {limit}", required=work)
-
-
 def integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
     """value as a Python int in low..high (a missing bound is open).
 

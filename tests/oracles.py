@@ -6,6 +6,7 @@ kernels, so oracle/kernel agreement is a genuine differential test.
 """
 
 import cmath
+import decimal
 from fractions import Fraction
 from itertools import product
 
@@ -133,6 +134,31 @@ def cyclic_convolve(u, v, p):
             for j, b in enumerate(v):
                 if b:
                     out[(i + j) % p] += a * b
+    return out
+
+
+def kronecker(x, y):
+    """The cyclic product of two nonnegative integer vectors of one length n, by one decimal product.
+
+    Kronecker substitution: each vector is packed into one integer, d
+    decimal digits per entry, highest index first, and the two are
+    multiplied exactly by the decimal module (libmpdec), with no numpy
+    FFT. d is the digit count of a proved bound on every entry of the
+    linear product, min(sum(x) max(y), max(x) sum(y)), so no slot carries
+    into the next. The linear product is read back slot by slot and
+    folded onto Z_n.
+    """
+    x, y = [int(v) for v in x], [int(v) for v in y]
+    n = len(x)
+    assert len(y) == n and min(x + y) >= 0
+    d = len(str(min(sum(x) * max(y), max(x) * sum(y))))
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.Inexact, decimal.Rounded])
+    packed = [decimal.Decimal("".join(str(v).zfill(d) for v in reversed(u))) for u in (x, y)]
+    digits = str(exact.multiply(*packed)).zfill((2 * n - 1) * d)
+    out = [0] * n
+    for k, i in enumerate(range(len(digits) - d, -1, -d)):
+        out[k % n] += int(digits[i:i + d])
     return out
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import math
 import re
 import tracemalloc
 import weakref
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fplab import convolve, countvec, sets, tkcount
+from fplab import convolve, countvec, energy, sets, tkcount
 from fplab.convolve import (ConvolutionPlan, k_fold_count,
                             length_p_transform, plan_convolution)
 from fplab.countvec import CountVector
@@ -116,28 +117,32 @@ def _chain_line(message):
 
 
 def _step_runs(monkeypatch):
-    """The transforms each float step runs, appended as the chain walks _schedule.
+    """The transforms each float step runs, counted from numpy's calls as the chain runs.
 
-    Counted from numpy's calls: a packed step makes one call per transform,
-    a phase-pair step two (its log line's step text tells them apart).
+    A step begins at its _side calls, which come before any of its
+    transforms, and is appended at its first transform, so a step refused
+    before it runs adds nothing. A packed step makes one call per
+    transform, a phase-pair step two (its log line's step text tells them
+    apart).
     """
-    calls, runs, schedule = [0], [], convolve._schedule
+    runs, begun, side = [], [False], convolve._side
 
     def count(fft):
         def call(*args, **kwargs):
-            calls[0] += 1
+            if begun[0]:
+                runs.append(0)
+                begun[0] = False
+            runs[-1] += 1
             return fft(*args, **kwargs)
         return call
 
     def spy(*args):
-        for step in schedule(*args):
-            start = calls[0]
-            yield step
-            runs.append(calls[0] - start)
+        begun[0] = True
+        return side(*args)
 
     monkeypatch.setattr(np.fft, "rfft", count(np.fft.rfft))
     monkeypatch.setattr(np.fft, "irfft", count(np.fft.irfft))
-    monkeypatch.setattr(convolve, "_schedule", spy)
+    monkeypatch.setattr(convolve, "_side", spy)
     return runs
 
 
@@ -398,6 +403,20 @@ def test_oversize_chains_are_refused_at_their_floor(monkeypatch):
     with pytest.raises(BudgetError, match="support-pair convolution needs 5000 ") as exc:
         plan_convolution(100, [50, 100], budget=100)
     assert exc.value.required == 5000
+
+
+def test_pair_work_stops_where_the_bound_reaches_int64():
+    # 5^28 passes 2^63, so [5]*k has no support-pair route, and no mass
+    # after the 28th is read unless a zero mass is left to bring the
+    # product back to 0
+    class Unread(int):
+        def __gt__(self, other):
+            raise AssertionError("a mass was read after the bound reached 2^63")
+        __lt__ = __ge__ = __le__ = __mul__ = __rmul__ = __gt__
+
+    assert convolve._pair_work(101, [5] * 30 + [Unread(5)] * 1000) is None
+    # with a zero mass the walk goes on, and its work is exact
+    assert convolve._pair_work(101, [5] * 30 + [0, 5]) == 25 + 125 + 505 * 27
 
 
 def test_float_floor_searches_a_width_only_when_its_sides_change(monkeypatch):
@@ -794,6 +813,38 @@ def test_t6_widths_come_from_the_limb_norm_bounds(monkeypatch, caplog):
     assert calls == [p] * 9
     ((run, floor, steps),) = _chain_logs(caplog)
     assert (run, floor, steps) == (27, 27, ["1x1@4", "1x1@20", "2x1@24", "3x1@24", "4x1@24"])
+
+
+def test_one_set_t6_matches_the_decimal_reference(caplog):
+    # the paper's one-set T_6 at p = 100003 (H = #M = 338): an object
+    # array from multi-limb steps, entry by entry against three decimal
+    # products, v^3 = v^2 * v and v^6 = v^3 * v^3, no numpy FFT among them
+    p, h = 100003, 338
+    c = PrimeContext(p)
+    v = energy.count_vector_product(sets.initial_interval(h, c),
+                                    sets.random_subset(h, sets.mix_seed(271828, p), c), 1, c)
+    with caplog.at_level(logging.INFO, logger="fplab.convolve"):
+        got = k_fold_count([v] * 6)
+    ((_, _, steps),) = _chain_logs(caplog)
+    assert got.counts.dtype == object and any(not s.startswith("1x") for s in steps)
+    u = v.as_list()
+    cube = oracles.kronecker(oracles.kronecker(u, u), u)
+    assert got.as_list() == oracles.kronecker(cube, cube)
+
+
+def test_packed_product_matches_the_decimal_reference(caplog):
+    # product_pairs' shape at p = 100003: the dlog counts of M and of
+    # {1..H}, H = #M = ceil(p^0.7), multiplied as one packed product over Z_(p-1)
+    p = 100003
+    c, h = PrimeContext(p), math.ceil(p ** 0.7)
+    vecs = [energy.dlog_counts(units, 1, c)
+            for units in (sets.random_subset(h, sets.mix_seed(2, p), c).elems,
+                          sets.initial_interval(h, c).units())]
+    with caplog.at_level(logging.INFO, logger="fplab.convolve"):
+        got = k_fold_count(vecs)
+    ((_, _, (step,)),) = _chain_logs(caplog)
+    assert step.startswith("packed@")
+    assert got.as_list() == oracles.kronecker(*(v.as_list() for v in vecs))
 
 
 def test_uncertified_products_are_never_run_unsplit(monkeypatch, caplog):

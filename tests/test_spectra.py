@@ -12,7 +12,7 @@ import pytest
 from fplab import convolve, spectra
 from fplab.countvec import CountVector
 from fplab.energy import additive_energy_recip, energy_Js, recip_power_counts
-from fplab.errors import ConsistencyError, DomainError, ZeroInIntervalError, check_budget
+from fplab.errors import ConsistencyError, DomainError, ZeroInIntervalError
 from fplab.modfield import (PrimeContext, batch_inverse, build_dlog_table, find_primitive_root,
                             is_prime)
 from fplab.prodset import product_set, ratio_set
@@ -437,8 +437,8 @@ _REFUSED_INPUTS = {
     "tk_budget_negative": (
         lambda: tk_experiment(3, [(_SET101, 0)] * 3, 5, 1, _C101, budget=-1),
         DomainError, "budget must be >= 0, got -1"),
-    "check_budget_nan": (
-        lambda: check_budget(1, math.nan, "one step"),
+    "plan_convolution_budget_nan": (
+        lambda: convolve.plan_convolution(101, [5, 5], budget=math.nan),
         DomainError, "budget must be an integer, got nan"),
     "is_prime_float": (
         lambda: is_prime(7.5), DomainError, "n must be an integer, got 7.5"),
