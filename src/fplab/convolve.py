@@ -18,9 +18,9 @@ Z_{p-1} after reindexing every unit by its discrete log. Two strategies:
           once. Each inverse is rounded, folded onto Z_n, and the parts
           are carry-normalised into base-2^b int64 digits, which the
           next step splits at its own width. After the last step the
-          digits join into an int64 array when the coefficient bound
-          (the product of the masses) is below 2^62, and into an object
-          array of Python ints otherwise.
+          digits join into an int64 array when the chain's own product
+          of the masses, which bounds every coefficient, is below 2^62,
+          and into an object array of Python ints otherwise.
 
 Phases. Every product runs at half length, C/2. Write a limb as
 x(t) = x_e(t^2) + t x_o(t^2), x_e its even entries and x_o its odd ones.
@@ -100,14 +100,15 @@ phase-pair step runs from x's limbs, y's limbs and whether y's spectrum
 is already made; the floors, the meter and the packed step all read it.
 
 Spectra. An input array carries an id, the first position of that array
-in the layout (_ids). The executor holds each input array by its id and
-drops it at the id's last read, so a factor no one else holds is freed as
-the chain goes. An input read whole (one limb) keeps its phase spectra
-while a later factor reads its id; its id's last read ends them, also
-when that read is split. So [u]*2 transforms u once: x's spectrum is made
-first and y finds it. The spectra of a split side's limbs are streamed,
-each made when the first sum that needs it comes up, and x's are
-multiplied in place on their last sum unless they are kept.
+in the layout (_ids). The executor clears each slot of its input list as
+it reads it, so an input array is dropped at its id's last read, and a
+factor no one else holds is freed as the chain goes. An input read whole
+(one limb) keeps its phase spectra while a later factor reads its id; its
+id's last read ends them, also when that read is split. So [u]*2
+transforms u once: x's spectrum is made first and y finds it. The spectra
+of a split side's limbs are streamed, each made when the first sum that
+needs it comes up, and x's are multiplied in place on their last sum
+unless they are kept.
 
 One work model: a transform costs C * log2(C) units, and each step of
 the chain has a run floor (_floors), the transforms it runs at least
@@ -226,11 +227,9 @@ def _hold_heap(nbytes: int) -> None:
 
 @dataclass(frozen=True)
 class ConvolutionPlan:
-    """How a convolution will run: strategy, coefficient bound, length, floors and budget."""
+    """How a convolution will run: strategy, length, floors and budget."""
 
-    n: int                         # length of the index group Z_n
     strategy: str                  # "direct" | "float"
-    bound: int                     # product of the masses: no coefficient exceeds it
     # C = next_pow2(2n-1) for "float", 0 for "direct": the length the work
     # and the certificate are taken at. The chain runs every product at C/2,
     # as phase pairs or as one packed product (module docstring).
@@ -248,25 +247,27 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     equal names marking one array (default: k distinct arrays). The float
     chain's work is priced at its run floors (_floors), the transforms
     each step runs at least, times C*log2(C). The support-pair route exists
-    where the coefficient bound, the product of all masses (every output
-    entry is at most the total number of tuples), is below 2^63; it costs
-    pair_work, the pairs it visits at most, each support being capped by
-    its mass and by n, and it is chosen when PAIR_COST * pair_work is no
-    larger than the floors' work. A route whose own work exceeds the
-    budget is passed over; the call is refused only when none fits, with
-    `required` the smaller need, the floors' work being a lower bound
-    ("needs at least", naming C and the floors by step). An admitted float
-    plan carries its floors and the budget, which the chain meters as it
-    runs. Whether the bound reaches 2^63 is read from a product capped
-    there (_pair_work), and the bound is formed only for a plan that is
-    admitted. Planning has no side effects: it logs nothing and allocates
-    nothing of length n.
+    where the product of all masses, which bounds every output entry (the
+    total number of tuples), is below 2^63; it costs pair_work, the pairs
+    it visits at most, each support being capped by its mass and by n, and
+    it is chosen when PAIR_COST * pair_work is no larger than the floors'
+    work. A route whose own work exceeds the budget is passed over; the
+    call is refused only when none fits, with `required` the smaller need,
+    the floors' work being a lower bound ("needs at least", naming C and
+    the floors by step). An admitted float plan carries its floors and the
+    budget, which the chain meters as it runs. Whether the product of the masses reaches 2^63 is read from a
+    product capped there (_pair_work); no plan forms the product itself.
+    n must be a positive integer, each mass an integer >= 0, and a layout
+    must name one array per mass: anything else is a DomainError. Planning
+    has no side effects: it logs nothing and allocates nothing of length n.
     """
-    k = len(masses)
+    n, k = integer("n", n, low=1), len(masses)
     if k < 1:
         raise DomainError("no factors to convolve")
-    masses = [int(m) for m in masses]
+    masses = [integer("mass", m, low=0) for m in masses]
     keys = list(range(k)) if layout is None else list(layout)
+    if len(keys) != k:
+        raise DomainError(f"the layout names {len(keys)} arrays for {k} factors")
     size = _next_pow2(2 * n - 1)
     limit = DEFAULT_BUDGET if budget is None else integer("budget", budget, low=0)
     pair_work = _pair_work(n, masses)
@@ -274,7 +275,7 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
     floor_work = sum(floors) * size * (size.bit_length() - 1)
     if pair_work is not None and pair_work <= limit and (PAIR_COST * pair_work <= floor_work
                                                          or floor_work > limit):
-        return ConvolutionPlan(n, "direct", prod(masses), 0, (), limit)
+        return ConvolutionPlan("direct", 0, (), limit)
     if floor_work > limit:  # neither route fits: refuse with the smaller need
         if pair_work is not None and pair_work < floor_work:
             raise BudgetError(f"support-pair convolution needs {pair_work} operations, budget is "
@@ -284,7 +285,7 @@ def plan_convolution(n: int, masses: Sequence[int], budget: int | None = None,
         raise BudgetError(f"float transform convolution needs at least {floor_work} operations: "
                           f"{sum(floors)} transforms ({', '.join(shown)}) at "
                           f"2^{size.bit_length() - 1}, budget is {limit}", required=floor_work)
-    return ConvolutionPlan(n, "float", prod(masses), size, floors, limit)
+    return ConvolutionPlan("float", size, floors, limit)
 
 
 def _pair_work(n: int, masses: Sequence[int]) -> int | None:
@@ -708,15 +709,16 @@ def _float_chain(arrays: list, masses: list[int], n: int,
     """The chain of certified two-factor float products; see the module docstring.
 
     masses[t] is the sum of arrays[t]. Step t multiplies x, arrays[0] in
-    step 1 and then the product so far, by y = arrays[t]. `arrays` is
-    emptied at once: each input array is held by its id (_ids) and dropped
-    at its last read, so a factor no one else holds is freed as the chain
-    goes. Before each phase-pair step the meter knows the transforms it
-    will run (_transforms, from its width and limbs): it raises BudgetError
-    when those run so far, plus this step's, plus the floors of the steps
-    after it, pass plan.budget. A packed step runs its floor, which the
-    planner admitted. A step that runs fewer transforms than its floor is
-    a ConsistencyError. Logs what it ran.
+    step 1 and then the product so far, by y = arrays[t]. Each entry of
+    `arrays` is cleared as it is read, so an input array is dropped at its
+    id's (_ids) last read, and a factor no one else holds is freed as the
+    chain goes. x's mass, the product of the masses so far, is the bound
+    the last digits join at. Before each phase-pair step the meter knows
+    the transforms it will run (_transforms, from its width and limbs): it
+    raises BudgetError when those run so far, plus this step's, plus the
+    floors of the steps after it, pass plan.budget. A packed step runs its
+    floor, which the planner admitted. A step that runs fewer transforms
+    than its floor is a ConsistencyError. Logs what it ran.
     """
     size = plan.fft_length
     half = max(1, size // 2)  # the phase length; C = 1 only at n = 1
@@ -724,18 +726,17 @@ def _float_chain(arrays: list, masses: list[int], n: int,
     gamma, unit = _gamma(size), size * (size.bit_length() - 1)
     ids = _ids(id(a) for a in arrays)
     last = {i: t for t, i in enumerate(ids)}  # each id's last read
-    held = dict(zip(ids, arrays))  # id -> input array, until its last read
-    arrays.clear()
     kept = {}  # id -> phase spectra of an input read whole that a later factor reads
     x_id, x_mass, x_width = 0, masses[0], _WORD  # x_id: None once x is a product
-    x_digits = [held[0] if last[0] else held.pop(0)]
+    x_digits, arrays[0] = [arrays[0]], None
     run, steps, certified, residual = 0, [], 0.0, 0.0
     rest = sum(plan.floors)  # the floors of the steps not yet begun
     for t, floor in zip(range(1, len(masses)), plan.floors, strict=True):
         rest -= floor
         y_id = ids[t]
-        y_digits = [held[y_id] if last[y_id] > t else held.pop(y_id)]
+        y_digits, arrays[t] = [arrays[t]], None
         x_side, y_side = _side(x_digits, x_width, x_mass), _side(y_digits, _WORD, masses[t])
+        x_mass *= masses[t]  # from here on, the mass of the product this step makes
         if len(masses) == 2 and (packed := _packed(x_digits, y_digits, x_side, y_side, n, half)):
             z, w, certified, residual = packed
             x_digits, x_width, run = [z], _WORD, _transforms(1, 1, y_id == x_id)
@@ -760,7 +761,7 @@ def _float_chain(arrays: list, masses: list[int], n: int,
         if y_limbs == 1 and last[y_id] > t:
             kept[y_id] = ys[0]
         y_digits, twiddle = None, _twiddle(half)
-        kept = {i: v for i, v in kept.items() if i in held}  # none outlives its id's last read
+        kept = {i: v for i, v in kept.items() if last[i] > t}  # none outlives its id's last read
         parts = []
         for s in range(x_limbs + y_limbs - 1):
             if 0 < s < x_limbs:
@@ -781,7 +782,7 @@ def _float_chain(arrays: list, masses: list[int], n: int,
             even = odd = None
             residual = max(residual, res_even, res_odd)
         x_digits = parts if len(parts) == 1 else _carry(parts, b)
-        x_id, x_mass, x_width, parts = None, x_mass * masses[t], b, None
+        x_id, x_width, parts = None, b, None
         run += transforms
         steps.append((f"{x_limbs}x{y_limbs}@{b}", transforms))
         certified = max(certified, bound)
@@ -792,7 +793,7 @@ def _float_chain(arrays: list, masses: list[int], n: int,
              "(limbs x limbs @ width), %d transforms run, floor %d, certified bound %.3g, "
              "largest residual %.3g", size, half, len(steps),
              " ".join(text for text, _ in steps), run, sum(plan.floors), certified, residual)
-    return _join(x_digits, x_width, plan.bound)
+    return _join(x_digits, x_width, x_mass)
 
 
 def _run(arrays: list, masses: list[int], n: int, plan: ConvolutionPlan) -> np.ndarray:
@@ -827,7 +828,7 @@ def k_fold_count(vectors: Sequence[CountVector], *, budget: int | None = None) -
         raise ConsistencyError("input count vectors must be 64-bit backed")
     arrays = [v.counts for v in vectors]
     del vectors  # a factor the caller holds no more is freed after its step
-    return CountVector(_run(arrays, masses, n, plan), expected_total=plan.bound)
+    return CountVector(_run(arrays, masses, n, plan), expected_total=prod(masses))
 
 
 def fft_error_ratios() -> list[tuple[int, float, float]]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fplab import convolve, countvec, energy, sets, tkcount
+from fplab import convolve, countvec, energy, prodset, sets, tkcount
 from fplab.convolve import (ConvolutionPlan, k_fold_count,
                             length_p_transform, plan_convolution)
 from fplab.countvec import CountVector
@@ -37,7 +37,7 @@ def _float_plan(vecs, budget=10 ** 15):
     n, masses = vecs[0].p, [v.total for v in vecs]
     size = convolve._next_pow2(2 * n - 1)
     floors = tuple(convolve._floors(n, masses, [id(v.counts) for v in vecs], size))
-    return ConvolutionPlan(n, "float", prod(masses), size, floors, budget)
+    return ConvolutionPlan("float", size, floors, budget)
 
 
 def test_identity_element():
@@ -196,7 +196,7 @@ def test_strategies_agree_on_medium_instance():
     vecs = [_cv(rng.integers(0, 3, size=p)) for _ in range(3)]
     auto = plan_convolution(p, [v.total for v in vecs])
     assert auto.strategy == "float"
-    direct = ConvolutionPlan(p, "direct", auto.bound, 0, (), auto.budget)
+    direct = ConvolutionPlan("direct", 0, (), auto.budget)
     assert k_fold_count(vecs).as_list() == _run(vecs, direct) == _expect(vecs)
 
 
@@ -207,7 +207,7 @@ def test_strategy_escalation_and_logging(caplog):
     vecs = [_cv(rng.integers(0, 65, size=1009)) for _ in range(3)]  # masses near 2^15
     with caplog.at_level(logging.INFO, logger="fplab.convolve"):
         plan = plan_convolution(1009, [v.total for v in vecs])
-        assert plan.strategy == "float" and plan.bound >= 1 << 40
+        assert plan.strategy == "float" and prod(v.total for v in vecs) >= 1 << 40
         assert plan.fft_length == 2048 and plan.moduli == ()
         assert caplog.records == []
         assert k_fold_count(vecs).as_list() == _expect(vecs)
@@ -245,7 +245,7 @@ def test_plans_are_charged_the_transforms_they_run():
     charge = 17 * units
     assert charge == 80_216_064
     plan = plan_convolution(100003, [1000] * 6, budget=charge)
-    assert plan == ConvolutionPlan(100003, "float", 1000 ** 6, 1 << 18, (3, 3, 3, 3, 5), charge)
+    assert plan == ConvolutionPlan("float", 1 << 18, (3, 3, 3, 3, 5), charge)
     message = "needs at least 80216064 operations: 17 transforms (3, 3, 3, 3, 5) at 2^18, budget"
     with pytest.raises(BudgetError, match=re.escape(message)) as exc:
         plan_convolution(100003, [1000] * 6, budget=charge - 1)
@@ -279,7 +279,7 @@ def test_plans_are_pinned_over_a_grid():
                         try:
                             plan = plan_convolution(n, case, budget, layout=layout)
                             out = (f"{plan.strategy} {plan.floors} {plan.fft_length} "
-                                   f"{plan.bound}")
+                                   f"{prod(case)}")
                         except BudgetError as exc:
                             out = f"refused {exc} | {exc.required}"
                         lines.append(f"{n} {case} {layout} {budget}: {out}")
@@ -354,7 +354,7 @@ def test_float_floor_never_exceeds_the_run(monkeypatch, caplog):
         plan = _float_plan(vecs)
         runs.clear()
         caplog.clear()
-        assert sum(_run(vecs, plan)) == plan.bound
+        assert sum(_run(vecs, plan)) == prod(v.total for v in vecs)
         ((run, floor, steps),) = _chain_logs(caplog)
         assert 2 * (len(vecs) - 1) <= floor == sum(plan.floors) <= run
         assert all(f <= r for f, r in zip(plan.floors, _per_step(runs, steps)))
@@ -399,6 +399,9 @@ def test_oversize_chains_are_refused_at_their_floor(monkeypatch):
     with pytest.raises(BudgetError, match=re.escape(message)) as exc:
         plan_convolution(101, [5] * 10000, budget=floor - 1, layout=[0] * 10000)
     assert exc.value.required == floor and floors[:6] == [2] * 6
+    # nor for an admitted plan of either route
+    assert plan_convolution(1009, [4, 4]).strategy == "direct"
+    assert plan_convolution(1009, [600, 600]).strategy == "float"
     # the pair route's work is exact where it exists: refusals keep their need
     with pytest.raises(BudgetError, match="support-pair convolution needs 5000 ") as exc:
         plan_convolution(100, [50, 100], budget=100)
@@ -553,7 +556,7 @@ def test_float_paired_plans_match_the_oracle(case, caplog):
     with caplog.at_level(logging.INFO, logger="fplab.convolve"):
         got = k_fold_count(vecs)
     assert got.as_list() == _expect(vecs)
-    assert got.counts.dtype == (object if plan.bound >= 1 << 62 else np.int64)
+    assert got.counts.dtype == (object if prod(masses) >= 1 << 62 else np.int64)
     assert (got.counts.dtype == object) == (case in ("mixed", "some", "object"))
     ((run, floor, steps),) = _chain_logs(caplog)
     assert run >= floor == sum(plan.floors) and len(steps) == len(vecs) - 1
@@ -815,14 +818,25 @@ def test_t6_widths_come_from_the_limb_norm_bounds(monkeypatch, caplog):
     assert (run, floor, steps) == (27, 27, ["1x1@4", "1x1@20", "2x1@24", "3x1@24", "4x1@24"])
 
 
+def _one_set_case():
+    """p = 100003, X = {1..338} and one set M of 338 units."""
+    p, h = 100003, 338
+    c = PrimeContext(p)
+    return c, sets.initial_interval(h, c), sets.random_subset(h, sets.mix_seed(271828, p), c)
+
+
+def _scaled(mset, factor, c):
+    """{factor * m mod p : m in M}, or {m^(-1) mod p} when factor is None."""
+    return sets.residue_set({pow(int(m), -1, c.p) if factor is None else factor * int(m) % c.p
+                             for m in mset.elems}, c)
+
+
 def test_one_set_t6_matches_the_decimal_reference(caplog):
     # the paper's one-set T_6 at p = 100003 (H = #M = 338): an object
     # array from multi-limb steps, entry by entry against three decimal
     # products, v^3 = v^2 * v and v^6 = v^3 * v^3, no numpy FFT among them
-    p, h = 100003, 338
-    c = PrimeContext(p)
-    v = energy.count_vector_product(sets.initial_interval(h, c),
-                                    sets.random_subset(h, sets.mix_seed(271828, p), c), 1, c)
+    c, x, mset = _one_set_case()
+    v = energy.count_vector_product(x, mset, 1, c)
     with caplog.at_level(logging.INFO, logger="fplab.convolve"):
         got = k_fold_count([v] * 6)
     ((_, _, steps),) = _chain_logs(caplog)
@@ -845,6 +859,30 @@ def test_packed_product_matches_the_decimal_reference(caplog):
     ((_, _, (step,)),) = _chain_logs(caplog)
     assert step.startswith("packed@")
     assert got.as_list() == oracles.kronecker(*(v.as_list() for v in vecs))
+
+
+def test_scaling_the_set_permutes_the_one_set_t6():
+    # T_6 over (cM, X) at lam is T_6 over (M, X) at c^(-1) lam, entry for
+    # entry, for c = 7 and c = -1: the runs round different arrays, so an
+    # index or rounding error in any of them shows
+    c, x, mset = _one_set_case()
+    p, h = c.p, x.H
+    base = tkcount.tk_experiment(6, [(mset, 0)] * 6, h, 1, c).counts.counts
+    assert base.dtype == object
+    for factor in (7, -1):
+        got = tkcount.tk_experiment(6, [(_scaled(mset, factor, c), 0)] * 6, h, 1, c).counts.counts
+        assert (got[factor * np.arange(p) % p] == base).all()
+
+
+def test_set_sizes_and_energies_keep_their_identities():
+    # |X.M| = |X.cM|, |X/M| = |X.M^(-1)| (ratio_set and product_set scale
+    # their dlogs differently) and J(X, M) = J(X, cM) = J(X, M^(-1))
+    c, x, mset = _one_set_case()
+    scaled, inverse = _scaled(mset, 7, c), _scaled(mset, None, c)
+    size = prodset.product_set(x, mset, c).size
+    assert prodset.product_set(x, scaled, c).size == size
+    assert prodset.ratio_set(x, mset, c).size == prodset.product_set(x, inverse, c).size
+    assert len({energy.energy_J(x, m, c) for m in (mset, scaled, inverse)}) == 1
 
 
 def test_uncertified_products_are_never_run_unsplit(monkeypatch, caplog):
@@ -1105,11 +1143,12 @@ def test_concentrated_factors_agree_with_the_direct_route():
             vecs.append(_cv(counts))
         auto = plan_convolution(p, [v.total for v in vecs])
         assert auto.strategy == "float"
-        assert auto.bound < 1 << 40 <= 4 * auto.bound
+        bound = prod(v.total for v in vecs)
+        assert bound < 1 << 40 <= 4 * bound
         got = k_fold_count(vecs)
-        direct = ConvolutionPlan(p, "direct", auto.bound, 0, (), auto.budget)
+        direct = ConvolutionPlan("direct", 0, (), auto.budget)
         assert got.as_list() == _run(vecs, direct)
-        assert max(got.as_list()) >= auto.bound >> 4
+        assert max(got.as_list()) >= bound >> 4
 
 
 def test_float_route_certificate_rejects_uncertified_plans(monkeypatch):

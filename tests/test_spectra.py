@@ -440,6 +440,30 @@ _REFUSED_INPUTS = {
     "plan_convolution_budget_nan": (
         lambda: convolve.plan_convolution(101, [5, 5], budget=math.nan),
         DomainError, "budget must be an integer, got nan"),
+    "plan_convolution_mass_float": (
+        lambda: convolve.plan_convolution(101, [2.7, 3]),
+        DomainError, "mass must be an integer, got 2.7"),
+    "plan_convolution_mass_negative": (
+        lambda: convolve.plan_convolution(101, [-5, 3]), DomainError, "mass must be >= 0, got -5"),
+    "plan_convolution_mass_bool": (
+        lambda: convolve.plan_convolution(101, [True, 3]),
+        DomainError, "mass must be an integer, got True"),
+    "plan_convolution_mass_str": (
+        lambda: convolve.plan_convolution(101, ["3", 3]),
+        DomainError, "mass must be an integer, got '3'"),
+    "plan_convolution_n_negative": (
+        lambda: convolve.plan_convolution(-7, [5, 5]), DomainError, "n must be >= 1, got -7"),
+    "plan_convolution_n_zero": (
+        lambda: convolve.plan_convolution(0, [5, 5]), DomainError, "n must be >= 1, got 0"),
+    "plan_convolution_n_float": (
+        lambda: convolve.plan_convolution(2.5, [5, 5]),
+        DomainError, "n must be an integer, got 2.5"),
+    "plan_convolution_layout_short": (
+        lambda: convolve.plan_convolution(101, [300] * 3, layout=[0]),
+        DomainError, "the layout names 1 arrays for 3 factors"),
+    "plan_convolution_layout_long": (
+        lambda: convolve.plan_convolution(101, [5, 5], layout=[0, 1, 2]),
+        DomainError, "the layout names 3 arrays for 2 factors"),
     "is_prime_float": (
         lambda: is_prime(7.5), DomainError, "n must be an integer, got 7.5"),
     "find_primitive_root_float": (
