@@ -173,7 +173,7 @@ def _cmd_tk(args) -> Record:
                                 sample_lambdas=lambdas)
     return Record(
         command="tk", k=rep.k, p=rep.p, H=rep.H, L=args.L, s=rep.s,
-        M=rep.set_sizes[0], epsilon=rep.epsilon,
+        M=rep.M, epsilon=rep.epsilon,
         main_term=f"{rep.main_term.numerator}/{rep.main_term.denominator}",
         total=rep.total, max_abs_dev=rep.max_abs_dev, mean_abs_dev=rep.mean_abs_dev,
         flags=rep.flag_bits,

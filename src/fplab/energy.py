@@ -97,11 +97,13 @@ def triple_R(j_len: int, k_len: int, mset: ResidueSet, ctx: PrimeContext,
 
     The sum of squares of counts[lam] = #{(j,k,m): j*k*m = lam mod p}, a
     product of two 2-fold convolutions, j*k first and then times the set.
-    The planner prices and gates each one on its own, and j*k, with at
-    most j_len*k_len support pairs, takes the support-pair route when the
-    intervals are short.
+    The planner prices and gates each one on its own, both before the dlog
+    table is built, and j*k, with at most j_len*k_len support pairs, takes
+    the support-pair route when the intervals are short.
     """
     j_len, k_len = integer("j_len", j_len, 1, ctx.p - 1), integer("k_len", k_len, 1, ctx.p - 1)
+    require_modulus(ctx, mset)
+    convolve.plan_convolution(ctx.p - 1, [j_len * k_len, mset.M], budget)
     jk = dlog_convolution([(np.arange(1, j_len + 1), 1), (np.arange(1, k_len + 1), 1)],
                           ctx, budget)
     conv = convolve.k_fold_count([jk, dlog_counts(mset.elems, 1, ctx)], budget=budget)

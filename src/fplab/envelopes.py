@@ -9,7 +9,7 @@ and the like) are done in integers to avoid float-boundary artifacts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, log, prod
+from math import inf, log
 
 from .errors import DomainError
 
@@ -59,11 +59,6 @@ def frac_sum_envelope(H: int, M: int, p: int, ell: int) -> float:
 def triple_main_term(j_len: int, k_len: int, M: int, p: int) -> Fraction:
     """Expected value of the triple-product coincidence count R."""
     return Fraction(j_len * j_len * k_len * k_len * M * M, p - 1)
-
-
-def tk_main_term(masses: list[int], p: int) -> Fraction:
-    """Expected value of T_k(lam): (prod of factor masses) / p."""
-    return Fraction(prod(masses), p)
 
 
 def burgess_envelope(k_len: int, p: int) -> float:

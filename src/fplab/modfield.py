@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, integer, integer_array
 
-# Witness set proving primality for all n < 3.3 * 10^24 (covers 2^64).
+# Miller-Rabin with the 12 primes 2..37 as witnesses is deterministic for
+# n < psi_12 = 318665857834031151167461, about 3.2 * 10^23 (OEIS A014233);
+# is_prime answers only below 2^64, well inside that range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Every route holds an int64 or complex array of length about p (16 GiB at
@@ -34,8 +36,10 @@ CONTEXT_CACHE_SIZE = 8
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 2^64."""
+    """Deterministic Miller-Rabin for n < 2^64; a larger n is a DomainError."""
     n = integer("n", n)
+    if n >= 1 << 64:
+        raise DomainError(f"is_prime is proven only below 2^64, got {n}")
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -134,10 +138,10 @@ class PrimeContext:
 
     def __init__(self, p: int):
         p = integer("p", p)
-        if p < 3 or not is_prime(p):
-            raise DomainError(f"p={p} is not an odd prime")
         if p >= MAX_PRIME:
             raise DomainError(f"p={p} exceeds the supported range (< 2^31)")
+        if p < 3 or not is_prime(p):
+            raise DomainError(f"p={p} is not an odd prime")
         self.p = p
         self.g = find_primitive_root(p)
         self._dlog = None

@@ -15,7 +15,7 @@ import numpy as np
 
 from .energy import dlog_convolution
 from .envelopes import product_set_branch
-from .errors import DomainError, check_epsilon
+from .errors import check_epsilon
 from .modfield import PrimeContext
 from .sets import Interval, ResidueSet, require_modulus
 
@@ -28,13 +28,13 @@ class ProductSetReport:
     H: int
     M: int
     size: int
-    missing: int
     hypothesis_branch: str    # "A" | "B" | "none"
     epsilon: float
 
-    def __post_init__(self):
-        if not 0 <= self.size <= self.p or self.missing != self.p - self.size:
-            raise DomainError("inconsistent product-set report")
+    @property
+    def missing(self) -> int:
+        """The residues mod p that are not in the set."""
+        return self.p - self.size
 
 
 def _support(units: np.ndarray, scale: int, mset: ResidueSet, ctx: PrimeContext,
@@ -48,7 +48,7 @@ def _report(size: int, interval: Interval, mset: ResidueSet,
             epsilon: float) -> ProductSetReport:
     p = interval.p
     return ProductSetReport(
-        p=p, H=interval.H, M=mset.M, size=size, missing=p - size,
+        p=p, H=interval.H, M=mset.M, size=size,
         hypothesis_branch=product_set_branch(interval.H, mset.M, p, epsilon),
         epsilon=epsilon)
 

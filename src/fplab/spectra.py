@@ -38,10 +38,6 @@ class CompleteSumTable:
     """W[c] = sum over x in X of e_p(c * x^(-s)), for every multiplier c."""
 
     W: np.ndarray
-    p: int
-    H: int
-    L: int
-    s: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +45,6 @@ class CharSpectrum:
     """S[t] = sum over u in U of chi_t(u), characters indexed by exponent t."""
 
     S: np.ndarray
-    p: int
-    set_size: int
 
 
 @dataclass(frozen=True)
@@ -60,14 +54,13 @@ class FracSumResult:
     value: float
     envelope: float
     trivial_bound: float
-    ell: int
 
 
 def complete_sum_table(interval_x: Interval, s: int, ctx: PrimeContext) -> CompleteSumTable:
     """All p complete sums at once: the transform of the x^(-s) fiber counts."""
     u = recip_power_counts(interval_x, s, ctx)
     w = length_p_transform(u.counts)  # W[0] is u's mass, checked to be H
-    return CompleteSumTable(W=w, p=ctx.p, H=interval_x.H, L=interval_x.L, s=s)
+    return CompleteSumTable(W=w)
 
 
 def kloosterman_frac_sum(a: int, mset: ResidueSet, interval_x: Interval, s: int,
@@ -83,7 +76,7 @@ def kloosterman_frac_sum(a: int, mset: ResidueSet, interval_x: Interval, s: int,
     h, m = interval_x.H, mset.M
     return FracSumResult(value=value,
                          envelope=frac_sum_envelope(h, m, p, ell),
-                         trivial_bound=float(h * m), ell=ell)
+                         trivial_bound=float(h * m))
 
 
 def _split_fft(z: np.ndarray, scratch: np.ndarray) -> None:
@@ -133,7 +126,7 @@ def char_spectrum(u_set: ResidueSet | Interval, ctx: PrimeContext) -> CharSpectr
     s = np.zeros(p - 1, dtype=np.complex128)
     if n == p - 1:  # full group: orthogonality is exact
         s[0] = n
-        return CharSpectrum(S=s, p=p, set_size=n)
+        return CharSpectrum(S=s)
     m = (p - 1) // 2  # PrimeContext refuses p = 2, so p - 1 is even
     z = np.zeros(m, dtype=np.complex128)
     z.view(np.float64)[ctx.dlog[elems]] = 1.0  # z[j] = v[2j] + i*v[2j+1]
@@ -154,7 +147,7 @@ def char_spectrum(u_set: ResidueSet | Interval, ctx: PrimeContext) -> CharSpectr
     low += z
     np.conj(s, out=s)
     s[0] = complex(n)  # principal character counts the set exactly
-    return CharSpectrum(S=s, p=p, set_size=n)
+    return CharSpectrum(S=s)
 
 
 def burgess_ratio(k_len: int, ctx: PrimeContext) -> float:

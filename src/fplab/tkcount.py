@@ -17,7 +17,7 @@ import numpy as np
 from . import convolve
 from .countvec import CountVector
 from .energy import count_vector_product
-from .envelopes import tk_hypotheses, tk_main_term
+from .envelopes import tk_hypotheses
 from .errors import DomainError, check_epsilon, integer
 from .modfield import PrimeContext
 from .sets import ResidueSet, shifted_interval
@@ -31,10 +31,8 @@ class TkReport:
     p: int
     H: int
     s: int
-    set_sizes: tuple[int, ...]
-    shifts: tuple[int, ...]
+    M: int
     epsilon: float
-    main_term: Fraction
     counts: CountVector
     max_abs_dev: float
     mean_abs_dev: float
@@ -45,6 +43,11 @@ class TkReport:
     @property
     def total(self) -> int:
         return self.counts.total
+
+    @property
+    def main_term(self) -> Fraction:
+        """The exact expected T_k(lam): the product of the factor masses over p."""
+        return Fraction(self.total, self.p)
 
     @property
     def flag_bits(self) -> str:
@@ -139,18 +142,14 @@ def tk_experiment(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: int,
     sizes = [mset.M for mset, _ in factors]
     if len(set(sizes)) > 1:
         raise DomainError(f"factor sets have unequal sizes {sizes}")
-    # each factor's mass is H * M; no list of factors outlives the convolution,
-    # which frees each one after its last step
-    main_term = tk_main_term([H * m for m in sizes], ctx.p)
+    # no list of factors outlives the convolution, which frees each one after
+    # its last step
     counts = convolve.k_fold_count(_factor_counts(factors, H, s, ctx, budget), budget=budget)
     max_dev, mean_dev, dev_at = _dev_stats(counts, ctx.p, lambdas)
-    flags, margins = tk_hypotheses(H, min(sizes), ctx.p, epsilon)
+    flags, margins = tk_hypotheses(H, sizes[0], ctx.p, epsilon)
     return TkReport(
-        k=k, p=ctx.p, H=H, s=s, set_sizes=tuple(sizes),
-        shifts=tuple(shift for _, shift in factors), epsilon=epsilon,
-        main_term=main_term,
-        counts=counts, max_abs_dev=max_dev, mean_abs_dev=mean_dev,
-        dev_at=dev_at, hyp_flags=flags, hyp_margins=margins)
+        k=k, p=ctx.p, H=H, s=s, M=sizes[0], epsilon=epsilon, counts=counts,
+        max_abs_dev=max_dev, mean_abs_dev=mean_dev, dev_at=dev_at, hyp_flags=flags, hyp_margins=margins)
 
 
 def tk_spectral_check(k: int, factors: list[tuple[ResidueSet, int]], H: int, s: int,

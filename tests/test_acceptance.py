@@ -104,7 +104,7 @@ def test_criterion_02_mass_conservation(tk_trend_reports):
     reports, _ = tk_trend_reports
     for rep in reports:
         mass = 1
-        for h_i, m_i in zip([rep.H] * rep.k, rep.set_sizes):
+        for h_i, m_i in zip([rep.H] * rep.k, [rep.M] * rep.k):
             mass *= h_i * m_i
         assert rep.total == mass  # also asserted in-code on every convolution
     # a mid-size extra sample on the exact route

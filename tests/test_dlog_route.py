@@ -85,6 +85,8 @@ def test_refusal_comes_before_the_dlog_table():
         for call in (lambda: product_set(iv, mset, c, budget=10**6),
                      lambda: energy_J(iv, mset, c, budget=10**6),
                      lambda: triple_R(40_000, 40_000, mset, c, budget=10**6),
+                     # j*k fits the budget, (j*k)*M does not
+                     lambda: triple_R(2, 2, random_subset(1000, 5, c), c, budget=100),
                      lambda: tk_experiment(8, factors, 300, 1, c, budget=10**6)):
             with pytest.raises(BudgetError):
                 call()

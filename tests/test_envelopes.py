@@ -5,7 +5,7 @@ import pytest
 from fplab.envelopes import (burgess_envelope, frac_sum_envelope,
                              pair_energy_envelope, product_set_branch,
                              recip_energy_envelope, tk_hypotheses,
-                             tk_main_term, triple_main_term, value_ratio)
+                             triple_main_term, value_ratio)
 from fplab.errors import DomainError
 
 
@@ -44,7 +44,6 @@ def test_recip_and_frac_envelopes():
 
 def test_main_terms_are_exact_rationals():
     assert triple_main_term(2, 3, 4, 7) == Fraction(4 * 9 * 16, 6)
-    assert tk_main_term([6, 6, 6], 5) == Fraction(216, 5)
 
 
 def test_tk_hypotheses_margins():

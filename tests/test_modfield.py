@@ -17,6 +17,21 @@ def test_is_prime_small():
     assert not any(is_prime(c) for c in composites)
 
 
+def test_is_prime_composites_past_trial_division():
+    # no factor <= 37, so each one reaches the Miller-Rabin rounds; the last
+    # two are strong pseudoprimes to the witnesses 2..7 and 2..23
+    for n in (1763, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(2**64 - 59)  # the largest prime below 2^64
+
+
+@pytest.mark.parametrize("n", [2**64, 318665857834031151167461, 3317044064679887385961981])
+def test_is_prime_refuses_past_its_proven_range(n):
+    # the last two are composites that the 12 witnesses 2..37 pass
+    with pytest.raises(DomainError, match="below 2\\^64"):
+        is_prime(n)
+
+
 def test_batch_inverse_examples(ctx):
     assert batch_inverse([1, 2, 3], ctx(7)) == [1, 4, 5]
     assert batch_inverse([1], ctx(5)) == [1]

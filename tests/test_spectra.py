@@ -11,7 +11,7 @@ import pytest
 
 from fplab import convolve, spectra
 from fplab.countvec import CountVector
-from fplab.energy import additive_energy_recip, energy_Js, recip_power_counts
+from fplab.energy import additive_energy_recip, energy_Js, recip_power_counts, triple_R
 from fplab.errors import ConsistencyError, DomainError, ZeroInIntervalError
 from fplab.modfield import (PrimeContext, batch_inverse, build_dlog_table, find_primitive_root,
                             is_prime)
@@ -388,6 +388,8 @@ _REFUSED_INPUTS = {
         lambda: batch_inverse([1.5], _C101), DomainError, "elements must be integers"),
     "prime_context_float": (
         lambda: PrimeContext(101.0), DomainError, "p must be an integer, got 101.0"),
+    "prime_context_past_is_prime": (
+        lambda: PrimeContext(2**64 + 13), DomainError, "exceeds the supported range"),
     "random_subset_seed_float": (
         lambda: random_subset(3, 1.5, _C101), DomainError, "seed must be an integer"),
     "random_subset_M_float": (
@@ -472,6 +474,8 @@ _REFUSED_INPUTS = {
         lambda: build_dlog_table(101, 2.5), DomainError, "g must be an integer, got 2.5"),
     "build_dlog_table_p_float": (
         lambda: build_dlog_table(101.0, 2), DomainError, "p must be an integer, got 101.0"),
+    "triple_R_set_of_another_modulus": (
+        lambda: triple_R(3, 4, _SET1009, _C101), DomainError, "modulus does not match"),
     "set_from_file_descriptor": (
         lambda: set_from_file(123, _C101),
         DomainError, "set file path must be a str or os.PathLike, got 123"),

@@ -282,6 +282,30 @@ def test_fit_exponent_examples():
         fit_exponent([mk(1, 1), mk(2, 2)], "p", "value")
 
 
+def test_fit_exponent_drops_skipped_and_non_positive_rows():
+    mk = lambda x, y, skip="": {"p": x, "value": y, "skip_reason": skip}
+    usable = [mk(1, 1), mk(2, 2), mk(3, 3)]
+    dropped = [mk(4, 100, "budget_exceeded"), mk(5, 0), mk(6, -1), mk(0, 7)]
+    assert fit_exponent(usable + dropped, "p", "value") == fit_exponent(usable, "p", "value")
+    with pytest.raises(DomainError, match=">= 3 usable rows, got 2"):
+        fit_exponent(usable[:2] + dropped, "p", "value")
+
+
+def test_an_unexpected_error_is_one_row_and_the_sweep_goes_on(monkeypatch):
+    energy_J = verify.energy.energy_J
+
+    def broken_at_101(interval, mset, ctx, budget=None):
+        if ctx.p == 101:
+            raise RuntimeError("a fault inside the measure")
+        return energy_J(interval, mset, ctx, budget)
+
+    monkeypatch.setattr(verify.energy, "energy_J", broken_at_101)
+    cfg = parse_config("measure = energy_j\nprimes = 101 11\nh_exp = 0.5\nm_exp = 0.5\n")
+    rows = run_sweep(cfg)
+    assert [row.skip_reason for row in rows] == ["error:RuntimeError", ""]
+    assert rows[0].value is None and rows[1].value > 0
+
+
 def test_fmt_number_stability():
     assert fmt_number(3) == "3"
     assert fmt_number(0.1 + 0.2) == "0.3"
